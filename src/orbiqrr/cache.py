@@ -4,11 +4,13 @@ Artifacts are keyed by a SHA-256 of the canonical-JSON request (target,
 bundle, s-values, truncations) plus the schema version; files store the
 payload together with its own content hash.  A hash mismatch on load raises
 CorruptCache; callers recompute and overwrite.  Bumping SCHEMA_VERSION
-invalidates every old entry (the key changes).
+invalidates every old entry (the key changes).  Entries are written to a
+temp file in the cache directory and renamed into place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -67,8 +69,18 @@ class ArtifactCache:
             "sha256": _payload_hash(payload),
             "payload": payload,
         }
-        with open(self._path(key), "w") as fh:
-            fh.write(canonical_json(doc))
+        # write a sibling temp file and rename it over the entry, so that a
+        # crashed or concurrent writer never leaves a torn entry behind
+        path = self._path(key)
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            with open(tmp, "x") as fh:
+                fh.write(canonical_json(doc))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     def get_or_compute(self, request: dict, compute: Callable[[], dict]):
         """Returns (payload, status) with status in {computed, cached, recomputed}."""

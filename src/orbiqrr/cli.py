@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .bernoulli import bernoulli_value
 from .cache import ArtifactCache
-from .errors import OrbiqrrError, UsageError
+from .errors import OrbiqrrError, UnsupportedTarget, UsageError
 from .exactalg import Scalar, sc
 from .fockquant import (
     build_point_potential,
@@ -37,7 +37,6 @@ from .genus0 import (
     j_closed_form_Pn,
     load_j_function,
     mirror_map,
-    nonequivariant_limit,
     quintic_pipeline,
     small_expansion,
 )
@@ -244,9 +243,7 @@ def cmd_ifunction(args, cache) -> dict:
 
     def compute():
         j = _builtin_j(t, args)
-        i = hypergeometric_modification(t, F, j)
-        if args.nonequivariant:
-            i = nonequivariant_limit(i)
+        i = hypergeometric_modification(t, F, j, nonequivariant=args.nonequivariant)
         return {"target": t.name, "bundle": F.name, "max_degree": args.max_degree,
                 "rows": series_rows(i.series)}
 
@@ -270,7 +267,7 @@ def cmd_mirror_map(args, cache) -> dict:
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
     j = _builtin_j(t, args)
-    i = nonequivariant_limit(hypergeometric_modification(t, F, j))
+    i = hypergeometric_modification(t, F, j, nonequivariant=True)
     f, g = small_expansion(i)
     tau, j_tw = mirror_map(i)
     rows = []
@@ -286,9 +283,10 @@ def cmd_mirror_map(args, cache) -> dict:
 def cmd_invariants(args, cache) -> dict:
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
-    if t.name != "P4" or F.c1_pairing != (Frac(5),):
-        # the pipeline validates this too; fail early with the module error
-        pass
+    if t != projective_space(4) or F != line_bundle_On(t, 5):
+        # the pipeline computes P4/O5 whatever was asked; never label it otherwise
+        raise UnsupportedTarget(
+            f"invariants are implemented for P4/O5 only, not {t.name}/{F.name}")
     request = {"op": "invariants", "target": args.target, "bundle": args.bundle,
                "max_degree": args.max_degree}
 

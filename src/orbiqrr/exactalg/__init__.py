@@ -10,7 +10,6 @@ from .scalar import (
     SCALAR_ONE,
     SCALAR_ZERO,
     Scalar,
-    nonequiv_limit_scalar,
     parse_scalar,
     root_of_unity,
     sc,
@@ -26,7 +25,6 @@ __all__ = [
     "sc",
     "root_of_unity",
     "parse_scalar",
-    "nonequiv_limit_scalar",
     "TruncSeries",
     "series_invert",
     "deg_total",

@@ -160,7 +160,8 @@ class Cyc:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        # the constructor demotes every element with c[1:] all zero to order 1
+        return self.order == 1 and self.coeffs[0] == 0
 
     @property
     def is_rational(self) -> bool:

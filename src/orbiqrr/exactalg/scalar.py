@@ -45,10 +45,6 @@ def _cadd(a: Sequence[Cyc], b: Sequence[Cyc]) -> List[Cyc]:
     return _cstrip(out)
 
 
-def _cneg(a: Sequence[Cyc]) -> List[Cyc]:
-    return [-c for c in a]
-
-
 def _cmul(a: Sequence[Cyc], b: Sequence[Cyc]) -> List[Cyc]:
     if not a or not b:
         return []
@@ -104,7 +100,13 @@ def _cstretch(p: Sequence[Cyc], k: int) -> List[Cyc]:
 
 
 class RatFunc:
-    """Reduced fraction of Cyc-polynomials; denominator monic and coprime to the numerator."""
+    """Reduced fraction of Cyc-polynomials; denominator monic and coprime to the numerator.
+
+    Sums and products of two polynomials (both denominators 1; a monic
+    constant is 1) skip the gcd.  They are built in the canonical form the
+    general constructor would give: the denominator 1 is monic and coprime
+    to everything, and ``_cadd``/``_cmul`` already strip the numerator.
+    """
 
     __slots__ = ("num", "den")
 
@@ -143,6 +145,8 @@ class RatFunc:
             return o
         if o.is_zero:
             return self
+        if len(self.den) == 1 and len(o.den) == 1:
+            return RatFunc(_cadd(self.num, o.num), self.den, _reduced=True)
         return RatFunc(
             _cadd(_cmul(self.num, o.den), _cmul(o.num, self.den)),
             _cmul(self.den, o.den),
@@ -157,6 +161,8 @@ class RatFunc:
     def __mul__(self, o: "RatFunc") -> "RatFunc":
         if self.is_zero or o.is_zero:
             return RF_ZERO
+        if len(self.den) == 1 and len(o.den) == 1:
+            return RatFunc(_cmul(self.num, o.num), self.den, _reduced=True)
         return RatFunc(_cmul(self.num, o.num), _cmul(self.den, o.den))
 
     def inverse(self) -> "RatFunc":
@@ -273,15 +279,8 @@ class Scalar:
         return not self.ell
 
     @property
-    def ell_degree(self) -> int:
-        return len(self.ell) - 1
-
-    @property
     def is_invertible(self) -> bool:
         return len(self.ell) == 1
-
-    def is_one(self) -> bool:
-        return len(self.ell) == 1 and self.ell[0] == RF_ONE
 
     def is_rational(self) -> bool:
         if self.is_zero:
@@ -455,10 +454,6 @@ def sc(x) -> Scalar:
 def root_of_unity(n: int, k: int) -> Scalar:
     """zeta_n^k in canonical cyclotomic form."""
     return Scalar.zeta(n, k)
-
-
-def nonequiv_limit_scalar(a: Scalar) -> Scalar:
-    return a.nonequiv_limit()
 
 
 # -- parsing -----------------------------------------------------------------

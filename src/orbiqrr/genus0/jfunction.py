@@ -90,9 +90,6 @@ class JFunction:
     def dmax(self) -> int:
         return self.series.dmax
 
-    def degree_slice(self, d: Tuple[int, ...]) -> Dict[int, CohClass]:
-        return {n: cls for (n, dd), cls in self.series.data.items() if dd == d}
-
     def coefficient(self, d: Tuple[int, ...], zpow: int) -> CohClass:
         return self.series.get(zpow, d)
 

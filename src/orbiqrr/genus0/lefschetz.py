@@ -3,7 +3,13 @@ expansion, mirror map, nonequivariant limit, and hypersurface invariant
 extraction.
 
 The modification multiplies each degree slice J_d by the finite products
-prod_j prod_{k=1..<rho_j,d>} (lambda + rho_j + k z); the small-space expansion
+prod_j prod_{k=1..<rho_j,d>} (lambda + rho_j + k z).  The nonequivariant
+pipelines (mirror map, invariants, the nonequivariant I-function) take the
+limit first: they set lambda = 0 in J and in every factor, (rho_j + k z), and
+never build the lambda-polynomials that the limit would discard.  This is
+exact: evaluation at lambda = 0 is a ring map on coefficients regular at 0,
+and an untwisted J carries no lambda, because lambda is the weight of the
+fibre action on F.  The small-space expansion
 reads I = z F(t) + sum_k G^k(t) gamma_k + O(1/z); the mirror map divides by
 F and re-validates the J normal form; invariant extraction strips the
 exponential prefactor e^{tau p / z}, unwinds the divisor flow e^{d tau}, and
@@ -18,6 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import (
     AssumptionViolated,
+    LogObstruction,
     PoleAtZero,
     PositivityViolated,
     UnsupportedTarget,
@@ -56,13 +63,25 @@ def _spread_untwisted(t: TargetModel, cls: CohClass) -> CohClass:
 
 
 def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
-                                dmax: Optional[int] = None) -> JFunction:
-    """I_F: multiply J_d by prod_j prod_{k=1..<rho_j,d>} (lambda + rho_{j} + kz)."""
+                                dmax: Optional[int] = None,
+                                nonequivariant: bool = False) -> JFunction:
+    """I_F: multiply J_d by prod_j prod_{k=1..<rho_j,d>} (lambda + rho_{j} + kz).
+
+    With ``nonequivariant`` the result is the lambda -> 0 limit of I_F, taken
+    first: J goes through ``nonequivariant_limit`` and the factors become
+    (rho_j + kz).  This equals ``nonequivariant_limit`` of the equivariant
+    result, window included, because evaluation at lambda = 0 is a ring map
+    on coefficients regular at 0.  A J with a pole or a ln(lambda) term at
+    lambda = 0 (only a loaded one can carry lambda) raises PoleAtZero or
+    LogObstruction here, naming its (d, z^n).
+    """
     if not F.pulled_back or F.lines is None:
         raise AssumptionViolated(
             "hypergeometric modification needs a split bundle pulled back from the coarse space")
     dmax = J.dmax if dmax is None else min(dmax, J.dmax)
-    lam = Scalar.lam(1)
+    if nonequivariant:
+        J = nonequivariant_limit(J)
+    lam = None if nonequivariant else Scalar.lam(1)
     series = J.series
     spreads = [_spread_untwisted(t, c1cls) for (_pair, c1cls) in F.lines]
     # degree slices are exact, so the window may widen upward by the z-climb
@@ -84,8 +103,8 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
             for k in range(1, steps + 1):
                 new_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
                 for (nn, dd), c in slice_terms.items():
-                    # (lambda + rho + k z) * c
-                    base = c.scale(lam) + c.mul(rho)
+                    # (lambda + rho + k z) * c, with lambda = 0 when taken first
+                    base = c.mul(rho) if lam is None else c.scale(lam) + c.mul(rho)
                     if not base.is_zero:
                         key = (nn, dd)
                         new_terms[key] = new_terms.get(key, t.zero_class()) + base
@@ -198,7 +217,7 @@ def novikov_scale(e: GiventalElement, s: TruncSeries) -> GiventalElement:
 
 
 def nonequivariant_limit(j: JFunction) -> JFunction:
-    """lambda -> 0, with the offending index reported on poles."""
+    """lambda -> 0, with the offending index reported on poles and ln(lambda) terms."""
     t = j.target
     out = GiventalElement(t, j.series.zmin, j.series.zmax, j.series.dmax)
     for (n, d), cls in j.series.data.items():
@@ -206,6 +225,8 @@ def nonequivariant_limit(j: JFunction) -> JFunction:
             out.add_to(n, d, cls.nonequiv_limit())
         except PoleAtZero:
             raise PoleAtZero(f"pole at lambda=0 in coefficient (d={d}, z^{n})")
+        except LogObstruction:
+            raise LogObstruction(f"ln(lambda) survives at lambda=0 in coefficient (d={d}, z^{n})")
     return JFunction(t, out, prefactor=j.prefactor, tpoint=j.tpoint, kind=j.kind,
                      novikov_twist=j.novikov_twist)
 
@@ -299,9 +320,9 @@ def _mul_exp_class_over_z(e: GiventalElement, series: TruncSeries,
 def quintic_pipeline(dmax: int) -> dict:
     """The whole desk-scale computation for the quintic threefold in P^4.
 
-    Closed-form J for P^4, hypergeometric modification by O(5), lambda -> 0,
-    mirror map, invariant extraction.  Returns the mirror map Q-series and
-    the N_d / n_d tables.
+    Closed-form J for P^4, hypergeometric modification by O(5) with lambda -> 0
+    taken first, mirror map, invariant extraction.  Returns the mirror map
+    Q-series and the N_d / n_d tables.
     """
     from ..orbtarget import line_bundle_On
     from .jfunction import j_closed_form_Pn
@@ -309,8 +330,7 @@ def quintic_pipeline(dmax: int) -> dict:
     j = j_closed_form_Pn(4, dmax)
     t = j.target
     F = line_bundle_On(t, 5)
-    i_eq = hypergeometric_modification(t, F, j)
-    i_lim = nonequivariant_limit(i_eq)
+    i_lim = hypergeometric_modification(t, F, j, nonequivariant=True)
     f, g = small_expansion(i_lim)
     tau, j_tw = mirror_map(i_lim)
     table = extract_invariants(j_tw, tau, F)

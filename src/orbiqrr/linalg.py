@@ -15,18 +15,6 @@ def mat_eye(n: int) -> Matrix:
     return [[SCALAR_ONE if i == j else SCALAR_ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_zero(n: int) -> Matrix:
-    return [[SCALAR_ZERO] * n for _ in range(n)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: Scalar) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, m = len(a), len(b[0])
     k = len(b)

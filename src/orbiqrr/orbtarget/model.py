@@ -375,13 +375,6 @@ class BundleModel:
             out = out + self.eigen_class(comp.cid, 0)
         return out
 
-    def full_chern(self) -> CohClass:
-        """ch(q^*F) = sum over all eigenvalue indices."""
-        out = self.target.zero_class()
-        for (cid, l), c in self.eigen.items():
-            out = out + c
-        return out
-
     def age_on(self, cid: str) -> Frac:
         comp = self.target.component(cid)
         return sum((Frac(l, comp.r) * self.eigen_rank(cid, l) for l in range(1, comp.r)), Frac(0))

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from orbiqrr.cli import main
 from orbiqrr.orbtarget import dump_target, weighted_projective
 
@@ -61,6 +63,15 @@ class TestPipelines:
         assert byd[1]["N"] == "2875"
         assert byd[2]["N"] == "4876875/8"
         assert byd[2]["n"] == "609250"
+
+    def test_invariants_rejects_other_targets(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache")
+        for target, bundle in (("P2", "O3"), ("P4", "O4"), ("P3", "O5"), ("P4", "trivial")):
+            code, out, _ = run(capsys, "--cache-dir", cache, "invariants", "--target", target,
+                               "--bundle", bundle, "--max-degree", "2")
+            assert code == 1, (target, bundle)
+            assert json.loads(out)["error"]["code"] == "UnsupportedTarget"
+        assert not os.listdir(cache)   # rejected before the cache is consulted
 
     def test_invariants_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "invariants", "--target", "P4",
@@ -221,6 +232,35 @@ class TestCache:
             assert json.loads(out)["cache"] == "computed"
         finally:
             cache_mod.SCHEMA_VERSION = old
+
+    def test_failed_write_keeps_old_entry(self, tmp_path, monkeypatch):
+        from orbiqrr import cache as cache_mod
+
+        class TornFile:
+            """Writes half of what it is given to the real file, then fails."""
+
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        store = cache_mod.ArtifactCache(str(tmp_path / "cache"))
+        store.store("k", {"rows": ["old"]})
+        monkeypatch.setattr(cache_mod, "open", TornFile, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            store.store("k", {"rows": ["new" * 1000]})
+        monkeypatch.undo()
+        assert store.load("k") == {"rows": ["old"]}
+        assert os.listdir(store.directory) == ["k.json"]   # no temp file left behind
 
     def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
         cachedir = str(tmp_path / "envcache")

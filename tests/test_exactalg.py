@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from orbiqrr.errors import LogObstruction, NonUnitConstantTerm, PoleAtZero
 from orbiqrr.exactalg import (
     SCALAR_ONE,
+    Cyc,
     Scalar,
     TruncSeries,
     parse_scalar,
@@ -14,6 +15,8 @@ from orbiqrr.exactalg import (
     sc,
     series_invert,
 )
+from orbiqrr.exactalg.cyclotomic import CYC_ONE
+from orbiqrr.exactalg.scalar import RatFunc, _cadd, _cmul
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -218,3 +221,56 @@ def test_random_unit_series_invert(coeffs):
     assert prod.get((0,)) == sc(1)
     for d in range(1, 5):
         assert prod.get((d,)).is_zero
+
+
+# -- fast paths against the general ones ----------------------------------------
+
+cyc_orders = st.sampled_from((1, 1, 2, 3, 4, 5, 6, 12))
+
+
+@st.composite
+def cyc_elements(draw):
+    """Sums q_i zeta_n^(k_i), plus a random multiple of sum_k zeta_n^k (= 0 for n > 1)."""
+    n = draw(cyc_orders)
+    terms = draw(st.lists(st.tuples(st.integers(0, 11), rationals), max_size=3))
+    c = Cyc.from_fraction(0)
+    for k, q in terms:
+        c = c + Cyc.from_fraction(q) * Cyc.root_of_unity(n, k)
+    if draw(st.booleans()):
+        q = Cyc.from_fraction(draw(rationals))
+        for k in range(n):
+            c = c + q * Cyc.root_of_unity(n, k)
+    return c
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyc_elements(), cyc_elements())
+def test_cyc_is_zero_matches_all_coefficients(a, b):
+    for c in (a, b, a + b, a - a, a * b, a + (-b), a - b):
+        assert c.is_zero == all(x == 0 for x in c.coeffs)
+
+
+def test_cyc_is_zero_on_cancelling_sums():
+    z3 = Cyc.root_of_unity(3, 1)
+    assert (Cyc.from_fraction(1) + z3 + z3 * z3).is_zero
+    z4 = Cyc.root_of_unity(4, 1)
+    assert (z4 * z4 + Cyc.from_fraction(1)).is_zero
+    z6, z12 = Cyc.root_of_unity(6, 1), Cyc.root_of_unity(12, 1)
+    assert (z6 - z12 * z12).is_zero
+    assert not z3.is_zero and not (z3 + Cyc.from_fraction(1)).is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(cyc_elements(), max_size=4), st.lists(cyc_elements(), max_size=4))
+def test_ratfunc_polynomial_fast_path(p, q):
+    # RatFunc(num, den) is the general constructor: it always normalises by the gcd
+    one = (CYC_ONE,)
+    a, b = RatFunc(p, one), RatFunc(q, one)
+    for fast, slow in (
+        (a + b, RatFunc(_cadd(_cmul(a.num, b.den), _cmul(b.num, a.den)), _cmul(a.den, b.den))),
+        (a + (-a), RatFunc(_cadd(a.num, (-a).num), one)),
+        (a * b, RatFunc(_cmul(a.num, b.num), _cmul(a.den, b.den))),
+    ):
+        assert fast.num == slow.num and fast.den == slow.den
+        assert hash(fast) == hash(slow)
+        assert Scalar((fast,), 1).to_obj() == Scalar((slow,), 1).to_obj()

@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiqrr.errors import (
     AssumptionViolated,
     DimensionMismatch,
     InsufficientTable,
+    LogObstruction,
     NormalFormViolation,
+    PoleAtZero,
     PositivityViolated,
 )
 from orbiqrr.exactalg import SCALAR_ONE, Scalar, sc
@@ -168,26 +172,27 @@ class TestClosedFormJ:
         assert encodings_equal(lhs, rhs)
 
 
-class TestLoadJ:
-    def _p2_rows(self, dmax=1):
-        j = j_closed_form_Pn(2, dmax)
-        rows = []
-        for (n, d), cls in j.series.data.items():
-            for (cid, idx), c in cls.terms.items():
-                rows.append({"d": list(d), "zpow": n, "component": cid,
-                             "basis": idx, "coeff": str(c.as_fraction())})
-        return rows
+def _p2_rows(dmax=1):
+    j = j_closed_form_Pn(2, dmax)
+    rows = []
+    for (n, d), cls in j.series.data.items():
+        for (cid, idx), c in cls.terms.items():
+            rows.append({"d": list(d), "zpow": n, "component": cid,
+                         "basis": idx, "coeff": str(c.as_fraction())})
+    return rows
 
+
+class TestLoadJ:
     def test_round_trip_p2(self):
         t = projective_space(2)
-        rows = self._p2_rows()
+        rows = _p2_rows()
         loaded = load_j_function(t, {"rows": rows})
         j = j_closed_form_Pn(2, 1)
         assert loaded.series == j.series
 
     def test_missing_head_rejected(self):
         t = projective_space(2)
-        rows = [r for r in self._p2_rows() if not (r["zpow"] == 1 and r["d"] == [0])]
+        rows = [r for r in _p2_rows() if not (r["zpow"] == 1 and r["d"] == [0])]
         with pytest.raises(NormalFormViolation):
             load_j_function(t, {"rows": rows})
 
@@ -200,7 +205,7 @@ class TestLoadJ:
 
     def test_dimension_filter(self):
         t = projective_space(2)
-        rows = self._p2_rows()
+        rows = _p2_rows()
         rows.append({"d": [1], "zpow": 0, "component": "0", "basis": 0, "coeff": "1"})
         with pytest.raises(NormalFormViolation, match="dimension filter"):
             load_j_function(t, {"rows": rows})
@@ -320,3 +325,46 @@ class TestInvariantExtraction:
         for d in (1, 2, 3):
             assert table["N"][d] == oracle_N[d], d
             assert table["n"][d] == oracle_n[d], d
+
+
+class TestLimitFirst:
+    """hypergeometric_modification(..., nonequivariant=True) against the limit
+    taken after the equivariant modification."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n + 1))),
+        st.integers(min_value=1, max_value=3))
+    def test_matches_limit_after(self, n_m, dmax):
+        n, m = n_m
+        j = j_closed_form_Pn(n, dmax)
+        t = j.target
+        F = line_bundle_On(t, m)
+        first = hypergeometric_modification(t, F, j, nonequivariant=True).series
+        after = nonequivariant_limit(hypergeometric_modification(t, F, j)).series
+        assert first.data == after.data
+        assert (first.zmin, first.zmax, first.dmax) == (after.zmin, after.zmax, after.dmax)
+
+    @staticmethod
+    def _loaded_p2(coeff, d, zpow):
+        """The P^2 J-function to degree 1 with one extra row."""
+        rows = _p2_rows() + [{"d": [d], "zpow": zpow, "component": "0", "basis": 1,
+                              "coeff": coeff}]
+        return load_j_function(projective_space(2), {"rows": rows})
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=1),
+           st.integers(min_value=-6, max_value=-2),
+           st.fractions(min_value=-5, max_value=5).filter(bool))
+    def test_lambda_pole_in_loaded_j_raises(self, order, d, zpow, c):
+        # c / lambda^order at (d, z^zpow), on top of the P^2 rows
+        j = self._loaded_p2(f"{c}|{','.join(['0'] * order + ['1'])}", d, zpow)
+        t = j.target
+        with pytest.raises(PoleAtZero, match=rf"d=\({d},\), z\^{zpow}\)"):
+            hypergeometric_modification(t, line_bundle_On(t, 3), j, nonequivariant=True)
+
+    def test_log_lambda_in_loaded_j_raises(self):
+        j = self._loaded_p2({"ell": ["0", "1"]}, 1, -3)
+        t = j.target
+        with pytest.raises(LogObstruction, match=r"d=\(1,\), z\^-3\)"):
+            hypergeometric_modification(t, line_bundle_On(t, 3), j, nonequivariant=True)
