@@ -5,7 +5,7 @@ Usage: python scripts/run_quintic_pipeline.py [max_degree]
 
 Walks through: closed-form J for P^4, hypergeometric modification by O(5),
 nonequivariant limit, small-space expansion, mirror map, invariant
-extraction.  Everything is exact; expect a few seconds per extra degree.
+extraction.  Everything is exact; degree 8 takes well under a second.
 """
 
 import sys

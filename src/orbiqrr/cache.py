@@ -1,9 +1,10 @@
 """Content-addressed artifact cache for expensive series.
 
 Artifacts are keyed by a SHA-256 of the canonical-JSON request (target,
-bundle, s-values, truncations) plus the schema version; files store the
-payload together with its own content hash.  A hash mismatch on load raises
-CorruptCache; callers recompute and overwrite.  Bumping SCHEMA_VERSION
+bundle, s-values, truncations) plus the schema version and the package
+version; files store the payload together with its own content hash.  A
+hash mismatch on load raises CorruptCache; callers recompute and overwrite.
+Bumping SCHEMA_VERSION or releasing a new ``orbiqrr.__version__``
 invalidates every old entry (the key changes).  Entries are written to a
 temp file in the cache directory and renamed into place.
 """
@@ -16,6 +17,7 @@ import json
 import os
 from typing import Callable, Optional
 
+from . import __version__
 from .errors import CorruptCache
 
 SCHEMA_VERSION = 1
@@ -26,7 +28,8 @@ def canonical_json(obj) -> str:
 
 
 def request_key(request: dict) -> str:
-    doc = canonical_json({"version": SCHEMA_VERSION, "request": request})
+    doc = canonical_json({"version": SCHEMA_VERSION, "orbiqrr": __version__,
+                          "request": request})
     return hashlib.sha256(doc.encode()).hexdigest()
 
 

@@ -106,6 +106,12 @@ class RatFunc:
     constant is 1) skip the gcd.  They are built in the canonical form the
     general constructor would give: the denominator 1 is monic and coprime
     to everything, and ``_cadd``/``_cmul`` already strip the numerator.
+
+    A monomial denominator c u^b (the lambda^-k poles of the twisted
+    theory) is reduced without the Euclidean gcd.  u is irreducible, so the
+    monic gcd of c u^b and u^v q(u) with q(0) != 0 is u^min(b, v): the
+    constructor drops that power from both sides and divides by c, which
+    is exactly the canonical form the general path builds.
     """
 
     __slots__ = ("num", "den")
@@ -121,6 +127,14 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             self.num, self.den = (), (CYC_ONE,)
+            return
+        b = len(den) - 1
+        if all(c.is_zero for c in den[:b]):
+            # den = c u^b: the monic gcd is u^m, m = min(b, ord_u num)
+            m = next((v for v, c in enumerate(num[:b]) if not c.is_zero), b)
+            inv_lead = den[-1].inverse()
+            self.num = tuple(c * inv_lead for c in num[m:])
+            self.den = (CYC_ZERO,) * (b - m) + (CYC_ONE,)
             return
         g = _cgcd(num, den)
         if len(g) > 1:

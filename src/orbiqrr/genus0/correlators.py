@@ -36,13 +36,17 @@ class CorrelatorTable:
         self.target = target
         self.entries: Dict[Key, Scalar] = {}
         self.provenance: Dict[Key, str] = {}
+        # per slot orbdeg/2, an int where integral: int sums are far cheaper than Fraction ones
+        halves = {slot: Frac(target.orbdeg(*slot), 2) for slot in target.flat_basis}
+        self._half_orbdeg = {slot: h.numerator if h.denominator == 1 else h
+                             for slot, h in halves.items()}
+        self._c1 = tuple(Frac(c) for c in target.c1_tangent_pairing)
 
     def dimension_ok(self, d: Tuple[int, ...], insertions: Sequence[Insertion]) -> bool:
-        lhs = Frac(0)
-        for (cid, idx), k in insertions:
-            lhs += Frac(self.target.orbdeg(cid, idx), 2) + k
-        rhs = Frac(self.target.dim - 3 + len(insertions))
-        rhs += sum(Frac(c) * di for c, di in zip(self.target.c1_tangent_pairing, d))
+        half = self._half_orbdeg
+        lhs = sum(half[slot] for slot, _k in insertions)
+        rhs = self.target.dim - 3 + len(insertions) - sum(k for _slot, k in insertions)
+        rhs += sum(c * di for c, di in zip(self._c1, d) if di)
         return lhs == rhs
 
     def set(self, d: Tuple[int, ...], insertions: Sequence[Insertion], value,

@@ -3,7 +3,8 @@ expansion, mirror map, nonequivariant limit, and hypersurface invariant
 extraction.
 
 The modification multiplies each degree slice J_d by the finite products
-prod_j prod_{k=1..<rho_j,d>} (lambda + rho_j + k z).  The nonequivariant
+prod_j prod_{k=1..<rho_j,d>} (lambda + rho_j + k z), applying each factor
+once per degree to all z-powers of J_d at once.  The nonequivariant
 pipelines (mirror map, invariants, the nonequivariant I-function) take the
 limit first: they set lambda = 0 in J and in every factor, (rho_j + k z), and
 never build the lambda-polynomials that the limit would discard.  This is
@@ -67,6 +68,9 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
                                 nonequivariant: bool = False) -> JFunction:
     """I_F: multiply J_d by prod_j prod_{k=1..<rho_j,d>} (lambda + rho_{j} + kz).
 
+    The factors depend on d only, so each is applied once to all z-slices
+    of J_d together rather than once per slice.
+
     With ``nonequivariant`` the result is the lambda -> 0 limit of I_F, taken
     first: J goes through ``nonequivariant_limit`` and the factors become
     (rho_j + kz).  This equals ``nonequivariant_limit`` of the equivariant
@@ -86,11 +90,12 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     spreads = [_spread_untwisted(t, c1cls) for (_pair, c1cls) in F.lines]
     # degree slices are exact, so the window may widen upward by the z-climb
     # of the products (this is exactly where positivity violations surface)
-    all_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
+    by_degree: Dict[Tuple[int, ...], Dict[int, CohClass]] = {}
     for (n, d), cls in series.data.items():
-        if sum(d) > dmax:
-            continue
-        slice_terms = {(n, d): cls}
+        if sum(d) <= dmax:
+            by_degree.setdefault(d, {})[n] = cls
+    all_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
+    for d, slice_terms in by_degree.items():
         for (pairing, _c1), rho in zip(F.lines, spreads):
             steps = sum((Frac(p) * di for p, di in zip(pairing, d)), Frac(0))
             if steps.denominator != 1:
@@ -101,21 +106,19 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
                 raise AssumptionViolated(
                     f"<rho, d> = {steps} < 0 at d = {d}: outside the convexity assumption")
             for k in range(1, steps + 1):
-                new_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
-                for (nn, dd), c in slice_terms.items():
+                new_terms: Dict[int, CohClass] = {}
+                for n, c in slice_terms.items():
                     # (lambda + rho + k z) * c, with lambda = 0 when taken first
                     base = c.mul(rho) if lam is None else c.scale(lam) + c.mul(rho)
                     if not base.is_zero:
-                        key = (nn, dd)
-                        new_terms[key] = new_terms.get(key, t.zero_class()) + base
+                        new_terms[n] = new_terms.get(n, t.zero_class()) + base
                     up = c.scale(sc(k))
                     if not up.is_zero:
-                        key = (nn + 1, dd)
-                        new_terms[key] = new_terms.get(key, t.zero_class()) + up
+                        new_terms[n + 1] = new_terms.get(n + 1, t.zero_class()) + up
                 slice_terms = new_terms
-        for (nn, dd), c in slice_terms.items():
+        for n, c in slice_terms.items():
             if not c.is_zero:
-                all_terms[(nn, dd)] = all_terms.get((nn, dd), t.zero_class()) + c
+                all_terms[(n, d)] = c
     zmax = max([series.zmax] + [n for (n, _d) in all_terms])
     out = GiventalElement(t, series.zmin, zmax, dmax)
     for (nn, dd), c in all_terms.items():
@@ -168,13 +171,14 @@ def small_expansion(I: JFunction):
     return f, gout
 
 
-def mirror_map(I: JFunction):
+def mirror_map(I: JFunction, expansion=None):
     """Cor-comp style change of variables: tau_k = t_k + G^k/F and J = I/F.
 
     Returns (tau, J_twisted) with tau a dict slot -> (linear form, Novikov
     series).  The result is re-validated against the J normal form.
+    ``expansion`` is ``small_expansion(I)`` when the caller already has it.
     """
-    f, g = small_expansion(I)
+    f, g = small_expansion(I) if expansion is None else expansion
     inv_f = series_invert(f)
     tau = {}
     for slot, (form, series) in g.items():
@@ -332,7 +336,7 @@ def quintic_pipeline(dmax: int) -> dict:
     F = line_bundle_On(t, 5)
     i_lim = hypergeometric_modification(t, F, j, nonequivariant=True)
     f, g = small_expansion(i_lim)
-    tau, j_tw = mirror_map(i_lim)
+    tau, j_tw = mirror_map(i_lim, expansion=(f, g))
     table = extract_invariants(j_tw, tau, F)
     return {
         "F": f,

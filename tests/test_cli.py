@@ -233,6 +233,20 @@ class TestCache:
         finally:
             cache_mod.SCHEMA_VERSION = old
 
+    def test_package_version_in_key(self, capsys, tmp_path, monkeypatch):
+        from orbiqrr import cache as cache_mod
+        request = {"op": "invariants", "target": "P4", "bundle": "O5", "max_degree": 1}
+        old_key = cache_mod.request_key(request)
+        cachedir = str(tmp_path / "cache")
+        argv = ["--cache-dir", cachedir, "invariants", "--target", "P4",
+                "--bundle", "O5", "--max-degree", "1"]
+        run(capsys, *argv)
+        assert os.listdir(cachedir) == [f"{old_key}.json"]
+        monkeypatch.setattr(cache_mod, "__version__", cache_mod.__version__ + ".post1")
+        assert cache_mod.request_key(request) != old_key
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["cache"] == "computed"
+
     def test_failed_write_keeps_old_entry(self, tmp_path, monkeypatch):
         from orbiqrr import cache as cache_mod
 

@@ -15,8 +15,9 @@ from orbiqrr.exactalg import (
     sc,
     series_invert,
 )
-from orbiqrr.exactalg.cyclotomic import CYC_ONE
-from orbiqrr.exactalg.scalar import RatFunc, _cadd, _cmul
+from orbiqrr.exactalg import scalar
+from orbiqrr.exactalg.cyclotomic import CYC_ONE, CYC_ZERO
+from orbiqrr.exactalg.scalar import RatFunc, _cadd, _cdivmod, _cgcd, _cmul, _cstrip
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -274,3 +275,44 @@ def test_ratfunc_polynomial_fast_path(p, q):
         assert fast.num == slow.num and fast.den == slow.den
         assert hash(fast) == hash(slow)
         assert Scalar((fast,), 1).to_obj() == Scalar((slow,), 1).to_obj()
+
+
+def _euclidean_ratfunc(num, den):
+    """The general normalisation: divide by the Euclidean gcd, then make den monic."""
+    num, den = _cstrip(list(num)), _cstrip(list(den))
+    g = _cgcd(num, den)
+    if len(g) > 1:
+        num, _ = _cdivmod(num, g)
+        den, _ = _cdivmod(den, g)
+    inv_lead = den[-1].inverse()
+    return RatFunc([c * inv_lead for c in num], [c * inv_lead for c in den], _reduced=True)
+
+
+nonzero_cyc = cyc_elements().filter(lambda c: not c.is_zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), nonzero_cyc,
+       st.lists(cyc_elements(), max_size=3), nonzero_cyc, st.integers(0, 2))
+def test_ratfunc_monomial_denominator_fast_path(v, b, head, tail, lead, pad):
+    # num = u^v (head + tail u + ...) with unstripped zeros on top; den = lead u^b
+    num = [CYC_ZERO] * v + [head] + tail + [CYC_ZERO] * pad
+    den = [CYC_ZERO] * b + [lead] + [CYC_ZERO] * pad
+    fast, slow = RatFunc(num, den), _euclidean_ratfunc(num, den)
+    assert fast.num == slow.num and fast.den == slow.den
+    assert hash(fast) == hash(slow)
+    assert Scalar((fast,), 1).to_obj() == Scalar((slow,), 1).to_obj()
+    assert len(fast.den) - 1 == b - min(b, v)
+
+
+def test_ratfunc_monomial_denominator_skips_the_gcd(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("monomial denominators must not run the Euclidean gcd")
+
+    monkeypatch.setattr(scalar, "_cgcd", no_gcd)
+    z3 = Cyc.root_of_unity(3, 1)
+    two = Cyc.from_fraction(2)
+    rf = RatFunc([CYC_ZERO, CYC_ZERO, z3, CYC_ONE], [CYC_ZERO, CYC_ZERO, CYC_ZERO, two])
+    assert rf.num == (z3 * two.inverse(), two.inverse()) and rf.den == (CYC_ZERO, CYC_ONE)
+    rf = RatFunc([z3, CYC_ONE], [CYC_ZERO, CYC_ZERO, two])
+    assert rf.den == (CYC_ZERO, CYC_ZERO, CYC_ONE)

@@ -33,8 +33,10 @@ from orbiqrr.genus0 import (
     shift_t1,
     small_expansion,
 )
-from orbiqrr.genus0.jfunction import LinForm
-from orbiqrr.orbtarget import line_bundle_On, point, projective_space
+from orbiqrr.genus0.jfunction import JFunction, LinForm
+from orbiqrr.genus0.lefschetz import _spread_untwisted
+from orbiqrr.givental import GiventalElement
+from orbiqrr.orbtarget import bmu, line_bundle_On, point, projective_space, weighted_projective
 
 from oracles import quintic_instanton_numbers, string_recursion_point_correlator
 
@@ -139,6 +141,32 @@ class TestUniversalEquations:
         table.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(5), provenance="corrupted")
         report = check_universal_equation("divisor", table)
         assert not report["ok"]
+
+
+@pytest.mark.parametrize("t", [weighted_projective([1, 1, 2]), weighted_projective([1, 2, 3]),
+                               weighted_projective([2, 3]), weighted_projective([1, 3]),
+                               bmu(2), bmu(3), bmu(5)], ids=lambda t: t.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(0, 3), balance=st.booleans())
+def test_dimension_ok_matches_fraction_formula(t, data, d, balance):
+    insertions = data.draw(st.lists(
+        st.tuples(st.sampled_from(t.flat_basis), st.integers(0, 3)), max_size=7))
+
+    def fraction_formula(insertions):
+        lhs = Frac(0)
+        for (cid, idx), k in insertions:
+            lhs += Frac(t.orbdeg(cid, idx), 2) + k
+        rhs = Frac(t.dim - 3 + len(insertions))
+        rhs += sum(Frac(c) * d for c in t.c1_tangent_pairing)
+        return lhs, rhs
+
+    lhs, rhs = fraction_formula(insertions)
+    if balance and insertions and (rhs - lhs).denominator == 1 and insertions[0][1] + rhs >= lhs:
+        # move the psibar powers onto the constraint, so that both outcomes occur
+        insertions = [(insertions[0][0], int(insertions[0][1] + rhs - lhs))] + insertions[1:]
+        lhs, rhs = fraction_formula(insertions)
+        assert lhs == rhs
+    assert CorrelatorTable(t).dimension_ok((d,), insertions) == (lhs == rhs)
 
 
 class TestClosedFormJ:
@@ -304,6 +332,23 @@ class TestSmallExpansionAndMirror:
         assert j_tw.coefficient((1,), 1).is_zero
         assert j_tw.coefficient((1,), 0).coeff("0", 1) == sc(770)
 
+    def test_mirror_map_reuses_a_given_expansion(self, monkeypatch):
+        from orbiqrr.genus0 import lefschetz
+        j = j_closed_form_Pn(4, 3)
+        t = j.target
+        i = hypergeometric_modification(t, line_bundle_On(t, 5), j, nonequivariant=True)
+        tau, j_tw = mirror_map(i)
+        calls = []
+        expand = lefschetz.small_expansion
+        monkeypatch.setattr(lefschetz, "small_expansion", lambda I: calls.append(I) or expand(I))
+        tau2, j_tw2 = mirror_map(i, expansion=expand(i))
+        assert not calls
+        assert j_tw2.series.data == j_tw.series.data
+        assert {s: (f.coeffs, r.coeffs) for s, (f, r) in tau2.items()} == \
+            {s: (f.coeffs, r.coeffs) for s, (f, r) in tau.items()}
+        lefschetz.quintic_pipeline(3)
+        assert len(calls) == 1
+
     def test_positivity_violated_p1_o3(self):
         # c1(O(3)) = 3 > c1(T_P1) = 2: a z^2 term survives at d = 1
         j = j_closed_form_Pn(1, 1)
@@ -325,6 +370,60 @@ class TestInvariantExtraction:
         for d in (1, 2, 3):
             assert table["N"][d] == oracle_N[d], d
             assert table["n"][d] == oracle_n[d], d
+
+
+def _per_slice_modification(t, F, J, nonequivariant=False):
+    """Reference hypergeometric_modification: a fresh factor chain per (z^n, d) slice."""
+    dmax = J.dmax
+    if nonequivariant:
+        J = nonequivariant_limit(J)
+    lam = None if nonequivariant else Scalar.lam(1)
+    series = J.series
+    spreads = [_spread_untwisted(t, c1cls) for (_pair, c1cls) in F.lines]
+    all_terms = {}
+    for (n, d), cls in series.data.items():
+        if sum(d) > dmax:
+            continue
+        slice_terms = {(n, d): cls}
+        for (pairing, _c1), rho in zip(F.lines, spreads):
+            steps = int(sum((Frac(p) * di for p, di in zip(pairing, d)), Frac(0)))
+            for k in range(1, steps + 1):
+                new_terms = {}
+                for (nn, dd), c in slice_terms.items():
+                    base = c.mul(rho) if lam is None else c.scale(lam) + c.mul(rho)
+                    if not base.is_zero:
+                        key = (nn, dd)
+                        new_terms[key] = new_terms.get(key, t.zero_class()) + base
+                    up = c.scale(sc(k))
+                    if not up.is_zero:
+                        key = (nn + 1, dd)
+                        new_terms[key] = new_terms.get(key, t.zero_class()) + up
+                slice_terms = new_terms
+        for (nn, dd), c in slice_terms.items():
+            if not c.is_zero:
+                all_terms[(nn, dd)] = all_terms.get((nn, dd), t.zero_class()) + c
+    zmax = max([series.zmax] + [n for (n, _d) in all_terms])
+    out = GiventalElement(t, series.zmin, zmax, dmax)
+    for (nn, dd), c in all_terms.items():
+        out.add_to(nn, dd, c)
+    return JFunction(t, out, prefactor=J.prefactor, tpoint=J.tpoint, kind=J.kind,
+                     novikov_twist=J.novikov_twist)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n + 1))),
+    st.integers(min_value=1, max_value=3), st.booleans())
+def test_one_factor_chain_per_degree_matches_per_slice(n_m, dmax, nonequivariant):
+    n, m = n_m
+    j = j_closed_form_Pn(n, dmax)
+    t = j.target
+    F = line_bundle_On(t, m)
+    grouped = hypergeometric_modification(t, F, j, nonequivariant=nonequivariant).series
+    per_slice = _per_slice_modification(t, F, j, nonequivariant).series
+    assert grouped.data == per_slice.data
+    assert ((grouped.zmin, grouped.zmax, grouped.dmax)
+            == (per_slice.zmin, per_slice.zmax, per_slice.dmax))
 
 
 class TestLimitFirst:
