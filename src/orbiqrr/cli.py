@@ -269,7 +269,7 @@ def cmd_mirror_map(args, cache) -> dict:
     j = _builtin_j(t, args)
     i = hypergeometric_modification(t, F, j, nonequivariant=True)
     f, g = small_expansion(i)
-    tau, j_tw = mirror_map(i, expansion=(f, g))
+    tau, j_tw = mirror_map(i, f, g)
     rows = []
     for (d, _z), c in sorted(f.items()):
         rows.append({"series": "F", "d": list(d), "coeff": c.to_obj()})

@@ -171,14 +171,13 @@ def small_expansion(I: JFunction):
     return f, gout
 
 
-def mirror_map(I: JFunction, expansion=None):
+def mirror_map(I: JFunction, f, g):
     """Cor-comp style change of variables: tau_k = t_k + G^k/F and J = I/F.
 
-    Returns (tau, J_twisted) with tau a dict slot -> (linear form, Novikov
-    series).  The result is re-validated against the J normal form.
-    ``expansion`` is ``small_expansion(I)`` when the caller already has it.
+    ``(f, g)`` is ``small_expansion(I)``.  Returns (tau, J_twisted) with tau
+    a dict slot -> (linear form, Novikov series).  The result is re-validated
+    against the J normal form.
     """
-    f, g = small_expansion(I) if expansion is None else expansion
     inv_f = series_invert(f)
     tau = {}
     for slot, (form, series) in g.items():
@@ -336,7 +335,7 @@ def quintic_pipeline(dmax: int) -> dict:
     F = line_bundle_On(t, 5)
     i_lim = hypergeometric_modification(t, F, j, nonequivariant=True)
     f, g = small_expansion(i_lim)
-    tau, j_tw = mirror_map(i_lim, expansion=(f, g))
+    tau, j_tw = mirror_map(i_lim, f, g)
     table = extract_invariants(j_tw, tau, F)
     return {
         "F": f,

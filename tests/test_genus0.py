@@ -320,7 +320,7 @@ class TestSmallExpansionAndMirror:
         F = line_bundle_On(t, 5)
         i = nonequivariant_limit(hypergeometric_modification(t, F, j))
         f, g = small_expansion(i)
-        tau, j_tw = mirror_map(i)
+        tau, j_tw = mirror_map(i, f, g)
         form, tau_p = tau[("0", 1)]
         # G_1/F_1 = 770/120 = 77/12; the series quotient (G/F)(Q) itself starts 770 Q
         # (the classical quintic mirror map), which the instanton extraction confirms
@@ -332,20 +332,11 @@ class TestSmallExpansionAndMirror:
         assert j_tw.coefficient((1,), 1).is_zero
         assert j_tw.coefficient((1,), 0).coeff("0", 1) == sc(770)
 
-    def test_mirror_map_reuses_a_given_expansion(self, monkeypatch):
+    def test_quintic_pipeline_expands_once(self, monkeypatch):
         from orbiqrr.genus0 import lefschetz
-        j = j_closed_form_Pn(4, 3)
-        t = j.target
-        i = hypergeometric_modification(t, line_bundle_On(t, 5), j, nonequivariant=True)
-        tau, j_tw = mirror_map(i)
         calls = []
         expand = lefschetz.small_expansion
         monkeypatch.setattr(lefschetz, "small_expansion", lambda I: calls.append(I) or expand(I))
-        tau2, j_tw2 = mirror_map(i, expansion=expand(i))
-        assert not calls
-        assert j_tw2.series.data == j_tw.series.data
-        assert {s: (f.coeffs, r.coeffs) for s, (f, r) in tau2.items()} == \
-            {s: (f.coeffs, r.coeffs) for s, (f, r) in tau.items()}
         lefschetz.quintic_pipeline(3)
         assert len(calls) == 1
 
