@@ -88,18 +88,21 @@ class FockPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, o: "FockPolynomial") -> "FockPolynomial":
+    def _combine(self, o: "FockPolynomial", negate: bool) -> "FockPolynomial":
         out = FockPolynomial(self.target, min(self.kmax, o.kmax),
                              min(self.degmax, o.degmax))
-        for mono, coeffs in self.terms.items():
-            if len(mono) <= out.degmax:
-                for h, c in coeffs.items():
-                    out.add_term(mono, h, c)
-        for mono, coeffs in o.terms.items():
-            if len(mono) <= out.degmax:
-                for h, c in coeffs.items():
-                    out.add_term(mono, h, c)
+        for src, neg in ((self, False), (o, negate)):
+            for mono, coeffs in src.terms.items():
+                if len(mono) <= out.degmax:
+                    for h, c in coeffs.items():
+                        out.add_term(mono, h, -c if neg else c)
         return out
+
+    def __add__(self, o: "FockPolynomial") -> "FockPolynomial":
+        return self._combine(o, False)
+
+    def __sub__(self, o: "FockPolynomial") -> "FockPolynomial":
+        return self._combine(o, True)
 
     def scale(self, c) -> "FockPolynomial":
         c = sc(c)
@@ -108,9 +111,6 @@ class FockPolynomial:
             for h, x in coeffs.items():
                 out.add_term(mono, h, x * c)
         return out
-
-    def __sub__(self, o: "FockPolynomial") -> "FockPolynomial":
-        return self + o.scale(sc(-1))
 
     def derivative(self, var: Var) -> "FockPolynomial":
         out = FockPolynomial(self.target, self.kmax, self.degmax)
@@ -122,22 +122,6 @@ class FockPolynomial:
             reduced.remove(var)
             for h, c in coeffs.items():
                 out.add_term(tuple(reduced), h, c * sc(mult))
-        return out
-
-    def mul_var(self, var: Var) -> "FockPolynomial":
-        out = FockPolynomial(self.target, self.kmax, self.degmax)
-        for mono, coeffs in self.terms.items():
-            if len(mono) + 1 > self.degmax:
-                continue
-            for h, c in coeffs.items():
-                out.add_term(mono + (var,), h, c)
-        return out
-
-    def shift_hbar(self, dh: int) -> "FockPolynomial":
-        out = FockPolynomial(self.target, self.kmax, self.degmax)
-        for mono, coeffs in self.terms.items():
-            for h, c in coeffs.items():
-                out.add_term(mono, h + dh, c)
         return out
 
     def coeff(self, mono: Sequence[Var], hpow: int) -> Scalar:
@@ -186,17 +170,6 @@ class FockOperator:
     def add_dd(self, v1: Var, v2: Var, coeff):
         self._accum(self.dd, tuple(sorted((v1, v2))), sc(coeff))
 
-    def scale(self, c) -> "FockOperator":
-        c = sc(c)
-        out = FockOperator(self.target, self.kmax)
-        for key, x in self.qq.items():
-            out.qq[key] = x * c
-        for key, x in self.qd.items():
-            out.qd[key] = x * c
-        for key, x in self.dd.items():
-            out.dd[key] = x * c
-        return out
-
     def __add__(self, o: "FockOperator") -> "FockOperator":
         out = FockOperator(self.target, min(self.kmax, o.kmax))
         for src in (self, o):
@@ -209,14 +182,43 @@ class FockOperator:
         return out
 
     def apply(self, p: FockPolynomial) -> FockPolynomial:
+        """The operator applied to p, truncated at p's kmax and degmax.
+
+        A single pass: each monomial of p meets each qq, qd and dd term once
+        and every product goes straight into one output through add_term, so
+        the cost is linear in |p| x (number of operator terms).
+        """
         out = FockPolynomial(p.target, p.kmax, p.degmax)
-        for (v1, v2), c in self.qq.items():
-            q = p.mul_var(v1).mul_var(v2).shift_hbar(-1).scale(c)
-            out = out + q
-        for (qv, dv), c in self.qd.items():
-            out = out + p.derivative(dv).mul_var(qv).scale(c)
-        for (v1, v2), c in self.dd.items():
-            out = out + p.derivative(v1).derivative(v2).shift_hbar(1).scale(c)
+        add = out.add_term
+        for mono, coeffs in p.terms.items():
+            if len(mono) + 2 <= p.degmax:
+                for (v1, v2), c in self.qq.items():
+                    grown = mono + (v1, v2)
+                    for h, x in coeffs.items():
+                        add(grown, h - 1, x * c)
+            for (qv, dv), c in self.qd.items():
+                mult = mono.count(dv)
+                if not mult:
+                    continue
+                rest = list(mono)
+                rest.remove(dv)
+                rest.append(qv)
+                cm = c if mult == 1 else c * sc(mult)
+                for h, x in coeffs.items():
+                    add(rest, h, x * cm)
+            for (v1, v2), c in self.dd.items():
+                m1 = mono.count(v1)
+                if not m1:
+                    continue
+                rest = list(mono)
+                rest.remove(v1)
+                m2 = rest.count(v2)
+                if not m2:
+                    continue
+                rest.remove(v2)
+                cm = c if m1 * m2 == 1 else c * sc(m1 * m2)
+                for h, x in coeffs.items():
+                    add(rest, h + 1, x * cm)
         return out
 
     def to_obj(self) -> dict:
@@ -353,13 +355,8 @@ def string_residual(t: TargetModel, potential: FockPolynomial) -> FockPolynomial
     # + dF/dt_0^{unit} from the dilaton slot t_1 = q_1 + 1 along the unit direction
     unit_idx = t.flat_index[("0", 0)]
     shifted = shifted + potential.derivative((0, unit_idx))
-    wide = out + shifted
-    final = FockPolynomial(t, potential.kmax, potential.degmax - 1)
-    for mono, coeffs in wide.terms.items():
-        if len(mono) <= final.degmax:
-            for h, c in coeffs.items():
-                final.add_term(mono, h, c)
-    return final
+    # the sum keeps the smaller degmax: out's, one below the potential's
+    return out + shifted
 
 
 def hamiltonian_cocycle(opA: FockOperator, opB: FockOperator) -> Scalar:
@@ -386,9 +383,12 @@ def hamiltonian_cocycle(opA: FockOperator, opB: FockOperator) -> Scalar:
 def commutator_cocycle(t: TargetModel, A: Tuple, B: Tuple, K: int) -> Scalar:
     """Scalar part of [A^, B^] - {A, B}^ for A = (B_1, m_1), B = (B_2, m_2).
 
-    Evaluated on the basis polynomials 1, q_v, q_v q_w with indices small
-    enough that index truncation cannot leak in; a non-scalar residual raises
-    TruncationTooNarrow.
+    The scalar is read off the residual on the constant 1.  The residual
+    minus that scalar must then kill exactly these probes, where
+    ksafe = K - |m_1| - |m_2| keeps index truncation from leaking in:
+    q_k^a for 0 <= k < max(ksafe, 1), and q_k^a q_{k+1}^a for
+    0 <= k < max(ksafe - 1, 1), over every basis index a.  Otherwise it
+    raises TruncationTooNarrow.
     """
     (B1, m1), (B2, m2) = A, B
     if K < abs(m1) + abs(m2) + 2:

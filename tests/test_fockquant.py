@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbiqrr.errors import NotInfinitesimallySymplectic, TruncationTooNarrow
+from orbiqrr.errors import IndexOverflow, NotInfinitesimallySymplectic, TruncationTooNarrow
 from orbiqrr.exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
 from orbiqrr.fockquant import (
     FockOperator,
@@ -190,3 +192,134 @@ class TestStringIdentity:
         pot.add_term(((0, 0), (0, 0), (0, 0), (1, 0)), -1, sc(Frac(1, 100)))
         resid = string_residual(t, pot)
         assert not resid.is_zero
+
+
+# -- one-pass apply against the composed loop it replaced ---------------------
+
+
+def _mul_var(p, var):
+    out = FockPolynomial(p.target, p.kmax, p.degmax)
+    for mono, coeffs in p.terms.items():
+        if len(mono) + 1 > p.degmax:
+            continue
+        for h, c in coeffs.items():
+            out.add_term(mono + (var,), h, c)
+    return out
+
+
+def _shift_hbar(p, dh):
+    out = FockPolynomial(p.target, p.kmax, p.degmax)
+    for mono, coeffs in p.terms.items():
+        for h, c in coeffs.items():
+            out.add_term(mono, h + dh, c)
+    return out
+
+
+def _apply_composed(op, p):
+    """One throw-away polynomial per operator term, summed with +."""
+    out = FockPolynomial(p.target, p.kmax, p.degmax)
+    for (v1, v2), c in op.qq.items():
+        out = out + _shift_hbar(_mul_var(_mul_var(p, v1), v2), -1).scale(c)
+    for (qv, dv), c in op.qd.items():
+        out = out + _mul_var(p.derivative(dv), qv).scale(c)
+    for (v1, v2), c in op.dd.items():
+        out = out + _shift_hbar(p.derivative(v1).derivative(v2), 1).scale(c)
+    return out
+
+
+_TARGETS = {"point": point(), "bmu2": bmu(2), "bmu3": bmu(3)}
+_K = 4
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _operators(draw, t):
+    nb = len(t.flat_basis)
+    if draw(st.booleans()):
+        m = draw(st.integers(-3, 3))
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        B = self_adjoint(t, rng) if m % 2 else anti_self_adjoint(t, rng)
+        return quantize_monomial(t, B, m, _K)
+    # hand-built: repeated variables in qq and dd, qd with q = d allowed
+    var = st.tuples(st.integers(0, 2), st.integers(0, nb - 1))
+    op = FockOperator(t, _K)
+    for v in draw(st.lists(var, max_size=2)):
+        op.add_qq(v, v, draw(_coeffs))
+        op.add_dd(v, v, draw(_coeffs))
+    for v1, v2 in draw(st.lists(st.tuples(var, var), max_size=3)):
+        op.add_qq(v1, v2, draw(_coeffs))
+        op.add_qd(v1, v2, draw(_coeffs))
+        op.add_dd(v1, v2, draw(_coeffs))
+    return op
+
+
+@st.composite
+def _polynomials(draw, t, degmax):
+    nb = len(t.flat_basis)
+    # few variables, so that monomials repeat them (multiplicities >= 2)
+    pool = draw(st.lists(st.tuples(st.integers(0, _K), st.integers(0, nb - 1)),
+                         min_size=1, max_size=3))
+    lengths = st.sampled_from([0, 1, degmax - 2, degmax - 1, degmax])
+    p = FockPolynomial(t, _K, degmax)
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(lengths)
+        mono = tuple(draw(st.sampled_from(pool)) for _ in range(n))
+        p.add_term(mono, draw(st.integers(-1, 1)), draw(_coeffs))
+    return p
+
+
+@st.composite
+def _cases(draw):
+    t = _TARGETS[draw(st.sampled_from(sorted(_TARGETS)))]
+    return draw(_operators(t)), draw(_polynomials(t, draw(st.integers(2, 5))))
+
+
+def _outcome(apply, op, p):
+    try:
+        res = apply(op, p)
+    except IndexOverflow:
+        return "IndexOverflow"
+    return res.kmax, res.degmax, res.terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases(), st.booleans())
+def test_apply_matches_composed_loop(case, overflow):
+    op, p = case
+    if overflow:
+        # a qq variable past the polynomial's kmax: raised wherever a product lands
+        op.add_qq((_K + 1, 0), (0, 0), sc(1))
+    outcome = _outcome(FockOperator.apply, op, p)
+    assert outcome == _outcome(_apply_composed, op, p)
+    if overflow and any(len(mono) + 2 <= p.degmax for mono in p.terms):
+        assert outcome == "IndexOverflow"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sub_matches_adding_the_negation(data):
+    t = _TARGETS[data.draw(st.sampled_from(sorted(_TARGETS)))]
+    p = data.draw(_polynomials(t, data.draw(st.integers(2, 5))))
+    q = data.draw(_polynomials(t, data.draw(st.integers(2, 5))))
+    diff, ref = p - q, p + q.scale(sc(-1))
+    assert (diff.kmax, diff.degmax, diff.terms) == (ref.kmax, ref.degmax, ref.terms)
+    assert (p - p).is_zero
+
+
+def test_apply_never_rebuilds_the_sum(monkeypatch):
+    def no_add(self, o):
+        raise AssertionError("apply must accumulate into one output, not add polynomials")
+
+    t = bmu(3)
+    rng = random.Random(5)
+    op = (quantize_monomial(t, self_adjoint(t, rng), -3, _K)
+          + quantize_monomial(t, self_adjoint(t, rng), 3, _K))
+    assert op.qq and op.qd and op.dd
+    p = FockPolynomial(t, _K, 4)
+    p.add_term(((0, 1), (0, 1), (2, 2)), 0, sc(3))
+    p.add_term(((1, 0),), -1, sc(Frac(1, 2)))
+    p.add_term((), 1, SCALAR_ONE)
+    expected = _apply_composed(op, p).terms
+    assert expected
+    monkeypatch.setattr(FockPolynomial, "__add__", no_add)
+    assert op.apply(p).terms == expected
