@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 domain error (structured payload on stdout),
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -69,6 +70,14 @@ Frac = Fraction
 # -- target / bundle resolution ---------------------------------------------------
 
 
+def _number(parse, tok: str, spec: str):
+    """parse(tok), or a UsageError that names the bad token and its spec."""
+    try:
+        return parse(tok)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad number {tok!r} in {spec!r}") from None
+
+
 def resolve_target(spec: str):
     """point | Pn | Bmun | WPS:w0,w1,... | path-to-config.json -> (target, bundles)."""
     if os.path.exists(spec):
@@ -82,7 +91,7 @@ def resolve_target(spec: str):
     if low.startswith("bmu") and low[3:].isdigit():
         return bmu(int(low[3:])), {}
     if low.startswith("wps:"):
-        weights = [int(w) for w in low[4:].split(",")]
+        weights = [_number(int, w, spec) for w in spec[4:].split(",")]
         return weighted_projective(weights), {}
     raise UsageError(f"unknown target {spec!r}")
 
@@ -92,16 +101,37 @@ def resolve_bundle(t, bundles, spec: str):
         return bundles[spec]
     low = spec.lower()
     if low.startswith("trivial"):
-        rank = int(low.split(":", 1)[1]) if ":" in low else 1
+        rank = _number(int, spec.split(":", 1)[1], spec) if ":" in spec else 1
         return trivial_bundle(t, rank)
     if low.startswith("char:"):
-        return bmu_character(t, int(low.split(":", 1)[1]))
+        return bmu_character(t, _number(int, spec[5:], spec))
     if low.startswith("o"):
-        m = int(low[1:])
+        m = _number(int, spec[1:], spec)
         if t.name.startswith("P"):
             return line_bundle_On(t, m)
         return wps_pullback_line(t, m)
     raise UsageError(f"unknown bundle {spec!r} for target {t.name}")
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def target_request(spec: str, t) -> dict:
+    """The cache-request fields that name a target.
+
+    A built-in spec is its own name.  A config file is also keyed by the
+    sha256 of its bytes and of the jfunction_file it names (when that file
+    exists), so that an edited file never serves the entry of its old
+    content.
+    """
+    fields = {"target": spec}
+    if os.path.exists(spec):
+        fields["config_sha256"] = _file_sha256(spec)
+        if t.jfunction_file and os.path.exists(t.jfunction_file):
+            fields["jfunction_sha256"] = _file_sha256(t.jfunction_file)
+    return fields
 
 
 def parse_s_list(text: str):
@@ -114,9 +144,9 @@ def parse_s_list(text: str):
         if tok in ("L", "l", "ln", "lnlambda"):
             out.append(Scalar.log_lambda())
         elif tok.endswith("L") or tok.endswith("l"):
-            out.append(Scalar.log_lambda() * sc(Frac(tok[:-1])))
+            out.append(Scalar.log_lambda() * sc(_number(Frac, tok[:-1], text)))
         else:
-            out.append(sc(Frac(tok)))
+            out.append(sc(_number(Frac, tok, text)))
     return out
 
 
@@ -209,7 +239,7 @@ def cmd_delta(args, cache) -> dict:
     F = resolve_bundle(t, bundles, args.bundle)
     s = _s_values_for(args, t, args.zmax)
     request = {
-        "op": "delta", "target": args.target, "bundle": args.bundle,
+        "op": "delta", **target_request(args.target, t), "bundle": args.bundle,
         "euler": bool(args.euler), "no_log": bool(args.no_log),
         "s": None if args.euler else [x.to_obj() for x in s],
         "zmax": args.zmax, "log": bool(args.log),
@@ -238,7 +268,7 @@ def cmd_delta(args, cache) -> dict:
 def cmd_ifunction(args, cache) -> dict:
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
-    request = {"op": "ifunction", "target": args.target, "bundle": args.bundle,
+    request = {"op": "ifunction", **target_request(args.target, t), "bundle": args.bundle,
                "max_degree": args.max_degree, "nonequivariant": args.nonequivariant}
 
     def compute():
@@ -287,7 +317,7 @@ def cmd_invariants(args, cache) -> dict:
         # the pipeline computes P4/O5 whatever was asked; never label it otherwise
         raise UnsupportedTarget(
             f"invariants are implemented for P4/O5 only, not {t.name}/{F.name}")
-    request = {"op": "invariants", "target": args.target, "bundle": args.bundle,
+    request = {"op": "invariants", **target_request(args.target, t), "bundle": args.bundle,
                "max_degree": args.max_degree}
 
     def compute():
@@ -313,7 +343,7 @@ def cmd_quantize(args, cache) -> dict:
         if not args.bundle:
             raise UsageError("--B am:M needs --bundle")
         F = resolve_bundle(t, bundles, args.bundle)
-        B = class_Am(t, F, int(args.B.split(":", 1)[1]))
+        B = class_Am(t, F, _number(int, args.B.split(":", 1)[1], args.B))
         bname = args.B
     else:
         raise UsageError(f"unknown operator spec {args.B!r} (use identity or am:M)")

@@ -4,7 +4,9 @@ Elements are residue polynomials modulo the N-th cyclotomic polynomial
 Phi_N, with Fraction coefficients.  Different orders mix freely: operands
 are lifted into Q(zeta_lcm) via zeta_N = zeta_M^(M/N).  Elements whose
 residue is constant are demoted back to order 1, so plain rationals stay
-plain through round trips.
+plain through round trips.  The residue arithmetic (sums, products,
+reduction mod Phi_N, lifting and the stride demotion) runs on the dense
+polynomial kernel in ``poly``.
 """
 
 from __future__ import annotations
@@ -15,61 +17,11 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from ..errors import NonInvertible
+from . import poly
 
 Frac = Fraction
 
-# ---------------------------------------------------------------------------
-# dense Fraction polynomials, lowest degree first
-
-
-def _strip(p: List[Frac]) -> List[Frac]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_add(a: Sequence[Frac], b: Sequence[Frac]) -> List[Frac]:
-    n = max(len(a), len(b))
-    out = [Frac(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _strip(out)
-
-
-def poly_mul(a: Sequence[Frac], b: Sequence[Frac]) -> List[Frac]:
-    if not a or not b:
-        return []
-    out = [Frac(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb == 0:
-                continue
-            out[i + j] += ca * cb
-    return _strip(out)
-
-
-def poly_divmod(a: Sequence[Frac], b: Sequence[Frac]) -> Tuple[List[Frac], List[Frac]]:
-    b = _strip(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    _strip(r)
-    q = [Frac(0)] * max(0, len(r) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b):
-        c = r[-1] * inv_lead
-        k = len(r) - len(b)
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[k + i] -= c * cb
-        _strip(r)
-        if not r:
-            break
-    return _strip(q), r
+_ZERO, _ONE = Frac(0), Frac(1)
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +35,7 @@ def cyclotomic_poly(n: int) -> Tuple[Frac, ...]:
     p: List[Frac] = [Frac(-1)] + [Frac(0)] * (n - 1) + [Frac(1)]
     for d in range(1, n):
         if n % d == 0:
-            q, r = poly_divmod(p, list(cyclotomic_poly(d)))
+            q, r = poly.divmod(p, cyclotomic_poly(d), _ONE, _ZERO)
             assert not r, "cyclotomic division must be exact"
             p = q
     return tuple(p)
@@ -94,11 +46,11 @@ def _ext_gcd(a: List[Frac], b: List[Frac]) -> Tuple[List[Frac], List[Frac], List
     r0, r1 = list(a), list(b)
     u0, u1 = [Frac(1)], []
     v0, v1 = [], [Frac(1)]
-    while _strip(r1):
-        q, r = poly_divmod(r0, r1)
+    while poly.strip(r1):
+        q, r = poly.divmod(r0, r1, 1 / r1[-1], _ZERO)
         r0, r1 = r1, r
-        u0, u1 = u1, poly_add(u0, [-c for c in poly_mul(q, u1)])
-        v0, v1 = v1, poly_add(v0, [-c for c in poly_mul(q, v1)])
+        u0, u1 = u1, poly.add(u0, [-c for c in poly.mul(q, u1, _ZERO)], _ZERO)
+        v0, v1 = v1, poly.add(v0, [-c for c in poly.mul(q, v1, _ZERO)], _ZERO)
     return r0, u0, v0
 
 
@@ -116,8 +68,8 @@ class Cyc:
         deg = len(phi) - 1
         c = list(coeffs)
         if len(c) >= len(phi):
-            _, c = poly_divmod(c, list(phi))
-        c += [Frac(0)] * (deg - len(c))
+            _, c = poly.divmod(c, phi, _ONE, _ZERO)   # Phi_N is monic
+        c += [_ZERO] * (deg - len(c))
         c = c[:deg]
         if order > 1 and all(x == 0 for x in c[1:]):
             order, c = 1, [c[0]]
@@ -125,15 +77,9 @@ class Cyc:
             c = [c[0]] if c else [Frac(0)]
         else:
             # demote zeta_M^(g*i) combinations into Q(zeta_{M/g})
-            g = order
-            for i, x in enumerate(c):
-                if i and x != 0:
-                    g = gcd(g, i)
-                    if g == 1:
-                        break
+            g = poly.exponent_gcd(c, order)
             if g > 1:
-                shrunk = [c[i] for i in range(0, len(c), g)]
-                sub = Cyc(order // g, shrunk)
+                sub = Cyc(order // g, c[::g])
                 order, c = sub.order, list(sub.coeffs)
         self.order = order
         self.coeffs = tuple(c)
@@ -158,10 +104,16 @@ class Cyc:
 
     # -- structure
 
+    # The constructor demotes every element with c[1:] all zero to order 1.
+    # is_zero repeats the test instead of calling __bool__: on the hot path a
+    # property costs much less than a second call through the bool slot.
+
+    def __bool__(self) -> bool:
+        return self.order != 1 or bool(self.coeffs[0])
+
     @property
     def is_zero(self) -> bool:
-        # the constructor demotes every element with c[1:] all zero to order 1
-        return self.order == 1 and self.coeffs[0] == 0
+        return self.order == 1 and not self.coeffs[0]
 
     @property
     def is_rational(self) -> bool:
@@ -176,13 +128,7 @@ class Cyc:
         """Raw residue coefficients inside Q(zeta_m); requires order | m."""
         if m % self.order:
             raise ValueError(f"cannot lift order {self.order} into order {m}")
-        if m == self.order:
-            return list(self.coeffs)
-        step = m // self.order
-        out = [Frac(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return out
+        return poly.stretch(self.coeffs, m // self.order, _ZERO)
 
     def lift(self, m: int) -> "Cyc":
         """Embed into Q(zeta_m); the result may demote back if it is rational."""
@@ -202,7 +148,7 @@ class Cyc:
         if self.order == 1 and other.order == 1:
             return Cyc(1, [self.coeffs[0] + other.coeffs[0]], _reduced=True)
         order, a, b = Cyc._common(self, other)
-        return Cyc(order, poly_add(a, b))
+        return Cyc(order, poly.add(a, b, _ZERO))
 
     def __sub__(self, other: "Cyc") -> "Cyc":
         return self + (-other)
@@ -214,7 +160,7 @@ class Cyc:
         if self.order == 1 and other.order == 1:
             return Cyc(1, [self.coeffs[0] * other.coeffs[0]], _reduced=True)
         order, a, b = Cyc._common(self, other)
-        return Cyc(order, poly_mul(a, b))
+        return Cyc(order, poly.mul(a, b, _ZERO))
 
     def inverse(self) -> "Cyc":
         if self.is_zero:
@@ -227,16 +173,7 @@ class Cyc:
         return Cyc(self.order, [c * scale for c in u])
 
     def __pow__(self, n: int) -> "Cyc":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Cyc.from_fraction(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return poly.power(self, n, CYC_ONE, Cyc.inverse)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cyc):

@@ -8,6 +8,9 @@ from exp(l * (l_i/r_i - 1/2)) factors) are absorbed by lifting m; the root
 index is reduced back out during normalization, so a quantity whose final
 value is a genuine rational function of lambda reports lam_den == 1.
 
+Every polynomial level (Cyc coefficients in u, RatFunc coefficients in l)
+runs on the dense polynomial kernel in ``poly``.
+
 Canonical form: denominators are monic, num/den coprime, trailing zero
 l-coefficients stripped, root index minimal.  Equality is syntactic on the
 canonical form (after lifting both sides to a common root index and
@@ -21,82 +24,21 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from ..errors import ExpObstruction, LogObstruction, NonInvertible, PoleAtZero
+from . import poly
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
 
 Frac = Fraction
 
-# ---------------------------------------------------------------------------
-# dense polynomials over Cyc in the lambda-root variable, lowest degree first
-
-
-def _cstrip(p: List[Cyc]) -> List[Cyc]:
-    while p and p[-1].is_zero:
-        p.pop()
-    return p
-
-
-def _cadd(a: Sequence[Cyc], b: Sequence[Cyc]) -> List[Cyc]:
-    n = max(len(a), len(b))
-    out = [CYC_ZERO] * n
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _cstrip(out)
-
-
-def _cmul(a: Sequence[Cyc], b: Sequence[Cyc]) -> List[Cyc]:
-    if not a or not b:
-        return []
-    out = [CYC_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero:
-            continue
-        for j, cb in enumerate(b):
-            if cb.is_zero:
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return _cstrip(out)
-
-
-def _cdivmod(a: Sequence[Cyc], b: Sequence[Cyc]) -> Tuple[List[Cyc], List[Cyc]]:
-    b = _cstrip(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = _cstrip(list(a))
-    q = [CYC_ZERO] * max(0, len(r) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    while len(r) >= len(b):
-        c = r[-1] * inv_lead
-        k = len(r) - len(b)
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[k + i] = r[k + i] - c * cb
-        _cstrip(r)
-        if not r:
-            break
-    return _cstrip(q), r
-
-
 def _cgcd(a: Sequence[Cyc], b: Sequence[Cyc]) -> List[Cyc]:
-    r0, r1 = _cstrip(list(a)), _cstrip(list(b))
+    """Monic gcd of two Cyc-polynomials in u (empty when both are zero)."""
+    r0, r1 = poly.strip(list(a)), poly.strip(list(b))
     while r1:
-        _, r = _cdivmod(r0, r1)
+        _, r = poly.divmod(r0, r1, r1[-1].inverse(), CYC_ZERO)
         r0, r1 = r1, r
     if r0:
         inv_lead = r0[-1].inverse()
         r0 = [c * inv_lead for c in r0]
     return r0
-
-
-def _cstretch(p: Sequence[Cyc], k: int) -> List[Cyc]:
-    """p(u) -> p(u^k)."""
-    if k == 1:
-        return list(p)
-    out = [CYC_ZERO] * (k * (len(p) - 1) + 1) if p else []
-    for i, c in enumerate(p):
-        out[i * k] = c
-    return _cstrip(out)
 
 
 class RatFunc:
@@ -105,7 +47,8 @@ class RatFunc:
     Sums and products of two polynomials (both denominators 1; a monic
     constant is 1) skip the gcd.  They are built in the canonical form the
     general constructor would give: the denominator 1 is monic and coprime
-    to everything, and ``_cadd``/``_cmul`` already strip the numerator.
+    to everything, and the kernel's ``poly.add``/``poly.mul`` already strip
+    the numerator.
 
     A monomial denominator c u^b (the lambda^-k poles of the twisted
     theory) is reduced without the Euclidean gcd.  u is irreducible, so the
@@ -121,8 +64,8 @@ class RatFunc:
             self.num = tuple(num)
             self.den = tuple(den)
             return
-        num = _cstrip(list(num))
-        den = _cstrip(list(den))
+        num = poly.strip(list(num))
+        den = poly.strip(list(den))
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
@@ -138,8 +81,8 @@ class RatFunc:
             return
         g = _cgcd(num, den)
         if len(g) > 1:
-            num, _ = _cdivmod(num, g)
-            den, _ = _cdivmod(den, g)
+            num, _ = poly.divmod(num, g, CYC_ONE, CYC_ZERO)   # g is monic
+            den, _ = poly.divmod(den, g, CYC_ONE, CYC_ZERO)
         inv_lead = den[-1].inverse()
         self.num = tuple(c * inv_lead for c in num)
         self.den = tuple(c * inv_lead for c in den)
@@ -149,6 +92,9 @@ class RatFunc:
         if c.is_zero:
             return RF_ZERO
         return RatFunc((c,), (CYC_ONE,), _reduced=True)
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     @property
     def is_zero(self) -> bool:
@@ -160,10 +106,11 @@ class RatFunc:
         if o.is_zero:
             return self
         if len(self.den) == 1 and len(o.den) == 1:
-            return RatFunc(_cadd(self.num, o.num), self.den, _reduced=True)
+            return RatFunc(poly.add(self.num, o.num, CYC_ZERO), self.den, _reduced=True)
         return RatFunc(
-            _cadd(_cmul(self.num, o.den), _cmul(o.num, self.den)),
-            _cmul(self.den, o.den),
+            poly.add(poly.mul(self.num, o.den, CYC_ZERO), poly.mul(o.num, self.den, CYC_ZERO),
+                     CYC_ZERO),
+            poly.mul(self.den, o.den, CYC_ZERO),
         )
 
     def __neg__(self) -> "RatFunc":
@@ -176,8 +123,8 @@ class RatFunc:
         if self.is_zero or o.is_zero:
             return RF_ZERO
         if len(self.den) == 1 and len(o.den) == 1:
-            return RatFunc(_cmul(self.num, o.num), self.den, _reduced=True)
-        return RatFunc(_cmul(self.num, o.num), _cmul(self.den, o.den))
+            return RatFunc(poly.mul(self.num, o.num, CYC_ZERO), self.den, _reduced=True)
+        return RatFunc(poly.mul(self.num, o.num, CYC_ZERO), poly.mul(self.den, o.den, CYC_ZERO))
 
     def inverse(self) -> "RatFunc":
         if self.is_zero:
@@ -187,7 +134,8 @@ class RatFunc:
     def stretch(self, k: int) -> "RatFunc":
         if k == 1:
             return self
-        return RatFunc(_cstretch(self.num, k), _cstretch(self.den, k), _reduced=True)
+        return RatFunc(poly.stretch(self.num, k, CYC_ZERO), poly.stretch(self.den, k, CYC_ZERO),
+                       _reduced=True)
 
     def eval_at_zero(self) -> Cyc:
         """Value at u = 0; raises PoleAtZero when u divides the denominator."""
@@ -220,30 +168,14 @@ class Scalar:
             self.ell = tuple(ell)
             self.lam_den = lam_den
             return
-        parts = list(ell)
-        while parts and parts[-1].is_zero:
-            parts.pop()
+        parts = poly.strip(list(ell))
         # minimize the root index: gcd of all u-exponents present
         if lam_den > 1:
             g = lam_den
             for rf in parts:
-                for poly in (rf.num, rf.den):
-                    for i, c in enumerate(poly):
-                        if i and not c.is_zero:
-                            g = gcd(g, i)
-                            if g == 1:
-                                break
-                    if g == 1:
-                        break
-                if g == 1:
-                    break
+                g = poly.exponent_gcd(rf.den, poly.exponent_gcd(rf.num, g))
             if g > 1:
-                new = []
-                for rf in parts:
-                    num = [rf.num[i] for i in range(0, len(rf.num), g)] if rf.num else []
-                    den = [rf.den[i] for i in range(0, len(rf.den), g)]
-                    new.append(RatFunc(num, den, _reduced=True))
-                parts = new
+                parts = [RatFunc(rf.num[::g], rf.den[::g], _reduced=True) for rf in parts]
                 lam_den //= g
         self.ell = tuple(parts)
         self.lam_den = lam_den
@@ -342,13 +274,7 @@ class Scalar:
         if o.is_zero:
             return self
         a, b = Scalar._common(self, o)
-        n = max(len(a.ell), len(b.ell))
-        parts = []
-        for i in range(n):
-            x = a.ell[i] if i < len(a.ell) else RF_ZERO
-            y = b.ell[i] if i < len(b.ell) else RF_ZERO
-            parts.append(x + y)
-        return Scalar(parts, a.lam_den)
+        return Scalar(poly.add(a.ell, b.ell, RF_ZERO), a.lam_den)
 
     def __neg__(self) -> "Scalar":
         return Scalar(tuple(-rf for rf in self.ell), self.lam_den, _norm=True)
@@ -360,15 +286,7 @@ class Scalar:
         if self.is_zero or o.is_zero:
             return SCALAR_ZERO
         a, b = Scalar._common(self, o)
-        parts = [RF_ZERO] * (len(a.ell) + len(b.ell) - 1)
-        for i, x in enumerate(a.ell):
-            if x.is_zero:
-                continue
-            for j, y in enumerate(b.ell):
-                if y.is_zero:
-                    continue
-                parts[i + j] = parts[i + j] + x * y
-        return Scalar(parts, a.lam_den)
+        return Scalar(poly.mul(a.ell, b.ell, RF_ZERO), a.lam_den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
@@ -381,16 +299,7 @@ class Scalar:
         return self * o.inverse()
 
     def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = SCALAR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return poly.power(self, n, SCALAR_ONE, Scalar.inverse)
 
     def __eq__(self, o) -> bool:
         if isinstance(o, (int, Fraction)):

@@ -178,35 +178,16 @@ def series_invert(a: TruncSeries) -> TruncSeries:
         if n < 0:
             raise NonUnitConstantTerm("cannot invert a series with negative z-powers")
     inv0 = c0.inverse()
-    # r = 1 - a/c0 has no (0,0) term and (Novikov + z)-valuation >= 1
-    r = a.scale(inv0)
+    # r = 1 - a/c0 has no (0,0) term and (Novikov + z)-valuation >= 1.  z^0 is
+    # inside a's window (c0 != 0), and on [0, a.zmax] every product power * r
+    # keeps that window.
+    r = a.copy_window(a.dmax, 0, a.zmax).scale(inv0)
     r._set(d0, 0, SCALAR_ZERO)
     r = -r
-    out = TruncSeries.one(a.rank, a.dmax, 0, max(a.zmax, 0))
-    power = TruncSeries.one(a.rank, a.dmax, 0, max(a.zmax, 0))
-    for _ in range(a.dmax + max(a.zmax, 0)):
-        power = _mul_full(power, r, a.dmax, 0, max(a.zmax, 0))
+    out = power = TruncSeries.one(a.rank, a.dmax, 0, a.zmax)
+    for _ in range(a.dmax + a.zmax):
+        power = power * r
         if power.is_zero:
             break
-        out = _add_full(out, power)
+        out = out + power
     return out.scale(inv0)
-
-
-def _mul_full(a: TruncSeries, b: TruncSeries, dmax: int, zmin: int, zmax: int) -> TruncSeries:
-    """Product truncated to a fixed window (used where both factors are exact)."""
-    out = TruncSeries(a.rank, dmax, zmin, zmax)
-    for (d1, n1), c1 in a.coeffs.items():
-        for (d2, n2), c2 in b.coeffs.items():
-            d, n = deg_add(d1, d2), n1 + n2
-            if out._inside(d, n):
-                out._add_to(d, n, c1 * c2)
-    return out
-
-
-def _add_full(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    out = TruncSeries(a.rank, a.dmax, a.zmin, a.zmax)
-    for (d, n), c in a.coeffs.items():
-        out._add_to(d, n, c)
-    for (d, n), c in b.coeffs.items():
-        out._add_to(d, n, c)
-    return out

@@ -52,6 +52,22 @@ class TestBasicCommands:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "UsageError"
 
+    @pytest.mark.parametrize("argv, token", [
+        (("delta", "--target", "P1", "--bundle", "Oxx", "--s=0,1", "--zmax", "2"), "xx"),
+        (("delta", "--target", "Bmu3", "--bundle", "char:x", "--s=0,1", "--zmax", "2"), "x"),
+        (("delta", "--target", "point", "--bundle", "trivial:x", "--s=0,1", "--zmax", "2"), "x"),
+        (("delta", "--target", "WPS:1,x", "--bundle", "trivial", "--s=0,1", "--zmax", "2"), "x"),
+        (("delta", "--target", "point", "--bundle", "trivial", "--s=1,x", "--zmax", "2"), "x"),
+        (("quantize", "--target", "Bmu2", "--bundle", "char:1", "--B", "am:x",
+          "--m", "1", "--K", "4"), "x"),
+    ])
+    def test_malformed_number_is_a_usage_error(self, capsys, argv, token):
+        code, _out, err = run(capsys, *argv)
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError"
+        assert repr(token) in error["message"]
+
 
 class TestPipelines:
     def test_invariants_quintic(self, capsys):
@@ -275,6 +291,59 @@ class TestCache:
         monkeypatch.undo()
         assert store.load("k") == {"rows": ["old"]}
         assert os.listdir(store.directory) == ["k.json"]   # no temp file left behind
+
+    def test_config_target_keyed_by_content(self, capsys, tmp_path, monkeypatch):
+        from orbiqrr.orbtarget import line_bundle_On, projective_space, target_to_obj
+        monkeypatch.chdir(tmp_path)
+        t = projective_space(1)
+        obj = target_to_obj(t, [line_bundle_On(t, 1)])
+        obj["bundles"][0]["name"] = "F"
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps(obj))
+        argv = ["--cache-dir", "c", "delta", "--target", "t.json", "--bundle", "F",
+                "--s=0,1,1,1", "--zmax", "2"]
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["cache"] == "computed"
+        assert doc["operator"]["blocks"]["1"]["0/p"] == "1/12"
+        obj["bundles"][0]["eigen"][0]["ch"][1] = "5"   # ch_1 of F: 1 -> 5
+        cfg.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["cache"] == "computed"
+        assert doc["operator"]["blocks"]["1"]["0/p"] == "5/12"
+        code, out, _ = run(capsys, *argv)
+        assert json.loads(out)["cache"] == "cached"
+
+    def test_config_target_keyed_by_jfunction_content(self, capsys, tmp_path, monkeypatch):
+        from orbiqrr.genus0 import j_closed_form_Pn
+        from orbiqrr.orbtarget import projective_space, target_to_obj
+        monkeypatch.chdir(tmp_path)
+
+        def write_j(scale):
+            rows = []
+            for (n, d), cls in j_closed_form_Pn(2, 1).series.data.items():
+                for (cid, idx), c in cls.terms.items():
+                    coeff = c.as_fraction() * (scale if d != (0,) else 1)
+                    rows.append({"d": list(d), "zpow": n, "component": cid,
+                                 "basis": idx, "coeff": str(coeff)})
+            (tmp_path / "j.json").write_text(json.dumps({"rows": rows}))
+
+        obj = target_to_obj(projective_space(2), [])
+        obj["name"] = "P2custom"
+        obj["jfunction_file"] = "j.json"
+        (tmp_path / "t.json").write_text(json.dumps(obj))
+        argv = ["--cache-dir", "c", "ifunction", "--target", "t.json", "--bundle", "O1",
+                "--max-degree", "1", "--nonequivariant"]
+        write_j(1)
+        code, out, _ = run(capsys, *argv)
+        first = json.loads(out)
+        assert code == 0 and first["cache"] == "computed"
+        write_j(2)
+        code, out, _ = run(capsys, *argv)
+        second = json.loads(out)
+        assert code == 0 and second["cache"] == "computed"
+        assert second["rows"] != first["rows"]
 
     def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
         cachedir = str(tmp_path / "envcache")

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbiqrr.errors import LogObstruction, NonUnitConstantTerm, PoleAtZero
@@ -17,7 +18,8 @@ from orbiqrr.exactalg import (
 )
 from orbiqrr.exactalg import scalar
 from orbiqrr.exactalg.cyclotomic import CYC_ONE, CYC_ZERO
-from orbiqrr.exactalg.scalar import RatFunc, _cadd, _cdivmod, _cgcd, _cmul, _cstrip
+from orbiqrr.exactalg.poly import add, divmod as pdivmod, exponent_gcd, mul, power, stretch, strip
+from orbiqrr.exactalg.scalar import RatFunc, _cgcd
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -180,6 +182,14 @@ class TestTruncSeries:
         assert prod.get((1,)).is_zero
         assert prod.get((2,)).is_zero
 
+    def test_invert_ignores_an_empty_negative_window(self):
+        # the declared zmin < 0 holds no coefficients; the inverse lives on [0, zmax]
+        data = {((0,), 0): sc(2), ((0,), 1): sc(3), ((1,), 0): sc(1), ((1,), 2): sc(-1)}
+        inv = series_invert(TruncSeries(1, 2, -2, 3, data))
+        assert (inv.dmax, inv.zmin, inv.zmax) == (2, 0, 3)
+        assert inv == series_invert(TruncSeries(1, 2, 0, 3, data))
+        assert inv.get((0,), 3) == sc(Fraction(-27, 16))
+
     def test_invert_requires_unit(self):
         a = TruncSeries(1, 2, 0, 0, {((1,), 0): sc(1)})
         with pytest.raises(NonUnitConstantTerm):
@@ -268,9 +278,10 @@ def test_ratfunc_polynomial_fast_path(p, q):
     one = (CYC_ONE,)
     a, b = RatFunc(p, one), RatFunc(q, one)
     for fast, slow in (
-        (a + b, RatFunc(_cadd(_cmul(a.num, b.den), _cmul(b.num, a.den)), _cmul(a.den, b.den))),
-        (a + (-a), RatFunc(_cadd(a.num, (-a).num), one)),
-        (a * b, RatFunc(_cmul(a.num, b.num), _cmul(a.den, b.den))),
+        (a + b, RatFunc(add(mul(a.num, b.den, CYC_ZERO), mul(b.num, a.den, CYC_ZERO), CYC_ZERO),
+                        mul(a.den, b.den, CYC_ZERO))),
+        (a + (-a), RatFunc(add(a.num, (-a).num, CYC_ZERO), one)),
+        (a * b, RatFunc(mul(a.num, b.num, CYC_ZERO), mul(a.den, b.den, CYC_ZERO))),
     ):
         assert fast.num == slow.num and fast.den == slow.den
         assert hash(fast) == hash(slow)
@@ -279,11 +290,11 @@ def test_ratfunc_polynomial_fast_path(p, q):
 
 def _euclidean_ratfunc(num, den):
     """The general normalisation: divide by the Euclidean gcd, then make den monic."""
-    num, den = _cstrip(list(num)), _cstrip(list(den))
+    num, den = strip(list(num)), strip(list(den))
     g = _cgcd(num, den)
     if len(g) > 1:
-        num, _ = _cdivmod(num, g)
-        den, _ = _cdivmod(den, g)
+        num, _ = pdivmod(num, g, g[-1].inverse(), CYC_ZERO)
+        den, _ = pdivmod(den, g, g[-1].inverse(), CYC_ZERO)
     inv_lead = den[-1].inverse()
     return RatFunc([c * inv_lead for c in num], [c * inv_lead for c in den], _reduced=True)
 
@@ -316,3 +327,88 @@ def test_ratfunc_monomial_denominator_skips_the_gcd(monkeypatch):
     assert rf.num == (z3 * two.inverse(), two.inverse()) and rf.den == (CYC_ZERO, CYC_ONE)
     rf = RatFunc([z3, CYC_ONE], [CYC_ZERO, CYC_ZERO, two])
     assert rf.den == (CYC_ZERO, CYC_ZERO, CYC_ONE)
+
+
+# -- the dense-polynomial kernel over Fraction and Cyc coefficients --------------
+
+RINGS = {
+    "fraction": (rationals, Fraction(0), Fraction(1), lambda x: 1 / x),
+    "cyc": (cyc_elements(), CYC_ZERO, CYC_ONE, Cyc.inverse),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kernel_divmod(ring, data):
+    elems, zero, _one, inverse = RINGS[ring]
+    a = data.draw(st.lists(elems, max_size=5))
+    b = strip(data.draw(st.lists(elems, min_size=1, max_size=4)))
+    assume(b)
+    q, r = pdivmod(a, b, inverse(b[-1]), zero)
+    assert len(r) < len(b) and strip(list(r)) == r
+    assert add(mul(q, b, zero), r, zero) == strip(list(a))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kernel_stretch_and_exponent_gcd(ring, data):
+    elems, zero, _one, _inverse = RINGS[ring]
+    p = data.draw(st.lists(elems, max_size=5))
+    k = data.draw(st.integers(1, 4))
+    g0 = data.draw(st.integers(0, 12))
+    s = stretch(p, k, zero)
+    assert s[::k] == p
+    assert all(not c for i, c in enumerate(s) if i % k)
+    assert exponent_gcd(p, g0) == gcd(g0, *(i for i, c in enumerate(p) if i and c))
+    assert exponent_gcd(s, k) == k
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kernel_power_is_the_repeated_product(ring, data):
+    elems, _zero, one, inverse = RINGS[ring]
+    x = data.draw(elems)
+    n = data.draw(st.integers(-4, 6))
+    assume(n >= 0 or x)
+    expected = one
+    for _ in range(abs(n)):
+        expected = expected * (x if n >= 0 else inverse(x))
+    assert power(x, n, one, inverse) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(cyc_elements(), max_size=3), st.lists(cyc_elements(), max_size=3),
+       st.lists(cyc_elements(), max_size=3))
+def test_cgcd_is_a_monic_common_divisor(p, q, c):
+    # a common factor c makes the gcd nonconstant whenever c is
+    a, b, c = mul(p, c, CYC_ZERO), mul(q, c, CYC_ZERO), strip(list(c))
+    g = _cgcd(a, b)
+    if not a and not b:
+        assert g == []
+        return
+    assert g[-1] == CYC_ONE
+    for x, divisor in ((a, g), (b, g)) + (((g, c),) if c else ()):
+        _, r = pdivmod(x, divisor, divisor[-1].inverse(), CYC_ZERO)
+        assert r == []
+
+
+def _add_from_zeros(a, b, zero):
+    """The summation the kernel's add replaced: both operands added onto zeros."""
+    out = [zero] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = out[i] + c
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return strip(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(cyc_elements(), max_size=4), st.lists(cyc_elements(), max_size=4))
+def test_kernel_add_matches_the_sum_onto_zeros(p, q):
+    # add copies its left operand instead of adding it to zeros; the
+    # elements must come out identical, conductor and coefficients alike
+    fast, slow = add(p, q, CYC_ZERO), _add_from_zeros(p, q, CYC_ZERO)
+    assert [(c.order, c.coeffs) for c in fast] == [(c.order, c.coeffs) for c in slow]
