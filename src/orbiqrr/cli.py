@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 domain error (structured payload on stdout),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .bernoulli import bernoulli_value
 from .cache import ArtifactCache
-from .errors import OrbiqrrError, UnsupportedTarget, UsageError
+from .errors import OrbiqrrError, SchemaError, UnsupportedTarget, UsageError
 from .exactalg import Scalar, sc
 from .fockquant import (
     build_point_potential,
@@ -82,7 +83,12 @@ def resolve_target(spec: str):
     """point | Pn | Bmun | WPS:w0,w1,... | path-to-config.json -> (target, bundles)."""
     if os.path.exists(spec):
         with open(spec) as fh:
-            return load_target(fh.read())
+            t, bundles = load_target(fh.read())
+        if t.jfunction_file:
+            # a config names its J-function file relative to itself
+            t.jfunction_file = os.path.abspath(
+                os.path.join(os.path.dirname(spec), t.jfunction_file))
+        return t, bundles
     low = spec.lower()
     if low == "point":
         return point(), {}
@@ -287,8 +293,13 @@ def _builtin_j(t, args):
     if t.name.startswith("P") and t.name[1:].isdigit():
         return j_closed_form_Pn(int(t.name[1:]), args.max_degree)
     if t.jfunction_file:
-        with open(t.jfunction_file) as fh:
-            return load_j_function(t, fh.read())
+        try:
+            with open(t.jfunction_file) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise SchemaError(f"$.jfunction_file: cannot read {t.jfunction_file!r} "
+                              f"({e.strerror})") from None
+        return load_j_function(t, text)
     raise UsageError(f"no J-function source for target {t.name}; "
                      "use a P^n target or a config with jfunction_file")
 
@@ -301,10 +312,10 @@ def cmd_mirror_map(args, cache) -> dict:
     f, g = small_expansion(i)
     tau, j_tw = mirror_map(i, f, g)
     rows = []
-    for (d, _z), c in sorted(f.items()):
+    for (_z, d), c in sorted(f.items()):
         rows.append({"series": "F", "d": list(d), "coeff": c.to_obj()})
     for slot, (form, ser) in sorted(tau.items()):
-        for (d, _z), c in sorted(ser.items()):
+        for (_z, d), c in sorted(ser.items()):
             rows.append({"series": f"tau[{slot[0]}/{slot[1]}]", "d": list(d),
                          "coeff": c.to_obj()})
     return {"target": t.name, "bundle": F.name, "rows": rows}
@@ -469,10 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     cache = ArtifactCache(args.cache_dir or os.environ.get("ORBIQRR_CACHE"))

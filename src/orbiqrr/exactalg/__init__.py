@@ -14,7 +14,7 @@ from .scalar import (
     root_of_unity,
     sc,
 )
-from .series import TruncSeries, deg_add, deg_total, series_invert, zero_deg
+from .series import TruncSeries, WindowedSeries, deg_add, series_invert, zero_deg
 
 __all__ = [
     "Cyc",
@@ -26,8 +26,8 @@ __all__ = [
     "root_of_unity",
     "parse_scalar",
     "TruncSeries",
+    "WindowedSeries",
     "series_invert",
-    "deg_total",
     "deg_add",
     "zero_deg",
 ]

@@ -1,24 +1,19 @@
-"""Truncated Laurent series in z over a truncated Novikov ring, Scalar coefficients.
+"""Truncated z-Laurent series over a truncated Novikov ring.
 
-Truncation semantics: coefficients with Novikov degree <= dmax and z-exponent
-in [zmin, zmax] are exact; below zmin the series is exactly zero; above zmax
-and beyond dmax it is unknown.  Arithmetic shrinks the declared window to the
-region both operands actually determine, so results never silently claim
-knowledge they do not have.
+``WindowedSeries`` holds the truncation window and the arithmetic that only
+needs it; its docstring states the window rule.  ``TruncSeries`` is the
+Scalar-valued series with its ring product and ``series_invert``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import NonUnitConstantTerm
 from .scalar import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
 
 Deg = Tuple[int, ...]
-
-
-def deg_total(d: Deg) -> int:
-    return sum(d)
+Key = Tuple[int, Deg]
 
 
 def deg_add(a: Deg, b: Deg) -> Deg:
@@ -29,138 +24,158 @@ def zero_deg(rank: int) -> Deg:
     return (0,) * rank
 
 
-class TruncSeries:
-    """sum_{d, n} c_{d,n} Q^d z^n with explicit truncation (dmax, zmin, zmax)."""
+class WindowedSeries:
+    """sum_{n, d} c_{n,d} z^n Q^d, stored sparsely by (n, d), inside a window.
 
-    __slots__ = ("rank", "dmax", "zmin", "zmax", "coeffs")
+    The window is (zmin, zmax, dmax).  A coefficient with zmin <= n <= zmax
+    and sum(d) <= dmax is exact; below zmin the series is exactly zero; above
+    zmax and past dmax it is unknown.  Arithmetic shrinks the window to the
+    region every operand determines, so a result never claims knowledge its
+    operands lack.  Zero coefficients are not stored.
 
-    def __init__(self, rank: int, dmax: int, zmin: int, zmax: int,
-                 coeffs: Dict[Tuple[Deg, int], Scalar] | None = None):
+    A subclass fixes the coefficient type through three hooks: ``_empty``
+    (an empty series of its kind on a window), ``zero`` (the value of an
+    absent coefficient) and ``_times`` (a coefficient times a Scalar).
+    """
+
+    __slots__ = ("zmin", "zmax", "dmax", "data")
+
+    def __init__(self, zmin: int, zmax: int, dmax: int, data: Optional[Dict[Key, object]] = None):
         if zmin > zmax:
             raise ValueError("zmin > zmax")
-        self.rank = rank
-        self.dmax = dmax
         self.zmin = zmin
         self.zmax = zmax
-        self.coeffs = {}
-        if coeffs:
-            for (d, n), c in coeffs.items():
-                self._set(d, n, sc(c))
+        self.dmax = dmax
+        self.data: Dict[Key, object] = {}
+        if data:
+            for (n, d), c in data.items():
+                self.set(n, d, c)
 
-    def _inside(self, d: Deg, n: int) -> bool:
-        return deg_total(d) <= self.dmax and self.zmin <= n <= self.zmax
+    def inside(self, n: int, d: Deg) -> bool:
+        return self.zmin <= n <= self.zmax and sum(d) <= self.dmax
 
-    def _set(self, d: Deg, n: int, c: Scalar):
-        if len(d) != self.rank:
-            raise ValueError(f"Novikov degree {d} has wrong rank (expected {self.rank})")
-        if not self._inside(d, n):
-            raise ValueError(f"index (d={d}, z^{n}) outside declared truncation")
+    def set(self, n: int, d: Deg, c):
+        if not self.inside(n, d):
+            raise ValueError(f"(z^{n}, Q^{d}) outside the window "
+                             f"[{self.zmin}..{self.zmax}, d<={self.dmax}]")
         if c.is_zero:
-            self.coeffs.pop((d, n), None)
+            self.data.pop((n, d), None)
         else:
-            self.coeffs[(d, n)] = c
+            self.data[(n, d)] = c
 
-    def _add_to(self, d: Deg, n: int, c: Scalar):
-        cur = self.coeffs.get((d, n), SCALAR_ZERO)
-        self._set(d, n, cur + c)
+    def add_to(self, n: int, d: Deg, c):
+        cur = self.data.get((n, d))
+        self.set(n, d, c if cur is None else cur + c)
 
-    # -- constructors
+    def get(self, n: int, d: Deg):
+        return self.data.get((n, d), self.zero())
 
-    @staticmethod
-    def from_scalar(c, rank: int = 1, dmax: int = 0, zmin: int = 0, zmax: int = 0) -> "TruncSeries":
-        s = TruncSeries(rank, dmax, zmin, zmax)
-        c = sc(c)
-        if not c.is_zero:
-            s._set(zero_deg(rank), 0, c)
-        return s
-
-    @staticmethod
-    def one(rank: int = 1, dmax: int = 0, zmin: int = 0, zmax: int = 0) -> "TruncSeries":
-        return TruncSeries.from_scalar(SCALAR_ONE, rank, dmax, zmin, zmax)
-
-    def copy_window(self, dmax: int, zmin: int, zmax: int) -> "TruncSeries":
-        """Restrict to a (smaller) window."""
-        out = TruncSeries(self.rank, dmax, zmin, zmax)
-        for (d, n), c in self.coeffs.items():
-            if out._inside(d, n):
-                out._set(d, n, c)
-        return out
-
-    def get(self, d: Deg, n: int = 0) -> Scalar:
-        return self.coeffs.get((d, n), SCALAR_ZERO)
-
-    def items(self) -> Iterable[Tuple[Tuple[Deg, int], Scalar]]:
-        return self.coeffs.items()
+    def items(self) -> Iterable[Tuple[Key, object]]:
+        return self.data.items()
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.data
 
-    # -- ring operations
-
-    def __add__(self, o: "TruncSeries") -> "TruncSeries":
-        if self.rank != o.rank:
-            raise ValueError("rank mismatch")
-        out = TruncSeries(self.rank, min(self.dmax, o.dmax),
-                          min(self.zmin, o.zmin), min(self.zmax, o.zmax))
-        for (d, n), c in self.coeffs.items():
-            if out._inside(d, n):
-                out._add_to(d, n, c)
-        for (d, n), c in o.coeffs.items():
-            if out._inside(d, n):
-                out._add_to(d, n, c)
+    def copy_window(self, zmin: int, zmax: int, dmax: int):
+        """The coefficients that lie in the window (zmin, zmax, dmax)."""
+        out = self._empty(zmin, zmax, dmax)
+        for (n, d), c in self.data.items():
+            if out.inside(n, d):
+                out.set(n, d, c)
         return out
 
-    def __neg__(self) -> "TruncSeries":
-        out = TruncSeries(self.rank, self.dmax, self.zmin, self.zmax)
-        for (d, n), c in self.coeffs.items():
-            out._set(d, n, -c)
+    def map(self, fn: Callable):
+        """The series with coefficients fn(n, d, c), on the same window."""
+        out = self._empty(self.zmin, self.zmax, self.dmax)
+        for (n, d), c in self.data.items():
+            out.set(n, d, fn(n, d, c))
         return out
 
-    def __sub__(self, o: "TruncSeries") -> "TruncSeries":
-        return self + (-o)
+    # -- linear structure
 
-    def scale(self, c) -> "TruncSeries":
-        c = sc(c)
-        out = TruncSeries(self.rank, self.dmax, self.zmin, self.zmax)
-        if c.is_zero:
-            return out
-        for (d, n), x in self.coeffs.items():
-            out._set(d, n, x * c)
+    def _combine(self, o, negate: bool):
+        out = self._empty(min(self.zmin, o.zmin), min(self.zmax, o.zmax),
+                          min(self.dmax, o.dmax))
+        for src, neg in ((self, False), (o, negate)):
+            for (n, d), c in src.data.items():
+                if out.inside(n, d):
+                    out.add_to(n, d, -c if neg else c)
         return out
+
+    def __add__(self, o):
+        return self._combine(o, False)
+
+    def __sub__(self, o):
+        return self._combine(o, True)
+
+    def __neg__(self):
+        return self.map(lambda n, d, c: -c)
+
+    def scale(self, s):
+        s = sc(s)
+        return self.map(lambda n, d, c: self._times(c, s))
+
+    def nonequiv_limit(self):
+        return self.map(lambda n, d, c: c.nonequiv_limit())
+
+    def __repr__(self):
+        rows = ", ".join(f"z^{n} Q^{list(d)}: {c!r}" for (n, d), c in sorted(self.data.items()))
+        return f"{type(self).__name__}[{self.zmin}..{self.zmax}, d<={self.dmax}]({rows})"
+
+
+class TruncSeries(WindowedSeries):
+    """A WindowedSeries over Scalar, with Novikov degrees of length ``rank``."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int, zmin: int, zmax: int, dmax: int,
+                 data: Optional[Dict[Key, Scalar]] = None):
+        self.rank = rank
+        super().__init__(zmin, zmax, dmax, data)
+
+    def _empty(self, zmin: int, zmax: int, dmax: int) -> "TruncSeries":
+        return TruncSeries(self.rank, zmin, zmax, dmax)
+
+    def zero(self) -> Scalar:
+        return SCALAR_ZERO
+
+    @staticmethod
+    def _times(c: Scalar, s: Scalar) -> Scalar:
+        return c * s
+
+    def set(self, n: int, d: Deg, c: Scalar):
+        if len(d) != self.rank:
+            raise ValueError(f"Novikov degree {d} has wrong rank (expected {self.rank})")
+        WindowedSeries.set(self, n, d, c)
+
+    @staticmethod
+    def from_scalar(c, rank: int = 1, zmin: int = 0, zmax: int = 0, dmax: int = 0) -> "TruncSeries":
+        s = TruncSeries(rank, zmin, zmax, dmax)
+        s.set(0, zero_deg(rank), sc(c))
+        return s
+
+    @staticmethod
+    def one(rank: int = 1, zmin: int = 0, zmax: int = 0, dmax: int = 0) -> "TruncSeries":
+        return TruncSeries.from_scalar(SCALAR_ONE, rank, zmin, zmax, dmax)
 
     def __mul__(self, o: "TruncSeries") -> "TruncSeries":
         if self.rank != o.rank:
             raise ValueError("rank mismatch")
         # reliable ceiling: unknown tail of one factor times known floor of the other
         zmax = min(self.zmax + o.zmin, o.zmax + self.zmin)
-        zmin = self.zmin + o.zmin
-        out = TruncSeries(self.rank, min(self.dmax, o.dmax), zmin, zmax)
-        for (d1, n1), c1 in self.coeffs.items():
-            for (d2, n2), c2 in o.coeffs.items():
-                d, n = deg_add(d1, d2), n1 + n2
-                if out._inside(d, n):
-                    out._add_to(d, n, c1 * c2)
+        out = TruncSeries(self.rank, self.zmin + o.zmin, zmax, min(self.dmax, o.dmax))
+        for (n1, d1), c1 in self.data.items():
+            for (n2, d2), c2 in o.data.items():
+                n, d = n1 + n2, deg_add(d1, d2)
+                if out.inside(n, d):
+                    out.add_to(n, d, c1 * c2)
         return out
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, TruncSeries):
             return NotImplemented
-        if self.rank != o.rank:
-            return False
-        return self.coeffs == o.coeffs
-
-    def __repr__(self):
-        terms = ", ".join(f"Q^{list(d)} z^{n}: {c.to_obj()}" for (d, n), c in sorted(self.coeffs.items()))
-        return f"TruncSeries[d<={self.dmax}, {self.zmin}<=z<={self.zmax}]({terms})"
-
-    # -- limits
-
-    def nonequiv_limit(self) -> "TruncSeries":
-        out = TruncSeries(self.rank, self.dmax, self.zmin, self.zmax)
-        for (d, n), c in self.coeffs.items():
-            out._set(d, n, c.nonequiv_limit())
-        return out
+        return self.rank == o.rank and self.data == o.data
 
 
 def series_invert(a: TruncSeries) -> TruncSeries:
@@ -171,20 +186,19 @@ def series_invert(a: TruncSeries) -> TruncSeries:
     series in this ring).
     """
     d0 = zero_deg(a.rank)
-    c0 = a.get(d0, 0)
+    c0 = a.get(0, d0)
     if c0.is_zero or not c0.is_invertible:
         raise NonUnitConstantTerm("constant term is zero or not invertible")
-    for (d, n), _ in a.coeffs.items():
-        if n < 0:
-            raise NonUnitConstantTerm("cannot invert a series with negative z-powers")
+    if any(n < 0 for (n, _d) in a.data):
+        raise NonUnitConstantTerm("cannot invert a series with negative z-powers")
     inv0 = c0.inverse()
     # r = 1 - a/c0 has no (0,0) term and (Novikov + z)-valuation >= 1.  z^0 is
     # inside a's window (c0 != 0), and on [0, a.zmax] every product power * r
     # keeps that window.
-    r = a.copy_window(a.dmax, 0, a.zmax).scale(inv0)
-    r._set(d0, 0, SCALAR_ZERO)
+    r = a.copy_window(0, a.zmax, a.dmax).scale(inv0)
+    r.set(0, d0, SCALAR_ZERO)
     r = -r
-    out = power = TruncSeries.one(a.rank, a.dmax, 0, a.zmax)
+    out = power = TruncSeries.one(a.rank, 0, a.zmax, a.dmax)
     for _ in range(a.dmax + a.zmax):
         power = power * r
         if power.is_zero:

@@ -108,11 +108,6 @@ class JFunction:
             if d == d0 and n > 1 and not cls.is_zero:
                 raise NormalFormViolation(f"unexpected z^{n} term at Q^0")
 
-    def nonequiv_limit(self) -> "JFunction":
-        return JFunction(self.target, self.series.nonequiv_limit(),
-                         prefactor=self.prefactor, tpoint=self.tpoint, kind=self.kind,
-                         novikov_twist=self.novikov_twist)
-
 
 def j_closed_form_Pn(n: int, dmax: int, zmin: Optional[int] = None) -> JFunction:
     """J for P^n on H^0 + H^2: z e^{(t0 + t1 p)/z} sum_d Q'^d / prod_{k<=d} (p+kz)^{n+1}.

@@ -35,6 +35,7 @@ from ..exactalg import (
     SCALAR_ZERO,
     Scalar,
     TruncSeries,
+    deg_add,
     sc,
     series_invert,
 )
@@ -141,7 +142,7 @@ def small_expansion(I: JFunction):
         d0len = len(d)
         break
     rank = d0len if d0len is not None else t.curve_rank
-    f = TruncSeries(rank, I.dmax, 0, 0)
+    f = TruncSeries(rank, 0, 0, I.dmax)
     g: Dict[Slot, TruncSeries] = {}
     for (n, d), cls in sorted(I.series.data.items(), key=lambda kv: -kv[0][0]):
         if n > 1:
@@ -153,21 +154,20 @@ def small_expansion(I: JFunction):
                 if (cid, idx) != ("0", 0):
                     raise PositivityViolated(
                         f"z^1 layer contains a nonunit class at d={d}: {(cid, idx)}")
-                f._add_to(d, 0, c)
+                f.add_to(0, d, c)
         elif n == 0:
             for (cid, idx), c in cls.terms.items():
                 if t.by_id[cid].basis[idx].degree > 2:
                     raise PositivityViolated(
                         f"z^0 layer leaves the small space at d={d}: {(cid, idx)}")
-                gg = g.setdefault((cid, idx), TruncSeries(rank, I.dmax, 0, 0))
-                gg._add_to(d, 0, c)
+                g.setdefault((cid, idx), TruncSeries(rank, 0, 0, I.dmax)).add_to(0, d, c)
     dzero = (0,) * rank
-    if not f.get(dzero) == SCALAR_ONE:
+    if not f.get(0, dzero) == SCALAR_ONE:
         raise PositivityViolated("F(t) is not 1 mod Q")
     gout = {slot: (I.tpoint.get(slot, LinForm()), series) for slot, series in g.items()}
     for slot, form in I.tpoint.items():
         if slot not in gout and not form.is_zero:
-            gout[slot] = (form, TruncSeries(rank, I.dmax, 0, 0))
+            gout[slot] = (form, TruncSeries(rank, 0, 0, I.dmax))
     return f, gout
 
 
@@ -183,13 +183,13 @@ def mirror_map(I: JFunction, f, g):
     for slot, (form, series) in g.items():
         ratio = series * inv_f
         d0 = (0,) * series.rank
-        head = ratio.get(d0)
+        head = ratio.get(0, d0)
         # the constant part belongs to the parameter point, not the Q-series
         if not head.is_zero:
             if not head.is_rational():
                 raise PositivityViolated("mirror map head must be rational")
             form = form + LinForm({"__const__": head.as_fraction()})
-            ratio = ratio - TruncSeries.from_scalar(head, series.rank, series.dmax, 0, 0)
+            ratio = ratio - TruncSeries.from_scalar(head, series.rank, 0, 0, series.dmax)
         tau[slot] = (form, ratio)
     series = novikov_scale(I.series, inv_f)
     out = JFunction(I.target, series, prefactor=I.prefactor, tpoint=I.tpoint,
@@ -200,7 +200,7 @@ def mirror_map(I: JFunction, f, g):
         if n == 1 and d != d0 and not cls.is_zero:
             raise PositivityViolated("z^1 layer of J is not exactly z after division")
     for slot, (form, ratio) in tau.items():
-        for (d, _z), c in ratio.items():
+        for (_z, d), c in ratio.items():
             if out.series.get(0, d).coeff(*slot) != c:
                 raise PositivityViolated("z^0 layer of J does not match tau")
     return tau, out
@@ -210,10 +210,10 @@ def novikov_scale(e: GiventalElement, s: TruncSeries) -> GiventalElement:
     """Multiply a Givental element by a scalar Novikov series (no z-content)."""
     out = GiventalElement(e.target, e.zmin, e.zmax, min(e.dmax, s.dmax))
     for (n, d), cls in e.data.items():
-        for (d2, z2), c in s.items():
+        for (z2, d2), c in s.items():
             if z2 != 0:
                 raise ValueError("novikov_scale expects a z-free series")
-            dd = tuple(x + y for x, y in zip(d, d2))
+            dd = deg_add(d, d2)
             if out.inside(n, dd):
                 out.add_to(n, dd, cls.scale(c))
     return out
@@ -221,17 +221,16 @@ def novikov_scale(e: GiventalElement, s: TruncSeries) -> GiventalElement:
 
 def nonequivariant_limit(j: JFunction) -> JFunction:
     """lambda -> 0, with the offending index reported on poles and ln(lambda) terms."""
-    t = j.target
-    out = GiventalElement(t, j.series.zmin, j.series.zmax, j.series.dmax)
-    for (n, d), cls in j.series.data.items():
+    def limit(n, d, cls):
         try:
-            out.add_to(n, d, cls.nonequiv_limit())
+            return cls.nonequiv_limit()
         except PoleAtZero:
             raise PoleAtZero(f"pole at lambda=0 in coefficient (d={d}, z^{n})")
         except LogObstruction:
             raise LogObstruction(f"ln(lambda) survives at lambda=0 in coefficient (d={d}, z^{n})")
-    return JFunction(t, out, prefactor=j.prefactor, tpoint=j.tpoint, kind=j.kind,
-                     novikov_twist=j.novikov_twist)
+
+    return JFunction(j.target, j.series.map(limit), prefactor=j.prefactor, tpoint=j.tpoint,
+                     kind=j.kind, novikov_twist=j.novikov_twist)
 
 
 def extract_invariants(j_twisted: JFunction, tau, F: BundleModel,
@@ -295,9 +294,7 @@ def _mul_exp_class_over_z(e: GiventalElement, series: TruncSeries,
     """e * exp(series * cls / z) for a nilpotent class and a Q-series with no
     constant term."""
     t = e.target
-    out = GiventalElement(t, e.zmin, e.zmax, e.dmax)
-    for (n, d), c in e.data.items():
-        out.add_to(n, d, c)
+    out = e.copy_window(e.zmin, e.zmax, e.dmax)
     power_cls = cls
     power_ser = series
     j = 1
@@ -307,8 +304,8 @@ def _mul_exp_class_over_z(e: GiventalElement, series: TruncSeries,
             prod_cls = c.mul(power_cls)
             if prod_cls.is_zero:
                 continue
-            for (d2, _z), w in power_ser.items():
-                dd = tuple(x + y for x, y in zip(d, d2))
+            for (_z, d2), w in power_ser.items():
+                dd = deg_add(d, d2)
                 nn = n - j
                 if out.inside(nn, dd):
                     out.add_to(nn, dd, prod_cls.scale(w * inv_fact))
@@ -349,11 +346,11 @@ def quintic_pipeline(dmax: int) -> dict:
 def _exp_series_coeff(series: TruncSeries, multiple: int, degree: int) -> Scalar:
     """Coefficient of Q^degree in exp(multiple * series), series with no constant term."""
     acc = SCALAR_ONE if degree == 0 else SCALAR_ZERO
-    term = TruncSeries.one(series.rank, series.dmax, 0, 0)
+    term = TruncSeries.one(series.rank, 0, 0, series.dmax)
     scaled = series.scale(sc(multiple))
     fact = 1
     for j in range(1, degree + 1):
         term = term * scaled
         fact *= j
-        acc = acc + term.get((degree,)) * sc(Frac(1, fact))
+        acc = acc + term.get(0, (degree,)) * sc(Frac(1, fact))
     return acc

@@ -1,8 +1,8 @@
 """The symplectic space of cohomology-valued z-Laurent series at finite truncation.
 
-Elements store a sparse map (z-exponent, Novikov degree) -> CohClass inside an
-explicit window.  Below zmin the element is exactly zero; above zmax and past
-dmax it is unknown.  The symplectic form is the residue pairing
+Elements are WindowedSeries (exactalg/series.py, which states the window
+rule) with CohClass coefficients keyed (z-exponent, Novikov degree).  The
+symplectic form is the residue pairing
 Omega(f, g) = Res_{z=0} (f(-z), g(z))_orb dz, and raises TruncationTooNarrow
 when the windows cannot certify all potentially contributing cross terms.
 
@@ -15,116 +15,44 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import NonUnitTwist, TruncationTooNarrow
-from .exactalg import SCALAR_ZERO, Scalar, sc
+from .exactalg import SCALAR_ZERO, Scalar, WindowedSeries, sc
 from .orbtarget import BundleModel, CohClass, TargetModel
 
 Deg = Tuple[int, ...]
 
 
-class GiventalElement:
-    __slots__ = ("target", "zmin", "zmax", "dmax", "data")
+class GiventalElement(WindowedSeries):
+    """A WindowedSeries over the CohClass ring of ``target``."""
+
+    __slots__ = ("target",)
 
     def __init__(self, target: TargetModel, zmin: int, zmax: int, dmax: int,
                  data: Optional[Dict[Tuple[int, Deg], CohClass]] = None):
-        if zmin > zmax:
-            raise ValueError("zmin > zmax")
         self.target = target
-        self.zmin = zmin
-        self.zmax = zmax
-        self.dmax = dmax
-        self.data: Dict[Tuple[int, Deg], CohClass] = {}
-        if data:
-            for (n, d), cls in data.items():
-                self.set(n, d, cls)
+        super().__init__(zmin, zmax, dmax, data)
 
-    # -- plumbing
+    # perfbench/tracing.py counts calls by patching GiventalElement.__dict__["add_to"],
+    # so this class owns the name
+    add_to = WindowedSeries.add_to
 
-    def inside(self, n: int, d: Deg) -> bool:
-        return self.zmin <= n <= self.zmax and sum(d) <= self.dmax
+    def _empty(self, zmin: int, zmax: int, dmax: int) -> "GiventalElement":
+        return GiventalElement(self.target, zmin, zmax, dmax)
 
-    def set(self, n: int, d: Deg, cls: CohClass):
-        if not self.inside(n, d):
-            raise ValueError(f"(z^{n}, Q^{d}) outside window")
-        if cls.is_zero:
-            self.data.pop((n, d), None)
-        else:
-            self.data[(n, d)] = cls
+    def zero(self) -> CohClass:
+        return self.target.zero_class()
 
-    def add_to(self, n: int, d: Deg, cls: CohClass):
-        cur = self.data.get((n, d))
-        self.set(n, d, cls if cur is None else cur + cls)
-
-    def get(self, n: int, d: Deg) -> CohClass:
-        return self.data.get((n, d), self.target.zero_class())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def copy_window(self, zmin: int, zmax: int, dmax: int) -> "GiventalElement":
-        out = GiventalElement(self.target, zmin, zmax, dmax)
-        for (n, d), cls in self.data.items():
-            if out.inside(n, d):
-                out.set(n, d, cls)
-        return out
-
-    # -- linear structure
-
-    def __add__(self, o: "GiventalElement") -> "GiventalElement":
-        out = GiventalElement(self.target, min(self.zmin, o.zmin),
-                              min(self.zmax, o.zmax), min(self.dmax, o.dmax))
-        for (n, d), cls in self.data.items():
-            if out.inside(n, d):
-                out.add_to(n, d, cls)
-        for (n, d), cls in o.data.items():
-            if out.inside(n, d):
-                out.add_to(n, d, cls)
-        return out
-
-    def __neg__(self) -> "GiventalElement":
-        out = GiventalElement(self.target, self.zmin, self.zmax, self.dmax)
-        for (n, d), cls in self.data.items():
-            out.set(n, d, -cls)
-        return out
-
-    def __sub__(self, o: "GiventalElement") -> "GiventalElement":
-        return self + (-o)
-
-    def scale(self, c) -> "GiventalElement":
-        c = sc(c)
-        out = GiventalElement(self.target, self.zmin, self.zmax, self.dmax)
-        for (n, d), cls in self.data.items():
-            out.set(n, d, cls.scale(c))
-        return out
+    @staticmethod
+    def _times(cls: CohClass, s: Scalar) -> CohClass:
+        return cls.scale(s)
 
     def mul_class(self, cls: CohClass) -> "GiventalElement":
         """Multiply by a z-free, Novikov-free class (ordinary componentwise product)."""
-        out = GiventalElement(self.target, self.zmin, self.zmax, self.dmax)
-        for (n, d), c in self.data.items():
-            out.set(n, d, c.mul(cls))
-        return out
-
-    def flip_z(self) -> "GiventalElement":
-        """f(z) -> f(-z): coefficients keep their exponent, odd ones change sign."""
-        out = GiventalElement(self.target, self.zmin, self.zmax, self.dmax)
-        for (n, d), cls in self.data.items():
-            out.set(n, d, cls if n % 2 == 0 else cls.scale(sc(-1)))
-        return out
-
-    def nonequiv_limit(self) -> "GiventalElement":
-        out = GiventalElement(self.target, self.zmin, self.zmax, self.dmax)
-        for (n, d), cls in self.data.items():
-            out.set(n, d, cls.nonequiv_limit())
-        return out
+        return self.map(lambda n, d, c: c.mul(cls))
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, GiventalElement):
             return NotImplemented
         return (self - o).is_zero
-
-    def __repr__(self):
-        rows = ", ".join(f"z^{n} Q^{list(d)}: {cls!r}" for (n, d), cls in sorted(self.data.items()))
-        return f"GiventalElement[{self.zmin}..{self.zmax}, d<={self.dmax}]({rows})"
 
     # -- polarization views
 
@@ -195,9 +123,7 @@ def dilaton_shift(t: TargetModel, tvec: GiventalElement,
     """
     rank = _rank(tvec)
     zmax = max(tvec.zmax, 1)
-    shifted = GiventalElement(t, tvec.zmin, zmax, tvec.dmax)
-    for (n, d), cls in tvec.data.items():
-        shifted.add_to(n, d, cls)
+    shifted = tvec.copy_window(tvec.zmin, zmax, tvec.dmax)
     shifted.add_to(1, (0,) * rank, t.unit().scale(sc(-1)))
     if bundle is None or s_values is None:
         return shifted

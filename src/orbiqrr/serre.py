@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CyclotomicOrderTooSmall
-from .exactalg import SCALAR_ONE, Scalar, TruncSeries, root_of_unity, sc
+from .exactalg import SCALAR_ONE, Scalar, root_of_unity, sc
 from .givental import GiventalElement
 from .linalg import mat_is_zero
 from .loopops import class_Am, delta_operator, euler_s_values, log_delta
@@ -96,7 +96,7 @@ def serre_M_operator(t: TargetModel, F: BundleModel,
 
 
 def novikov_sign_twist(series, F: BundleModel):
-    """Q^d -> (-1)^{<ch_1(F), d>} Q^d on a TruncSeries or GiventalElement."""
+    """Q^d -> (-1)^{<ch_1(F), d>} Q^d on any WindowedSeries."""
     pairing = F.c1_pairing
 
     def sign(d) -> int:
@@ -106,17 +106,7 @@ def novikov_sign_twist(series, F: BundleModel):
                 f"<c1(F), {d}> = {val} is not an integer; the sign twist is undefined")
         return -1 if int(val) % 2 else 1
 
-    if isinstance(series, TruncSeries):
-        out = TruncSeries(series.rank, series.dmax, series.zmin, series.zmax)
-        for (d, n), c in series.items():
-            out._add_to(d, n, c if sign(d) == 1 else -c)
-        return out
-    if isinstance(series, GiventalElement):
-        out = GiventalElement(series.target, series.zmin, series.zmax, series.dmax)
-        for (n, d), cls in series.data.items():
-            out.add_to(n, d, cls if sign(d) == 1 else cls.scale(sc(-1)))
-        return out
-    raise TypeError("novikov_sign_twist expects a TruncSeries or GiventalElement")
+    return series.map(lambda n, d, c: c if sign(d) == 1 else -c)
 
 
 # -- structural identities ---------------------------------------------------------
@@ -220,10 +210,7 @@ def _read_t(t: TargetModel, x: GiventalElement, root: CohClass,
     scaled = x.mul_class(inv)
     rank = t.curve_rank
     d0 = (0,) * rank
-    out = GiventalElement(t, 0, max(1, scaled.zmax), scaled.dmax)
-    for (n, d), cls in scaled.data.items():
-        if n >= 0:
-            out.add_to(n, d, cls)
+    out = scaled.copy_window(0, max(1, scaled.zmax), scaled.dmax)
     out.add_to(1, d0, t.unit())
     return out
 

@@ -151,15 +151,15 @@ def test_criterion_5_quantum_lefschetz_quintic():
         oracle_n, oracle_N = quintic_instanton_numbers(3)
         result = quintic_pipeline(3)
         f = result["F"]
-        assert f.get((0,)) == SCALAR_ONE
-        assert f.get((1,)) == sc(120)
+        assert f.get(0, (0,)) == SCALAR_ONE
+        assert f.get(0, (1,)) == sc(120)
         form, gp = result["G"][("0", 1)]
-        assert gp.get((1,)) == sc(770)
+        assert gp.get(0, (1,)) == sc(770)
         # the quoted mirror ratio G_1/F_1 = 770/120 = 77/12; the map itself is
         # the series quotient G/F = 770 Q + ... (what the oracle pins)
-        assert gp.get((1,)) / f.get((1,)) == sc(Frac(77, 12))
+        assert gp.get(0, (1,)) / f.get(0, (1,)) == sc(Frac(77, 12))
         _tform, tau_p = result["tau"][("0", 1)]
-        assert tau_p.get((1,)) == sc(770)
+        assert tau_p.get(0, (1,)) == sc(770)
         table = result["invariants"]
         assert table["N"][1] == 2875 == oracle_N[1]
         assert table["N"][2] == Frac(4876875, 8) == oracle_N[2]

@@ -52,6 +52,24 @@ class TestBasicCommands:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "UsageError"
 
+    def test_main_builds_one_parser_and_keeps_no_state(self, capsys, monkeypatch):
+        from orbiqrr import cli
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            shown = run(capsys, "--format", "pretty", "target", "show", "P1", "--bundle", "O1")
+            value = run(capsys, "bernoulli", "--m", "2", "--x", "1/2")
+            plain = run(capsys, "target", "show", "P1")
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert shown[0] == value[0] == plain[0] == 0
+        assert "\n" in shown[1] and [b["name"] for b in json.loads(shown[1])["bundles"]] == ["O1"]
+        assert value[1] == json.dumps({"m": 2, "value": "-1/12", "x": "1/2"})
+        assert "\n" not in plain[1] and json.loads(plain[1])["bundles"] == []
+
     @pytest.mark.parametrize("argv, token", [
         (("delta", "--target", "P1", "--bundle", "Oxx", "--s=0,1", "--zmax", "2"), "xx"),
         (("delta", "--target", "Bmu3", "--bundle", "char:x", "--s=0,1", "--zmax", "2"), "x"),
@@ -203,6 +221,34 @@ class TestPipelines:
                            "--max-degree", "1", "--nonequivariant")
         assert code == 0
         assert json.loads(out)["rows"]
+
+    def test_config_jfunction_file_is_relative_to_the_config(self, capsys, tmp_path,
+                                                              monkeypatch):
+        from orbiqrr.genus0 import j_closed_form_Pn
+        from orbiqrr.orbtarget import projective_space, target_to_obj
+        rows = []
+        for (n, d), cls in j_closed_form_Pn(2, 1).series.data.items():
+            for (cid, idx), c in cls.terms.items():
+                rows.append({"d": list(d), "zpow": n, "component": cid,
+                             "basis": idx, "coeff": str(c.as_fraction())})
+        cfgdir = tmp_path / "cfg"
+        cfgdir.mkdir()
+        (cfgdir / "j.json").write_text(json.dumps({"rows": rows}))
+        obj = target_to_obj(projective_space(2), [])
+        obj["name"] = "P2custom"
+        obj["jfunction_file"] = "j.json"
+        (cfgdir / "t.json").write_text(json.dumps(obj))
+        monkeypatch.chdir(tmp_path)
+        argv = ["ifunction", "--target", os.path.join("cfg", "t.json"), "--bundle", "O1",
+                "--max-degree", "1", "--nonequivariant"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["rows"]
+        (cfgdir / "j.json").unlink()
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "SchemaError"
+        assert os.path.join("cfg", "j.json") in err["message"]
 
 
 class TestCache:

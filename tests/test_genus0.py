@@ -293,9 +293,9 @@ class TestSmallExpansionAndMirror:
     def test_untwisted_trivial(self):
         j = j_closed_form_Pn(4, 2)
         f, g = small_expansion(j)
-        assert f.get((0,)) == SCALAR_ONE
+        assert f.get(0, (0,)) == SCALAR_ONE
         for d in range(1, 3):
-            assert f.get((d,)).is_zero
+            assert f.get(0, (d,)).is_zero
         # G = t: the only content is the parameter linear forms
         for slot, (form, series) in g.items():
             assert series.is_zero
@@ -307,11 +307,11 @@ class TestSmallExpansionAndMirror:
         F = line_bundle_On(t, 5)
         i = nonequivariant_limit(hypergeometric_modification(t, F, j))
         f, g = small_expansion(i)
-        assert f.get((0,)) == SCALAR_ONE
-        assert f.get((1,)) == sc(120)
-        assert f.get((2,)) == sc(113400)
+        assert f.get(0, (0,)) == SCALAR_ONE
+        assert f.get(0, (1,)) == sc(120)
+        assert f.get(0, (2,)) == sc(113400)
         form, gp = g[("0", 1)]
-        assert gp.get((1,)) == sc(770)
+        assert gp.get(0, (1,)) == sc(770)
         assert form == LinForm.var("t1")
 
     def test_mirror_map_quintic(self):
@@ -324,9 +324,9 @@ class TestSmallExpansionAndMirror:
         form, tau_p = tau[("0", 1)]
         # G_1/F_1 = 770/120 = 77/12; the series quotient (G/F)(Q) itself starts 770 Q
         # (the classical quintic mirror map), which the instanton extraction confirms
-        assert g[("0", 1)][1].get((1,)) / f.get((1,)) == sc(Frac(77, 12))
-        assert tau_p.get((1,)) == sc(770)
-        assert tau_p.get((2,)) == sc(810225 - 120 * 770)
+        assert g[("0", 1)][1].get(0, (1,)) / f.get(0, (1,)) == sc(Frac(77, 12))
+        assert tau_p.get(0, (1,)) == sc(770)
+        assert tau_p.get(0, (2,)) == sc(810225 - 120 * 770)
         # normal form after division
         assert j_tw.coefficient((0,), 1) == t.unit()
         assert j_tw.coefficient((1,), 1).is_zero

@@ -141,11 +141,24 @@ class TestMOperatorAndTwist:
     def test_novikov_sign_twist(self):
         t = projective_space(4)
         F = line_bundle_On(t, 5)
-        s = TruncSeries(1, 3, 0, 0, {((0,), 0): sc(1), ((1,), 0): sc(3), ((2,), 0): sc(7)})
+        s = TruncSeries(1, 0, 0, 3, {(0, (0,)): sc(1), (0, (1,)): sc(3), (0, (2,)): sc(7)})
         tw = novikov_sign_twist(s, F)
-        assert tw.get((1,)) == sc(-3)     # odd pairing 5
-        assert tw.get((2,)) == sc(7)      # even pairing 10
+        assert tw.get(0, (1,)) == sc(-3)     # odd pairing 5
+        assert tw.get(0, (2,)) == sc(7)      # even pairing 10
         assert novikov_sign_twist(tw, F) == s   # involution
+
+    def test_novikov_sign_twist_on_a_givental_element(self):
+        t = projective_space(4)
+        F = line_bundle_On(t, 5)
+        p = t.basis_class("0", "p")
+        e = GiventalElement(t, -1, 1, 2, {(1, (0,)): t.unit(), (0, (1,)): p,
+                                          (-1, (2,)): p.scale(sc(7))})
+        tw = novikov_sign_twist(e, F)
+        assert (tw.zmin, tw.zmax, tw.dmax) == (-1, 1, 2)
+        assert tw.get(1, (0,)) == t.unit()
+        assert tw.get(0, (1,)) == p.scale(sc(-1))   # odd pairing 5
+        assert tw.get(-1, (2,)) == p.scale(sc(7))   # even pairing 10
+        assert novikov_sign_twist(tw, F) == e
 
 
 class TestEigenSumIdentity:
