@@ -232,30 +232,32 @@ def cmd_bernoulli(args, cache) -> dict:
     return {"m": args.m, "x": str(Frac(args.x)), "value": str(val)}
 
 
-def _s_values_for(args, t, zmax: int):
-    if args.euler:
-        return euler_s_values(zmax + 2 * t.dim + 2, include_log=not args.no_log)
-    if args.s is None:
-        raise UsageError("provide --euler or --s s0,s1,...")
-    return parse_s_list(args.s)
-
-
 def cmd_delta(args, cache) -> dict:
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
-    s = _s_values_for(args, t, args.zmax)
+    if args.euler:
+        if args.check_symplectic:
+            raise UsageError("--check-symplectic needs a finite --s list")
+        s = None                 # keyed as null and computed on a miss only
+    elif args.s is None:
+        raise UsageError("provide --euler or --s s0,s1,...")
+    else:
+        s = parse_s_list(args.s)
     request = {
         "op": "delta", **target_request(args.target, t), "bundle": args.bundle,
         "euler": bool(args.euler), "no_log": bool(args.no_log),
-        "s": None if args.euler else [x.to_obj() for x in s],
+        "s": None if s is None else [x.to_obj() for x in s],
         "zmax": args.zmax, "log": bool(args.log),
     }
 
     def compute():
+        vals = s
+        if vals is None:
+            vals = euler_s_values(args.zmax + 2 * t.dim + 2, include_log=not args.no_log)
         if args.log:
-            op = log_delta(t, F, s, args.zmax)
+            op = log_delta(t, F, vals, args.zmax)
         else:
-            op = delta_operator(t, F, s, args.zmax)
+            op = delta_operator(t, F, vals, args.zmax)
         out = {"target": t.name, "bundle": F.name, "zmax": args.zmax,
                "operator": operator_obj(op),
                "genus1_prefactor": genus1_prefactor_symbol(t, F)}
@@ -265,8 +267,6 @@ def cmd_delta(args, cache) -> dict:
     payload = dict(payload)
     payload["cache"] = status
     if args.check_symplectic:
-        if args.euler:
-            raise UsageError("--check-symplectic needs a finite --s list")
         payload["symplectic_check"] = check_delta_symplectomorphism(t, F, s, args.zmax)
     return payload
 

@@ -15,13 +15,27 @@ Canonical form: denominators are monic, num/den coprime, trailing zero
 l-coefficients stripped, root index minimal.  Equality is syntactic on the
 canonical form (after lifting both sides to a common root index and
 cyclotomic order).
+
+Rational lane: a Scalar whose canonical form is a plain rational (zero
+included) also holds that value as a Fraction, filled in by the
+constructors from the canonical form.  When both operands hold one,
+``+ - * / neg inverse ==`` take a single Fraction operation and build the
+result's canonical form directly, with no kernel call and no RatFunc or
+Cyc arithmetic.  Values with lambda, ln(lambda), zeta or a root index take
+the general path through the kernel.
+
+One singleton for 1: ``sc(1)``, ``from_fraction(1)``, ``from_cyc`` of a
+rational 1 and every lane result equal to 1 are ``SCALAR_ONE``, and a
+product with ``SCALAR_ONE`` returns the other operand.  A general-path
+result equal to 1 may be another object, so ``is SCALAR_ONE`` is a
+shortcut, never an equality test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ExpObstruction, LogObstruction, NonInvertible, PoleAtZero
 from . import poly
@@ -159,14 +173,21 @@ RF_ONE = RatFunc((CYC_ONE,), (CYC_ONE,), _reduced=True)
 
 
 class Scalar:
-    """Element of Q(zeta)(lambda^(1/lam_den))[l]."""
+    """Element of Q(zeta)(lambda^(1/lam_den))[l].
 
-    __slots__ = ("lam_den", "ell")
+    ``_q`` is the rational lane: the value as a Fraction when the canonical
+    form is a plain rational, else None.  It is derived from ``ell`` and
+    ``lam_den`` by the constructor, never set on its own (see the module
+    docstring for the lane and for the singleton ``SCALAR_ONE``).
+    """
+
+    __slots__ = ("lam_den", "ell", "_q")
 
     def __init__(self, ell: Sequence[RatFunc], lam_den: int = 1, _norm: bool = False):
         if _norm:
             self.ell = tuple(ell)
             self.lam_den = lam_den
+            self._q = _plain_value(self.ell, lam_den)
             return
         parts = poly.strip(list(ell))
         # minimize the root index: gcd of all u-exponents present
@@ -179,20 +200,18 @@ class Scalar:
                 lam_den //= g
         self.ell = tuple(parts)
         self.lam_den = lam_den
+        self._q = _plain_value(self.ell, lam_den)
 
     # -- constructors
 
     @staticmethod
     def from_fraction(x) -> "Scalar":
-        x = Frac(x)
-        if x == 0:
-            return SCALAR_ZERO
-        return Scalar((RatFunc.const(Cyc.from_fraction(x)),), 1, _norm=True)
+        return _from_q(Frac(x))
 
     @staticmethod
     def from_cyc(c: Cyc) -> "Scalar":
-        if c.is_zero:
-            return SCALAR_ZERO
+        if c.order == 1:
+            return _from_q(c.coeffs[0])
         return Scalar((RatFunc.const(c),), 1, _norm=True)
 
     @staticmethod
@@ -229,26 +248,12 @@ class Scalar:
         return len(self.ell) == 1
 
     def is_rational(self) -> bool:
-        if self.is_zero:
-            return True
-        if len(self.ell) != 1:
-            return False
-        rf = self.ell[0]
-        return (
-            self.lam_den == 1
-            and len(rf.den) == 1
-            and len(rf.num) <= 1
-            and all(c.is_rational for c in rf.num)
-            and rf.den[0].is_rational
-        )
+        return self._q is not None
 
     def as_fraction(self) -> Frac:
-        if self.is_zero:
-            return Frac(0)
-        if not self.is_rational():
+        if self._q is None:
             raise ValueError(f"not a plain rational: {self!r}")
-        rf = self.ell[0]
-        return rf.num[0].as_fraction() / rf.den[0].as_fraction()
+        return self._q
 
     def lift_root(self, m: int) -> "Scalar":
         """Reexpress with root index m (lam_den | m required)."""
@@ -269,33 +274,53 @@ class Scalar:
     # -- arithmetic
 
     def __add__(self, o: "Scalar") -> "Scalar":
-        if self.is_zero:
+        if not self.ell:
             return o
-        if o.is_zero:
+        if not o.ell:
             return self
+        p, q = self._q, o._q
+        if p is not None and q is not None:
+            return _from_q(p + q)
         a, b = Scalar._common(self, o)
         return Scalar(poly.add(a.ell, b.ell, RF_ZERO), a.lam_den)
 
     def __neg__(self) -> "Scalar":
+        if self._q is not None:
+            return _from_q(-self._q)
         return Scalar(tuple(-rf for rf in self.ell), self.lam_den, _norm=True)
 
     def __sub__(self, o: "Scalar") -> "Scalar":
+        p, q = self._q, o._q
+        if p is not None and q is not None:
+            return _from_q(p - q)
         return self + (-o)
 
     def __mul__(self, o: "Scalar") -> "Scalar":
-        if self.is_zero or o.is_zero:
+        if self is SCALAR_ONE:
+            return o
+        if o is SCALAR_ONE:
+            return self
+        p, q = self._q, o._q
+        if p is not None and q is not None:
+            return _from_q(p * q)
+        if not self.ell or not o.ell:
             return SCALAR_ZERO
         a, b = Scalar._common(self, o)
         return Scalar(poly.mul(a.ell, b.ell, RF_ZERO), a.lam_den)
 
     def inverse(self) -> "Scalar":
-        if self.is_zero:
+        if not self.ell:
             raise NonInvertible("division by zero scalar")
+        if self._q is not None:
+            return _from_q(1 / self._q)
         if len(self.ell) != 1:
             raise NonInvertible("scalar with log-lambda terms is not invertible")
         return Scalar((self.ell[0].inverse(),), self.lam_den)
 
     def __truediv__(self, o: "Scalar") -> "Scalar":
+        p, q = self._q, o._q
+        if p is not None and q:      # a zero divisor goes on to inverse, which raises
+            return _from_q(p / q)
         return self * o.inverse()
 
     def __pow__(self, n: int) -> "Scalar":
@@ -306,6 +331,9 @@ class Scalar:
             o = Scalar.from_fraction(o)
         if not isinstance(o, Scalar):
             return NotImplemented
+        p, q = self._q, o._q
+        if p is not None and q is not None:
+            return p == q
         a, b = Scalar._common(self, o)
         return a.ell == b.ell
 
@@ -347,8 +375,8 @@ class Scalar:
 
     def to_obj(self):
         """Canonical JSON-ready form; plain rationals collapse to 'p/q' strings."""
-        if self.is_rational():
-            return str(self.as_fraction())
+        if self._q is not None:
+            return str(self._q)
         if len(self.ell) == 1:
             obj = self._rf_obj(self.ell[0])
             if self.lam_den != 1:
@@ -361,6 +389,41 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.to_obj()!r})"
+
+
+_ZERO = Frac(0)
+
+
+def _plain_value(ell: Tuple[RatFunc, ...], lam_den: int) -> Optional[Frac]:
+    """The Fraction a canonical form stands for, or None if it is not a plain rational."""
+    if not ell:
+        return _ZERO
+    if len(ell) != 1 or lam_den != 1:
+        return None
+    num, den = ell[0].num, ell[0].den
+    if len(num) != 1 or len(den) != 1 or num[0].order != 1:
+        return None
+    return num[0].coeffs[0]      # a monic constant denominator is 1
+
+
+_DEN_ONE = (CYC_ONE,)
+
+
+def _from_q(q: Frac) -> "Scalar":
+    """The canonical Scalar of a Fraction, built without the constructor.
+
+    0 and 1 return the singletons; any other value gets the one-coefficient
+    form (Cyc of order 1 over the denominator 1) the general path builds.
+    """
+    if not q:
+        return SCALAR_ZERO
+    if q == 1:
+        return SCALAR_ONE
+    out = object.__new__(Scalar)
+    out.ell = (RatFunc((Cyc(1, (q,), _reduced=True),), _DEN_ONE, _reduced=True),)
+    out.lam_den = 1
+    out._q = q
+    return out
 
 
 SCALAR_ZERO = Scalar((), 1, _norm=True)

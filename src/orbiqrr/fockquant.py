@@ -184,32 +184,32 @@ class FockOperator:
     def apply(self, p: FockPolynomial) -> FockPolynomial:
         """The operator applied to p, truncated at p's kmax and degmax.
 
-        A single pass: each monomial of p meets each qq, qd and dd term once
-        and every product goes straight into one output through add_term, so
-        the cost is linear in |p| x (number of operator terms).
+        A single pass: each monomial of p meets each qq term once, and only
+        the qd and dd terms whose d-variable occurs in it, and every product
+        goes straight into one output through add_term.  Those terms are
+        visited in their dict order, so the summation order into each output
+        key (which fixes the serialised Cyc form) is that of a full scan.
         """
         out = FockPolynomial(p.target, p.kmax, p.degmax)
         add = out.add_term
+        qd_by_var, dd_by_var = _index_by_var(self.qd, 1), _index_by_var(self.dd, 0)
         for mono, coeffs in p.terms.items():
             if len(mono) + 2 <= p.degmax:
                 for (v1, v2), c in self.qq.items():
                     grown = mono + (v1, v2)
                     for h, x in coeffs.items():
                         add(grown, h - 1, x * c)
-            for (qv, dv), c in self.qd.items():
+            present = set(mono)
+            for (qv, dv), c in _terms_on(qd_by_var, present):
                 mult = mono.count(dv)
-                if not mult:
-                    continue
                 rest = list(mono)
                 rest.remove(dv)
                 rest.append(qv)
                 cm = c if mult == 1 else c * sc(mult)
                 for h, x in coeffs.items():
                     add(rest, h, x * cm)
-            for (v1, v2), c in self.dd.items():
+            for (v1, v2), c in _terms_on(dd_by_var, present):
                 m1 = mono.count(v1)
-                if not m1:
-                    continue
                 rest = list(mono)
                 rest.remove(v1)
                 m2 = rest.count(v2)
@@ -229,6 +229,21 @@ class FockOperator:
             ]
         return {"K": self.kmax, "qq_over_hbar": rows(self.qq),
                 "q_d": rows(self.qd), "hbar_dd": rows(self.dd)}
+
+
+def _index_by_var(terms: Dict, slot: int) -> Dict[Var, List]:
+    """The terms grouped by the variable key[slot], each as (dict position, key, coeff)."""
+    index: Dict[Var, List] = {}
+    for pos, (key, c) in enumerate(terms.items()):
+        index.setdefault(key[slot], []).append((pos, key, c))
+    return index
+
+
+def _terms_on(index: Dict[Var, List], variables) -> List:
+    """(key, coeff) of the indexed terms on any of the variables, in dict order."""
+    hits = [t for v in variables for t in index.get(v, ())]
+    hits.sort()                  # positions are distinct: the keys are never compared
+    return [(key, c) for _, key, c in hits]
 
 
 def _as_matrix(t: TargetModel, B) -> Matrix:

@@ -252,6 +252,30 @@ class TestPipelines:
 
 
 class TestCache:
+    def test_delta_euler_hit_skips_the_s_values(self, capsys, tmp_path, monkeypatch):
+        from orbiqrr import cli, loopops
+        argv = ["--cache-dir", str(tmp_path / "cache"), "delta", "--target", "Bmu3",
+                "--bundle", "char:1", "--euler", "--zmax", "3"]
+        code1, out1, _ = run(capsys, *argv)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a cache hit must not compute the Euler s-values")
+
+        monkeypatch.setattr(loopops, "euler_s_values", boom)
+        monkeypatch.setattr(cli, "euler_s_values", boom)
+        code2, out2, _ = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert json.loads(out1)["cache"] == "computed"
+        assert json.loads(out2)["cache"] == "cached"
+        assert out2 == out1.replace('"cache": "computed"', '"cache": "cached"')
+
+    def test_delta_euler_rejects_the_symplectic_check(self, capsys, tmp_path):
+        code, _out, _err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "delta",
+                               "--target", "point", "--bundle", "trivial", "--euler",
+                               "--zmax", "2", "--check-symplectic")
+        assert code == 2
+        assert not os.path.exists(tmp_path / "cache") or not os.listdir(tmp_path / "cache")
+
     def test_cold_warm_identical(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
         argv = ["--cache-dir", cache, "invariants", "--target", "P4",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbiqrr.errors import IndexOverflow, NotInfinitesimallySymplectic, TruncationTooNarrow
-from orbiqrr.exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
+from orbiqrr.exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, root_of_unity, sc
 from orbiqrr.fockquant import (
     FockOperator,
     FockPolynomial,
@@ -227,9 +228,43 @@ def _apply_composed(op, p):
     return out
 
 
+def _apply_scan(op, p):
+    """The one-pass apply that scans every qd and dd term for each monomial."""
+    out = FockPolynomial(p.target, p.kmax, p.degmax)
+    for mono, coeffs in p.terms.items():
+        if len(mono) + 2 <= p.degmax:
+            for (v1, v2), c in op.qq.items():
+                for h, x in coeffs.items():
+                    out.add_term(mono + (v1, v2), h - 1, x * c)
+        for (qv, dv), c in op.qd.items():
+            mult = mono.count(dv)
+            if mult:
+                rest = list(mono)
+                rest.remove(dv)
+                cm = c if mult == 1 else c * sc(mult)
+                for h, x in coeffs.items():
+                    out.add_term(rest + [qv], h, x * cm)
+        for (v1, v2), c in op.dd.items():
+            rest = list(mono)
+            m1 = rest.count(v1)
+            if m1:
+                rest.remove(v1)
+                m2 = rest.count(v2)
+                if m2:
+                    rest.remove(v2)
+                    cm = c if m1 * m2 == 1 else c * sc(m1 * m2)
+                    for h, x in coeffs.items():
+                        out.add_term(rest, h + 1, x * cm)
+    return out
+
+
 _TARGETS = {"point": point(), "bmu2": bmu(2), "bmu3": bmu(3)}
 _K = 4
 _coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool)
+# zeta_3 and +-zeta_6: Cyc has no canonical form across conductors, so sums of
+# these serialise by the order in which they were added
+_zeta_coeffs = st.sampled_from([root_of_unity(3, 1), root_of_unity(6, 1),
+                                -root_of_unity(6, 1), root_of_unity(4, 1)])
 
 
 @st.composite
@@ -250,6 +285,10 @@ def _operators(draw, t):
         op.add_qq(v1, v2, draw(_coeffs))
         op.add_qd(v1, v2, draw(_coeffs))
         op.add_dd(v1, v2, draw(_coeffs))
+    # diagonal terms q_a d_a, q_b d_b, ...: each maps a monomial holding a and b
+    # to itself, so their products land on one key
+    for v in draw(st.lists(var, max_size=3, unique=True)):
+        op.add_qd(v, v, draw(st.one_of(_coeffs, _zeta_coeffs)))
     return op
 
 
@@ -282,6 +321,14 @@ def _outcome(apply, op, p):
     return res.kmax, res.degmax, res.terms
 
 
+def _serialised(outcome):
+    if outcome == "IndexOverflow":
+        return outcome
+    kmax, degmax, terms = outcome
+    return kmax, degmax, {mono: {h: c.to_obj() for h, c in coeffs.items()}
+                          for mono, coeffs in terms.items()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_cases(), st.booleans())
 def test_apply_matches_composed_loop(case, overflow):
@@ -291,6 +338,8 @@ def test_apply_matches_composed_loop(case, overflow):
         op.add_qq((_K + 1, 0), (0, 0), sc(1))
     outcome = _outcome(FockOperator.apply, op, p)
     assert outcome == _outcome(_apply_composed, op, p)
+    # the same bytes as a scan over every term: each key summed in the same order
+    assert _serialised(outcome) == _serialised(_outcome(_apply_scan, op, p))
     if overflow and any(len(mono) + 2 <= p.degmax for mono in p.terms):
         assert outcome == "IndexOverflow"
 
@@ -304,6 +353,24 @@ def test_sub_matches_adding_the_negation(data):
     diff, ref = p - q, p + q.scale(sc(-1))
     assert (diff.kmax, diff.degmax, diff.terms) == (ref.kmax, ref.degmax, ref.terms)
     assert (p - p).is_zero
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_apply_sums_a_shared_key_in_term_order(order):
+    # Three diagonal terms map q_a q_b q_c to itself.  Where the zeta_6 terms
+    # come first they cancel and zeta_3 stays in conductor 3; summed in
+    # another order the same value serialises in conductor 6.
+    t = point()
+    terms = [((0, 0), root_of_unity(3, 1)), ((1, 0), root_of_unity(6, 1)),
+             ((2, 0), -root_of_unity(6, 1))]
+    op = FockOperator(t, _K)
+    for i in order:
+        v, c = terms[i]
+        op.add_qd(v, v, c)
+    p = FockPolynomial(t, _K, 3)
+    p.add_term(tuple(v for v, _ in terms), 0, SCALAR_ONE)
+    assert _serialised(_outcome(FockOperator.apply, op, p)) == \
+        _serialised(_outcome(_apply_scan, op, p))
 
 
 def test_apply_never_rebuilds_the_sum(monkeypatch):

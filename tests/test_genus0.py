@@ -362,6 +362,15 @@ class TestInvariantExtraction:
             assert table["N"][d] == oracle_N[d], d
             assert table["n"][d] == oracle_n[d], d
 
+    def test_quintic_numbers_match_oracle_to_degree_8(self):
+        # n_8 has 24 digits: the pipeline's largest rationals
+        oracle_n, oracle_N = quintic_instanton_numbers(8)
+        table = quintic_pipeline(8)["invariants"]
+        assert table["n"][8] == 375632160937476603550000
+        for d in range(1, 9):
+            assert table["N"][d] == oracle_N[d], d
+            assert table["n"][d] == oracle_n[d], d
+
 
 def _per_slice_modification(t, F, J, nonequivariant=False):
     """Reference hypergeometric_modification: a fresh factor chain per (z^n, d) slice."""
