@@ -174,17 +174,12 @@ def series_rows(e) -> list:
 def operator_obj(op) -> dict:
     t = op.target
     blocks = {}
-    if op.is_multiplication:
-        for n, cls in sorted(op.mult_classes.items()):
-            blocks[str(n)] = {
-                f"{cid}/{t.by_id[cid].basis[idx].name}": c.to_obj()
-                for (cid, idx), c in sorted(cls.terms.items())
-            }
-        return {"kind": "multiplication", "zmin": op.zmin, "zmax": op.zmax,
-                "blocks": blocks}
-    for n, mat in sorted(op.blocks.items()):
-        blocks[str(n)] = [[x.to_obj() for x in row] for row in mat]
-    return {"kind": "matrix", "zmin": op.zmin, "zmax": op.zmax, "blocks": blocks}
+    for n, cls in sorted(op.mult_classes.items()):
+        blocks[str(n)] = {
+            f"{cid}/{t.by_id[cid].basis[idx].name}": c.to_obj()
+            for (cid, idx), c in sorted(cls.terms.items())
+        }
+    return {"kind": "multiplication", "zmin": op.zmin, "zmax": op.zmax, "blocks": blocks}
 
 
 def emit(obj, fmt: str) -> str:
@@ -233,8 +228,8 @@ def cmd_bernoulli(args, cache) -> dict:
 
 
 def cmd_delta(args, cache) -> dict:
+    # the target is resolved first: target_request reads a config's jfunction_file
     t, bundles = resolve_target(args.target)
-    F = resolve_bundle(t, bundles, args.bundle)
     if args.euler:
         if args.check_symplectic:
             raise UsageError("--check-symplectic needs a finite --s list")
@@ -250,7 +245,14 @@ def cmd_delta(args, cache) -> dict:
         "zmax": args.zmax, "log": bool(args.log),
     }
 
+    @functools.lru_cache(maxsize=None)
+    def bundle():
+        """The bundle model, built and validated once, and on a cache hit only
+        when the symplectic check needs it (a bad --bundle never stores a hit)."""
+        return resolve_bundle(t, bundles, args.bundle)
+
     def compute():
+        F = bundle()
         vals = s
         if vals is None:
             vals = euler_s_values(args.zmax + 2 * t.dim + 2, include_log=not args.no_log)
@@ -267,17 +269,17 @@ def cmd_delta(args, cache) -> dict:
     payload = dict(payload)
     payload["cache"] = status
     if args.check_symplectic:
-        payload["symplectic_check"] = check_delta_symplectomorphism(t, F, s, args.zmax)
+        payload["symplectic_check"] = check_delta_symplectomorphism(t, bundle(), s, args.zmax)
     return payload
 
 
 def cmd_ifunction(args, cache) -> dict:
     t, bundles = resolve_target(args.target)
-    F = resolve_bundle(t, bundles, args.bundle)
     request = {"op": "ifunction", **target_request(args.target, t), "bundle": args.bundle,
                "max_degree": args.max_degree, "nonequivariant": args.nonequivariant}
 
     def compute():
+        F = resolve_bundle(t, bundles, args.bundle)   # a cache hit skips building it
         j = _builtin_j(t, args)
         i = hypergeometric_modification(t, F, j, nonequivariant=args.nonequivariant)
         return {"target": t.name, "bundle": F.name, "max_degree": args.max_degree,

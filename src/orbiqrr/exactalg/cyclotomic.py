@@ -130,10 +130,6 @@ class Cyc:
             raise ValueError(f"cannot lift order {self.order} into order {m}")
         return poly.stretch(self.coeffs, m // self.order, _ZERO)
 
-    def lift(self, m: int) -> "Cyc":
-        """Embed into Q(zeta_m); the result may demote back if it is rational."""
-        return Cyc(m, self._lift_coeffs(m))
-
     @staticmethod
     def _common(a: "Cyc", b: "Cyc") -> Tuple[int, List[Frac], List[Frac]]:
         """Common order and raw lifted coefficient vectors (no demotion)."""

@@ -35,7 +35,6 @@ class CorrelatorTable:
     def __init__(self, target: TargetModel):
         self.target = target
         self.entries: Dict[Key, Scalar] = {}
-        self.provenance: Dict[Key, str] = {}
         # per slot orbdeg/2, an int where integral: int sums are far cheaper than Fraction ones
         halves = {slot: Frac(target.orbdeg(*slot), 2) for slot in target.flat_basis}
         self._half_orbdeg = {slot: h.numerator if h.denominator == 1 else h
@@ -49,15 +48,12 @@ class CorrelatorTable:
         rhs += sum(c * di for c, di in zip(self._c1, d) if di)
         return lhs == rhs
 
-    def set(self, d: Tuple[int, ...], insertions: Sequence[Insertion], value,
-            provenance: str = "ingested"):
+    def set(self, d: Tuple[int, ...], insertions: Sequence[Insertion], value):
         value = sc(value)
         if not self.dimension_ok(d, insertions) and not value.is_zero:
             raise DimensionMismatch(
                 f"nonzero entry violates the dimension constraint: {insertions} at d={d}")
-        k = _key(len(insertions), d, insertions)
-        self.entries[k] = value
-        self.provenance[k] = provenance
+        self.entries[_key(len(insertions), d, insertions)] = value
 
     def get(self, d: Tuple[int, ...], insertions: Sequence[Insertion]) -> Optional[Scalar]:
         """Value if determined (stored, dimension-filtered, or from an unstable
@@ -91,7 +87,7 @@ def build_point_table(t: TargetModel, nmax: int) -> CorrelatorTable:
     for n in range(3, nmax + 1):
         for kp in _compositions(n - 3, n):
             table.set((0,), [(slot, k) for k in kp],
-                      sc(point_correlators(n, kp)), provenance="builtin")
+                      sc(point_correlators(n, kp)))
     return table
 
 
@@ -144,13 +140,8 @@ def _report(kind: str, instances: int, violations: list, missing: list) -> dict:
     }
 
 
-def _unit_slot(t: TargetModel) -> Slot:
-    return ("0", 0)
-
-
 def _check_string(table: CorrelatorTable) -> dict:
-    t = table.target
-    unit = _unit_slot(t)
+    unit = ("0", 0)   # the unit class of the untwisted sector
     missing: List = []
     violations = []
     instances = 0
@@ -176,8 +167,7 @@ def _check_string(table: CorrelatorTable) -> dict:
 
 
 def _check_dilaton(table: CorrelatorTable) -> dict:
-    t = table.target
-    unit = _unit_slot(t)
+    unit = ("0", 0)   # the unit class of the untwisted sector
     missing: List = []
     violations = []
     instances = 0

@@ -109,7 +109,7 @@ class JFunction:
                 raise NormalFormViolation(f"unexpected z^{n} term at Q^0")
 
 
-def j_closed_form_Pn(n: int, dmax: int, zmin: Optional[int] = None) -> JFunction:
+def j_closed_form_Pn(n: int, dmax: int) -> JFunction:
     """J for P^n on H^0 + H^2: z e^{(t0 + t1 p)/z} sum_d Q'^d / prod_{k<=d} (p+kz)^{n+1}.
 
     The prefactor and the Q e^{t1} absorption are symbolic; the stored series
@@ -120,8 +120,7 @@ def j_closed_form_Pn(n: int, dmax: int, zmin: Optional[int] = None) -> JFunction
     """
     from ..orbtarget import projective_space
     t = projective_space(n)
-    if zmin is None:
-        zmin = 1 - (n + 1) * dmax - n - 2
+    zmin = 1 - (n + 1) * dmax - n - 2
     e = GiventalElement(t, zmin, 1, dmax)
     for d in range(dmax + 1):
         for a, c in _pn_degree_coeffs(n, d).items():

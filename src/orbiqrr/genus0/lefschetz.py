@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..errors import (
     AssumptionViolated,
@@ -65,7 +65,6 @@ def _spread_untwisted(t: TargetModel, cls: CohClass) -> CohClass:
 
 
 def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
-                                dmax: Optional[int] = None,
                                 nonequivariant: bool = False) -> JFunction:
     """I_F: multiply J_d by prod_j prod_{k=1..<rho_j,d>} (lambda + rho_{j} + kz).
 
@@ -83,7 +82,6 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     if not F.pulled_back or F.lines is None:
         raise AssumptionViolated(
             "hypergeometric modification needs a split bundle pulled back from the coarse space")
-    dmax = J.dmax if dmax is None else min(dmax, J.dmax)
     if nonequivariant:
         J = nonequivariant_limit(J)
     lam = None if nonequivariant else Scalar.lam(1)
@@ -93,8 +91,7 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     # of the products (this is exactly where positivity violations surface)
     by_degree: Dict[Tuple[int, ...], Dict[int, CohClass]] = {}
     for (n, d), cls in series.data.items():
-        if sum(d) <= dmax:
-            by_degree.setdefault(d, {})[n] = cls
+        by_degree.setdefault(d, {})[n] = cls
     all_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
     for d, slice_terms in by_degree.items():
         for (pairing, _c1), rho in zip(F.lines, spreads):
@@ -121,7 +118,7 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
             if not c.is_zero:
                 all_terms[(n, d)] = c
     zmax = max([series.zmax] + [n for (n, _d) in all_terms])
-    out = GiventalElement(t, series.zmin, zmax, dmax)
+    out = GiventalElement(t, series.zmin, zmax, series.dmax)
     for (nn, dd), c in all_terms.items():
         out.add_to(nn, dd, c)
     return JFunction(t, out, prefactor=J.prefactor, tpoint=J.tpoint, kind=J.kind,
@@ -233,8 +230,7 @@ def nonequivariant_limit(j: JFunction) -> JFunction:
                      kind=j.kind, novikov_twist=j.novikov_twist)
 
 
-def extract_invariants(j_twisted: JFunction, tau, F: BundleModel,
-                       mode: str = "quintic") -> dict:
+def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     """Genus-0 invariant table N_d of the hypersurface cut out by F.
 
     Pipeline: strip e^{tau_p p / z}, unwind the divisor factors e^{d tau_p},
@@ -243,8 +239,6 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel,
     and is frozen against the classical d = 1 value 2875.
     """
     t = j_twisted.target
-    if mode != "quintic":
-        raise UnsupportedTarget(f"unsupported extraction mode {mode!r}")
     if t.dim != 4 or len(t.components) != 1 or len(t.components[0].basis) != 5:
         raise UnsupportedTarget("quintic extraction expects a P^4-shaped target")
     degree = F.c1_pairing[0]

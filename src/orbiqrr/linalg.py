@@ -11,10 +11,6 @@ from .orbtarget import CohClass, TargetModel
 Matrix = List[List[Scalar]]
 
 
-def mat_eye(n: int) -> Matrix:
-    return [[SCALAR_ONE if i == j else SCALAR_ZERO for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, m = len(a), len(b[0])
     k = len(b)
@@ -59,30 +55,6 @@ def mat_inv(a: Matrix) -> Matrix:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return [row[n:] for row in m]
-
-
-def class_to_vector(t: TargetModel, cls: CohClass) -> List[Scalar]:
-    v = [SCALAR_ZERO] * len(t.flat_basis)
-    for key, c in cls.terms.items():
-        v[t.flat_index[key]] = c
-    return v
-
-
-def vector_to_class(t: TargetModel, v: List[Scalar]) -> CohClass:
-    return CohClass(t, {t.flat_basis[i]: c for i, c in enumerate(v) if not c.is_zero})
-
-
-def mat_apply_class(t: TargetModel, m: Matrix, cls: CohClass) -> CohClass:
-    v = class_to_vector(t, cls)
-    out = [SCALAR_ZERO] * len(v)
-    for j, x in enumerate(v):
-        if x.is_zero:
-            continue
-        for i in range(len(v)):
-            y = m[i][j]
-            if not y.is_zero:
-                out[i] = out[i] + y * x
-    return vector_to_class(t, out)
 
 
 def multiplication_matrix(t: TargetModel, cls: CohClass) -> Matrix:

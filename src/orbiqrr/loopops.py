@@ -1,16 +1,18 @@
 """Loop-group machinery: the Bernoulli-weighted classes A_m, log Delta, Delta,
 Euler-class s-values, adjoints, and symplectomorphism checks.
 
-A LoopOperator is a z-Laurent window of endomorphisms of H^*(IX).  Operators
-built from ordinary multiplication keep their multiplier classes (cheap,
-commutative, exact exp); composition and adjoints fall back to matrices over
-the flat basis.
+A LoopOperator is a z-Laurent window of endomorphisms of H^*(IX), each block
+ordinary multiplication by a class.  Every operator the theory builds (log
+Delta, Delta, their inverses, adjoints, z-flips, sums and products) is of
+that kind, so blocks are stored as their multiplier classes only: products
+are class products, and the adjoint is the involution transport.  A block's
+matrix on the flat basis is derived on demand, for reports that list entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .bernoulli import bernoulli_value
 from .errors import TruncationTooNarrow
@@ -19,8 +21,6 @@ from .givental import GiventalElement
 from .linalg import (
     Matrix,
     gram_matrix,
-    mat_apply_class,
-    mat_eye,
     mat_inv,
     mat_is_zero,
     mat_mul,
@@ -33,7 +33,12 @@ Frac = Fraction
 
 
 class LoopOperator:
-    """Window [zmin, zmax] of endomorphism blocks; exactly zero below zmin.
+    """Window [zmin, zmax] of multiplier classes per z-power; exactly zero below zmin.
+
+    Block n acts as ordinary multiplication by ``mult_classes[n]`` (zero
+    classes are dropped).  Since ``multiplication_matrix`` is an injective
+    ring map, class equality, class products and the involution transport
+    are matrix equality, matrix products and the adjoint g^-1 B^T g.
 
     ``exact=True`` asserts the operator has no tail above zmax either (its
     support is completely listed), which widens the reliable windows of sums
@@ -41,47 +46,29 @@ class LoopOperator:
     are exact=False: their blocks above zmax are unknown.
     """
 
-    __slots__ = ("target", "zmin", "zmax", "blocks", "mult_classes", "exact")
+    __slots__ = ("target", "zmin", "zmax", "mult_classes", "exact")
 
     def __init__(self, target: TargetModel, zmin: int, zmax: int,
-                 blocks: Optional[Dict[int, Matrix]] = None,
-                 mult_classes: Optional[Dict[int, CohClass]] = None,
-                 exact: bool = False):
+                 classes: Dict[int, CohClass], exact: bool = False):
         if zmin > zmax:
             raise ValueError("zmin > zmax")
         self.target = target
         self.zmin = zmin
         self.zmax = zmax
         self.exact = exact
-        if mult_classes is not None:
-            self.mult_classes = {n: c for n, c in mult_classes.items() if not c.is_zero}
-            self.blocks = blocks or {
-                n: multiplication_matrix(target, c) for n, c in self.mult_classes.items()
-            }
-        else:
-            self.mult_classes = None
-            self.blocks = {n: b for n, b in (blocks or {}).items()}
-        for n in self.blocks:
+        self.mult_classes = {n: c for n, c in classes.items() if not c.is_zero}
+        for n in self.mult_classes:
             if not (zmin <= n <= zmax):
                 raise ValueError(f"block at z^{n} outside window")
 
     @staticmethod
     def identity(target: TargetModel, zmin: int = 0, zmax: int = 0) -> "LoopOperator":
-        return LoopOperator(target, zmin, zmax,
-                            mult_classes={0: target.unit_everywhere()}, exact=True)
-
-    @staticmethod
-    def from_classes(target: TargetModel, classes: Dict[int, CohClass],
-                     zmin: int, zmax: int, exact: bool = False) -> "LoopOperator":
-        return LoopOperator(target, zmin, zmax, mult_classes=classes, exact=exact)
+        return LoopOperator(target, zmin, zmax, {0: target.unit_everywhere()}, exact=True)
 
     def block(self, n: int) -> Matrix:
-        size = len(self.target.flat_basis)
-        return self.blocks.get(n, [[SCALAR_ZERO] * size for _ in range(size)])
-
-    @property
-    def is_multiplication(self) -> bool:
-        return self.mult_classes is not None
+        """The z^n block as a matrix on the flat basis."""
+        return multiplication_matrix(self.target,
+                                     self.mult_classes.get(n, self.target.zero_class()))
 
     # -- algebra
 
@@ -95,30 +82,10 @@ class LoopOperator:
             zmax = self.zmax
         else:
             zmax = min(self.zmax, o.zmax)
-        blocks = {}
-        for n in range(zmin, zmax + 1):
-            m = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.block(n), o.block(n))]
-            if not mat_is_zero(m):
-                blocks[n] = m
-        mult = None
-        if self.is_multiplication and o.is_multiplication:
-            mult = {}
-            for n in range(zmin, zmax + 1):
-                c = self.mult_classes.get(n, self.target.zero_class()) + \
-                    o.mult_classes.get(n, self.target.zero_class())
-                if not c.is_zero:
-                    mult[n] = c
-        return LoopOperator(self.target, zmin, zmax, blocks=blocks, mult_classes=mult,
-                            exact=self.exact and o.exact)
-
-    def scale(self, c: Scalar) -> "LoopOperator":
-        c = sc(c)
-        blocks = {n: [[x * c for x in row] for row in b] for n, b in self.blocks.items()}
-        mult = None
-        if self.is_multiplication:
-            mult = {n: cls.scale(c) for n, cls in self.mult_classes.items()}
-        return LoopOperator(self.target, self.zmin, self.zmax, blocks=blocks,
-                            mult_classes=mult, exact=self.exact)
+        zero = self.target.zero_class()
+        classes = {n: self.mult_classes.get(n, zero) + o.mult_classes.get(n, zero)
+                   for n in range(zmin, zmax + 1)}
+        return LoopOperator(self.target, zmin, zmax, classes, exact=self.exact and o.exact)
 
     def compose(self, o: "LoopOperator") -> "LoopOperator":
         """(self . o)(z): blocks C_n = sum_{a+b=n} A_a B_b.
@@ -136,44 +103,19 @@ class LoopOperator:
         zmax = min(caps) if caps else self.zmax + o.zmax
         if zmin > zmax:
             raise TruncationTooNarrow("composition window is empty")
-        blocks: Dict[int, Matrix] = {}
-        for a, ba in self.blocks.items():
-            for b, bb in o.blocks.items():
-                n = a + b
-                if not (zmin <= n <= zmax):
-                    continue
-                prod = mat_mul(ba, bb)
-                if n in blocks:
-                    blocks[n] = [[x + y for x, y in zip(r1, r2)]
-                                 for r1, r2 in zip(blocks[n], prod)]
-                else:
-                    blocks[n] = prod
-        blocks = {n: b for n, b in blocks.items() if not mat_is_zero(b)}
-        return LoopOperator(self.target, zmin, zmax, blocks=blocks,
-                            exact=self.exact and o.exact)
+        classes = _zpoly_mul(self.target, self.mult_classes, o.mult_classes, zmin, zmax)
+        return LoopOperator(self.target, zmin, zmax, classes, exact=self.exact and o.exact)
 
     def flip_z(self) -> "LoopOperator":
         """M(z) -> M(-z): blocks keep their exponent, odd ones change sign."""
-        blocks = {}
-        mult = {} if self.is_multiplication else None
-        for n, b in self.blocks.items():
-            blocks[n] = [[x if n % 2 == 0 else -x for x in row] for row in b]
-        if mult is not None:
-            for n, c in self.mult_classes.items():
-                mult[n] = c if n % 2 == 0 else c.scale(sc(-1))
-        return LoopOperator(self.target, self.zmin, self.zmax, blocks=blocks,
-                            mult_classes=mult, exact=self.exact)
+        classes = {n: c if n % 2 == 0 else -c for n, c in self.mult_classes.items()}
+        return LoopOperator(self.target, self.zmin, self.zmax, classes, exact=self.exact)
 
     def sub_identity(self) -> "LoopOperator":
         """self - 1, for residual reporting."""
-        eye = mat_eye(len(self.target.flat_basis))
-        blocks = {n: [row[:] for row in b] for n, b in self.blocks.items()}
-        zero_blk = blocks.setdefault(0, [[SCALAR_ZERO] * len(eye) for _ in range(len(eye))])
-        blocks[0] = [[x - e for x, e in zip(r1, r2)] for r1, r2 in zip(zero_blk, eye)]
-        if mat_is_zero(blocks[0]):
-            del blocks[0]
-        return LoopOperator(self.target, self.zmin, self.zmax, blocks=blocks,
-                            exact=self.exact)
+        classes = dict(self.mult_classes)
+        classes[0] = classes.get(0, self.target.zero_class()) - self.target.unit_everywhere()
+        return LoopOperator(self.target, self.zmin, self.zmax, classes, exact=self.exact)
 
     def apply(self, e: GiventalElement) -> GiventalElement:
         zmin = e.zmin + self.zmin
@@ -185,30 +127,24 @@ class LoopOperator:
             raise TruncationTooNarrow("operator application window is empty")
         out = GiventalElement(self.target, zmin, zmax, e.dmax)
         for (n, d), cls in e.data.items():
-            for a, blk in self.blocks.items():
+            for a, c in self.mult_classes.items():
                 m = n + a
                 if zmin <= m <= zmax:
-                    out.add_to(m, d, mat_apply_class(self.target, blk, cls))
+                    out.add_to(m, d, c.mul(cls))
         return out
 
 
 # -- adjoints ------------------------------------------------------------------
 
 
-def adjoint(t: TargetModel, M: LoopOperator,
-            gram: Optional[Matrix] = None) -> LoopOperator:
-    """Blockwise adjoint with respect to the orbifold pairing (or a supplied Gram matrix).
+def adjoint(t: TargetModel, M: LoopOperator) -> LoopOperator:
+    """Blockwise adjoint with respect to the orbifold pairing.
 
-    Multiplication operators stay multiplication operators: the adjoint of
-    multiplication by a class is multiplication by its involution transport.
+    The adjoint of multiplication by a class is multiplication by its
+    involution transport.
     """
-    if gram is None and M.is_multiplication:
-        mult = {n: t.involution_transport(c) for n, c in M.mult_classes.items()}
-        return LoopOperator(t, M.zmin, M.zmax, mult_classes=mult, exact=M.exact)
-    g = gram if gram is not None else gram_matrix(t)
-    g_inv = mat_inv(g)
-    blocks = {n: mat_mul(g_inv, mat_mul(mat_transpose(b), g)) for n, b in M.blocks.items()}
-    return LoopOperator(t, M.zmin, M.zmax, blocks=blocks, exact=M.exact)
+    classes = {n: t.involution_transport(c) for n, c in M.mult_classes.items()}
+    return LoopOperator(t, M.zmin, M.zmax, classes, exact=M.exact)
 
 
 def twisted_gram(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]) -> Matrix:
@@ -234,10 +170,9 @@ def _twisted_gram_direct(t: TargetModel, tw: CohClass) -> Matrix:
 def _residual_report(t: TargetModel, prod: LoopOperator, lo: int, hi: int) -> dict:
     bad = {}
     for n in range(lo, hi + 1):
-        blk = prod.block(n)
-        if not mat_is_zero(blk):
+        if n in prod.mult_classes:
             entries = []
-            for i, row in enumerate(blk):
+            for i, row in enumerate(prod.block(n)):
                 for j, x in enumerate(row):
                     if not x.is_zero:
                         entries.append({
@@ -254,16 +189,10 @@ def _residual_report(t: TargetModel, prod: LoopOperator, lo: int, hi: int) -> di
     }
 
 
-def check_symplectomorphism(t: TargetModel, M: LoopOperator,
-                            zcheck: Optional[Tuple[int, int]] = None) -> dict:
+def check_symplectomorphism(t: TargetModel, M: LoopOperator) -> dict:
     """Report on M*(-z) M(z) - 1 for an operator with completely known support."""
     prod = adjoint(t, M).flip_z().compose(M).sub_identity()
-    lo = zcheck[0] if zcheck else prod.zmin
-    hi = zcheck[1] if zcheck else prod.zmax
-    if lo < prod.zmin or hi > prod.zmax:
-        raise TruncationTooNarrow(
-            f"requested z-range [{lo},{hi}] exceeds reliable [{prod.zmin},{prod.zmax}]")
-    return _residual_report(t, prod, lo, hi)
+    return _residual_report(t, prod, prod.zmin, prod.zmax)
 
 
 def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
@@ -285,8 +214,7 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
             f"product reliable only to z^{prod.zmax}, needed z^{zmax}")
     L = log_delta(t, F, s_values, zmax + depth)
     resid = adjoint(t, L).flip_z() + L
-    report["log_residual_zero"] = all(
-        mat_is_zero(resid.block(n)) for n in range(resid.zmin, resid.zmax + 1))
+    report["log_residual_zero"] = not resid.mult_classes
     return report
 
 
@@ -378,12 +306,12 @@ def euler_s_values(kmax: int, include_log: bool = True) -> List[Scalar]:
 
 
 def log_delta_classes(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
-                      zmax: int, include_z_inverse: bool = True) -> Dict[int, CohClass]:
+                      zmax: int) -> Dict[int, CohClass]:
     """Multiplier classes of log Delta per z-power.
 
     z^(m-1) block (m >= 1): sum_k s_k (A_m)_{k+1-m} / m!;
     z^0 additionally gains sum_k s_k ch_k(F^(0)) / 2;
-    z^(-1) block: sum_k s_k (A_0)_{k+1}  (included by default).
+    z^(-1) block: sum_k s_k (A_0)_{k+1}.
     """
     s = [sc(x) for x in s_values]
     dim = t.dim
@@ -414,19 +342,18 @@ def log_delta_classes(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]
         part = inv.degree_part(2 * k)
         if not part.is_zero:
             add(0, part.scale(sk * sc(Frac(1, 2))))
-    if include_z_inverse:
-        a0 = class_Am(t, F, 0)
-        for k, sk in enumerate(s):
-            if sk.is_zero:
-                continue
-            part = a0.degree_part(2 * (k + 1))
-            if not part.is_zero:
-                add(-1, part.scale(sk))
+    a0 = class_Am(t, F, 0)
+    for k, sk in enumerate(s):
+        if sk.is_zero:
+            continue
+        part = a0.degree_part(2 * (k + 1))
+        if not part.is_zero:
+            add(-1, part.scale(sk))
     return blocks
 
 
 def log_delta(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
-              zmax: int, include_z_inverse: bool = True) -> LoopOperator:
+              zmax: int) -> LoopOperator:
     """log Delta as a multiplication-type loop operator.
 
     For a finite s-list every block above z^(len(s)-1) vanishes, so the
@@ -434,15 +361,15 @@ def log_delta(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     bound; Euler-specialized lists are finite truncations, and callers
     compare their blocks coefficientwise.
     """
-    classes = log_delta_classes(t, F, s_values, zmax, include_z_inverse)
+    classes = log_delta_classes(t, F, s_values, zmax)
     kmax = len(list(s_values)) - 1
     exact = zmax >= kmax  # z^(m-1) blocks need s_{m+h-1}, so support stops at z^kmax
     zmin = min(-1, *classes) if classes else -1
-    return LoopOperator.from_classes(t, classes, zmin, zmax, exact=exact)
+    return LoopOperator(t, zmin, zmax, classes, exact=exact)
 
 
 def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
-                   zmax: int, include_z_inverse: bool = True) -> LoopOperator:
+                   zmax: int) -> LoopOperator:
     """Delta = exp(log Delta), computed per component in the commutative
     multiplier ring H^*(X_i)[z, 1/z] with exact scalar exponentials for the
     (z^0, degree-0) part.
@@ -453,12 +380,12 @@ def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     tail (exact=False).
     """
     zmax_work = zmax + t.dim
-    logs = log_delta_classes(t, F, s_values, zmax_work, include_z_inverse)
+    logs = log_delta_classes(t, F, s_values, zmax_work)
     zmin_out = -max(c.dim for c in t.components) - 1
     exp_classes = _exp_classes(t, logs, zmin_out, zmax_work)
     out_classes = {n: c for n, c in exp_classes.items() if n <= zmax}
     zmin = min([zmin_out] + list(out_classes))
-    return LoopOperator.from_classes(t, out_classes, zmin, zmax, exact=False)
+    return LoopOperator(t, zmin, zmax, out_classes, exact=False)
 
 
 def _zpoly_mul(t: TargetModel, a: Dict[int, CohClass], b: Dict[int, CohClass],
@@ -476,9 +403,9 @@ def _zpoly_mul(t: TargetModel, a: Dict[int, CohClass], b: Dict[int, CohClass],
 
 
 def delta_inverse(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
-                  zmax: int, include_z_inverse: bool = True) -> LoopOperator:
+                  zmax: int) -> LoopOperator:
     neg = [-sc(x) for x in s_values]
-    return delta_operator(t, F, neg, zmax, include_z_inverse)
+    return delta_operator(t, F, neg, zmax)
 
 
 def genus1_prefactor_symbol(t: TargetModel, F: BundleModel) -> str:

@@ -3,7 +3,6 @@
 from .builders import (
     bmu,
     bmu_character,
-    build_target,
     line_bundle_On,
     point,
     projective_space,
@@ -18,10 +17,6 @@ from .model import (
     CohClass,
     Component,
     TargetModel,
-    age_of_bundle,
-    eigen_chern,
-    orbifold_pairing,
-    twisted_pairing,
 )
 
 __all__ = [
@@ -30,11 +25,6 @@ __all__ = [
     "TargetModel",
     "CohClass",
     "BundleModel",
-    "orbifold_pairing",
-    "twisted_pairing",
-    "eigen_chern",
-    "age_of_bundle",
-    "build_target",
     "point",
     "bmu",
     "projective_space",

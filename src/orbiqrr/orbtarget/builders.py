@@ -111,19 +111,6 @@ def weighted_projective(weights: Sequence[int]) -> TargetModel:
                        c1_tangent_pairing=(Frac(sum(weights)),))
 
 
-def build_target(kind: str, *params) -> TargetModel:
-    kind = kind.lower()
-    if kind == "point":
-        return point()
-    if kind in ("bmur", "bmu"):
-        return bmu(int(params[0]))
-    if kind in ("pn", "p"):
-        return projective_space(int(params[0]))
-    if kind == "wps":
-        return weighted_projective([int(w) for w in params])
-    raise InvalidParams(f"unknown target kind {kind!r}")
-
-
 # -- bundle constructors --------------------------------------------------------
 
 

@@ -71,8 +71,7 @@ class TargetModel:
     def __init__(self, name: str, dim: int, curve_rank: int,
                  components: Sequence[Component],
                  c1_tangent_pairing: Tuple[Frac, ...] = (),
-                 jfunction_file: Optional[str] = None,
-                 validate: bool = True):
+                 jfunction_file: Optional[str] = None):
         self.name = name
         self.dim = dim
         self.curve_rank = curve_rank
@@ -89,8 +88,7 @@ class TargetModel:
             (c.cid, i) for c in self.components for i in range(len(c.basis))
         ]
         self.flat_index = {key: n for n, key in enumerate(self.flat_basis)}
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- validation ---------------------------------------------------------
 
@@ -334,16 +332,14 @@ class BundleModel:
                  eigen: Dict[Tuple[str, int], CohClass],
                  pulled_back: bool = False,
                  c1_pairing: Tuple[Frac, ...] = (),
-                 lines: Optional[List[Tuple[Tuple[Frac, ...], CohClass]]] = None,
-                 validate: bool = True):
+                 lines: Optional[List[Tuple[Tuple[Frac, ...], CohClass]]] = None):
         self.name = name
         self.target = target
         self.eigen = {k: v for k, v in eigen.items() if not v.is_zero}
         self.pulled_back = pulled_back
         self.c1_pairing = tuple(Frac(x) for x in c1_pairing) or (Frac(0),) * target.curve_rank
         self.lines = lines
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- accessors -------------------------------------------------------------
 
@@ -396,14 +392,7 @@ class BundleModel:
 
     def sqrt_twist_class(self, s_values: Sequence[Scalar]) -> CohClass:
         """sqrt(c((q^*F)^inv)) = exp of half the log; may introduce lambda^(1/2)."""
-        log = self.target.zero_class()
-        inv = self.invariant_part()
-        for k, s_k in enumerate(s_values):
-            s_k = sc(s_k)
-            if s_k.is_zero:
-                continue
-            log = log + inv.degree_part(2 * k).scale(s_k * sc(Frac(1, 2)))
-        return log.exp()
+        return self.twist_class([sc(s_k) * sc(Frac(1, 2)) for s_k in s_values])
 
     # -- validation --------------------------------------------------------------
 
@@ -474,19 +463,3 @@ def _det(m: List[List[Frac]]) -> Frac:
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return det
-
-
-def orbifold_pairing(t: TargetModel, a: CohClass, b: CohClass) -> Scalar:
-    return t.orbifold_pairing(a, b)
-
-
-def twisted_pairing(t: TargetModel, F: BundleModel, s_values, a: CohClass, b: CohClass) -> Scalar:
-    return t.twisted_pairing(F, s_values, a, b)
-
-
-def eigen_chern(t: TargetModel, F: BundleModel, cid: str, l: int, k: int) -> CohClass:
-    return F.eigen_chern(cid, l, k)
-
-
-def age_of_bundle(t: TargetModel, F: BundleModel, cid: str) -> Frac:
-    return F.age_on(cid)

@@ -276,8 +276,7 @@ def test_criterion_9_negative_controls():
         tp = point()
         table = build_point_table(tp, 6)
         slot = ("0", 0)
-        table.set((0,), [(slot, 1), (slot, 0), (slot, 0), (slot, 0)], sc(2),
-                  provenance="corrupted")
+        table.set((0,), [(slot, 1), (slot, 0), (slot, 0), (slot, 0)], sc(2))
         report = check_universal_equation("string", table)
         assert not report["ok"]
         bad = [v for v in report["violations"] if v["n"] == 4]

@@ -269,6 +269,34 @@ class TestCache:
         assert json.loads(out2)["cache"] == "cached"
         assert out2 == out1.replace('"cache": "computed"', '"cache": "cached"')
 
+    @pytest.mark.parametrize("argv", [
+        ["delta", "--target", "Bmu8", "--bundle", "char:3", "--euler", "--zmax", "3"],
+        ["ifunction", "--target", "P1", "--bundle", "O2", "--max-degree", "1"],
+    ])
+    def test_hit_skips_the_bundle_model(self, capsys, tmp_path, monkeypatch, argv):
+        from orbiqrr.orbtarget import BundleModel
+        argv = ["--cache-dir", str(tmp_path / "cache")] + argv
+        code1, out1, _ = run(capsys, *argv)
+
+        def boom(self):
+            raise AssertionError("a cache hit must not build and validate the bundle")
+
+        monkeypatch.setattr(BundleModel, "validate", boom)
+        code2, out2, _ = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert json.loads(out1)["cache"] == "computed"
+        assert out2 == out1.replace('"cache": "computed"', '"cache": "cached"')
+
+    @pytest.mark.parametrize("bundle", ["Oxx", "nosuch"])
+    def test_bad_bundle_stores_nothing(self, capsys, tmp_path, bundle):
+        cache = tmp_path / "cache"
+        for _ in range(2):
+            code, _out, err = run(capsys, "--cache-dir", str(cache), "delta", "--target",
+                                  "P1", "--bundle", bundle, "--euler", "--zmax", "2")
+            assert code == 2
+            assert json.loads(err)["error"]["code"] == "UsageError"
+        assert not os.path.exists(cache) or not os.listdir(cache)
+
     def test_delta_euler_rejects_the_symplectic_check(self, capsys, tmp_path):
         code, _out, _err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "delta",
                                "--target", "point", "--bundle", "trivial", "--euler",

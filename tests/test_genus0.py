@@ -81,8 +81,7 @@ class TestUniversalEquations:
         t = point()
         table = build_point_table(t, 6)
         slot = ("0", 0)
-        table.set((0,), [(slot, 1), (slot, 0), (slot, 0), (slot, 0)], sc(2),
-                  provenance="corrupted")
+        table.set((0,), [(slot, 1), (slot, 0), (slot, 0), (slot, 0)], sc(2))
         report = check_universal_equation("string", table)
         assert not report["ok"]
         assert any(v["n"] == 4 for v in report["violations"])
@@ -112,13 +111,13 @@ class TestUniversalEquations:
         t = projective_space(1)
         table = CorrelatorTable(t)
         one, p = ("0", 0), ("0", 1)
-        table.set((0,), [(one, 0), (one, 0), (p, 0)], sc(1), provenance="builtin")
-        table.set((1,), [(p, 0), (p, 0)], sc(1), provenance="builtin")
-        table.set((1,), [(p, 0), (p, 0), (p, 0)], sc(1), provenance="builtin")
-        table.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(1), provenance="builtin")
-        table.set((1,), [(one, 0), (p, 0), (p, 0)], sc(0), provenance="builtin")
-        table.set((1,), [(one, 1), (p, 0), (p, 0)], sc(0), provenance="builtin")
-        table.set((1,), [(one, 1), (p, 0), (p, 0), (p, 0)], sc(1), provenance="builtin")
+        table.set((0,), [(one, 0), (one, 0), (p, 0)], sc(1))
+        table.set((1,), [(p, 0), (p, 0)], sc(1))
+        table.set((1,), [(p, 0), (p, 0), (p, 0)], sc(1))
+        table.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(1))
+        table.set((1,), [(one, 0), (p, 0), (p, 0)], sc(0))
+        table.set((1,), [(one, 1), (p, 0), (p, 0)], sc(0))
+        table.set((1,), [(one, 1), (p, 0), (p, 0), (p, 0)], sc(1))
         return t, table
 
     def test_p1_divisor_equation_real_instances(self):
@@ -138,7 +137,7 @@ class TestUniversalEquations:
     def test_p1_divisor_catches_corruption(self):
         t, table = self._p1_table()
         p = ("0", 1)
-        table.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(5), provenance="corrupted")
+        table.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(5))
         report = check_universal_equation("divisor", table)
         assert not report["ok"]
 

@@ -199,3 +199,27 @@ class TestSerreCone:
         s = [sc(0), sc(Frac(2, 7)), sc(Frac(1, 5))]
         report = check_serre_cone(t, F, s, 3)
         assert report["ok"], report
+
+    def test_a_wrong_dual_is_pinpointed_blockwise(self, monkeypatch):
+        """With F in place of F^dual, the offending z-powers are those where the
+        matrices of the two operators differ."""
+        from orbiqrr import serre
+        from orbiqrr.loopops import delta_operator, log_delta
+        t = bmu(3)
+        F = bmu_character(t, 1)
+        s = [sc(0), sc(Frac(2, 7)), sc(Frac(1, 5))]
+        sd = dual_s_values(s)
+        zmax = 3
+        monkeypatch.setattr(serre, "dual_bundle", lambda G: G)
+        report = check_serre_cone(t, F, s, zmax)
+        L, Ld = log_delta(t, F, s, zmax), log_delta(t, F, sd, zmax)
+        depth = max(c.dim for c in t.components) + 1
+        D, Dd = delta_operator(t, F, s, zmax + depth), delta_operator(t, F, sd, zmax + depth)
+        want_log = [n for n in range(min(L.zmin, Ld.zmin), zmax + 1)
+                    if L.block(n) != Ld.block(n)]
+        want_delta = [n for n in range(D.zmin, zmax + 1) if D.block(n) != Dd.block(n)]
+        assert want_log and want_delta
+        assert report["offending_log_blocks"] == want_log
+        assert report["offending_delta_blocks"] == want_delta
+        assert not report["log_blocks_equal"] and not report["delta_blocks_equal"]
+        assert not report["ok"]
