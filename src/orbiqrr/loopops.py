@@ -12,7 +12,7 @@ matrix on the flat basis is derived on demand, for reports that list entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .bernoulli import bernoulli_value
 from .errors import TruncationTooNarrow
@@ -150,10 +150,6 @@ def adjoint(t: TargetModel, M: LoopOperator) -> LoopOperator:
 def twisted_gram(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]) -> Matrix:
     """Gram matrix of the twisted pairing (a, b)_{(c,F)} on the flat basis."""
     tw = F.twist_class([sc(x) for x in s_values])
-    return _twisted_gram_direct(t, tw)
-
-
-def _twisted_gram_direct(t: TargetModel, tw: CohClass) -> Matrix:
     n = len(t.flat_basis)
     out = [[SCALAR_ZERO] * n for _ in range(n)]
     for i, (cid_a, ai) in enumerate(t.flat_basis):
@@ -206,13 +202,12 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
     multiplication blocks commute).
     """
     depth = max(c.dim for c in t.components) + 1
-    d = delta_operator(t, F, s_values, zmax + depth)
+    L, d = _log_delta_and_delta(t, F, s_values, zmax + depth, zmax + depth)
     prod = adjoint(t, d).flip_z().compose(d)
     report = _residual_report(t, prod.sub_identity(), prod.zmin, min(zmax, prod.zmax))
     if prod.zmax < zmax:
         raise TruncationTooNarrow(
             f"product reliable only to z^{prod.zmax}, needed z^{zmax}")
-    L = log_delta(t, F, s_values, zmax + depth)
     resid = adjoint(t, L).flip_z() + L
     report["log_residual_zero"] = not resid.mult_classes
     return report
@@ -256,10 +251,9 @@ def _exp_classes(t: TargetModel, logs: Dict[int, CohClass],
     return out
 
 
-def is_infinitesimally_symplectic(t: TargetModel, B: Matrix, m: int,
-                                  gram: Optional[Matrix] = None) -> bool:
+def is_infinitesimally_symplectic(t: TargetModel, B: Matrix, m: int) -> bool:
     """B z^m is infinitesimally symplectic iff B* = (-1)^(m+1) B."""
-    g = gram if gram is not None else gram_matrix(t)
+    g = gram_matrix(t)
     badj = mat_mul(mat_inv(g), mat_mul(mat_transpose(B), g))
     sign = sc((-1) ** (m + 1))
     diff = [[x - y * sign for x, y in zip(r1, r2)] for r1, r2 in zip(badj, B)]
@@ -361,7 +355,12 @@ def log_delta(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     bound; Euler-specialized lists are finite truncations, and callers
     compare their blocks coefficientwise.
     """
-    classes = log_delta_classes(t, F, s_values, zmax)
+    return _log_delta_from(t, log_delta_classes(t, F, s_values, zmax), s_values, zmax)
+
+
+def _log_delta_from(t: TargetModel, classes: Dict[int, CohClass],
+                    s_values: Sequence[Scalar], zmax: int) -> LoopOperator:
+    """log Delta from its blocks through zmax."""
     kmax = len(list(s_values)) - 1
     exact = zmax >= kmax  # z^(m-1) blocks need s_{m+h-1}, so support stops at z^kmax
     zmin = min(-1, *classes) if classes else -1
@@ -379,13 +378,27 @@ def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     emitted block <= zmax is exact.  Delta itself keeps an unknown upward
     tail (exact=False).
     """
+    return _delta_from(t, log_delta_classes(t, F, s_values, zmax + t.dim), zmax)
+
+
+def _delta_from(t: TargetModel, logs: Dict[int, CohClass], zmax: int) -> LoopOperator:
+    """Delta through zmax from the log blocks through zmax + dim(X)."""
     zmax_work = zmax + t.dim
-    logs = log_delta_classes(t, F, s_values, zmax_work)
     zmin_out = -max(c.dim for c in t.components) - 1
     exp_classes = _exp_classes(t, logs, zmin_out, zmax_work)
     out_classes = {n: c for n, c in exp_classes.items() if n <= zmax}
     zmin = min([zmin_out] + list(out_classes))
     return LoopOperator(t, zmin, zmax, out_classes, exact=False)
+
+
+def _log_delta_and_delta(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
+                         log_zmax: int, delta_zmax: int) -> Tuple[LoopOperator, LoopOperator]:
+    """log_delta(..., log_zmax) and delta_operator(..., delta_zmax) from one
+    expansion of the log blocks: a block of log Delta does not depend on the
+    window, so the narrower window's blocks are the wider one's up to its top."""
+    logs = log_delta_classes(t, F, s_values, max(log_zmax, delta_zmax + t.dim))
+    narrow = {n: c for n, c in logs.items() if n <= log_zmax}
+    return _log_delta_from(t, narrow, s_values, log_zmax), _delta_from(t, logs, delta_zmax)
 
 
 def _zpoly_mul(t: TargetModel, a: Dict[int, CohClass], b: Dict[int, CohClass],

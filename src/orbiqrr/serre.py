@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import CyclotomicOrderTooSmall
 from .exactalg import SCALAR_ONE, Scalar, root_of_unity, sc
 from .givental import GiventalElement
-from .loopops import class_Am, delta_operator, euler_s_values, log_delta
+from .loopops import _log_delta_and_delta, class_Am, euler_s_values
 from .orbtarget import BundleModel, CohClass, TargetModel
 
 Frac = Fraction
@@ -145,12 +145,10 @@ def check_serre_cone(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     s = [sc(x) for x in s_values]
     sd = dual_s_values(s)
     Fd = dual_bundle(F)
-    L = log_delta(t, F, s, zmax)
-    Ld = log_delta(t, Fd, sd, zmax)
-    log_resid = _differing_blocks(t, L, Ld, min(L.zmin, Ld.zmin), zmax)
     depth = max(c.dim for c in t.components) + 1
-    D = delta_operator(t, F, s, zmax + depth)
-    Dd = delta_operator(t, Fd, sd, zmax + depth)
+    L, D = _log_delta_and_delta(t, F, s, zmax, zmax + depth)
+    Ld, Dd = _log_delta_and_delta(t, Fd, sd, zmax, zmax + depth)
+    log_resid = _differing_blocks(t, L, Ld, min(L.zmin, Ld.zmin), zmax)
     delta_resid = _differing_blocks(t, D, Dd, D.zmin, zmax)
     tw = F.twist_class(s)
     twd = Fd.twist_class(sd)

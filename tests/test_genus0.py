@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbiqrr.errors import (
@@ -34,9 +35,17 @@ from orbiqrr.genus0 import (
     small_expansion,
 )
 from orbiqrr.genus0.jfunction import JFunction, LinForm
-from orbiqrr.genus0.lefschetz import _spread_untwisted
+from orbiqrr.genus0.lefschetz import _rising_coefficients, _spread_untwisted
 from orbiqrr.givental import GiventalElement
-from orbiqrr.orbtarget import bmu, line_bundle_On, point, projective_space, weighted_projective
+from orbiqrr.orbtarget import (
+    BundleModel,
+    CohClass,
+    bmu,
+    line_bundle_On,
+    point,
+    projective_space,
+    weighted_projective,
+)
 
 from oracles import quintic_instanton_numbers, string_recursion_point_correlator
 
@@ -409,20 +418,56 @@ def _per_slice_modification(t, F, J, nonequivariant=False):
                      novikov_twist=J.novikov_twist)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n + 1))),
-    st.integers(min_value=1, max_value=3), st.booleans())
-def test_one_factor_chain_per_degree_matches_per_slice(n_m, dmax, nonequivariant):
-    n, m = n_m
+def _split_bundle(t, degrees):
+    """O(m_1) + O(m_2) + ... on P^n, one ``lines`` entry per summand."""
+    ch = t.zero_class()
+    for m in degrees:
+        ch = ch + line_bundle_On(t, m).eigen_class("0", 0)
+    lines = [((Frac(m),), CohClass(t, {("0", 1): sc(m)})) for m in degrees]
+    return BundleModel("+".join(f"O{m}" for m in degrees), t, {("0", 0): ch},
+                       pulled_back=True, c1_pairing=(Frac(sum(degrees)),), lines=lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n + 1).map(
+            lambda m: (m,)))),
+    st.tuples(st.sampled_from((3, 4)), st.just((1, 2)))),
+    st.integers(min_value=1, max_value=4), st.booleans())
+@example((3, (1, 2)), 4, False)
+@example((4, (1, 2)), 4, False)
+@example((4, (1, 2)), 4, True)
+@example((4, (5,)), 4, False)
+@example((4, (5,)), 4, True)
+def test_one_factor_chain_per_degree_matches_per_slice(n_degrees, dmax, nonequivariant):
+    """The closed-form product equals a fresh factor chain per (z^n, d) slice,
+    for single lines and for split bundles with one chain per line."""
+    n, degrees = n_degrees
     j = j_closed_form_Pn(n, dmax)
     t = j.target
-    F = line_bundle_On(t, m)
+    F = line_bundle_On(t, degrees[0]) if len(degrees) == 1 else _split_bundle(t, degrees)
     grouped = hypergeometric_modification(t, F, j, nonequivariant=nonequivariant).series
     per_slice = _per_slice_modification(t, F, j, nonequivariant).series
     assert grouped.data == per_slice.data
     assert ((grouped.zmin, grouped.zmax, grouped.dmax)
             == (per_slice.zmin, per_slice.zmax, per_slice.dmax))
+
+
+def test_rising_coefficients_are_stirling_numbers():
+    # prod_{k=1..s} (y + k) = sum_i [s+1, i+1] y^i, whose coefficients sum to (s+1)!
+    stirling = {
+        1: (1, 1),
+        2: (2, 3, 1),
+        3: (6, 11, 6, 1),
+        4: (24, 50, 35, 10, 1),
+        5: (120, 274, 225, 85, 15, 1),
+        6: (720, 1764, 1624, 735, 175, 21, 1),
+    }
+    assert _rising_coefficients(0) == (1,)
+    for s, want in stirling.items():
+        assert _rising_coefficients(s) == want
+        assert sum(_rising_coefficients(s)) == factorial(s + 1)
 
 
 class TestLimitFirst:
