@@ -215,35 +215,60 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
 
 def _exp_classes(t: TargetModel, logs: Dict[int, CohClass],
                  zmin: int, zmax: int) -> Dict[int, CohClass]:
-    """exp of commuting multiplication blocks, componentwise (no scalar head split:
-    callers must ensure the (z^0, degree-0) part is exp-able)."""
+    """exp of commuting multiplication blocks, componentwise, on [zmin, zmax].
+
+    On each component X_i the (z^0, degree-0) scalar is the head, exponentiated
+    exactly by ``Scalar.exp`` (callers ensure it is exp-able).  Every other part
+    of the log splits into pieces z^n x with x homogeneous of real degree deg,
+    of weight w = n + deg.  The log blocks of Delta have w >= 1 (their z^(-1)
+    blocks have degree >= 2); a piece of weight <= 0 raises
+    TruncationTooNarrow.  Cup products on X_i are graded, so weight is
+    additive and D(x) = w x is a derivation; D(E) = D(L) E for E = exp(L) gives
+    the weight-graded recurrence (Brent-Kung, JACM 1978)
+
+        E_0 = 1_i,   E_w = (1/w) sum_{u=1..w} (u L_u) E_(w-u),
+
+    with O(W^2) class products for a window of W z-powers, where the power
+    series sum_j L^j / j! takes O(W^3).  A block at z^n <= zmax has weight at
+    most zmax + 2 dim X_i, which is where the recurrence stops.  Products
+    outside [zmin, zmax] are dropped (see ``delta_operator`` for which blocks
+    that leaves exact).
+    """
     out: Dict[int, CohClass] = {}
     for comp in t.components:
         cid = comp.cid
         head = SCALAR_ZERO
-        rest: Dict[int, CohClass] = {}
+        pieces: Dict[int, Dict[int, Dict[Tuple[str, int], Scalar]]] = {}
         for n, cls in logs.items():
-            on_i = cls.restrict(cid)
-            if on_i.is_zero:
-                continue
-            if n == 0:
-                c0 = on_i.coeff(cid, 0)
-                head = head + c0
-                on_i = on_i - CohClass(t, {(cid, 0): c0})
-            if not on_i.is_zero:
-                rest[n] = rest.get(n, t.zero_class()) + on_i
+            for (c, idx), v in cls.terms.items():
+                if c != cid:
+                    continue
+                if n == 0 and idx == 0:
+                    head = head + v
+                    continue
+                w = n + comp.basis[idx].degree
+                if w <= 0:
+                    raise TruncationTooNarrow(
+                        f"log block at z^{n} has a piece of weight {w} on component {cid}; "
+                        "the weight-graded exponential needs weight >= 1")
+                pieces.setdefault(w, {}).setdefault(n, {})[(cid, idx)] = v * sc(w)
+        scaled = {w: {n: CohClass(t, terms) for n, terms in by_n.items()}
+                  for w, by_n in pieces.items()}
+        unit = t.unit(cid)
+        E: List[Dict[int, CohClass]] = [{0: unit}]
+        acc = {0: unit}
+        for w in range(1, zmax + 2 * comp.dim + 1):
+            sums: Dict[int, CohClass] = {}
+            for u, Lu in scaled.items():
+                if u > w or not E[w - u]:
+                    continue
+                for n, c in _zpoly_mul(t, Lu, E[w - u], zmin, zmax).items():
+                    sums[n] = sums[n] + c if n in sums else c
+            Ew = {n: c.scale(Frac(1, w)) for n, c in sums.items() if not c.is_zero}
+            E.append(Ew)
+            for n, c in Ew.items():
+                acc[n] = acc[n] + c if n in acc else c
         scalar_factor = head.exp()
-        acc = {0: t.unit(cid)}
-        term = {0: t.unit(cid)}
-        j = 0
-        while term:
-            j += 1
-            term = _zpoly_mul(t, term, rest, zmin, zmax)
-            term = {n: c.scale(Frac(1, j)) for n, c in term.items() if not c.is_zero}
-            for n, c in term.items():
-                acc[n] = acc.get(n, t.zero_class()) + c
-            if j > 4 * (t.dim + zmax - zmin + 2):
-                raise TruncationTooNarrow("exp series failed to terminate")
         for n, c in acc.items():
             c = c.scale(scalar_factor)
             if not c.is_zero:
@@ -277,11 +302,6 @@ def class_Am(t: TargetModel, F: BundleModel, m: int) -> CohClass:
             if w:
                 out = out + cls.scale(sc(w))
     return out
-
-
-def class_Am_degree(t: TargetModel, F: BundleModel, m: int, h: int) -> CohClass:
-    """(A_m)_h: the real-degree-2h part."""
-    return class_Am(t, F, m).degree_part(2 * h)
 
 
 def euler_s_values(kmax: int, include_log: bool = True) -> List[Scalar]:
@@ -322,13 +342,14 @@ def log_delta_classes(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]
         n = m - 1
         if n > zmax:
             break
-        for h in range(0, dim + 1):
-            k = m + h - 1
-            if k >= len(s) or s[k].is_zero:
-                continue
-            part = class_Am_degree(t, F, m, h)
+        hs = [h for h in range(dim + 1) if m + h - 1 < len(s) and not s[m + h - 1].is_zero]
+        if not hs:
+            continue
+        am = class_Am(t, F, m)
+        for h in hs:
+            part = am.degree_part(2 * h)
             if not part.is_zero:
-                add(n, part.scale(s[k] * sc(Frac(1, fact))))
+                add(n, part.scale(s[m + h - 1] * sc(Frac(1, fact))))
     inv = F.invariant_part()
     for k, sk in enumerate(s):
         if sk.is_zero:
@@ -373,10 +394,11 @@ def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     multiplier ring H^*(X_i)[z, 1/z] with exact scalar exponentials for the
     (z^0, degree-0) part.
 
-    The log is expanded with z-headroom dim(X): products of high blocks with
-    nilpotent z^(-1) blocks can step back down at most dim(X) times, so every
-    emitted block <= zmax is exact.  Delta itself keeps an unknown upward
-    tail (exact=False).
+    The exponential (``_exp_classes``) runs on the z-window up to zmax + dim(X)
+    and drops every product above it.  A dropped term can step back down only
+    through z^(-1) blocks, which are nilpotent (degree >= 2), so at most dim(X)
+    times: every emitted block <= zmax is exact.  Delta itself keeps an
+    unknown upward tail (exact=False).
     """
     return _delta_from(t, log_delta_classes(t, F, s_values, zmax + t.dim), zmax)
 

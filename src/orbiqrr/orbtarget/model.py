@@ -133,6 +133,24 @@ class TargetModel:
                     if c.pairing[a][b_] != p.pairing[b_][a]:
                         raise InvariantViolation("pairing symmetry",
                                                  f"pairing of {c.cid}/{p.cid} not symmetric")
+            # loopops._exp_classes relies on deg(a b) = deg a + deg b
+            n_basis = len(c.basis)
+            for (a, b_), prod in c.mult.items():
+                for g, w in prod.items():
+                    if not w:
+                        continue
+                    if not all(0 <= i < n_basis for i in (a, b_, g)):
+                        raise InvariantViolation(
+                            "graded product",
+                            f"component {c.cid}: mult entry ({a}, {b_}) -> {g} "
+                            "names a missing basis entry")
+                    if c.basis[g].degree != c.basis[a].degree + c.basis[b_].degree:
+                        raise InvariantViolation(
+                            "graded product",
+                            f"component {c.cid}: mult entry ({c.basis[a].name}, "
+                            f"{c.basis[b_].name}) -> {c.basis[g].name} has degree "
+                            f"{c.basis[g].degree}, not "
+                            f"{c.basis[a].degree} + {c.basis[b_].degree}")
 
     # -- classes -------------------------------------------------------------
 

@@ -61,12 +61,17 @@ def dual_bundle(F: BundleModel) -> BundleModel:
 
 def dual_variable_map(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
                       tvec: GiventalElement) -> GiventalElement:
-    """t^dual(z) = c((q^*F)^inv) t(z) + (1 - c((q^*F)^inv)) z."""
+    """t^dual(z) = c((q^*F)^inv) t(z) + (1_0 - c((q^*F)^inv) 1_0) z.
+
+    The dilaton shift z sits on the untwisted unit 1_0 only (as in the sample
+    points ``check_serre_cone`` reads), so the correction is the
+    untwisted-sector part of 1 - c.
+    """
     tw = F.twist_class([sc(x) for x in s_values])
     out = tvec.mul_class(tw)
     if out.zmax < 1:
         out = out.copy_window(out.zmin, 1, out.dmax)
-    one_minus = t.unit_everywhere() - tw
+    one_minus = (t.unit_everywhere() - tw).mul(t.unit())
     if not one_minus.is_zero:
         out.add_to(1, (0,) * t.curve_rank, one_minus)
     return out

@@ -13,7 +13,6 @@ from orbiqrr.loopops import (
     check_delta_symplectomorphism,
     check_symplectomorphism,
     class_Am,
-    class_Am_degree,
     delta_inverse,
     delta_operator,
     euler_s_values,

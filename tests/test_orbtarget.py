@@ -268,6 +268,20 @@ class TestConfig:
         with pytest.raises(InvariantViolation, match="age reciprocity"):
             load_target(json.dumps(obj))
 
+    def test_ungraded_product_rejected(self):
+        """p * p -> p breaks deg(a b) = deg a + deg b; the error names the
+        component and the entry."""
+        obj = target_to_obj(projective_space(2), [])
+        obj["components"][0]["mult"].append([1, 1, 1, "3"])
+        with pytest.raises(InvariantViolation,
+                           match=r"graded product: component 0: mult entry \(p, p\) -> p"):
+            load_target(json.dumps(obj))
+        obj["components"][0]["mult"][-1] = [1, 1, 7, "1"]
+        with pytest.raises(InvariantViolation, match="graded product.*missing basis entry"):
+            load_target(json.dumps(obj))
+        obj["components"][0]["mult"][-1] = [1, 1, 1, "0"]   # a zero entry carries no degree
+        assert load_target(json.dumps(obj))[0].dim == 2
+
     def test_schema_error_paths(self):
         with pytest.raises(SchemaError, match=r"\$"):
             load_target("not json")

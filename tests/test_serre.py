@@ -14,6 +14,8 @@ from orbiqrr.orbtarget import (
     point,
     projective_space,
     trivial_bundle,
+    weighted_projective,
+    wps_pullback_line,
 )
 from orbiqrr.serre import (
     check_serre_cone,
@@ -199,6 +201,27 @@ class TestSerreCone:
         s = [sc(0), sc(Frac(2, 7)), sc(Frac(1, 5))]
         report = check_serre_cone(t, F, s, 3)
         assert report["ok"], report
+
+    @pytest.mark.parametrize("s", [
+        [Scalar.log_lambda()],
+        [Scalar.log_lambda() * sc(2), sc(1)],
+        [Scalar.log_lambda(), sc(Frac(1, 2)), sc(Frac(-1, 3)), sc(Frac(2, 7))],
+    ], ids=["L", "2L,1", "L,1/2,-1/3,2/7"])
+    @pytest.mark.parametrize("target, bundle, arg", [
+        (lambda: weighted_projective([1, 1, 2]), wps_pullback_line, 1),
+        (lambda: weighted_projective([1, 2, 3]), wps_pullback_line, 2),
+        (lambda: projective_space(1), line_bundle_On, 1),
+        (lambda: projective_space(2), line_bundle_On, 1),
+        (lambda: bmu(2), bmu_character, 1),
+        (lambda: bmu(3), bmu_character, 1),
+        (lambda: bmu(5), bmu_character, 1),
+    ], ids=["WPS112/O1", "WPS123/O2", "P1/O1", "P2/O1", "Bmu2", "Bmu3", "Bmu5"])
+    def test_log_lambda_s0_keeps_the_dilaton_untwisted(self, target, bundle, arg, s):
+        """The dilaton z sits on the untwisted unit only, so dual_variable_map
+        adds no z-term on the twisted sectors, also when s_0 = q ln(lambda)."""
+        t = target()
+        report = check_serre_cone(t, bundle(t, arg), s, 3)
+        assert report["affine_map_consistent"] and report["ok"], report
 
     def test_a_wrong_dual_is_pinpointed_blockwise(self, monkeypatch):
         """With F in place of F^dual, the offending z-powers are those where the
