@@ -112,10 +112,7 @@ def resolve_bundle(t, bundles, spec: str):
     if low.startswith("char:"):
         return bmu_character(t, _number(int, spec[5:], spec))
     if low.startswith("o"):
-        m = _number(int, spec[1:], spec)
-        if t.name.startswith("P"):
-            return line_bundle_On(t, m)
-        return wps_pullback_line(t, m)
+        return wps_pullback_line(t, _number(int, spec[1:], spec))
     raise UsageError(f"unknown bundle {spec!r} for target {t.name}")
 
 
@@ -292,8 +289,8 @@ def cmd_ifunction(args, cache) -> dict:
 
 
 def _builtin_j(t, args):
-    if t.name.startswith("P") and t.name[1:].isdigit():
-        return j_closed_form_Pn(int(t.name[1:]), args.max_degree)
+    """The J-function of t: a config's jfunction_file, else the closed form
+    when t equals the built-in P^n (a name alone never selects it)."""
     if t.jfunction_file:
         try:
             with open(t.jfunction_file) as fh:
@@ -302,6 +299,10 @@ def _builtin_j(t, args):
             raise SchemaError(f"$.jfunction_file: cannot read {t.jfunction_file!r} "
                               f"({e.strerror})") from None
         return load_j_function(t, text)
+    if t.dim >= 1:
+        j = j_closed_form_Pn(t.dim, args.max_degree)
+        if j.target == t:
+            return j
     raise UsageError(f"no J-function source for target {t.name}; "
                      "use a P^n target or a config with jfunction_file")
 

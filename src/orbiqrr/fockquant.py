@@ -276,19 +276,13 @@ def quantize_monomial(t: TargetModel, B, m: int, K: int,
                     c = lower[a][b]
                     if not c.is_zero:
                         op.add_qq((k, b), (k2, a), sign * c)
-        for k in range(-m, K + 1):
-            for a in range(n):
-                for b in range(n):
-                    c = Bm[a][b]
-                    if not c.is_zero:
-                        op.add_qd((k, b), (k + m, a), -c)
-    elif m > 0:
-        for k in range(0, K - m + 1):
-            for a in range(n):
-                for b in range(n):
-                    c = Bm[a][b]
-                    if not c.is_zero:
-                        op.add_qd((k, b), (k + m, a), -c)
+    for k in range(max(0, -m), K - max(0, m) + 1):
+        for a in range(n):
+            for b in range(n):
+                c = Bm[a][b]
+                if not c.is_zero:
+                    op.add_qd((k, b), (k + m, a), -c)
+    if m > 0:
         for k in range(0, m):
             k2 = m - 1 - k
             if k > K or k2 > K:
@@ -299,13 +293,6 @@ def quantize_monomial(t: TargetModel, B, m: int, K: int,
                     c = upper[a][b]
                     if not c.is_zero:
                         op.add_dd((k, b), (k2, a), sign * c)
-    else:
-        for k in range(0, K + 1):
-            for a in range(n):
-                for b in range(n):
-                    c = Bm[a][b]
-                    if not c.is_zero:
-                        op.add_qd((k, b), (k, a), -c)
     return op
 
 

@@ -18,14 +18,16 @@ because lambda is the weight of the fibre action on F.  The small-space
 expansion reads I = z F(t) + sum_k G^k(t) gamma_k + O(1/z); the mirror map
 divides by F and re-validates the J normal form; invariant extraction strips
 the exponential prefactor e^{tau p / z}, unwinds the divisor flow e^{d tau},
-and reads the one-point z^{-1} layer.
+and reads the one-point z^{-1} layer.  Both exponentials are the one kernel
+``orbtarget.graded_exp``, whose weight z^n Q^d x -> n + deg x + |d| is >= 1
+on every piece here (see ``extract_invariants``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Dict, List, Tuple
 
 from ..errors import (
@@ -45,7 +47,7 @@ from ..exactalg import (
     series_invert,
 )
 from ..givental import GiventalElement
-from ..orbtarget import BundleModel, CohClass, TargetModel
+from ..orbtarget import BundleModel, CohClass, TargetModel, graded_exp
 from .jfunction import JFunction, LinForm
 
 Frac = Fraction
@@ -273,9 +275,16 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     """Genus-0 invariant table N_d of the hypersurface cut out by F.
 
     Pipeline: strip e^{tau_p p / z}, unwind the divisor factors e^{d tau_p},
-    and read the z^{-1} p^2 layer; N_d = deg(F) * x_d / d.  The normalization
-    constant deg(F) (= 5 for the quintic) absorbs the pushforward bookkeeping
-    and is frozen against the classical d = 1 value 2875.
+    and read the z^{-1} p^2 layer; N_d = deg(F) * x_d / d.  Both exponentials
+    go through ``graded_exp``, where the weight of z^n Q^d x is
+    n + deg x + |d|: the pieces of -tau_p p / z sit at z^(-1) Q^d with
+    d >= 1 (weight d + 1) and those of tau_p at z^0 Q^d (weight d), and
+    the windows drop only terms past Q^dmax or p^dim.  Only the (z^{-1}, p^2) slot of
+    e^{-tau_p p / z} J is read, and the divisor flow
+    sum_d x_d Q^d e^{d tau_p} = sum_k x_k q^k with q = Q e^{tau_p} unwinds
+    by a triangular solve against the powers q^k.  The normalization
+    constant deg(F) (= 5 for the quintic) absorbs the pushforward
+    bookkeeping and is frozen against the classical d = 1 value 2875.
     """
     t = j_twisted.target
     if t.dim != 4 or len(t.components) != 1 or len(t.components[0].basis) != 5:
@@ -289,20 +298,28 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     _form, tau_p = tau[slot]
     dmax = j_twisted.dmax
     p = t.basis_class("0", "p")
-    # strip the exponential: multiply by e^{-tau_p * p / z}
-    stripped = _mul_exp_class_over_z(j_twisted.series, tau_p.scale(sc(-1)), p)
-    # read the z^{-1} p^2 layer
-    c_series: Dict[int, Scalar] = {}
-    for d in range(1, dmax + 1):
-        c_series[d] = stripped.get(-1, (d,)).coeff("0", 2)
-    # unwind sum_d x_d Q^d e^{d tau_p}: triangular solve
+    # the (z^{-1}, p^2) slot of e^{-tau_p p / z} J
+    strip = graded_exp(t, {(-1, d): p.scale(-c) for (_z, d), c in tau_p.items()},
+                       -t.dim, 0, dmax)
+    c_series: Dict[int, Scalar] = {d: SCALAR_ZERO for d in range(1, dmax + 1)}
+    for (n, (d,)), cls in j_twisted.series.data.items():
+        for (m, (dd,)), e in strip.items():
+            if n + m == -1 and 1 <= d + dd <= dmax:
+                c_series[d + dd] = c_series[d + dd] + cls.mul(e).coeff("0", 2)
+    # unwind sum_k x_k q^k, q = Q e^{tau_p} = Q^1 + O(Q^2): triangular solve
+    unit = t.unit()
+    e_tau = graded_exp(t, {k: unit.scale(c) for k, c in tau_p.items()}, 0, 0, dmax)
+    q = TruncSeries(1, 0, 0, dmax, {(0, (d + 1,)): c.coeff("0", 0)
+                                    for (_z, (d,)), c in e_tau.items() if d < dmax})
     x: Dict[int, Scalar] = {}
-    for d in range(1, dmax + 1):
-        val = c_series[d]
-        for dd in range(1, d):
-            # coefficient of Q^{d-dd} in e^{dd * tau_p}
-            val = val - x[dd] * _exp_series_coeff(tau_p, dd, d - dd)
-        x[d] = val
+    q_k = q
+    for k in range(1, dmax + 1):
+        x[k] = c_series[k]
+        for (_z, (d,)), w in q_k.items():
+            if d > k:
+                c_series[d] = c_series[d] - x[k] * w
+        if k < dmax:
+            q_k = q_k * q
     n_table: Dict[int, Frac] = {}
     big_n: Dict[int, Frac] = {}
     for d in range(1, dmax + 1):
@@ -320,34 +337,6 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
                 val -= n_table[d // k] / Frac(k ** 3)
         n_table[d] = val
     return {"N": big_n, "n": n_table}
-
-
-def _mul_exp_class_over_z(e: GiventalElement, series: TruncSeries,
-                          cls: CohClass) -> GiventalElement:
-    """e * exp(series * cls / z) for a nilpotent class and a Q-series with no
-    constant term."""
-    t = e.target
-    out = e.copy_window(e.zmin, e.zmax, e.dmax)
-    power_cls = cls
-    power_ser = series
-    j = 1
-    while not power_cls.is_zero and not power_ser.is_zero:
-        inv_fact = sc(Frac(1, factorial(j)))
-        for (n, d), c in e.data.items():
-            prod_cls = c.mul(power_cls)
-            if prod_cls.is_zero:
-                continue
-            for (_z, d2), w in power_ser.items():
-                dd = deg_add(d, d2)
-                nn = n - j
-                if out.inside(nn, dd):
-                    out.add_to(nn, dd, prod_cls.scale(w * inv_fact))
-        j += 1
-        power_cls = power_cls.mul(cls)
-        power_ser = power_ser * series
-        if j > e.dmax + t.dim + 2:
-            break
-    return out
 
 
 def quintic_pipeline(dmax: int) -> dict:
@@ -374,16 +363,3 @@ def quintic_pipeline(dmax: int) -> dict:
         "J_twisted": j_tw,
         "invariants": table,
     }
-
-
-def _exp_series_coeff(series: TruncSeries, multiple: int, degree: int) -> Scalar:
-    """Coefficient of Q^degree in exp(multiple * series), series with no constant term."""
-    acc = SCALAR_ONE if degree == 0 else SCALAR_ZERO
-    term = TruncSeries.one(series.rank, 0, 0, series.dmax)
-    scaled = series.scale(sc(multiple))
-    fact = 1
-    for j in range(1, degree + 1):
-        term = term * scaled
-        fact *= j
-        acc = acc + term.get(0, (degree,)) * sc(Frac(1, fact))
-    return acc

@@ -7,6 +7,15 @@ Delta, Delta, their inverses, adjoints, z-flips, sums and products) is of
 that kind, so blocks are stored as their multiplier classes only: products
 are class products, and the adjoint is the involution transport.  A block's
 matrix on the flat basis is derived on demand, for reports that list entries.
+
+Delta = exp(log Delta) goes through ``orbtarget.graded_exp``, the package's
+one exponential: per component, the weight-graded recurrence in which a
+piece z^n x of log Delta has weight n + deg x (>= 1, because the z^(-1)
+blocks have degree >= 2).  The kernel drops every product above its window
+top.  A dropped term can come back down only through z^(-1) blocks, each
+of which raises the degree by at least 2, so at most dim X times: with the
+log window taken up to zmax + dim X, the blocks <= zmax are exact and the
+ones above are not, which is why ``delta_operator`` keeps only those.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .linalg import (
     mat_transpose,
     multiplication_matrix,
 )
-from .orbtarget import BundleModel, CohClass, TargetModel
+from .orbtarget import BundleModel, CohClass, TargetModel, graded_exp
 
 Frac = Fraction
 
@@ -213,69 +222,6 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
     return report
 
 
-def _exp_classes(t: TargetModel, logs: Dict[int, CohClass],
-                 zmin: int, zmax: int) -> Dict[int, CohClass]:
-    """exp of commuting multiplication blocks, componentwise, on [zmin, zmax].
-
-    On each component X_i the (z^0, degree-0) scalar is the head, exponentiated
-    exactly by ``Scalar.exp`` (callers ensure it is exp-able).  Every other part
-    of the log splits into pieces z^n x with x homogeneous of real degree deg,
-    of weight w = n + deg.  The log blocks of Delta have w >= 1 (their z^(-1)
-    blocks have degree >= 2); a piece of weight <= 0 raises
-    TruncationTooNarrow.  Cup products on X_i are graded, so weight is
-    additive and D(x) = w x is a derivation; D(E) = D(L) E for E = exp(L) gives
-    the weight-graded recurrence (Brent-Kung, JACM 1978)
-
-        E_0 = 1_i,   E_w = (1/w) sum_{u=1..w} (u L_u) E_(w-u),
-
-    with O(W^2) class products for a window of W z-powers, where the power
-    series sum_j L^j / j! takes O(W^3).  A block at z^n <= zmax has weight at
-    most zmax + 2 dim X_i, which is where the recurrence stops.  Products
-    outside [zmin, zmax] are dropped (see ``delta_operator`` for which blocks
-    that leaves exact).
-    """
-    out: Dict[int, CohClass] = {}
-    for comp in t.components:
-        cid = comp.cid
-        head = SCALAR_ZERO
-        pieces: Dict[int, Dict[int, Dict[Tuple[str, int], Scalar]]] = {}
-        for n, cls in logs.items():
-            for (c, idx), v in cls.terms.items():
-                if c != cid:
-                    continue
-                if n == 0 and idx == 0:
-                    head = head + v
-                    continue
-                w = n + comp.basis[idx].degree
-                if w <= 0:
-                    raise TruncationTooNarrow(
-                        f"log block at z^{n} has a piece of weight {w} on component {cid}; "
-                        "the weight-graded exponential needs weight >= 1")
-                pieces.setdefault(w, {}).setdefault(n, {})[(cid, idx)] = v * sc(w)
-        scaled = {w: {n: CohClass(t, terms) for n, terms in by_n.items()}
-                  for w, by_n in pieces.items()}
-        unit = t.unit(cid)
-        E: List[Dict[int, CohClass]] = [{0: unit}]
-        acc = {0: unit}
-        for w in range(1, zmax + 2 * comp.dim + 1):
-            sums: Dict[int, CohClass] = {}
-            for u, Lu in scaled.items():
-                if u > w or not E[w - u]:
-                    continue
-                for n, c in _zpoly_mul(t, Lu, E[w - u], zmin, zmax).items():
-                    sums[n] = sums[n] + c if n in sums else c
-            Ew = {n: c.scale(Frac(1, w)) for n, c in sums.items() if not c.is_zero}
-            E.append(Ew)
-            for n, c in Ew.items():
-                acc[n] = acc[n] + c if n in acc else c
-        scalar_factor = head.exp()
-        for n, c in acc.items():
-            c = c.scale(scalar_factor)
-            if not c.is_zero:
-                out[n] = out.get(n, t.zero_class()) + c
-    return out
-
-
 def is_infinitesimally_symplectic(t: TargetModel, B: Matrix, m: int) -> bool:
     """B z^m is infinitesimally symplectic iff B* = (-1)^(m+1) B."""
     g = gram_matrix(t)
@@ -394,21 +340,18 @@ def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     multiplier ring H^*(X_i)[z, 1/z] with exact scalar exponentials for the
     (z^0, degree-0) part.
 
-    The exponential (``_exp_classes``) runs on the z-window up to zmax + dim(X)
-    and drops every product above it.  A dropped term can step back down only
-    through z^(-1) blocks, which are nilpotent (degree >= 2), so at most dim(X)
-    times: every emitted block <= zmax is exact.  Delta itself keeps an
-    unknown upward tail (exact=False).
+    The exponential (``graded_exp``) runs on the z-window up to zmax + dim(X),
+    so every emitted block <= zmax is exact (see the module docstring).
+    Delta itself keeps an unknown upward tail (exact=False).
     """
     return _delta_from(t, log_delta_classes(t, F, s_values, zmax + t.dim), zmax)
 
 
 def _delta_from(t: TargetModel, logs: Dict[int, CohClass], zmax: int) -> LoopOperator:
     """Delta through zmax from the log blocks through zmax + dim(X)."""
-    zmax_work = zmax + t.dim
     zmin_out = -max(c.dim for c in t.components) - 1
-    exp_classes = _exp_classes(t, logs, zmin_out, zmax_work)
-    out_classes = {n: c for n, c in exp_classes.items() if n <= zmax}
+    blocks = graded_exp(t, {(n, ()): c for n, c in logs.items()}, zmin_out, zmax + t.dim, 0)
+    out_classes = {n: c for (n, _d), c in blocks.items() if n <= zmax}
     zmin = min([zmin_out] + list(out_classes))
     return LoopOperator(t, zmin, zmax, out_classes, exact=False)
 

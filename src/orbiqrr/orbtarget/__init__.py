@@ -17,6 +17,7 @@ from .model import (
     CohClass,
     Component,
     TargetModel,
+    graded_exp,
 )
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "Component",
     "TargetModel",
     "CohClass",
+    "graded_exp",
     "BundleModel",
     "point",
     "bmu",

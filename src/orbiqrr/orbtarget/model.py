@@ -8,6 +8,9 @@ component.  Bundles are stored through their eigen-decomposition: for each
 component i and 0 <= l < r_i the full Chern character of F_i^(l) as a class
 on X_i (degree-0 part = rank).
 
+``graded_exp`` is the package's one exponential of sparse z^n Q^d blocks of
+classes (Delta, twist classes, invariant extraction).
+
 Only even cohomological degrees are supported.  Ordinary products never mix
 components; Chen-Ruan products are not modeled beyond multiplication by
 untwisted-sector classes, which acts through the stored restriction maps.
@@ -19,8 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import BasisMismatch, IndexOutOfRange, InvariantViolation
-from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
+from ..errors import (
+    BasisMismatch,
+    IndexOutOfRange,
+    InvariantViolation,
+    TruncationTooNarrow,
+)
+from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, deg_add, sc, zero_deg
 
 Frac = Fraction
 
@@ -133,7 +141,7 @@ class TargetModel:
                     if c.pairing[a][b_] != p.pairing[b_][a]:
                         raise InvariantViolation("pairing symmetry",
                                                  f"pairing of {c.cid}/{p.cid} not symmetric")
-            # loopops._exp_classes relies on deg(a b) = deg a + deg b
+            # graded_exp relies on deg(a b) = deg a + deg b
             n_basis = len(c.basis)
             for (a, b_), prod in c.mult.items():
                 for g, w in prod.items():
@@ -300,32 +308,12 @@ class CohClass:
         return self.terms.get((cid, idx), SCALAR_ZERO)
 
     def exp(self) -> "CohClass":
-        """exp of the class, componentwise: exp(c0) * sum nil^j / j!.
+        """exp of the class, componentwise (``graded_exp`` on one z^0 Q^0 block).
 
         The degree-0 part must be exp-able as a Scalar (zero or a rational
         multiple of ln lambda); positive-degree parts are nilpotent.
         """
-        out: Dict[Tuple[str, int], Scalar] = {}
-        for comp in self.target.components:
-            cid = comp.cid
-            c0 = self.terms.get((cid, 0), SCALAR_ZERO)
-            head = c0.exp()
-            nil = CohClass(self.target, {
-                (cid, i): v for (cid2, i), v in self.terms.items()
-                if cid2 == cid and i != 0
-            })
-            term = CohClass(self.target, {(cid, 0): SCALAR_ONE})
-            acc = term
-            fact = 1
-            for j in range(1, comp.dim + 1):
-                term = term.mul(nil)
-                if term.is_zero:
-                    break
-                fact *= j
-                acc = acc + term.scale(Frac(1, fact))
-            for k, v in acc.scale(head).terms.items():
-                out[k] = out.get(k, SCALAR_ZERO) + v
-        return CohClass(self.target, out)
+        return graded_exp(self.target, {(0, ()): self}, 0, 0, 0)[(0, ())]
 
     def nonequiv_limit(self) -> "CohClass":
         return CohClass(self.target, {k: v.nonequiv_limit() for k, v in self.terms.items()})
@@ -341,6 +329,100 @@ class CohClass:
             for (cid, idx), v in sorted(self.terms.items())
         )
         return f"CohClass({body})"
+
+
+Key = Tuple[int, Tuple[int, ...]]
+
+
+def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
+               zmin: int, zmax: int, dmax: int) -> Dict[Key, CohClass]:
+    """exp of commuting blocks z^n Q^d x, componentwise, on the window (zmin, zmax, dmax).
+
+    ``blocks`` maps (n, d) to a class, as the ``data`` of a WindowedSeries
+    (d is a tuple of Novikov degrees, () when there is no Q); blocks outside
+    the window are ignored.  On each
+    component X_i the (z^0, Q^0, degree-0) scalar is the head, exponentiated
+    exactly by ``Scalar.exp`` and applied as a scalar at the end (callers
+    ensure it is exp-able).  Every other part splits into pieces z^n Q^d x
+    with x homogeneous of real degree deg, of weight w = n + deg + |d|; a
+    piece of weight <= 0 raises TruncationTooNarrow.  Cup products on X_i
+    are graded (``TargetModel.validate``), so weight is additive and
+    D(x) = w x is a derivation; D(E) = D(L) E for E = exp(L) gives the
+    weight-graded recurrence (Brent-Kung, JACM 1978)
+
+        E_0 = 1_i,   E_w = (1/w) sum_{u=1..w} (u L_u) E_(w-u),
+
+    with O(W^2) class products, where the power series sum_j L^j / j! takes
+    O(W^3).  A block inside the window has weight at most
+    zmax + 2 dim X_i + dmax, which is where the recurrence stops.  Products
+    outside the window are dropped.  Past dmax that is exact, since Novikov
+    degrees only add up, and callers put zmin below every block a product
+    can reach.  A product dropped above zmax can come back down
+    only through blocks with n < 0, so the caller keeps the blocks that no
+    such chain reaches (z^n <= zmax - dim X when those blocks are z^(-1)
+    times classes of degree >= 2, as in log Delta).
+    """
+    d0 = next((zero_deg(len(d)) for _n, d in blocks), ())
+    out: Dict[Key, CohClass] = {}
+    for comp in t.components:
+        cid = comp.cid
+        head = SCALAR_ZERO
+        pieces: Dict[int, Dict[Key, Dict[Tuple[str, int], Scalar]]] = {}
+        for (n, d), cls in blocks.items():
+            if not (zmin <= n <= zmax and sum(d) <= dmax):
+                continue
+            for (c, idx), v in cls.terms.items():
+                if c != cid:
+                    continue
+                if n == 0 and idx == 0 and not any(d):
+                    head = head + v
+                    continue
+                w = n + comp.basis[idx].degree + sum(d)
+                if w <= 0:
+                    raise TruncationTooNarrow(
+                        f"block at z^{n} Q^{list(d)} has a piece of weight {w} on "
+                        f"component {cid}; the graded exponential needs weight >= 1")
+                pieces.setdefault(w, {}).setdefault((n, d), {})[(cid, idx)] = v * sc(w)
+        scaled = {w: {k: CohClass(t, terms) for k, terms in by_key.items()}
+                  for w, by_key in pieces.items()}
+        unit = t.unit(cid)
+        E: List[Dict[Key, CohClass]] = [{(0, d0): unit}]
+        acc = {(0, d0): unit}
+        for w in range(1, zmax + 2 * comp.dim + dmax + 1):
+            sums: Dict[Key, CohClass] = {}
+            for u, Lu in scaled.items():
+                if u > w or not E[w - u]:
+                    continue
+                # E_0 is the unit, so that product is u L_u itself
+                prods = _window_mul(Lu, E[w - u], zmin, zmax, dmax) if u < w else Lu
+                for k, c in prods.items():
+                    sums[k] = sums[k] + c if k in sums else c
+            Ew = {k: c.scale(Frac(1, w)) for k, c in sums.items() if not c.is_zero}
+            E.append(Ew)
+            for k, c in Ew.items():
+                acc[k] = acc[k] + c if k in acc else c
+        scalar_factor = head.exp()
+        for k, c in acc.items():
+            c = c.scale(scalar_factor)
+            if not c.is_zero:
+                out[k] = out[k] + c if k in out else c
+    return out
+
+
+def _window_mul(a: Dict[Key, CohClass], b: Dict[Key, CohClass],
+                zmin: int, zmax: int, dmax: int) -> Dict[Key, CohClass]:
+    """The product of two block dicts, keeping the blocks inside the window."""
+    out: Dict[Key, CohClass] = {}
+    for (na, da), ca in a.items():
+        for (nb, db), cb in b.items():
+            n = na + nb
+            d = deg_add(da, db)
+            if not (zmin <= n <= zmax and sum(d) <= dmax):
+                continue
+            prod = ca.mul(cb)
+            if not prod.is_zero:
+                out[(n, d)] = out[(n, d)] + prod if (n, d) in out else prod
+    return {k: c for k, c in out.items() if not c.is_zero}
 
 
 class BundleModel:

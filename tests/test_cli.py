@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -249,6 +250,58 @@ class TestPipelines:
         err = json.loads(out)["error"]
         assert err["code"] == "SchemaError"
         assert os.path.join("cfg", "j.json") in err["message"]
+
+    def test_config_jfunction_file_wins_over_the_target_name(self, capsys, tmp_path):
+        """A config named P2 reads its own J file, not the built-in P2 series."""
+        from orbiqrr.genus0 import j_closed_form_Pn
+        from orbiqrr.orbtarget import projective_space, target_to_obj
+        rows = []
+        for (n, d), cls in j_closed_form_Pn(2, 1).series.data.items():
+            for (cid, idx), c in cls.terms.items():
+                coeff = c.as_fraction() * (7 if d == (1,) else 1)
+                rows.append({"d": list(d), "zpow": n, "component": cid,
+                             "basis": idx, "coeff": str(coeff)})
+        (tmp_path / "j.json").write_text(json.dumps({"rows": rows}))
+
+        def degree_one(name):
+            obj = target_to_obj(projective_space(2), [])
+            obj["name"] = name
+            obj["jfunction_file"] = "j.json"
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+            code, out, _ = run(capsys, "ifunction", "--target", str(tmp_path / f"{name}.json"),
+                               "--bundle", "O1", "--max-degree", "1", "--nonequivariant")
+            assert code == 0
+            return [r for r in json.loads(out)["rows"] if r["d"] == [1]]
+
+        code, out, _ = run(capsys, "ifunction", "--target", "P2", "--bundle", "O1",
+                           "--max-degree", "1", "--nonequivariant")
+        builtin = [r for r in json.loads(out)["rows"] if r["d"] == [1]]
+        assert [r["coeff"] for r in builtin] == ["3", "-2", "1"]
+        scaled = [{**r, "coeff": str(7 * Fraction(r["coeff"]))} for r in builtin]
+        assert degree_one("P2") == degree_one("P2custom") == scaled
+
+    def test_closed_form_j_needs_a_target_equal_to_pn(self, capsys, tmp_path):
+        from orbiqrr.orbtarget import projective_space, target_to_obj
+        obj = target_to_obj(projective_space(2), [])
+        obj["c1_tangent_pairing"] = ["4"]       # named P2, but not the built-in P2
+        (tmp_path / "p2.json").write_text(json.dumps(obj))
+        code, _out, err = run(capsys, "ifunction", "--target", str(tmp_path / "p2.json"),
+                              "--bundle", "O1", "--max-degree", "1", "--nonequivariant")
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "UsageError"
+
+    def test_line_bundle_does_not_depend_on_the_target_name(self, capsys, tmp_path):
+        """O<m> on a WPS config named like a projective space."""
+        outs = []
+        for name in ("P112", "W112"):
+            obj = json.loads(dump_target(weighted_projective([1, 1, 2]), []))
+            obj["name"] = name
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+            code, out, _ = run(capsys, "delta", "--target", str(tmp_path / f"{name}.json"),
+                               "--bundle", "O1", "--euler", "--zmax", "3")
+            assert code == 0, out
+            outs.append(json.loads(out)["operator"])
+        assert outs[0] == outs[1]
 
 
 class TestCache:

@@ -117,6 +117,15 @@ class TestBundles:
         assert F.eigen_chern("0", 0, 2).coeff("0", 2) == sc(Frac(25, 2))
         assert F.c1_pairing == (Frac(5),)
 
+    def test_pn_line_bundle_is_the_wps_pullback(self):
+        """The CLI builds every O<m> as wps_pullback_line; on P^n it is line_bundle_On."""
+        for n in range(1, 6):
+            t = projective_space(n)
+            for m in range(-2, 8):
+                a, b = wps_pullback_line(t, m), line_bundle_On(t, m)
+                assert a == b and a.name == b.name and a.c1_pairing == b.c1_pairing
+                assert [(p, c.terms) for p, c in a.lines] == [(p, c.terms) for p, c in b.lines]
+
     def test_rank_sum_violation(self):
         t = bmu(2)
         from orbiqrr.orbtarget import BundleModel, CohClass
