@@ -32,11 +32,11 @@ from orbiqrr.loopops import (
 from orbiqrr.orbtarget import (
     bmu,
     bmu_character,
-    line_bundle_On,
     point,
     projective_space,
     trivial_bundle,
     weighted_projective,
+    wps_pullback_line,
 )
 from orbiqrr.serre import check_serre_cone
 
@@ -84,7 +84,7 @@ def main():
     print("cocycle            ok ([z^, (1/z)^] = -1/2)")
 
     t1 = projective_space(1)
-    assert check_serre_cone(t1, line_bundle_On(t1, 1),
+    assert check_serre_cone(t1, wps_pullback_line(t1, 1),
                             [Scalar.log_lambda(), sc(Frac(1, 2)), sc(Frac(-1, 3))], 3)["ok"]
     t2 = bmu(2)
     assert check_serre_cone(t2, bmu_character(t2, 1),

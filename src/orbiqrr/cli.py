@@ -55,7 +55,6 @@ from .orbtarget import (
     bmu,
     bmu_character,
     dump_target,
-    line_bundle_On,
     load_target,
     point,
     projective_space,
@@ -171,7 +170,7 @@ def series_rows(e) -> list:
 def operator_obj(op) -> dict:
     t = op.target
     blocks = {}
-    for n, cls in sorted(op.mult_classes.items()):
+    for (n, _d), cls in sorted(op.data.items()):
         blocks[str(n)] = {
             f"{cid}/{t.by_id[cid].basis[idx].name}": c.to_obj()
             for (cid, idx), c in sorted(cls.terms.items())
@@ -201,6 +200,12 @@ def emit(obj, fmt: str) -> str:
 
 
 # -- subcommands -------------------------------------------------------------------
+
+
+def _cached(cache, request: dict, compute) -> dict:
+    """The payload of ``request`` (computed on a miss), with its cache status."""
+    payload, status = cache.get_or_compute(request, compute)
+    return {**payload, "cache": status}
 
 
 def cmd_target(args, cache) -> dict:
@@ -262,9 +267,7 @@ def cmd_delta(args, cache) -> dict:
                "genus1_prefactor": genus1_prefactor_symbol(t, F)}
         return out
 
-    payload, status = cache.get_or_compute(request, compute)
-    payload = dict(payload)
-    payload["cache"] = status
+    payload = _cached(cache, request, compute)
     if args.check_symplectic:
         payload["symplectic_check"] = check_delta_symplectomorphism(t, bundle(), s, args.zmax)
     return payload
@@ -282,10 +285,7 @@ def cmd_ifunction(args, cache) -> dict:
         return {"target": t.name, "bundle": F.name, "max_degree": args.max_degree,
                 "rows": series_rows(i.series)}
 
-    payload, status = cache.get_or_compute(request, compute)
-    payload = dict(payload)
-    payload["cache"] = status
-    return payload
+    return _cached(cache, request, compute)
 
 
 def _builtin_j(t, args):
@@ -324,10 +324,18 @@ def cmd_mirror_map(args, cache) -> dict:
     return {"target": t.name, "bundle": F.name, "rows": rows}
 
 
+@functools.lru_cache(maxsize=None)
+def _quintic_pair():
+    """P^4 and O(5), the one pair ``invariants`` computes; built once per process."""
+    t = projective_space(4)
+    return t, wps_pullback_line(t, 5)
+
+
 def cmd_invariants(args, cache) -> dict:
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
-    if t != projective_space(4) or F != line_bundle_On(t, 5):
+    p4, o5 = _quintic_pair()
+    if t != p4 or F != o5:
         # the pipeline computes P4/O5 whatever was asked; never label it otherwise
         raise UnsupportedTarget(
             f"invariants are implemented for P4/O5 only, not {t.name}/{F.name}")
@@ -342,10 +350,7 @@ def cmd_invariants(args, cache) -> dict:
         return {"target": t.name, "bundle": F.name, "max_degree": args.max_degree,
                 "rows": rows}
 
-    payload, status = cache.get_or_compute(request, compute)
-    payload = dict(payload)
-    payload["cache"] = status
-    return payload
+    return _cached(cache, request, compute)
 
 
 def cmd_quantize(args, cache) -> dict:

@@ -14,7 +14,7 @@ from .scalar import (
     root_of_unity,
     sc,
 )
-from .series import TruncSeries, WindowedSeries, deg_add, series_invert, zero_deg
+from .series import TruncSeries, WindowedSeries, deg_add, series_invert, window_product, zero_deg
 
 __all__ = [
     "Cyc",
@@ -27,6 +27,7 @@ __all__ = [
     "parse_scalar",
     "TruncSeries",
     "WindowedSeries",
+    "window_product",
     "series_invert",
     "deg_add",
     "zero_deg",

@@ -1,12 +1,16 @@
 """Truncated z-Laurent series over a truncated Novikov ring.
 
 ``WindowedSeries`` holds the truncation window and the arithmetic that only
-needs it; its docstring states the window rule.  ``TruncSeries`` is the
-Scalar-valued series with its ring product and ``series_invert``.
+needs it; its docstring states the window rule.  ``window_product`` is the
+package's one product of two windowed block dicts (series products, the
+graded exponential, loop operators and invariant extraction call it).
+``TruncSeries`` is the Scalar-valued series with its ring product and
+``series_invert``.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import NonUnitConstantTerm
@@ -17,11 +21,40 @@ Key = Tuple[int, Deg]
 
 
 def deg_add(a: Deg, b: Deg) -> Deg:
+    """a + b, with () the zero degree of any rank (a block with no Q)."""
+    if not a:
+        return b
+    if not b:
+        return a
     return tuple(x + y for x, y in zip(a, b))
 
 
 def zero_deg(rank: int) -> Deg:
     return (0,) * rank
+
+
+def window_product(a: Dict[Key, object], b: Dict[Key, object], mul: Callable,
+                   inside: Callable) -> Dict[Key, object]:
+    """sum of mul(x, y) z^(n+m) Q^(d+e) over blocks x z^n Q^d of a and y z^m Q^e of b,
+    keeping the keys where inside(n, d) holds and dropping zero sums.
+
+    a is the outer loop and each sum is cur + new, so a block's terms add up
+    in one fixed order (``Cyc`` has no canonical form, so that order is part
+    of the output bytes).
+    """
+    out: Dict[Key, object] = {}
+    for (n1, d1), x in a.items():
+        for (n2, d2), y in b.items():
+            key = (n1 + n2, deg_add(d1, d2))
+            if not inside(*key):
+                continue
+            cur = out.get(key)
+            c = mul(x, y) if cur is None else cur + mul(x, y)
+            if c.is_zero:
+                out.pop(key, None)
+            else:
+                out[key] = c
+    return out
 
 
 class WindowedSeries:
@@ -94,9 +127,13 @@ class WindowedSeries:
 
     # -- linear structure
 
+    def _sum_empty(self, o):
+        """The empty series on the window where self + o is known."""
+        return self._empty(min(self.zmin, o.zmin), min(self.zmax, o.zmax),
+                           min(self.dmax, o.dmax))
+
     def _combine(self, o, negate: bool):
-        out = self._empty(min(self.zmin, o.zmin), min(self.zmax, o.zmax),
-                          min(self.dmax, o.dmax))
+        out = self._sum_empty(o)
         for src, neg in ((self, False), (o, negate)):
             for (n, d), c in src.data.items():
                 if out.inside(n, d):
@@ -111,6 +148,18 @@ class WindowedSeries:
 
     def __neg__(self):
         return self.map(lambda n, d, c: -c)
+
+    def product(self, o, mul: Callable):
+        """self * o with coefficient product mul(self's, o's).
+
+        The result is known from zmin + o.zmin up to the first power an
+        unknown tail reaches: one factor's tail (above its zmax) times the
+        other's lowest power.
+        """
+        zmax = min(self.zmax + o.zmin, o.zmax + self.zmin)
+        out = self._empty(self.zmin + o.zmin, zmax, min(self.dmax, o.dmax))
+        out.data = window_product(self.data, o.data, mul, out.inside)
+        return out
 
     def scale(self, s):
         s = sc(s)
@@ -162,15 +211,7 @@ class TruncSeries(WindowedSeries):
     def __mul__(self, o: "TruncSeries") -> "TruncSeries":
         if self.rank != o.rank:
             raise ValueError("rank mismatch")
-        # reliable ceiling: unknown tail of one factor times known floor of the other
-        zmax = min(self.zmax + o.zmin, o.zmax + self.zmin)
-        out = TruncSeries(self.rank, self.zmin + o.zmin, zmax, min(self.dmax, o.dmax))
-        for (n1, d1), c1 in self.data.items():
-            for (n2, d2), c2 in o.data.items():
-                n, d = n1 + n2, deg_add(d1, d2)
-                if out.inside(n, d):
-                    out.add_to(n, d, c1 * c2)
-        return out
+        return self.product(o, operator.mul)
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, TruncSeries):

@@ -268,23 +268,15 @@ def _check_trr(table: CorrelatorTable) -> dict:
                         for dsplit in _deg_splits(d):
                             d1, d2 = dsplit
                             for ai, aslot in enumerate(basis):
-                                left = table.get(d1, [a1] + A + [(aslot, 0)])
-                                if left is None:
-                                    missing.append(_key(len(A) + 2, d1, [a1] + A + [(aslot, 0)]))
-                                    left = SCALAR_ZERO
+                                left = _value(table, d1, [a1] + A + [(aslot, 0)], missing)
                                 if left.is_zero:
                                     continue
                                 for bi, bslot in enumerate(basis):
                                     w = ginv[bi][ai]
                                     if w.is_zero:
                                         continue
-                                    right = table.get(
-                                        d2, [(bslot, 0), ins[i2], ins[i3]] + B)
-                                    if right is None:
-                                        missing.append(_key(
-                                            len(B) + 3, d2,
-                                            [(bslot, 0), ins[i2], ins[i3]] + B))
-                                        right = SCALAR_ZERO
+                                    right = _value(table, d2,
+                                                   [(bslot, 0), ins[i2], ins[i3]] + B, missing)
                                     rhs = rhs + left * w * right
                     resid = lhs - rhs
                     if not resid.is_zero:

@@ -42,12 +42,12 @@ from ..exactalg import (
     SCALAR_ZERO,
     Scalar,
     TruncSeries,
-    deg_add,
     sc,
     series_invert,
+    window_product,
 )
 from ..givental import GiventalElement
-from ..orbtarget import BundleModel, CohClass, TargetModel, graded_exp
+from ..orbtarget import BundleModel, CohClass, TargetModel, graded_exp, wps_pullback_line
 from .jfunction import JFunction, LinForm
 
 Frac = Fraction
@@ -246,14 +246,10 @@ def mirror_map(I: JFunction, f, g):
 
 def novikov_scale(e: GiventalElement, s: TruncSeries) -> GiventalElement:
     """Multiply a Givental element by a scalar Novikov series (no z-content)."""
+    if any(n for n, _d in s.data):
+        raise ValueError("novikov_scale expects a z-free series")
     out = GiventalElement(e.target, e.zmin, e.zmax, min(e.dmax, s.dmax))
-    for (n, d), cls in e.data.items():
-        for (z2, d2), c in s.items():
-            if z2 != 0:
-                raise ValueError("novikov_scale expects a z-free series")
-            dd = deg_add(d, d2)
-            if out.inside(n, dd):
-                out.add_to(n, dd, cls.scale(c))
+    out.data = window_product(e.data, s.data, lambda cls, c: cls.scale(c), out.inside)
     return out
 
 
@@ -302,10 +298,10 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     strip = graded_exp(t, {(-1, d): p.scale(-c) for (_z, d), c in tau_p.items()},
                        -t.dim, 0, dmax)
     c_series: Dict[int, Scalar] = {d: SCALAR_ZERO for d in range(1, dmax + 1)}
-    for (n, (d,)), cls in j_twisted.series.data.items():
-        for (m, (dd,)), e in strip.items():
-            if n + m == -1 and 1 <= d + dd <= dmax:
-                c_series[d + dd] = c_series[d + dd] + cls.mul(e).coeff("0", 2)
+    z_minus_1 = window_product(j_twisted.series.data, strip, lambda a, b: a.mul(b),
+                               lambda n, d: n == -1 and 1 <= sum(d) <= dmax)
+    for (_n, (d,)), cls in z_minus_1.items():
+        c_series[d] = cls.coeff("0", 2)
     # unwind sum_k x_k q^k, q = Q e^{tau_p} = Q^1 + O(Q^2): triangular solve
     unit = t.unit()
     e_tau = graded_exp(t, {k: unit.scale(c) for k, c in tau_p.items()}, 0, 0, dmax)
@@ -346,12 +342,11 @@ def quintic_pipeline(dmax: int) -> dict:
     taken first, mirror map, invariant extraction.  Returns the mirror map
     Q-series and the N_d / n_d tables.
     """
-    from ..orbtarget import line_bundle_On
     from .jfunction import j_closed_form_Pn
 
     j = j_closed_form_Pn(4, dmax)
     t = j.target
-    F = line_bundle_On(t, 5)
+    F = wps_pullback_line(t, 5)
     i_lim = hypergeometric_modification(t, F, j, nonequivariant=True)
     f, g = small_expansion(i_lim)
     tau, j_tw = mirror_map(i_lim, f, g)

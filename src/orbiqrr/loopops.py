@@ -4,9 +4,11 @@ Euler-class s-values, adjoints, and symplectomorphism checks.
 A LoopOperator is a z-Laurent window of endomorphisms of H^*(IX), each block
 ordinary multiplication by a class.  Every operator the theory builds (log
 Delta, Delta, their inverses, adjoints, z-flips, sums and products) is of
-that kind, so blocks are stored as their multiplier classes only: products
-are class products, and the adjoint is the involution transport.  A block's
-matrix on the flat basis is derived on demand, for reports that list entries.
+that kind, so an operator M(z) is the series M(z) . 1 in the space that
+holds J: a GiventalElement, whose products are class products
+(``exactalg.window_product``) and whose adjoint is the involution
+transport.  A block's matrix on the flat basis is derived on demand, for
+reports that list entries.
 
 Delta = exp(log Delta) goes through ``orbtarget.graded_exp``, the package's
 one exponential: per component, the weight-graded recurrence in which a
@@ -25,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .bernoulli import bernoulli_value
 from .errors import TruncationTooNarrow
-from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
+from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc, window_product
 from .givental import GiventalElement
 from .linalg import (
     Matrix,
@@ -41,13 +43,14 @@ from .orbtarget import BundleModel, CohClass, TargetModel, graded_exp
 Frac = Fraction
 
 
-class LoopOperator:
-    """Window [zmin, zmax] of multiplier classes per z-power; exactly zero below zmin.
+class LoopOperator(GiventalElement):
+    """A window [zmin, zmax] of multiplication operators on H^*(IX), one per z-power.
 
-    Block n acts as ordinary multiplication by ``mult_classes[n]`` (zero
-    classes are dropped).  Since ``multiplication_matrix`` is an injective
-    ring map, class equality, class products and the involution transport
-    are matrix equality, matrix products and the adjoint g^-1 B^T g.
+    The operator M(z) is held as the series M(z) . 1: a GiventalElement with
+    keys (n, ()) and dmax 0, whose z^n block acts as ordinary multiplication
+    by that class.  Since ``multiplication_matrix`` is an injective ring map,
+    class equality, class products and the involution transport are matrix
+    equality, matrix products and the adjoint g^-1 B^T g.
 
     ``exact=True`` asserts the operator has no tail above zmax either (its
     support is completely listed), which widens the reliable windows of sums
@@ -55,20 +58,20 @@ class LoopOperator:
     are exact=False: their blocks above zmax are unknown.
     """
 
-    __slots__ = ("target", "zmin", "zmax", "mult_classes", "exact")
+    __slots__ = ("exact",)
 
     def __init__(self, target: TargetModel, zmin: int, zmax: int,
                  classes: Dict[int, CohClass], exact: bool = False):
-        if zmin > zmax:
-            raise ValueError("zmin > zmax")
-        self.target = target
-        self.zmin = zmin
-        self.zmax = zmax
         self.exact = exact
-        self.mult_classes = {n: c for n, c in classes.items() if not c.is_zero}
-        for n in self.mult_classes:
-            if not (zmin <= n <= zmax):
-                raise ValueError(f"block at z^{n} outside window")
+        super().__init__(target, zmin, zmax, 0, {(n, ()): c for n, c in classes.items()})
+
+    def _empty(self, zmin: int, zmax: int, dmax: int) -> "LoopOperator":
+        return LoopOperator(self.target, zmin, zmax, {}, exact=self.exact)
+
+    @property
+    def mult_classes(self) -> Dict[int, CohClass]:
+        """The multiplier class of each z-power (a read-only view)."""
+        return {n: c for (n, _d), c in self.data.items()}
 
     @staticmethod
     def identity(target: TargetModel, zmin: int = 0, zmax: int = 0) -> "LoopOperator":
@@ -76,12 +79,11 @@ class LoopOperator:
 
     def block(self, n: int) -> Matrix:
         """The z^n block as a matrix on the flat basis."""
-        return multiplication_matrix(self.target,
-                                     self.mult_classes.get(n, self.target.zero_class()))
+        return multiplication_matrix(self.target, self.get(n, ()))
 
     # -- algebra
 
-    def __add__(self, o: "LoopOperator") -> "LoopOperator":
+    def _sum_empty(self, o: "LoopOperator") -> "LoopOperator":
         zmin = min(self.zmin, o.zmin)
         if self.exact and o.exact:
             zmax = max(self.zmax, o.zmax)
@@ -91,10 +93,7 @@ class LoopOperator:
             zmax = self.zmax
         else:
             zmax = min(self.zmax, o.zmax)
-        zero = self.target.zero_class()
-        classes = {n: self.mult_classes.get(n, zero) + o.mult_classes.get(n, zero)
-                   for n in range(zmin, zmax + 1)}
-        return LoopOperator(self.target, zmin, zmax, classes, exact=self.exact and o.exact)
+        return LoopOperator(self.target, zmin, zmax, {}, exact=self.exact and o.exact)
 
     def compose(self, o: "LoopOperator") -> "LoopOperator":
         """(self . o)(z): blocks C_n = sum_{a+b=n} A_a B_b.
@@ -112,19 +111,19 @@ class LoopOperator:
         zmax = min(caps) if caps else self.zmax + o.zmax
         if zmin > zmax:
             raise TruncationTooNarrow("composition window is empty")
-        classes = _zpoly_mul(self.target, self.mult_classes, o.mult_classes, zmin, zmax)
-        return LoopOperator(self.target, zmin, zmax, classes, exact=self.exact and o.exact)
+        out = LoopOperator(self.target, zmin, zmax, {}, exact=self.exact and o.exact)
+        out.data = window_product(self.data, o.data, lambda a, b: a.mul(b), out.inside)
+        return out
 
     def flip_z(self) -> "LoopOperator":
         """M(z) -> M(-z): blocks keep their exponent, odd ones change sign."""
-        classes = {n: c if n % 2 == 0 else -c for n, c in self.mult_classes.items()}
-        return LoopOperator(self.target, self.zmin, self.zmax, classes, exact=self.exact)
+        return self.map(lambda n, d, c: c if n % 2 == 0 else -c)
 
     def sub_identity(self) -> "LoopOperator":
         """self - 1, for residual reporting."""
-        classes = dict(self.mult_classes)
-        classes[0] = classes.get(0, self.target.zero_class()) - self.target.unit_everywhere()
-        return LoopOperator(self.target, self.zmin, self.zmax, classes, exact=self.exact)
+        out = self.copy_window(self.zmin, self.zmax, 0)
+        out.add_to(0, (), -self.target.unit_everywhere())
+        return out
 
     def apply(self, e: GiventalElement) -> GiventalElement:
         zmin = e.zmin + self.zmin
@@ -135,11 +134,7 @@ class LoopOperator:
         if zmin > zmax:
             raise TruncationTooNarrow("operator application window is empty")
         out = GiventalElement(self.target, zmin, zmax, e.dmax)
-        for (n, d), cls in e.data.items():
-            for a, c in self.mult_classes.items():
-                m = n + a
-                if zmin <= m <= zmax:
-                    out.add_to(m, d, c.mul(cls))
+        out.data = window_product(e.data, self.data, lambda x, c: c.mul(x), out.inside)
         return out
 
 
@@ -152,8 +147,7 @@ def adjoint(t: TargetModel, M: LoopOperator) -> LoopOperator:
     The adjoint of multiplication by a class is multiplication by its
     involution transport.
     """
-    classes = {n: t.involution_transport(c) for n, c in M.mult_classes.items()}
-    return LoopOperator(t, M.zmin, M.zmax, classes, exact=M.exact)
+    return M.map(lambda n, d, c: t.involution_transport(c))
 
 
 def twisted_gram(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]) -> Matrix:
@@ -175,7 +169,7 @@ def twisted_gram(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]) -> 
 def _residual_report(t: TargetModel, prod: LoopOperator, lo: int, hi: int) -> dict:
     bad = {}
     for n in range(lo, hi + 1):
-        if n in prod.mult_classes:
+        if (n, ()) in prod.data:
             entries = []
             for i, row in enumerate(prod.block(n)):
                 for j, x in enumerate(row):
@@ -218,7 +212,7 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
         raise TruncationTooNarrow(
             f"product reliable only to z^{prod.zmax}, needed z^{zmax}")
     resid = adjoint(t, L).flip_z() + L
-    report["log_residual_zero"] = not resid.mult_classes
+    report["log_residual_zero"] = resid.is_zero
     return report
 
 
@@ -351,9 +345,9 @@ def _delta_from(t: TargetModel, logs: Dict[int, CohClass], zmax: int) -> LoopOpe
     """Delta through zmax from the log blocks through zmax + dim(X)."""
     zmin_out = -max(c.dim for c in t.components) - 1
     blocks = graded_exp(t, {(n, ()): c for n, c in logs.items()}, zmin_out, zmax + t.dim, 0)
-    out_classes = {n: c for (n, _d), c in blocks.items() if n <= zmax}
-    zmin = min([zmin_out] + list(out_classes))
-    return LoopOperator(t, zmin, zmax, out_classes, exact=False)
+    out = LoopOperator(t, zmin_out, zmax, {})
+    out.data = {k: c for k, c in blocks.items() if k[0] <= zmax}
+    return out
 
 
 def _log_delta_and_delta(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
@@ -364,20 +358,6 @@ def _log_delta_and_delta(t: TargetModel, F: BundleModel, s_values: Sequence[Scal
     logs = log_delta_classes(t, F, s_values, max(log_zmax, delta_zmax + t.dim))
     narrow = {n: c for n, c in logs.items() if n <= log_zmax}
     return _log_delta_from(t, narrow, s_values, log_zmax), _delta_from(t, logs, delta_zmax)
-
-
-def _zpoly_mul(t: TargetModel, a: Dict[int, CohClass], b: Dict[int, CohClass],
-               zmin: int, zmax: int) -> Dict[int, CohClass]:
-    out: Dict[int, CohClass] = {}
-    for na, ca in a.items():
-        for nb, cb in b.items():
-            n = na + nb
-            if not (zmin <= n <= zmax):
-                continue
-            prod = ca.mul(cb)
-            if not prod.is_zero:
-                out[n] = out.get(n, t.zero_class()) + prod
-    return {n: c for n, c in out.items() if not c.is_zero}
 
 
 def delta_inverse(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],

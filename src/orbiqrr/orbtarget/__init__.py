@@ -3,7 +3,6 @@
 from .builders import (
     bmu,
     bmu_character,
-    line_bundle_On,
     point,
     projective_space,
     trivial_bundle,
@@ -33,7 +32,6 @@ __all__ = [
     "weighted_projective",
     "trivial_bundle",
     "bmu_character",
-    "line_bundle_On",
     "wps_pullback_line",
     "load_target",
     "dump_target",

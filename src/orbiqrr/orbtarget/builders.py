@@ -138,23 +138,6 @@ def bmu_character(t: TargetModel, j: int) -> BundleModel:
                        c1_pairing=(Frac(0),))
 
 
-def line_bundle_On(t: TargetModel, m: int) -> BundleModel:
-    """O(m) on P^n: pulled back, split, full Chern character exp(m p)."""
-    comp = t.components[0]
-    n = comp.dim
-    terms = {}
-    fact = 1
-    for k in range(n + 1):
-        if k:
-            fact *= k
-        terms[("0", k)] = sc(Frac(m ** k, fact))
-    ch = CohClass(t, terms)
-    c1 = CohClass(t, {("0", 1): sc(m)}) if n >= 1 else t.zero_class()
-    return BundleModel(f"O{m}", t, {("0", 0): ch}, pulled_back=True,
-                       c1_pairing=(Frac(m),),
-                       lines=[((Frac(m),), c1)])
-
-
 def wps_pullback_line(t: TargetModel, m: int) -> BundleModel:
     """A line bundle pulled back from the coarse space of a WPS target.
 

@@ -28,7 +28,7 @@ from ..errors import (
     InvariantViolation,
     TruncationTooNarrow,
 )
-from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, deg_add, sc, zero_deg
+from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc, window_product, zero_deg
 
 Frac = Fraction
 
@@ -363,13 +363,17 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
     times classes of degree >= 2, as in log Delta).
     """
     d0 = next((zero_deg(len(d)) for _n, d in blocks), ())
+
+    def inside(n: int, d) -> bool:
+        return zmin <= n <= zmax and sum(d) <= dmax
+
     out: Dict[Key, CohClass] = {}
     for comp in t.components:
         cid = comp.cid
         head = SCALAR_ZERO
         pieces: Dict[int, Dict[Key, Dict[Tuple[str, int], Scalar]]] = {}
         for (n, d), cls in blocks.items():
-            if not (zmin <= n <= zmax and sum(d) <= dmax):
+            if not inside(n, d):
                 continue
             for (c, idx), v in cls.terms.items():
                 if c != cid:
@@ -394,7 +398,8 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
                 if u > w or not E[w - u]:
                     continue
                 # E_0 is the unit, so that product is u L_u itself
-                prods = _window_mul(Lu, E[w - u], zmin, zmax, dmax) if u < w else Lu
+                prods = (window_product(Lu, E[w - u], lambda a, b: a.mul(b), inside)
+                         if u < w else Lu)
                 for k, c in prods.items():
                     sums[k] = sums[k] + c if k in sums else c
             Ew = {k: c.scale(Frac(1, w)) for k, c in sums.items() if not c.is_zero}
@@ -407,22 +412,6 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
             if not c.is_zero:
                 out[k] = out[k] + c if k in out else c
     return out
-
-
-def _window_mul(a: Dict[Key, CohClass], b: Dict[Key, CohClass],
-                zmin: int, zmax: int, dmax: int) -> Dict[Key, CohClass]:
-    """The product of two block dicts, keeping the blocks inside the window."""
-    out: Dict[Key, CohClass] = {}
-    for (na, da), ca in a.items():
-        for (nb, db), cb in b.items():
-            n = na + nb
-            d = deg_add(da, db)
-            if not (zmin <= n <= zmax and sum(d) <= dmax):
-                continue
-            prod = ca.mul(cb)
-            if not prod.is_zero:
-                out[(n, d)] = out[(n, d)] + prod if (n, d) in out else prod
-    return {k: c for k, c in out.items() if not c.is_zero}
 
 
 class BundleModel:

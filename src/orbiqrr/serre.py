@@ -153,8 +153,8 @@ def check_serre_cone(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     depth = max(c.dim for c in t.components) + 1
     L, D = _log_delta_and_delta(t, F, s, zmax, zmax + depth)
     Ld, Dd = _log_delta_and_delta(t, Fd, sd, zmax, zmax + depth)
-    log_resid = _differing_blocks(t, L, Ld, min(L.zmin, Ld.zmin), zmax)
-    delta_resid = _differing_blocks(t, D, Dd, D.zmin, zmax)
+    log_resid = _differing_blocks(L, Ld, min(L.zmin, Ld.zmin), zmax)
+    delta_resid = _differing_blocks(D, Dd, D.zmin, zmax)
     tw = F.twist_class(s)
     twd = Fd.twist_class(sd)
     cc_one = tw.mul(twd) == t.unit_everywhere()
@@ -194,11 +194,9 @@ def _default_sample(t: TargetModel) -> GiventalElement:
     return e
 
 
-def _differing_blocks(t: TargetModel, A, B, lo: int, hi: int) -> List[int]:
+def _differing_blocks(A, B, lo: int, hi: int) -> List[int]:
     """The z-powers in [lo, hi] where two loop operators' multiplier classes differ."""
-    zero = t.zero_class()
-    return [n for n in range(lo, hi + 1)
-            if A.mult_classes.get(n, zero) != B.mult_classes.get(n, zero)]
+    return [n for n in range(lo, hi + 1) if A.get(n, ()) != B.get(n, ())]
 
 
 def _read_t(t: TargetModel, x: GiventalElement, inv_root: CohClass) -> GiventalElement:

@@ -52,11 +52,11 @@ from orbiqrr.loopops import (
 from orbiqrr.orbtarget import (
     bmu,
     bmu_character,
-    line_bundle_On,
     point,
     projective_space,
     trivial_bundle,
     weighted_projective,
+    wps_pullback_line,
 )
 from orbiqrr.serre import (
     check_serre_cone,
@@ -250,7 +250,7 @@ def test_criterion_8_serre():
             assert dual_am_identity_report(t, F, mmax=5)["ok"]
         # cone residuals on P1/O(1) and Bmu2 through z^3, s <= s_2
         t1 = projective_space(1)
-        rep1 = check_serre_cone(t1, line_bundle_On(t1, 1),
+        rep1 = check_serre_cone(t1, wps_pullback_line(t1, 1),
                                 [Scalar.log_lambda(), sc(Frac(1, 2)), sc(Frac(-1, 3))], 3)
         assert rep1["ok"], rep1
         t2 = bmu(2)
@@ -268,7 +268,7 @@ def test_criterion_9_negative_controls():
         # P1 / O(3): c1(F) = 3 > c1(T) = 2
         j = j_closed_form_Pn(1, 1)
         t = j.target
-        F = line_bundle_On(t, 3)
+        F = wps_pullback_line(t, 3)
         i = nonequivariant_limit(hypergeometric_modification(t, F, j))
         with pytest.raises(PositivityViolated, match=r"z\^2 survives"):
             small_expansion(i)

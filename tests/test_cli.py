@@ -444,10 +444,10 @@ class TestCache:
         assert os.listdir(store.directory) == ["k.json"]   # no temp file left behind
 
     def test_config_target_keyed_by_content(self, capsys, tmp_path, monkeypatch):
-        from orbiqrr.orbtarget import line_bundle_On, projective_space, target_to_obj
+        from orbiqrr.orbtarget import projective_space, target_to_obj, wps_pullback_line
         monkeypatch.chdir(tmp_path)
         t = projective_space(1)
-        obj = target_to_obj(t, [line_bundle_On(t, 1)])
+        obj = target_to_obj(t, [wps_pullback_line(t, 1)])
         obj["bundles"][0]["name"] = "F"
         cfg = tmp_path / "t.json"
         cfg.write_text(json.dumps(obj))

@@ -28,7 +28,6 @@ from orbiqrr.orbtarget import (
     bmu,
     bmu_character,
     graded_exp,
-    line_bundle_On,
     point,
     projective_space,
     weighted_projective,
@@ -218,7 +217,7 @@ def test_class_exp_equals_the_power_series(t, seed):
 @pytest.mark.parametrize("t, bundle, arg, zmax", [
     (weighted_projective([1, 1, 2]), wps_pullback_line, 1, 6),
     (weighted_projective([1, 2, 3]), wps_pullback_line, 2, 5),
-    (projective_space(3), line_bundle_On, 1, 4),
+    (projective_space(3), wps_pullback_line, 1, 4),
     (bmu(5), bmu_character, 2, 8),
 ])
 def test_euler_delta_equals_the_power_series(t, bundle, arg, zmax):
@@ -302,7 +301,7 @@ def old_extracted_n(j_twisted, tau, degree):
 @pytest.mark.parametrize("dmax", range(1, 9))
 def test_extraction_equals_the_power_series(dmax):
     j = j_closed_form_Pn(4, dmax)
-    F = line_bundle_On(j.target, 5)
+    F = wps_pullback_line(j.target, 5)
     i = hypergeometric_modification(j.target, F, j, nonequivariant=True)
     tau, j_tw = mirror_map(i, *small_expansion(i))
     assert extract_invariants(j_tw, tau, F)["N"] == old_extracted_n(j_tw, tau, 5)

@@ -41,10 +41,10 @@ from orbiqrr.orbtarget import (
     BundleModel,
     CohClass,
     bmu,
-    line_bundle_On,
     point,
     projective_space,
     weighted_projective,
+    wps_pullback_line,
 )
 
 from oracles import quintic_instanton_numbers, string_recursion_point_correlator
@@ -105,6 +105,18 @@ class TestUniversalEquations:
         table.set((0,), [(slot, 1), (slot, 0), (slot, 0), (slot, 0)], sc(1))
         with pytest.raises(InsufficientTable):
             check_universal_equation("string", table)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_trr_names_a_missing_entry(self, n):
+        """The n-point entry of the point table feeds TRR on both sides of the
+        (n + 1)-point instances; without it, TRR raises and names that key."""
+        table = build_point_table(point(), 6)
+        slot = ("0", 0)
+        key = (n, (0,), tuple(sorted([(slot, 0)] * 3 + [(slot, 1)] * (n - 3))))
+        del table.entries[key]
+        with pytest.raises(InsufficientTable) as info:
+            check_universal_equation("trr", table)
+        assert info.value.missing == [key]
 
     def test_nonzero_entry_violating_dimension_rejected(self):
         t = point()
@@ -251,14 +263,14 @@ class TestHypermod:
     def test_trivial_twist_is_identity(self):
         j = j_closed_form_Pn(2, 2)
         t = j.target
-        F = line_bundle_On(t, 0)
+        F = wps_pullback_line(t, 0)
         i = hypergeometric_modification(t, F, j)
         assert i.series == j.series
 
     def test_p4_o5_d1_heads(self):
         j = j_closed_form_Pn(4, 1)
         t = j.target
-        F = line_bundle_On(t, 5)
+        F = wps_pullback_line(t, 5)
         i = nonequivariant_limit(hypergeometric_modification(t, F, j))
         # z^1 head at d=1 is 120, z^0 p-part is 770
         assert i.coefficient((1,), 1).coeff("0", 0) == sc(120)
@@ -267,7 +279,7 @@ class TestHypermod:
     def test_negative_pairing_rejected(self):
         j = j_closed_form_Pn(2, 1)
         t = j.target
-        F = line_bundle_On(t, -1)
+        F = wps_pullback_line(t, -1)
         with pytest.raises(AssumptionViolated):
             hypergeometric_modification(t, F, j)
 
@@ -276,7 +288,7 @@ class TestHypermod:
         for n, m in ((1, 1), (2, 2), (4, 5)):
             j = j_closed_form_Pn(n, 2)
             t = j.target
-            i = hypergeometric_modification(t, line_bundle_On(t, m), j)
+            i = hypergeometric_modification(t, wps_pullback_line(t, m), j)
             d0 = (0,)
             zero_ok = all(
                 i.coefficient(d0, zz) == j.coefficient(d0, zz)
@@ -289,7 +301,7 @@ class TestHypermod:
         # but the z^0 layer carries genuine lambda content before the limit
         j = j_closed_form_Pn(4, 1)
         t = j.target
-        F = line_bundle_On(t, 5)
+        F = wps_pullback_line(t, 5)
         i = hypergeometric_modification(t, F, j)
         assert i.coefficient((1,), 1).coeff("0", 0) == sc(120)
         z0_unit = i.coefficient((1,), 0).coeff("0", 0)
@@ -312,7 +324,7 @@ class TestSmallExpansionAndMirror:
     def test_quintic_f_and_g(self):
         j = j_closed_form_Pn(4, 2)
         t = j.target
-        F = line_bundle_On(t, 5)
+        F = wps_pullback_line(t, 5)
         i = nonequivariant_limit(hypergeometric_modification(t, F, j))
         f, g = small_expansion(i)
         assert f.get(0, (0,)) == SCALAR_ONE
@@ -325,7 +337,7 @@ class TestSmallExpansionAndMirror:
     def test_mirror_map_quintic(self):
         j = j_closed_form_Pn(4, 2)
         t = j.target
-        F = line_bundle_On(t, 5)
+        F = wps_pullback_line(t, 5)
         i = nonequivariant_limit(hypergeometric_modification(t, F, j))
         f, g = small_expansion(i)
         tau, j_tw = mirror_map(i, f, g)
@@ -352,7 +364,7 @@ class TestSmallExpansionAndMirror:
         # c1(O(3)) = 3 > c1(T_P1) = 2: a z^2 term survives at d = 1
         j = j_closed_form_Pn(1, 1)
         t = j.target
-        F = line_bundle_On(t, 3)
+        F = wps_pullback_line(t, 3)
         i = nonequivariant_limit(hypergeometric_modification(t, F, j))
         with pytest.raises(PositivityViolated, match=r"z\^2 survives"):
             small_expansion(i)
@@ -422,7 +434,7 @@ def _split_bundle(t, degrees):
     """O(m_1) + O(m_2) + ... on P^n, one ``lines`` entry per summand."""
     ch = t.zero_class()
     for m in degrees:
-        ch = ch + line_bundle_On(t, m).eigen_class("0", 0)
+        ch = ch + wps_pullback_line(t, m).eigen_class("0", 0)
     lines = [((Frac(m),), CohClass(t, {("0", 1): sc(m)})) for m in degrees]
     return BundleModel("+".join(f"O{m}" for m in degrees), t, {("0", 0): ch},
                        pulled_back=True, c1_pairing=(Frac(sum(degrees)),), lines=lines)
@@ -446,7 +458,7 @@ def test_one_factor_chain_per_degree_matches_per_slice(n_degrees, dmax, nonequiv
     n, degrees = n_degrees
     j = j_closed_form_Pn(n, dmax)
     t = j.target
-    F = line_bundle_On(t, degrees[0]) if len(degrees) == 1 else _split_bundle(t, degrees)
+    F = wps_pullback_line(t, degrees[0]) if len(degrees) == 1 else _split_bundle(t, degrees)
     grouped = hypergeometric_modification(t, F, j, nonequivariant=nonequivariant).series
     per_slice = _per_slice_modification(t, F, j, nonequivariant).series
     assert grouped.data == per_slice.data
@@ -482,7 +494,7 @@ class TestLimitFirst:
         n, m = n_m
         j = j_closed_form_Pn(n, dmax)
         t = j.target
-        F = line_bundle_On(t, m)
+        F = wps_pullback_line(t, m)
         first = hypergeometric_modification(t, F, j, nonequivariant=True).series
         after = nonequivariant_limit(hypergeometric_modification(t, F, j)).series
         assert first.data == after.data
@@ -504,10 +516,10 @@ class TestLimitFirst:
         j = self._loaded_p2(f"{c}|{','.join(['0'] * order + ['1'])}", d, zpow)
         t = j.target
         with pytest.raises(PoleAtZero, match=rf"d=\({d},\), z\^{zpow}\)"):
-            hypergeometric_modification(t, line_bundle_On(t, 3), j, nonequivariant=True)
+            hypergeometric_modification(t, wps_pullback_line(t, 3), j, nonequivariant=True)
 
     def test_log_lambda_in_loaded_j_raises(self):
         j = self._loaded_p2({"ell": ["0", "1"]}, 1, -3)
         t = j.target
         with pytest.raises(LogObstruction, match=r"d=\(1,\), z\^-3\)"):
-            hypergeometric_modification(t, line_bundle_On(t, 3), j, nonequivariant=True)
+            hypergeometric_modification(t, wps_pullback_line(t, 3), j, nonequivariant=True)

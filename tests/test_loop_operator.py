@@ -141,6 +141,29 @@ def test_apply_is_the_matrix_action_on_the_flat_vector(t, seed):
             assert [got.get(m, d).coeff(*key) for key in t.flat_basis] == want, (m, d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(targets, seeds)
+def test_apply_keeps_a_rank_two_novikov_degree(t, seed):
+    """An operator block has no Novikov degree (key (n, ())), so applying it
+    keeps the element's degree whatever its rank."""
+    rng = random.Random(seed)
+    op = random_operator(t, rng)
+    degrees = ((0, 0), (1, 0), (0, 1), (1, 1))
+    e = GiventalElement(t, -1, 1, 2)
+    for n in range(-1, 2):
+        for d in degrees:
+            e.add_to(n, d, random_class(t, rng))
+    got = op.apply(e)
+    assert (got.zmin, got.dmax) == (e.zmin + op.zmin, 2)
+    assert all(d in degrees for _n, d in got.data)
+    for m in range(got.zmin, got.zmax + 1):
+        for d in degrees:
+            want = t.zero_class()
+            for a, cls in op.mult_classes.items():
+                want = want + cls.mul(e.get(m - a, d))
+            assert got.get(m, d) == want, (m, d)
+
+
 @settings(max_examples=80, deadline=None)
 @given(targets, seeds)
 def test_failing_symplectic_report_matches_the_matrix_products(t, seed):

@@ -25,11 +25,11 @@ from orbiqrr.orbtarget import (
     CohClass,
     bmu,
     bmu_character,
-    line_bundle_On,
     point,
     projective_space,
     trivial_bundle,
     weighted_projective,
+    wps_pullback_line,
 )
 
 from helpers import random_bundle, random_class
@@ -202,7 +202,7 @@ class TestLogDelta:
 
     def test_z_inverse_block_is_chern(self):
         t = projective_space(1)
-        F = line_bundle_On(t, 3)
+        F = wps_pullback_line(t, 3)
         s = [sc(Frac(1, 2)), sc(Frac(-1, 3))]
         blocks = log_delta_classes(t, F, s, 2)
         # z^-1 block = sum_k s_k ch_{k+1}(q^*F) = s_0 (3p) + s_1 (9/2 p^2 -> 0 on P^1)
@@ -266,7 +266,7 @@ class TestGammaConsistency:
 
     def test_p1_o1_with_nilpotent_root(self):
         t = projective_space(1)
-        F = line_bundle_On(t, 1)
+        F = wps_pullback_line(t, 1)
         zmax = 3
         got = log_delta_classes(t, F, euler_s_values(zmax + 3), zmax)
         want = log_gamma_blocks(t, "0", {1: Frac(1)}, 0, 1, zmax)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from orbiqrr.orbtarget import (
     bmu,
     bmu_character,
     dump_target,
-    line_bundle_On,
     load_target,
     point,
     projective_space,
@@ -111,20 +111,25 @@ class TestBundles:
 
     def test_o5_chern_character(self):
         t = projective_space(4)
-        F = line_bundle_On(t, 5)
+        F = wps_pullback_line(t, 5)
         assert F.rank == 1
         # ch_k = 5^k p^k / k!
         assert F.eigen_chern("0", 0, 2).coeff("0", 2) == sc(Frac(25, 2))
         assert F.c1_pairing == (Frac(5),)
 
     def test_pn_line_bundle_is_the_wps_pullback(self):
-        """The CLI builds every O<m> as wps_pullback_line; on P^n it is line_bundle_On."""
+        """On P^n, wps_pullback_line(t, m) is O(m): ch = exp(m p), one line
+        ((m,), m p), name O<m>."""
+        from orbiqrr.orbtarget import CohClass
         for n in range(1, 6):
             t = projective_space(n)
             for m in range(-2, 8):
-                a, b = wps_pullback_line(t, m), line_bundle_On(t, m)
-                assert a == b and a.name == b.name and a.c1_pairing == b.c1_pairing
-                assert [(p, c.terms) for p, c in a.lines] == [(p, c.terms) for p, c in b.lines]
+                F = wps_pullback_line(t, m)
+                ch = CohClass(t, {("0", k): sc(Frac(m ** k, factorial(k))) for k in range(n + 1)})
+                assert (F.name, F.pulled_back, F.c1_pairing) == (f"O{m}", True, (Frac(m),))
+                assert F.eigen == {("0", 0): ch}
+                assert [(p, c.terms) for p, c in F.lines] == \
+                    [((Frac(m),), CohClass(t, {("0", 1): sc(m)}).terms)]
 
     def test_rank_sum_violation(self):
         t = bmu(2)
@@ -246,7 +251,7 @@ class TestConfig:
 
     def test_bundle_round_trip(self):
         t = projective_space(4)
-        F = line_bundle_On(t, 5)
+        F = wps_pullback_line(t, 5)
         text = dump_target(t, [F])
         t2, bundles = load_target(text)
         assert "O5" in bundles

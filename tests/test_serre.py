@@ -10,7 +10,6 @@ from orbiqrr.loopops import euler_s_values
 from orbiqrr.orbtarget import (
     bmu,
     bmu_character,
-    line_bundle_On,
     point,
     projective_space,
     trivial_bundle,
@@ -64,7 +63,7 @@ class TestDualData:
         assert Fd.eigen_rank("1", 2) == 1     # char 1 -> char 2 data on sector u
         assert Fd.eigen_rank("1", 1) == 0
         t2 = projective_space(4)
-        O5 = line_bundle_On(t2, 5)
+        O5 = wps_pullback_line(t2, 5)
         O5d = dual_bundle(O5)
         assert O5d.c1_pairing == (Frac(-5),)
         assert O5d.eigen_chern("0", 0, 1).coeff("0", 1) == sc(-5)
@@ -142,7 +141,7 @@ class TestMOperatorAndTwist:
 
     def test_novikov_sign_twist(self):
         t = projective_space(4)
-        F = line_bundle_On(t, 5)
+        F = wps_pullback_line(t, 5)
         s = TruncSeries(1, 0, 0, 3, {(0, (0,)): sc(1), (0, (1,)): sc(3), (0, (2,)): sc(7)})
         tw = novikov_sign_twist(s, F)
         assert tw.get(0, (1,)) == sc(-3)     # odd pairing 5
@@ -151,7 +150,7 @@ class TestMOperatorAndTwist:
 
     def test_novikov_sign_twist_on_a_givental_element(self):
         t = projective_space(4)
-        F = line_bundle_On(t, 5)
+        F = wps_pullback_line(t, 5)
         p = t.basis_class("0", "p")
         e = GiventalElement(t, -1, 1, 2, {(1, (0,)): t.unit(), (0, (1,)): p,
                                           (-1, (2,)): p.scale(sc(7))})
@@ -190,7 +189,7 @@ class TestSerreCone:
 
     def test_p1_o1_generic_s(self):
         t = projective_space(1)
-        F = line_bundle_On(t, 1)
+        F = wps_pullback_line(t, 1)
         s = [Scalar.log_lambda(), sc(Frac(1, 2)), sc(Frac(-1, 3))]
         report = check_serre_cone(t, F, s, 3)
         assert report["ok"], report
@@ -210,8 +209,8 @@ class TestSerreCone:
     @pytest.mark.parametrize("target, bundle, arg", [
         (lambda: weighted_projective([1, 1, 2]), wps_pullback_line, 1),
         (lambda: weighted_projective([1, 2, 3]), wps_pullback_line, 2),
-        (lambda: projective_space(1), line_bundle_On, 1),
-        (lambda: projective_space(2), line_bundle_On, 1),
+        (lambda: projective_space(1), wps_pullback_line, 1),
+        (lambda: projective_space(2), wps_pullback_line, 1),
         (lambda: bmu(2), bmu_character, 1),
         (lambda: bmu(3), bmu_character, 1),
         (lambda: bmu(5), bmu_character, 1),

@@ -1,5 +1,6 @@
-"""The truncation window shared by TruncSeries and GiventalElement, checked on
-both coefficient types against a plain-dict reference over Fractions."""
+"""The truncation window shared by TruncSeries and GiventalElement, and the
+windowed product, checked on both coefficient types against a plain-dict
+reference over Fractions."""
 
 from collections import defaultdict
 from fractions import Fraction
@@ -27,12 +28,15 @@ class ScalarKind:
     def times(self, c, q):
         return c * sc(q)
 
+    def product(self, a, b):
+        return a * b
+
     def ref(self, s):
         return {(n, d, 0): c.as_fraction() for (n, d), c in s.items()}
 
 
 class CohKind:
-    """GiventalElement on P^2: a reference entry (n, d, i) -> q is q * p^i."""
+    """GiventalElement on P^2: a reference entry (n, d, i) -> q is q * p^i (p^3 = 0)."""
 
     def make(self, window, data=None):
         return GiventalElement(P2, *window, data)
@@ -42,6 +46,9 @@ class CohKind:
 
     def times(self, c, q):
         return c.scale(q)
+
+    def product(self, a, b):
+        return a.product(b, lambda x, y: x.mul(y))
 
     def ref(self, s):
         return {(n, d, i): v.as_fraction()
@@ -64,6 +71,19 @@ def ref_combine(wa, ra, wb, rb, sign):
         for (n, d, i), v in r.items():
             if inside(w, n, d):
                 out[(n, d, i)] += s * v
+    return w, {k: v for k, v in out.items() if v}
+
+
+def ref_product(wa, ra, wb, rb):
+    """The product's window (one factor's unknown tail times the other's
+    lowest power bounds it) and its entries, by the plain convolution."""
+    w = (wa[0] + wb[0], min(wa[1] + wb[0], wb[1] + wa[0]), min(wa[2], wb[2]))
+    out = defaultdict(Fraction)
+    for (n1, d1, i1), v1 in ra.items():
+        for (n2, d2, i2), v2 in rb.items():
+            n, d = n1 + n2, tuple(x + y for x, y in zip(d1, d2))
+            if inside(w, n, d) and i1 + i2 <= 2:
+                out[(n, d, i1 + i2)] += v1 * v2
     return w, {k: v for k, v in out.items() if v}
 
 
@@ -115,6 +135,9 @@ def test_window_arithmetic_against_plain_dicts(kind, wa, ea, wb, eb, wc):
     assert window_of(mapped) == wa
     want = {(n, d, i): v * (n - sum(d)) for (n, d, i), v in ra.items() if n != sum(d)}
     assert kind.ref(mapped) == want
+
+    prod = kind.product(a, b)
+    assert (window_of(prod), kind.ref(prod)) == ref_product(wa, ra, wb, rb)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=["Scalar", "CohClass"])
