@@ -16,13 +16,31 @@ l-coefficients stripped, root index minimal.  Equality is syntactic on the
 canonical form (after lifting both sides to a common root index and
 cyclotomic order).
 
+Two lanes short-cut the general path.  Each is a slot that the
+constructors fill in from the canonical form; each operator tries the
+rational lane first, then the Laurent lane, then the general path.
+
 Rational lane: a Scalar whose canonical form is a plain rational (zero
-included) also holds that value as a Fraction, filled in by the
-constructors from the canonical form.  When both operands hold one,
-``+ - * / neg inverse ==`` take a single Fraction operation and build the
-result's canonical form directly, with no kernel call and no RatFunc or
-Cyc arithmetic.  Values with lambda, ln(lambda), zeta or a root index take
-the general path through the kernel.
+included) also holds that value as a Fraction.  When both operands hold
+one, ``+ - * / neg inverse ==`` take a single Fraction operation and build
+the result's canonical form directly, with no kernel call and no RatFunc
+or Cyc arithmetic.  This covers every value of the untwisted theory.
+
+Laurent lane: a Scalar in Q[lambda, 1/lambda] (one l-part, root index 1,
+a monic monomial denominator u^b and only rational Cyc coefficients; the
+Euler twist's s_k ~ lambda^-k make most twisted values so) also holds
+(shift, coefficients): the value sum_i c_i lambda^(shift + i) with
+Fraction c_i and c_0 != 0, (0, ()) for zero.  Rationals hold (0, (q,)).
+When both operands hold one, ``+ - * neg ==`` run on the Fraction lists
+(align the shifts, add or convolve with the kernel, trim zeros at both
+ends), and so do ``inverse`` of a monomial and ``/`` by one.  The result's
+canonical form is built eagerly from the list, so ``ell``, hashes and
+serialisation are those of the general path.
+
+A product of a plain rational q with a value off both lanes (ln(lambda),
+zeta or a root index present) scales each numerator Cyc by q; denominators,
+root index and l-length stay.  Everything else takes the general path
+through the kernel.
 
 One singleton for 1: ``sc(1)``, ``from_fraction(1)``, ``from_cyc`` of a
 rational 1 and every lane result equal to 1 are ``SCALAR_ONE``, and a
@@ -58,17 +76,19 @@ def _cgcd(a: Sequence[Cyc], b: Sequence[Cyc]) -> List[Cyc]:
 class RatFunc:
     """Reduced fraction of Cyc-polynomials; denominator monic and coprime to the numerator.
 
-    Sums and products of two polynomials (both denominators 1; a monic
-    constant is 1) skip the gcd.  They are built in the canonical form the
-    general constructor would give: the denominator 1 is monic and coprime
-    to everything, and the kernel's ``poly.add``/``poly.mul`` already strip
-    the numerator.
+    Products of two polynomials (both denominators 1; a monic constant is
+    1) skip the gcd.  They are built in the canonical form the general
+    constructor would give: the denominator 1 is monic and coprime to
+    everything, and the kernel's ``poly.mul`` already strips the numerator.
 
     A monomial denominator c u^b (the lambda^-k poles of the twisted
     theory) is reduced without the Euclidean gcd.  u is irreducible, so the
     monic gcd of c u^b and u^v q(u) with q(0) != 0 is u^min(b, v): the
     constructor drops that power from both sides and divides by c, which
-    is exactly the canonical form the general path builds.
+    is exactly the canonical form the general path builds.  A sum of two
+    canonical forms over u^a and u^b (polynomials are b = 0) is taken over
+    u^max(a, b) by shifting numerators, with the same u^min reduction and
+    no cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -119,8 +139,19 @@ class RatFunc:
             return o
         if o.is_zero:
             return self
-        if len(self.den) == 1 and len(o.den) == 1:
-            return RatFunc(poly.add(self.num, o.num, CYC_ZERO), self.den, _reduced=True)
+        a, b = len(self.den) - 1, len(o.den) - 1
+        if not any(self.den[:a]) and not any(o.den[:b]):
+            # monic u^a and u^b: shift the side with the lower power up to u^c,
+            # then drop the power of u the sum shares with u^c
+            c = a if a > b else b
+            num = poly.add([CYC_ZERO] * (c - a) + list(self.num),
+                           [CYC_ZERO] * (c - b) + list(o.num), CYC_ZERO)
+            if not num:
+                return RF_ZERO
+            m = 0
+            while m < c and not num[m]:
+                m += 1
+            return RatFunc(num[m:], (CYC_ZERO,) * (c - m) + (CYC_ONE,), _reduced=True)
         return RatFunc(
             poly.add(poly.mul(self.num, o.den, CYC_ZERO), poly.mul(o.num, self.den, CYC_ZERO),
                      CYC_ZERO),
@@ -176,18 +207,20 @@ class Scalar:
     """Element of Q(zeta)(lambda^(1/lam_den))[l].
 
     ``_q`` is the rational lane: the value as a Fraction when the canonical
-    form is a plain rational, else None.  It is derived from ``ell`` and
-    ``lam_den`` by the constructor, never set on its own (see the module
-    docstring for the lane and for the singleton ``SCALAR_ONE``).
+    form is a plain rational, else None.  ``_lau`` is the Laurent lane: the
+    value as (shift, coefficients) when it lies in Q[lambda, 1/lambda],
+    else None.  Both are derived from ``ell`` and ``lam_den`` by the
+    constructor, never set on their own (see the module docstring for the
+    lanes and for the singleton ``SCALAR_ONE``).
     """
 
-    __slots__ = ("lam_den", "ell", "_q")
+    __slots__ = ("lam_den", "ell", "_q", "_lau")
 
     def __init__(self, ell: Sequence[RatFunc], lam_den: int = 1, _norm: bool = False):
         if _norm:
             self.ell = tuple(ell)
             self.lam_den = lam_den
-            self._q = _plain_value(self.ell, lam_den)
+            self._q, self._lau = _lanes(self.ell, lam_den)
             return
         parts = poly.strip(list(ell))
         # minimize the root index: gcd of all u-exponents present
@@ -200,7 +233,7 @@ class Scalar:
                 lam_den //= g
         self.ell = tuple(parts)
         self.lam_den = lam_den
-        self._q = _plain_value(self.ell, lam_den)
+        self._q, self._lau = _lanes(self.ell, lam_den)
 
     # -- constructors
 
@@ -281,12 +314,18 @@ class Scalar:
         p, q = self._q, o._q
         if p is not None and q is not None:
             return _from_q(p + q)
+        x, y = self._lau, o._lau
+        if x is not None and y is not None:
+            return _from_lau(*_lau_add(x, y))
         a, b = Scalar._common(self, o)
         return Scalar(poly.add(a.ell, b.ell, RF_ZERO), a.lam_den)
 
     def __neg__(self) -> "Scalar":
         if self._q is not None:
             return _from_q(-self._q)
+        if self._lau is not None:
+            shift, coeffs = self._lau
+            return _from_lau(shift, tuple(-c for c in coeffs))
         return Scalar(tuple(-rf for rf in self.ell), self.lam_den, _norm=True)
 
     def __sub__(self, o: "Scalar") -> "Scalar":
@@ -305,14 +344,43 @@ class Scalar:
             return _from_q(p * q)
         if not self.ell or not o.ell:
             return SCALAR_ZERO
+        x, y = self._lau, o._lau
+        if x is not None and y is not None:
+            # the end coefficients are nonzero, so are their products: nothing to trim
+            return _from_lau(x[0] + y[0], tuple(poly.mul(x[1], y[1], _ZERO)))
+        if p is not None:
+            return o._scaled(p)
+        if q is not None:
+            return self._scaled(q)
         a, b = Scalar._common(self, o)
         return Scalar(poly.mul(a.ell, b.ell, RF_ZERO), a.lam_den)
+
+    def _scaled(self, q: Frac) -> "Scalar":
+        """self * q for a nonzero rational q, self off both lanes.
+
+        Every numerator coefficient is scaled: a reduced residue times a
+        nonzero rational is reduced, with the same nonzero positions (so
+        the same cyclotomic order), and num/den stay coprime.  The
+        result keeps ``den``, ``lam_den`` and the l-length, and stays off
+        both lanes (its zeta, root index or l-terms are those of self).
+        """
+        out = object.__new__(Scalar)
+        out.ell = tuple(
+            RatFunc(tuple(Cyc(c.order, tuple(x * q for x in c.coeffs), _reduced=True)
+                          for c in rf.num), rf.den, _reduced=True)
+            for rf in self.ell)
+        out.lam_den = self.lam_den
+        out._q = out._lau = None
+        return out
 
     def inverse(self) -> "Scalar":
         if not self.ell:
             raise NonInvertible("division by zero scalar")
         if self._q is not None:
             return _from_q(1 / self._q)
+        x = self._lau
+        if x is not None and len(x[1]) == 1:
+            return _from_lau(-x[0], (1 / x[1][0],))
         if len(self.ell) != 1:
             raise NonInvertible("scalar with log-lambda terms is not invertible")
         return Scalar((self.ell[0].inverse(),), self.lam_den)
@@ -334,6 +402,9 @@ class Scalar:
         p, q = self._q, o._q
         if p is not None and q is not None:
             return p == q
+        x, y = self._lau, o._lau
+        if x is not None and y is not None:
+            return x == y
         a, b = Scalar._common(self, o)
         return a.ell == b.ell
 
@@ -392,18 +463,41 @@ class Scalar:
 
 
 _ZERO = Frac(0)
+Laurent = Tuple[int, Tuple[Frac, ...]]
+_LAU_ZERO: Laurent = (0, ())
 
 
-def _plain_value(ell: Tuple[RatFunc, ...], lam_den: int) -> Optional[Frac]:
-    """The Fraction a canonical form stands for, or None if it is not a plain rational."""
+def _lanes(ell: Tuple[RatFunc, ...], lam_den: int) -> Tuple[Optional[Frac], Optional[Laurent]]:
+    """(_q, _lau) of a canonical form: its Fraction if it is a plain rational,
+    and its (shift, coefficients) if it lies in Q[lambda, 1/lambda]; None
+    where it does not."""
     if not ell:
-        return _ZERO
+        return _ZERO, _LAU_ZERO
     if len(ell) != 1 or lam_den != 1:
-        return None
+        return None, None
     num, den = ell[0].num, ell[0].den
-    if len(num) != 1 or len(den) != 1 or num[0].order != 1:
-        return None
-    return num[0].coeffs[0]      # a monic constant denominator is 1
+    if any(den[:-1]) or any(c.order != 1 for c in num):
+        return None, None
+    low = 0
+    while not num[low]:
+        low += 1
+    coeffs = tuple(c.coeffs[0] for c in num[low:])
+    shift = low - (len(den) - 1)      # the monic denominator is u^(len(den) - 1)
+    if shift == 0 and len(coeffs) == 1:
+        return coeffs[0], (0, coeffs)
+    return None, (shift, coeffs)
+
+
+def _lau_add(x: Laurent, y: Laurent) -> Laurent:
+    """x + y over the lower shift, zeros dropped at both ends (the kernel's
+    sum drops the high ones)."""
+    (s, a), (t, b) = x, y
+    low = s if s < t else t
+    out = poly.add([_ZERO] * (s - low) + list(a), [_ZERO] * (t - low) + list(b), _ZERO)
+    k = 0
+    while k < len(out) and not out[k]:
+        k += 1
+    return low + k, tuple(out[k:])
 
 
 _DEN_ONE = (CYC_ONE,)
@@ -419,10 +513,38 @@ def _from_q(q: Frac) -> "Scalar":
         return SCALAR_ZERO
     if q == 1:
         return SCALAR_ONE
+    c = Cyc(1, (q,), _reduced=True)
     out = object.__new__(Scalar)
-    out.ell = (RatFunc((Cyc(1, (q,), _reduced=True),), _DEN_ONE, _reduced=True),)
+    out.ell = (RatFunc((c,), _DEN_ONE, _reduced=True),)
     out.lam_den = 1
     out._q = q
+    out._lau = (0, c.coeffs)
+    return out
+
+
+def _from_lau(shift: int, coeffs: Tuple[Frac, ...]) -> "Scalar":
+    """The canonical Scalar of sum_i coeffs[i] lambda^(shift + i), built without
+    the constructor; coeffs is empty (zero) or has nonzero ends.
+
+    Plain rationals go through ``_from_q``.  Otherwise the form is the one
+    the general path builds: order-1 Cyc coefficients over the denominator
+    1 when shift >= 0 (u^shift as leading zeros), else over the monic
+    u^-shift, which the nonzero lowest coefficient makes coprime.
+    """
+    if not coeffs:
+        return SCALAR_ZERO
+    if shift == 0 and len(coeffs) == 1:
+        return _from_q(coeffs[0])
+    num = tuple(Cyc(1, (c,), _reduced=True) for c in coeffs)
+    if shift >= 0:
+        rf = RatFunc((CYC_ZERO,) * shift + num, _DEN_ONE, _reduced=True)
+    else:
+        rf = RatFunc(num, (CYC_ZERO,) * -shift + _DEN_ONE, _reduced=True)
+    out = object.__new__(Scalar)
+    out.ell = (rf,)
+    out.lam_den = 1
+    out._q = None
+    out._lau = (shift, coeffs)
     return out
 
 

@@ -57,12 +57,16 @@ class CorrelatorTable:
 
     def get(self, d: Tuple[int, ...], insertions: Sequence[Insertion]) -> Optional[Scalar]:
         """Value if determined (stored, dimension-filtered, or from an unstable
-        moduli problem, all of which force zero); None when genuinely missing."""
+        moduli problem, all of which force zero); None when genuinely missing.
+
+        A stored entry is returned without the dimension test: ``set`` stores
+        a key that fails it only with the value zero."""
         if len(insertions) <= 2 and not any(d):
             return SCALAR_ZERO
-        if not self.dimension_ok(d, insertions):
+        value = self.entries.get(_key(len(insertions), d, insertions))
+        if value is None and not self.dimension_ok(d, insertions):
             return SCALAR_ZERO
-        return self.entries.get(_key(len(insertions), d, insertions))
+        return value
 
     def keys(self) -> Iterable[Key]:
         return self.entries.keys()

@@ -125,6 +125,32 @@ class TestUniversalEquations:
         with pytest.raises(DimensionMismatch):
             table.set((0,), [(slot, 2), (slot, 0), (slot, 0)], sc(1))
 
+    def test_get_stored_unstable_dimension_filtered_and_missing(self, monkeypatch):
+        """A stored entry is looked up without the dimension test; keys that
+        are not stored keep the unstable and dimension-filtered zeros."""
+        t = projective_space(1)
+        table = CorrelatorTable(t)
+        one, p = ("0", 0), ("0", 1)
+        stored = [(p, 0), (p, 0), (p, 0)]
+        table.set((1,), stored, sc(7))
+        table.set((1,), [(one, 0), (one, 0), (one, 0)], sc(0))    # fails the dimension test
+        calls = []
+        dimension_ok = table.dimension_ok
+        monkeypatch.setattr(table, "dimension_ok",
+                            lambda d, ins: calls.append(ins) or dimension_ok(d, ins))
+        assert table.get((1,), list(reversed(stored))) == sc(7)
+        assert table.get((1,), [(one, 0), (one, 0), (one, 0)]).is_zero
+        assert calls == []
+        # unstable moduli (n <= 2 at degree 0): zero, stored or not, with no lookup
+        table.entries[(2, (0,), ((p, 0), (p, 0)))] = sc(5)
+        assert table.get((0,), [(p, 0), (p, 0)]).is_zero
+        assert table.get((0,), [(one, 0)]).is_zero
+        assert calls == []
+        # not stored: zero when the dimension test fails, else missing
+        assert table.get((1,), [(one, 1), (one, 0), (one, 0)]).is_zero
+        assert table.get((1,), [(one, 1), (p, 0), (p, 0)]) is None
+        assert len(calls) == 2
+
     def _p1_table(self):
         # classical degree <= 1 numbers on P^1: the point class is "p",
         # <p,p>_{0,2,1} = <p,p,p>_{0,3,1} = <p,p,p,p>_{0,4,1} = 1,
