@@ -378,8 +378,12 @@ def cmd_check(args, cache) -> dict:
             with open(args.table) as fh:
                 doc = json.load(fh)
             table = _table_from_obj(t, doc)
+        elif t == point():
+            table = build_point_table(t, args.nmax)
         else:
-            table = build_point_table(point(), args.nmax)
+            # only the point has a built-in table; never label its numbers as t's
+            raise UsageError(f"check universal --target {t.name} needs --table "
+                             "(only the point table is built in)")
         report = check_universal_equation(args.kind, table)
         return report
     if args.what == "cocycle":

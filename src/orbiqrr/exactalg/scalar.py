@@ -355,6 +355,21 @@ class Scalar:
         a, b = Scalar._common(self, o)
         return Scalar(poly.mul(a.ell, b.ell, RF_ZERO), a.lam_den)
 
+    def scaled(self, q) -> "Scalar":
+        """self * q for an int or Fraction q, without building a Scalar for q:
+        one Fraction operation on the rational lane, one per coefficient on
+        the Laurent lane, ``_scaled`` off both lanes."""
+        if q == 1 or not self.ell:
+            return self
+        if not q:
+            return SCALAR_ZERO
+        if self._q is not None:
+            return _from_q(self._q * q)
+        if self._lau is not None:
+            shift, coeffs = self._lau
+            return _from_lau(shift, tuple(c * q for c in coeffs))
+        return self._scaled(Frac(q))
+
     def _scaled(self, q: Frac) -> "Scalar":
         """self * q for a nonzero rational q, self off both lanes.
 

@@ -8,12 +8,22 @@ respect the virtual-dimension constraint
 
 The string/divisor/dilaton/TRR checkers evaluate both sides of each equation
 instance available in the table and report exact residuals.
+
+TRR instances that differ only in which slots carry equal insertions share
+one evaluation: the right side sums over sub-multisets A of the remaining
+insertions {v_j^(m_j)}, each weighted by prod_j C(m_j, a_j), the number of
+slot subsets it stands for.  The dimension test (an additive excess against
+a budget, see ``CorrelatorTable.excess``) runs on each left correlator
+before its key is built; one that fails is zero stored or not, so this
+skips lookups without changing the set of missing keys.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DimensionMismatch, InsufficientTable
@@ -35,18 +45,23 @@ class CorrelatorTable:
     def __init__(self, target: TargetModel):
         self.target = target
         self.entries: Dict[Key, Scalar] = {}
-        # per slot orbdeg/2, an int where integral: int sums are far cheaper than Fraction ones
-        halves = {slot: Frac(target.orbdeg(*slot), 2) for slot in target.flat_basis}
-        self._half_orbdeg = {slot: h.numerator if h.denominator == 1 else h
-                             for slot, h in halves.items()}
+        # per slot orbdeg/2 - 1, an int where integral: int sums are far cheaper than Fraction ones
+        excess = {slot: Frac(target.orbdeg(*slot), 2) - 1 for slot in target.flat_basis}
+        self._excess = {slot: e.numerator if e.denominator == 1 else e
+                        for slot, e in excess.items()}
         self._c1 = tuple(Frac(c) for c in target.c1_tangent_pairing)
 
+    def excess(self, insertions: Sequence[Insertion]):
+        """sum_i (orbdeg(a_i)/2 + k_i - 1): additive over insertions."""
+        ex = self._excess
+        return sum(ex[slot] + k for slot, k in insertions)
+
+    def budget(self, d: Tuple[int, ...]):
+        """dim(X) - 3 + <c_1(TX), d>, the excess the dimension constraint asks for."""
+        return self.target.dim - 3 + sum(c * di for c, di in zip(self._c1, d) if di)
+
     def dimension_ok(self, d: Tuple[int, ...], insertions: Sequence[Insertion]) -> bool:
-        half = self._half_orbdeg
-        lhs = sum(half[slot] for slot, _k in insertions)
-        rhs = self.target.dim - 3 + len(insertions) - sum(k for _slot, k in insertions)
-        rhs += sum(c * di for c, di in zip(self._c1, d) if di)
-        return lhs == rhs
+        return self.excess(insertions) == self.budget(d)
 
     def set(self, d: Tuple[int, ...], insertions: Sequence[Insertion], value):
         value = sc(value)
@@ -238,56 +253,122 @@ def _check_trr(table: CorrelatorTable) -> dict:
 
       <a1 k1, a2 k2, a3 k3, rest> =
         sum_{A|B, d1+d2, alpha} <a1 (k1-1), A, phi_alpha> <phi^alpha, a2 k2, a3 k3, B>.
+
+    One instance per slot i1 with k_1 >= 1 and distinct unordered pair of
+    values {v2, v3} among the other slots; a violation names the first
+    index triple [i1, i2, i3] of its instance in (i1, i2, i3) order.
+
+    Each side depends on the insertion values only, not on the slots that
+    carry them, so each distinct recursion is evaluated once: per value v1
+    with k >= 1 and multiplicity m1, per distinct pair {v2, v3} of what
+    remains, and the instance counts m1 times.  The split A | B of the
+    remaining multiset {v_j^(m_j)} runs over its sub-multisets
+    A = {v_j^(a_j)}, 0 <= a_j <= m_j, each standing for the
+    prod_j C(m_j, a_j) slot subsets that give the same two correlators,
+    instead of over all 2^|rest| subsets.
+
+    The dimension test runs on each left correlator before its key is
+    built: one that fails it is zero in ``CorrelatorTable.get`` whether
+    stored or not (``set`` stores such a key only with the value zero), so
+    it adds nothing and no right correlator is looked up for it, as when
+    its looked-up value was zero.  The keys looked up, and so the
+    ``missing`` keys, are those of the slot-by-slot sum.
     """
     t = table.target
-    gram = t.gram()
-    ginv = mat_inv(gram)
+    ginv = mat_inv(t.gram())
     basis = t.flat_basis
+    # per alpha: its slot, the excess of (phi_alpha, 0), the nonzero g^{beta alpha}
+    alphas = [(aslot, table.excess(((aslot, 0),)),
+               [(bslot, ginv[bi][ai]) for bi, bslot in enumerate(basis)
+                if not ginv[bi][ai].is_zero])
+              for ai, aslot in enumerate(basis)]
     missing: List = []
     violations = []
     instances = 0
     for (n, d, ins) in list(table.keys()):
         if n < 3:
             continue
-        seen = set()
-        for i1 in range(n):
-            if ins[i1][1] < 1:
+        lhs = table.entries[(n, d, ins)]
+        splits = [(d1, d2, table.budget(d1)) for d1, d2 in _deg_splits(d)]
+        counts = Counter(ins)
+        residuals: Dict[Insertion, Dict[Tuple[Insertion, Insertion], Scalar]] = {}
+        for v1, m1 in counts.items():
+            if v1[1] < 1:
                 continue
-            for i2 in range(n):
-                for i3 in range(n):
-                    if len({i1, i2, i3}) != 3:
+            a1 = (v1[0], v1[1] - 1)
+            remaining = dict(counts)
+            remaining[v1] -= 1
+            values = [v for v, m in remaining.items() if m]
+            per_pair = residuals[v1] = {}
+            for j, v2 in enumerate(values):
+                for v3 in values[j:]:
+                    if v2 == v3 and remaining[v2] < 2:
                         continue
-                    sig = (i1, tuple(sorted((ins[i2], ins[i3]))))
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    rest = [ins[j] for j in range(n) if j not in (i1, i2, i3)]
-                    instances += 1
-                    lhs = table.entries[(n, d, ins)]
-                    rhs = SCALAR_ZERO
-                    a1 = (ins[i1][0], ins[i1][1] - 1)
-                    for amask in range(1 << len(rest)):
-                        A = [rest[j] for j in range(len(rest)) if amask >> j & 1]
-                        B = [rest[j] for j in range(len(rest)) if not amask >> j & 1]
-                        for dsplit in _deg_splits(d):
-                            d1, d2 = dsplit
-                            for ai, aslot in enumerate(basis):
-                                left = _value(table, d1, [a1] + A + [(aslot, 0)], missing)
-                                if left.is_zero:
-                                    continue
-                                for bi, bslot in enumerate(basis):
-                                    w = ginv[bi][ai]
-                                    if w.is_zero:
-                                        continue
-                                    right = _value(table, d2,
-                                                   [(bslot, 0), ins[i2], ins[i3]] + B, missing)
-                                    rhs = rhs + left * w * right
-                    resid = lhs - rhs
-                    if not resid.is_zero:
-                        violations.append({"n": n, "d": list(d), "insertions": ins,
-                                           "split": [i1, i2, i3],
-                                           "residual": resid.to_obj()})
+                    rest = dict(remaining)
+                    rest[v2] -= 1
+                    rest[v3] -= 1
+                    rhs = _trr_rhs(table, alphas, splits, a1, (v2, v3),
+                                   [(v, m) for v, m in rest.items() if m], missing)
+                    per_pair[tuple(sorted((v2, v3)))] = lhs - rhs
+            instances += m1 * len(per_pair)
+        if any(not r.is_zero for per_pair in residuals.values() for r in per_pair.values()):
+            violations.extend(_trr_violations(n, d, ins, residuals))
     return _report("trr", instances, violations, missing)
+
+
+def _trr_rhs(table: CorrelatorTable, alphas, splits, a1: Insertion,
+             pair: Tuple[Insertion, Insertion], rest: List[Tuple[Insertion, int]],
+             missing: List) -> Scalar:
+    """The TRR right side for a1 = (a_1, k_1 - 1), the pair (a2 k2, a3 k3) and
+    the remaining multiset ``rest`` of (value, multiplicity), summed over its
+    sub-multisets A with weight prod_j C(m_j, a_j) (see ``_check_trr``)."""
+    excess = [table.excess((v,)) for v, _m in rest]
+    a1_excess = table.excess((a1,))
+    rhs = SCALAR_ZERO
+    for choice in product(*(range(m + 1) for _v, m in rest)):
+        left_excess = a1_excess + sum(a * e for a, e in zip(choice, excess))
+        part = SCALAR_ZERO
+        A = B = None
+        for d1, d2, budget in splits:
+            for aslot, alpha_excess, duals in alphas:
+                if left_excess + alpha_excess != budget:
+                    continue        # dimension-filtered: zero, stored or not
+                if A is None:
+                    A = [v for (v, _m), a in zip(rest, choice) for _ in range(a)]
+                    B = [v for (v, m), a in zip(rest, choice) for _ in range(m - a)]
+                left = _value(table, d1, [a1] + A + [(aslot, 0)], missing)
+                if left.is_zero:
+                    continue
+                for bslot, w in duals:
+                    right = _value(table, d2, [(bslot, 0), *pair] + B, missing)
+                    part = part + left * w * right
+        if not part.is_zero:
+            rhs = rhs + part.scaled(prod(comb(m, a) for (_v, m), a in zip(rest, choice)))
+    return rhs
+
+
+def _trr_violations(n: int, d, ins, residuals) -> list:
+    """One violation per slot i1 and pair of values with a nonzero residual,
+    in the slot-by-slot order, named by its first index triple."""
+    out = []
+    for i1 in range(n):
+        if ins[i1][1] < 1:
+            continue
+        per_pair = residuals[ins[i1]]
+        seen = set()
+        for i2 in range(n):
+            for i3 in range(n):
+                if len({i1, i2, i3}) != 3:
+                    continue
+                pair = tuple(sorted((ins[i2], ins[i3])))
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                resid = per_pair[pair]
+                if not resid.is_zero:
+                    out.append({"n": n, "d": list(d), "insertions": ins,
+                                "split": [i1, i2, i3], "residual": resid.to_obj()})
+    return out
 
 
 def _deg_splits(d: Tuple[int, ...]):

@@ -259,6 +259,16 @@ class CohClass:
             if comp is None or idx >= len(comp.basis):
                 raise BasisMismatch(f"unknown basis slot ({cid}, {idx})")
 
+    @classmethod
+    def _valid(cls, target: TargetModel, terms: Dict[Tuple[str, int], Scalar]) -> "CohClass":
+        """A class from Scalar terms on slots of ``target`` already checked
+        (results of the operations below): zero terms are dropped, nothing
+        else is coerced or validated."""
+        out = object.__new__(cls)
+        out.target = target
+        out.terms = {k: v for k, v in terms.items() if v.ell}     # an empty ell is zero
+        return out
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -267,17 +277,19 @@ class CohClass:
         terms = dict(self.terms)
         for k, v in o.terms.items():
             terms[k] = terms.get(k, SCALAR_ZERO) + v
-        return CohClass(self.target, terms)
+        if o.target is not self.target:     # o's slots are unchecked for this target
+            return CohClass(self.target, terms)
+        return CohClass._valid(self.target, terms)
 
     def __neg__(self) -> "CohClass":
-        return CohClass(self.target, {k: -v for k, v in self.terms.items()})
+        return CohClass._valid(self.target, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, o: "CohClass") -> "CohClass":
         return self + (-o)
 
     def scale(self, c) -> "CohClass":
         c = sc(c)
-        return CohClass(self.target, {k: v * c for k, v in self.terms.items()})
+        return CohClass._valid(self.target, {k: v * c for k, v in self.terms.items()})
 
     def mul(self, o: "CohClass") -> "CohClass":
         """Ordinary cup product: componentwise, through the stored tables."""
@@ -288,21 +300,24 @@ class CohClass:
                 cb = o.terms.get((cid, bi))
                 if cb is None:
                     continue
+                cacb = None
                 for gi, w in comp.product(ai, bi).items():
                     if w:
+                        if cacb is None:
+                            cacb = ca * cb
                         key = (cid, gi)
-                        out[key] = out.get(key, SCALAR_ZERO) + ca * cb * sc(w)
-        return CohClass(self.target, out)
+                        out[key] = out.get(key, SCALAR_ZERO) + cacb.scaled(w)
+        return CohClass._valid(self.target, out)
 
     def degree_part(self, degree: int) -> "CohClass":
         """Terms of real cohomological degree `degree` (use 2k for ch_k)."""
-        return CohClass(self.target, {
+        return CohClass._valid(self.target, {
             (cid, idx): v for (cid, idx), v in self.terms.items()
             if self.target.by_id[cid].basis[idx].degree == degree
         })
 
     def restrict(self, cid: str) -> "CohClass":
-        return CohClass(self.target, {k: v for k, v in self.terms.items() if k[0] == cid})
+        return CohClass._valid(self.target, {k: v for k, v in self.terms.items() if k[0] == cid})
 
     def coeff(self, cid: str, idx: int) -> Scalar:
         return self.terms.get((cid, idx), SCALAR_ZERO)
@@ -316,7 +331,7 @@ class CohClass:
         return graded_exp(self.target, {(0, ()): self}, 0, 0, 0)[(0, ())]
 
     def nonequiv_limit(self) -> "CohClass":
-        return CohClass(self.target, {k: v.nonequiv_limit() for k, v in self.terms.items()})
+        return CohClass._valid(self.target, {k: v.nonequiv_limit() for k, v in self.terms.items()})
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, CohClass):
@@ -386,8 +401,8 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
                     raise TruncationTooNarrow(
                         f"block at z^{n} Q^{list(d)} has a piece of weight {w} on "
                         f"component {cid}; the graded exponential needs weight >= 1")
-                pieces.setdefault(w, {}).setdefault((n, d), {})[(cid, idx)] = v * sc(w)
-        scaled = {w: {k: CohClass(t, terms) for k, terms in by_key.items()}
+                pieces.setdefault(w, {}).setdefault((n, d), {})[(cid, idx)] = v.scaled(w)
+        scaled = {w: {k: CohClass._valid(t, terms) for k, terms in by_key.items()}
                   for w, by_key in pieces.items()}
         unit = t.unit(cid)
         E: List[Dict[Key, CohClass]] = [{(0, d0): unit}]

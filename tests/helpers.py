@@ -1,4 +1,5 @@
-"""Shared test utilities: random classes and invariant-respecting random bundles."""
+"""Shared test utilities: random classes, invariant-respecting random bundles
+and a small P^1 correlator table."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import random
 from fractions import Fraction
 
 from orbiqrr.exactalg import sc
-from orbiqrr.orbtarget import BundleModel, CohClass, TargetModel
+from orbiqrr.genus0 import CorrelatorTable
+from orbiqrr.orbtarget import BundleModel, CohClass, TargetModel, projective_space
 
 Frac = Fraction
 
@@ -91,3 +93,20 @@ def random_bundle(t: TargetModel, rng: random.Random, rank: int | None = None) -
                     eigen[key] = CohClass(t, {(comp.cid, 0): sc(parts[l])})
     return BundleModel("random", t, eigen, pulled_back=False,
                        c1_pairing=(Frac(0),) * t.curve_rank)
+
+
+def p1_table():
+    """(P^1, a table of its classical degree <= 1 numbers): the point class
+    is "p", <p,p>_{0,2,1} = <p,p,p>_{0,3,1} = <p,p,p,p>_{0,4,1} = 1,
+    <1 psi, p, p, p>_{0,4,1} = 1 (dilaton), <1,1,p>_{0,3,0} = 1."""
+    t = projective_space(1)
+    table = CorrelatorTable(t)
+    one, p = ("0", 0), ("0", 1)
+    table.set((0,), [(one, 0), (one, 0), (p, 0)], sc(1))
+    table.set((1,), [(p, 0), (p, 0)], sc(1))
+    table.set((1,), [(p, 0), (p, 0), (p, 0)], sc(1))
+    table.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(1))
+    table.set((1,), [(one, 0), (p, 0), (p, 0)], sc(0))
+    table.set((1,), [(one, 1), (p, 0), (p, 0)], sc(0))
+    table.set((1,), [(one, 1), (p, 0), (p, 0), (p, 0)], sc(1))
+    return t, table

@@ -180,6 +180,16 @@ class TestPipelines:
         assert code == 0
         assert json.loads(out)["ok"]
 
+    def test_check_universal_target_needs_a_table(self, capsys):
+        # without --table only the point table exists: a P2 run must not report it as P2's
+        code, out, err = run(capsys, "check", "universal", "--kind", "trr", "--nmax", "5",
+                             "--target", "P2")
+        assert code != 0 and out == ""
+        assert json.loads(err)["error"]["code"] == "UsageError"
+        code, out, _ = run(capsys, "check", "universal", "--kind", "trr", "--nmax", "5",
+                           "--target", "point")
+        assert code == 0 and json.loads(out)["instances"] == 6
+
     def test_check_serre(self, capsys):
         code, out, _ = run(capsys, "check", "serre", "--target", "P1", "--bundle", "O1",
                            "--smax", "2", "--zmax", "3")

@@ -47,6 +47,7 @@ from orbiqrr.orbtarget import (
     wps_pullback_line,
 )
 
+from helpers import p1_table
 from oracles import quintic_instanton_numbers, string_recursion_point_correlator
 
 Frac = Fraction
@@ -151,30 +152,14 @@ class TestUniversalEquations:
         assert table.get((1,), [(one, 1), (p, 0), (p, 0)]) is None
         assert len(calls) == 2
 
-    def _p1_table(self):
-        # classical degree <= 1 numbers on P^1: the point class is "p",
-        # <p,p>_{0,2,1} = <p,p,p>_{0,3,1} = <p,p,p,p>_{0,4,1} = 1,
-        # <1 psi, p, p, p>_{0,4,1} = 1 (dilaton), <1,1,p>_{0,3,0} = 1
-        t = projective_space(1)
-        table = CorrelatorTable(t)
-        one, p = ("0", 0), ("0", 1)
-        table.set((0,), [(one, 0), (one, 0), (p, 0)], sc(1))
-        table.set((1,), [(p, 0), (p, 0)], sc(1))
-        table.set((1,), [(p, 0), (p, 0), (p, 0)], sc(1))
-        table.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(1))
-        table.set((1,), [(one, 0), (p, 0), (p, 0)], sc(0))
-        table.set((1,), [(one, 1), (p, 0), (p, 0)], sc(0))
-        table.set((1,), [(one, 1), (p, 0), (p, 0), (p, 0)], sc(1))
-        return t, table
-
     def test_p1_divisor_equation_real_instances(self):
-        _t, table = self._p1_table()
+        _t, table = p1_table()
         report = check_universal_equation("divisor", table)
         assert report["ok"], report
         assert report["instances"] >= 2   # <p,p,p,p> and <1 psi,p,p,p>
 
     def test_p1_dilaton_and_trr(self):
-        _t, table = self._p1_table()
+        _t, table = p1_table()
         report = check_universal_equation("dilaton", table)
         assert report["ok"] and report["instances"] >= 1
         report = check_universal_equation("trr", table)
@@ -182,7 +167,7 @@ class TestUniversalEquations:
         assert report["instances"] >= 1
 
     def test_p1_divisor_catches_corruption(self):
-        t, table = self._p1_table()
+        t, table = p1_table()
         p = ("0", 1)
         table.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(5))
         report = check_universal_equation("divisor", table)

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbiqrr.errors import (
+    BasisMismatch,
     IndexOutOfRange,
     InvalidParams,
     InvariantViolation,
     SchemaError,
 )
-from orbiqrr.exactalg import SCALAR_ONE, Scalar, sc
+from orbiqrr.exactalg import SCALAR_ONE, Scalar, root_of_unity, sc
 from orbiqrr.orbtarget import (
+    CohClass,
     bmu,
     bmu_character,
     dump_target,
@@ -215,6 +217,57 @@ class TestPairings:
             prod = h_on.mul(b)
             for (cid, _i) in prod.terms:
                 assert cid == comp.cid
+
+
+class TestCohClass:
+    def test_cancelling_results_hold_no_zero_term(self):
+        t = projective_space(1)
+        one, p = t.unit(), t.basis_class("0", "p")
+        total = (one + p) + (p.scale(-1))
+        assert total.terms == {("0", 0): SCALAR_ONE}
+        # (1 + p)(1 - p) = 1 - p^2 = 1: the p terms cancel inside mul
+        prod = (one + p).mul(one - p)
+        assert prod.terms == {("0", 0): SCALAR_ONE}
+        for c in ((one + p) - (one + p), p.scale(0), p.mul(p), -(p - p)):
+            assert c.is_zero and c.terms == {}
+
+    def test_public_construction_coerces_and_checks(self):
+        t = projective_space(1)
+        c = CohClass(t, {("0", 0): 2, ("0", 1): Frac(0)})
+        assert c.terms == {("0", 0): sc(2)}
+        for slot in (("1", 0), ("0", 2)):
+            with pytest.raises(BasisMismatch):
+                CohClass(t, {slot: 1})
+        with pytest.raises(BasisMismatch):
+            t.unit() + CohClass(bmu(2), {("1", 0): 1})    # a slot P1 does not have
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mul_matches_the_term_by_term_product(self, data):
+        """Each term product scaled once equals ca * cb * sc(w), with the same
+        canonical form, on rational, lambda-valued and zeta-valued coefficients."""
+        t = data.draw(st.sampled_from([projective_space(2), weighted_projective([1, 1, 2]),
+                                       weighted_projective([1, 2, 3]), bmu(3)]))
+        coeff = st.one_of(
+            st.fractions(min_value=-5, max_value=5, max_denominator=4).map(sc),
+            st.tuples(st.integers(1, 4), st.integers(-3, 3)).map(
+                lambda nk: sc(nk[0]) * Scalar.lam(nk[1]) + sc(1)),
+            st.integers(2, 5).map(lambda n: root_of_unity(n, 1) * sc(3) + Scalar.lam(-1)))
+        a, b = (CohClass(t, {slot: data.draw(coeff) for slot in t.flat_basis
+                             if data.draw(st.booleans())}) for _ in range(2))
+        want = {}
+        for (cid, ai), ca in a.terms.items():
+            comp = t.by_id[cid]
+            for bi in range(len(comp.basis)):
+                cb = b.terms.get((cid, bi))
+                if cb is None:
+                    continue
+                for gi, w in comp.product(ai, bi).items():
+                    if w:
+                        want[(cid, gi)] = want.get((cid, gi), sc(0)) + ca * cb * sc(w)
+        got = a.mul(b)
+        assert {k: v.to_obj() for k, v in got.terms.items()} == \
+            {k: v.to_obj() for k, v in want.items() if not v.is_zero}
 
 
 _coeffs = st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6),

@@ -368,6 +368,16 @@ def test_products_with_a_rational_match_the_general_path(x, q):
         assert [rf.den for rf in got.ell] == [rf.den for rf in x.ell]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(operands(), off_lane()),
+       st.one_of(rationals, st.integers(-5, 5), st.sampled_from([0, 1, Fraction(1)])))
+def test_scaled_matches_the_product_with_the_rational(x, q):
+    """``scaled`` (an int or Fraction, no Scalar built for it) on every lane."""
+    got = x.scaled(q)
+    assert_same(got, ref_mul(x, sc(q)))
+    assert_same(got, x * sc(q))
+
+
 # -- RatFunc sums over two monomial denominators -----------------------------
 
 
