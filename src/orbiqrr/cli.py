@@ -375,9 +375,13 @@ def cmd_check(args, cache) -> dict:
     if args.what == "universal":
         t = resolve_target(args.target)[0] if args.target else point()
         if args.table:
-            with open(args.table) as fh:
-                doc = json.load(fh)
-            table = _table_from_obj(t, doc)
+            try:
+                with open(args.table) as fh:
+                    text = fh.read()
+            except OSError as e:
+                raise SchemaError(f"--table: cannot read {args.table!r} "
+                                  f"({e.strerror})") from None
+            table = _table_from_obj(t, text)
         elif t == point():
             table = build_point_table(t, args.nmax)
         else:
@@ -406,12 +410,42 @@ def cmd_check(args, cache) -> dict:
     raise UsageError(f"unknown check {args.what!r}")
 
 
-def _table_from_obj(t, doc) -> CorrelatorTable:
+def _table_from_obj(t, text: str) -> CorrelatorTable:
+    """A table of t from {"rows": [{"d", "insertions": [[cid, idx, k], ...], "value"}]}."""
+    try:
+        doc = json.loads(text)
+    except ValueError as e:
+        raise SchemaError(f"$: invalid JSON ({e})") from None
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise SchemaError("$.rows: expected a list")
     table = CorrelatorTable(t)
-    for row in doc["rows"]:
-        d = tuple(row.get("d", [0]))
-        insertions = [((str(c), int(i)), int(k)) for (c, i, k) in row["insertions"]]
-        table.set(d, insertions, sc(Frac(row["value"])))
+    for i, row in enumerate(rows):
+        path = f"$.rows[{i}]"
+        if not isinstance(row, dict) or not isinstance(row.get("insertions"), list):
+            raise SchemaError(f"{path}: expected an object with an insertions list")
+        d = row.get("d", [0] * t.curve_rank)
+        if not (isinstance(d, list) and len(d) == t.curve_rank
+                and all(type(x) is int and x >= 0 for x in d)):
+            raise SchemaError(f"{path}.d: expected {t.curve_rank} nonnegative integers "
+                              f"(the curve rank of {t.name})")
+        insertions = []
+        for j, ins in enumerate(row["insertions"]):
+            try:
+                cid, idx, k = ins if isinstance(ins, list) else None
+                slot, k = (str(cid), int(idx)), int(k)
+            except (TypeError, ValueError, ArithmeticError) as e:
+                raise SchemaError(f"{path}.insertions[{j}]: expected [component, basis "
+                                  f"index, psibar power] ({e})") from None
+            if slot not in t.flat_index or k < 0:
+                raise SchemaError(f"{path}.insertions[{j}]: no slot {slot} with psibar "
+                                  f"power {k} in {t.name}")
+            insertions.append((slot, k))
+        try:
+            value = Frac(row["value"])
+        except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+            raise SchemaError(f"{path}.value: expected a rational ({e})") from None
+        table.set(tuple(d), insertions, sc(value))
     return table
 
 

@@ -398,9 +398,8 @@ def commutator_cocycle(t: TargetModel, A: Tuple, B: Tuple, K: int) -> Scalar:
     op1 = quantize_monomial(t, B1, m1, K)
     op2 = quantize_monomial(t, B2, m2, K)
     M1, M2 = _as_matrix(t, B1), _as_matrix(t, B2)
-    LC = [[sum((M1[i][k] * M2[k][j] for k in range(len(M1))), SCALAR_ZERO)
-           - sum((M2[i][k] * M1[k][j] for k in range(len(M1))), SCALAR_ZERO)
-           for j in range(len(M1))] for i in range(len(M1))]
+    LC = [[x - y for x, y in zip(r12, r21)]
+          for r12, r21 in zip(mat_mul(M1, M2), mat_mul(M2, M1))]
     bracket = None
     if not mat_is_zero(LC):
         bracket = quantize_monomial(t, LC, m1 + m2, K, check=False)

@@ -6,8 +6,11 @@ respect the virtual-dimension constraint
 
     sum_i (orbdeg(a_i)/2 + k_i) = dim(X) - 3 + n + <c_1(TX), d>.
 
-The string/divisor/dilaton/TRR checkers evaluate both sides of each equation
-instance available in the table and report exact residuals.
+The checkers evaluate both sides of each equation instance available in
+the table and report exact residuals.  String, dilaton and divisor are
+linear: they share one instance loop (``check_universal_equation``), and
+each supplies only its right side.  The divisor's gamma acts on a twisted
+insertion through ``TargetModel.spread_untwisted``.
 
 TRR instances that differ only in which slots carry equal insertions share
 one evaluation: the right side sums over sub-multisets A of the remaining
@@ -27,9 +30,9 @@ from math import comb, factorial, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DimensionMismatch, InsufficientTable
-from ..exactalg import SCALAR_ZERO, Scalar, sc
+from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
 from ..linalg import mat_inv
-from ..orbtarget import TargetModel
+from ..orbtarget import CohClass, TargetModel
 
 Frac = Fraction
 Slot = Tuple[str, int]            # (component id, basis index)
@@ -137,15 +140,28 @@ def _value(table: CorrelatorTable, d, insertions, missing: List) -> Scalar:
 
 def check_universal_equation(kind: str, table: CorrelatorTable) -> dict:
     kind = kind.lower()
-    if kind == "string":
-        return _check_string(table)
-    if kind == "dilaton":
-        return _check_dilaton(table)
-    if kind == "divisor":
-        return _check_divisor(table)
     if kind == "trr":
         return _check_trr(table)
-    raise ValueError(f"unknown universal equation {kind!r}")
+    if kind not in _RHS:
+        raise ValueError(f"unknown universal equation {kind!r}")
+    # an instance: a stored key with n >= 4 and a marked insertion (the first one)
+    unit = ("0", 0)   # the unit class of the untwisted sector
+    divisors = {(("0", i), 0) for i, b in enumerate(table.target.by_id["0"].basis) if b.degree == 2}
+    marks = {"string": {(unit, 0)}, "dilaton": {(unit, 1)}, "divisor": divisors}[kind]
+    missing: List = []
+    violations = []
+    instances = 0
+    for (n, d, ins) in list(table.keys()):
+        j = next((j for j, v in enumerate(ins) if v in marks), None)
+        if j is None or n < 4:
+            continue
+        instances += 1
+        rest = list(ins[:j] + ins[j + 1:])
+        resid = table.entries[(n, d, ins)] - _RHS[kind](table, d, ins[j], rest, missing)
+        if not resid.is_zero:
+            violations.append({"n": n, "d": list(d), "insertions": ins,
+                               "residual": resid.to_obj()})
+    return _report(kind, instances, violations, missing)
 
 
 def _report(kind: str, instances: int, violations: list, missing: list) -> dict:
@@ -159,92 +175,38 @@ def _report(kind: str, instances: int, violations: list, missing: list) -> dict:
     }
 
 
-def _check_string(table: CorrelatorTable) -> dict:
-    unit = ("0", 0)   # the unit class of the untwisted sector
-    missing: List = []
-    violations = []
-    instances = 0
-    for (n, d, ins) in list(table.keys()):
-        # interpret each (1, 0) slot as the string insertion
-        if (unit, 0) not in ins or n < 4:
-            continue
-        rest = list(ins)
-        rest.remove((unit, 0))
-        instances += 1
-        lhs = table.entries[(n, d, ins)]
-        rhs = SCALAR_ZERO
-        for j, (slot, k) in enumerate(rest):
-            if k == 0:
-                continue
-            lowered = rest[:j] + [(slot, k - 1)] + rest[j + 1:]
-            rhs = rhs + _value(table, d, lowered, missing)
-        resid = lhs - rhs
-        if not resid.is_zero:
-            violations.append({"n": n, "d": list(d), "insertions": ins,
-                               "residual": resid.to_obj()})
-    return _report("string", instances, violations, missing)
+def _string_rhs(table, d, marked, rest, missing) -> Scalar:
+    """sum_j <..., a_j psibar^(k_j - 1), ...> over the k_j >= 1."""
+    rhs = SCALAR_ZERO
+    for j, (slot, k) in enumerate(rest):
+        if k:
+            rhs = rhs + _value(table, d, rest[:j] + [(slot, k - 1)] + rest[j + 1:], missing)
+    return rhs
 
 
-def _check_dilaton(table: CorrelatorTable) -> dict:
-    unit = ("0", 0)   # the unit class of the untwisted sector
-    missing: List = []
-    violations = []
-    instances = 0
-    for (n, d, ins) in list(table.keys()):
-        if (unit, 1) not in ins or n < 4:
-            continue
-        rest = list(ins)
-        rest.remove((unit, 1))
-        instances += 1
-        lhs = table.entries[(n, d, ins)]
-        rhs = _value(table, d, rest, missing) * sc(n - 3)   # 2g - 2 + (n-1) at g = 0
-        resid = lhs - rhs
-        if not resid.is_zero:
-            violations.append({"n": n, "d": list(d), "insertions": ins,
-                               "residual": resid.to_obj()})
-    return _report("dilaton", instances, violations, missing)
+def _dilaton_rhs(table, d, marked, rest, missing) -> Scalar:
+    """(2g - 2 + n) <rest> at g = 0, with n = len(rest)."""
+    return _value(table, d, rest, missing).scaled(len(rest) - 2)
 
 
-def _check_divisor(table: CorrelatorTable) -> dict:
+def _divisor_rhs(table, d, marked, rest, missing) -> Scalar:
+    """(gamma . d) <rest> + sum_j <..., (gamma a_j) psibar^(k_j - 1), ...> over
+    the k_j >= 1, where gamma acts on a_j through ``spread_untwisted``."""
     t = table.target
-    missing: List = []
-    violations = []
-    instances = 0
-    comp0 = t.by_id["0"]
-    for (n, d, ins) in list(table.keys()):
-        for j, (slot, k) in enumerate(ins):
-            cid, idx = slot
-            if cid != "0" or k != 0 or comp0.basis[idx].degree != 2 or n < 4:
-                continue
-            gamma = comp0.basis[idx]
-            rest = list(ins[:j]) + list(ins[j + 1:])
-            instances += 1
-            lhs = table.entries[(n, d, ins)]
-            pairing = sum((Frac(c) * di for c, di in zip(gamma.curve_pairing, d)), Frac(0))
-            rhs = _value(table, d, rest, missing) * sc(pairing)
-            for m, (slot2, k2) in enumerate(rest):
-                if k2 == 0:
-                    continue
-                # gamma .orb a_j through the untwisted restriction and component product
-                cid2, idx2 = slot2
-                comp2 = t.by_id[cid2]
-                restr = comp2.untwisted_restriction
-                if restr is None:
-                    continue
-                for g_idx, w in enumerate(restr[idx]):
-                    if not w:
-                        continue
-                    for out_idx, w2 in comp2.product(g_idx, idx2).items():
-                        if not w2:
-                            continue
-                        lowered = rest[:m] + [((cid2, out_idx), k2 - 1)] + rest[m + 1:]
-                        rhs = rhs + _value(table, d, lowered, missing) * sc(w * w2)
-            resid = lhs - rhs
-            if not resid.is_zero:
-                violations.append({"n": n, "d": list(d), "insertions": ins,
-                                   "residual": resid.to_obj()})
-            break
-    return _report("divisor", instances, violations, missing)
+    gamma = t.by_id["0"].basis[marked[0][1]]
+    pairing = sum((Frac(c) * di for c, di in zip(gamma.curve_pairing, d)), Frac(0))
+    rhs = _value(table, d, rest, missing).scaled(pairing)
+    spread = t.spread_untwisted(CohClass(t, {marked[0]: SCALAR_ONE}))
+    for j, (slot, k) in enumerate(rest):
+        if not k:
+            continue
+        for slot2, c in spread.mul(CohClass(t, {slot: SCALAR_ONE})).terms.items():
+            lowered = rest[:j] + [(slot2, k - 1)] + rest[j + 1:]
+            rhs = rhs + _value(table, d, lowered, missing) * c
+    return rhs
+
+
+_RHS = {"string": _string_rhs, "dilaton": _dilaton_rhs, "divisor": _divisor_rhs}
 
 
 def _check_trr(table: CorrelatorTable) -> dict:

@@ -54,23 +54,6 @@ Frac = Fraction
 Slot = Tuple[str, int]
 
 
-def _spread_untwisted(t: TargetModel, cls: CohClass) -> CohClass:
-    """Restrict a class on the untwisted sector to every component via q^*."""
-    out: Dict[Slot, Scalar] = {}
-    for comp in t.components:
-        restr = comp.untwisted_restriction
-        if restr is None:
-            continue
-        for (cid, j), c in cls.terms.items():
-            if cid != "0":
-                raise AssumptionViolated("spread expects an untwisted-sector class")
-            for k, w in enumerate(restr[j]):
-                if w:
-                    key = (comp.cid, k)
-                    out[key] = out.get(key, SCALAR_ZERO) + c * sc(w)
-    return CohClass(t, out)
-
-
 @lru_cache(maxsize=128)
 def _rising_coefficients(s: int) -> Tuple[int, ...]:
     """a_0..a_s with prod_{k=1..s} (y + k) = sum_i a_i y^i: a_i = [s+1, i+1],
@@ -109,7 +92,7 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     if nonequivariant:
         J = nonequivariant_limit(J)
     series = J.series
-    spreads = [_spread_untwisted(t, c1cls) for (_pair, c1cls) in F.lines]
+    spreads = [t.spread_untwisted(c1cls) for (_pair, c1cls) in F.lines]
     # degree slices are exact, so the window may widen upward by the z-climb
     # of the products (this is exactly where positivity violations surface)
     by_degree: Dict[Tuple[int, ...], Dict[int, CohClass]] = {}

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List
 
 from .errors import NonInvertible
-from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
+from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar
 from .orbtarget import CohClass, TargetModel
 
 Matrix = List[List[Scalar]]
@@ -58,18 +58,14 @@ def mat_inv(a: Matrix) -> Matrix:
 
 
 def multiplication_matrix(t: TargetModel, cls: CohClass) -> Matrix:
-    """Matrix of ordinary multiplication by cls on the flat basis (block diagonal)."""
+    """Matrix of ordinary multiplication by cls on the flat basis: column j
+    holds cls.mul(e_j), so every product goes through ``CohClass.mul``.
+    Block diagonal, since ordinary products never mix components."""
     n = len(t.flat_basis)
     out = [[SCALAR_ZERO] * n for _ in range(n)]
-    for j, (cid, beta) in enumerate(t.flat_basis):
-        comp = t.by_id[cid]
-        for (cid2, alpha), c in cls.terms.items():
-            if cid2 != cid:
-                continue
-            for gamma, w in comp.product(alpha, beta).items():
-                if w:
-                    i = t.flat_index[(cid, gamma)]
-                    out[i][j] = out[i][j] + c * sc(w)
+    for j, slot in enumerate(t.flat_basis):
+        for key, c in cls.mul(CohClass(t, {slot: SCALAR_ONE})).terms.items():
+            out[t.flat_index[key]][j] = c
     return out
 
 

@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .bernoulli import bernoulli_value
 from .errors import TruncationTooNarrow
-from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc, window_product
+from .exactalg import SCALAR_ZERO, Scalar, sc, window_product
 from .givental import GiventalElement
 from .linalg import (
     Matrix,
@@ -151,19 +151,10 @@ def adjoint(t: TargetModel, M: LoopOperator) -> LoopOperator:
 
 
 def twisted_gram(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]) -> Matrix:
-    """Gram matrix of the twisted pairing (a, b)_{(c,F)} on the flat basis."""
+    """Gram matrix of the twisted pairing (a, b)_{(c,F)} = (a c, b) on the flat
+    basis: M^T g, with M the multiplication matrix of the twist class c."""
     tw = F.twist_class([sc(x) for x in s_values])
-    n = len(t.flat_basis)
-    out = [[SCALAR_ZERO] * n for _ in range(n)]
-    for i, (cid_a, ai) in enumerate(t.flat_basis):
-        a = CohClass(t, {(cid_a, ai): SCALAR_ONE})
-        a_tw = a.mul(tw)
-        for j, (cid_b, bi) in enumerate(t.flat_basis):
-            b = CohClass(t, {(cid_b, bi): SCALAR_ONE})
-            val = t.orbifold_pairing(a_tw, b)
-            if not val.is_zero:
-                out[i][j] = val
-    return out
+    return mat_mul(mat_transpose(multiplication_matrix(t, tw)), gram_matrix(t))
 
 
 def _residual_report(t: TargetModel, prod: LoopOperator, lo: int, hi: int) -> dict:

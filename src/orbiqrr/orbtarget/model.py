@@ -13,7 +13,9 @@ classes (Delta, twist classes, invariant extraction).
 
 Only even cohomological degrees are supported.  Ordinary products never mix
 components; Chen-Ruan products are not modeled beyond multiplication by
-untwisted-sector classes, which acts through the stored restriction maps.
+untwisted-sector classes: gamma acts on a as ``t.spread_untwisted(gamma).mul(a)``.
+``spread_untwisted`` is the one place the restriction maps act and
+``CohClass.mul`` the one reader of the product tables.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
+    AssumptionViolated,
     BasisMismatch,
     IndexOutOfRange,
     InvariantViolation,
@@ -229,6 +232,22 @@ class TargetModel:
             terms[(partner, ai)] = terms.get((partner, ai), SCALAR_ZERO) + c
         return CohClass(self, terms)
 
+    def spread_untwisted(self, cls: "CohClass") -> "CohClass":
+        """Restrict a class on the untwisted sector to every component via q^*."""
+        out: Dict[Tuple[str, int], Scalar] = {}
+        for comp in self.components:
+            restr = comp.untwisted_restriction
+            if restr is None:
+                continue
+            for (cid, j), c in cls.terms.items():
+                if cid != "0":
+                    raise AssumptionViolated("spread expects an untwisted-sector class")
+                for k, w in enumerate(restr[j]):
+                    if w:
+                        key = (comp.cid, k)
+                        out[key] = out.get(key, SCALAR_ZERO) + c * sc(w)
+        return CohClass(self, out)
+
     def _check_class(self, a: "CohClass"):
         if a.target is not self:
             raise BasisMismatch("class belongs to a different target")
@@ -288,6 +307,8 @@ class CohClass:
         return self + (-o)
 
     def scale(self, c) -> "CohClass":
+        if isinstance(c, (int, Frac)):
+            return CohClass._valid(self.target, {k: v.scaled(c) for k, v in self.terms.items()})
         c = sc(c)
         return CohClass._valid(self.target, {k: v * c for k, v in self.terms.items()})
 

@@ -1,10 +1,11 @@
-"""Shared test utilities: random classes, invariant-respecting random bundles
-and a small P^1 correlator table."""
+"""Shared test utilities: random classes, invariant-respecting random bundles,
+a small P^1 correlator table and random dimension-respecting tables."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from orbiqrr.exactalg import sc
 from orbiqrr.genus0 import CorrelatorTable
@@ -110,3 +111,17 @@ def p1_table():
     table.set((1,), [(one, 1), (p, 0), (p, 0)], sc(0))
     table.set((1,), [(one, 1), (p, 0), (p, 0), (p, 0)], sc(1))
     return t, table
+
+
+def random_table(t, nmax: int, dmax: int, fill: float, rng: random.Random) -> CorrelatorTable:
+    """Random small rationals (zero among them) at the dimension-valid keys of
+    stable moduli with n <= nmax and total degree <= dmax; each stored with
+    probability ``fill``, so that the others are missing."""
+    table = CorrelatorTable(t)
+    letters = [(slot, k) for slot in t.flat_basis for k in range(nmax - 2)]
+    for d in range(dmax + 1):
+        for n in range(3 if d == 0 else 2, nmax + 1):
+            for ins in combinations_with_replacement(letters, n):
+                if table.dimension_ok((d,), ins) and rng.random() < fill:
+                    table.set((d,), ins, sc(Frac(rng.randint(-2, 2), rng.randint(1, 2))))
+    return table

@@ -212,6 +212,42 @@ class TestPipelines:
         assert not report["ok"]
         assert report["violations"][0]["residual"] == "1"
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"rows": [{"d": [0], "insertions": [["7", 0, 0], ["0", 0, 0], ["0", 0, 0]],
+                    "value": "0"}]}, "$.rows[0].insertions[0]"),
+        ({"rows": [{"d": [0], "insertions": [["0", 0, 0], ["0", 0], ["0", 0, 0]],
+                    "value": "0"}]}, "$.rows[0].insertions[1]"),
+        ({"rows": [{"d": [0], "insertions": [["0", 0, 0], ["0", 0, 0], ["0", 0, -1]],
+                    "value": "0"}]}, "$.rows[0].insertions[2]"),
+        ({"rows": [{"d": [0], "insertions": [["0", 0, 0], ["0", 0, 0], ["0", 0, 0]],
+                    "value": "x"}]}, "$.rows[0].value"),
+        ({"rows": [{"d": [0, 0], "insertions": [["0", 0, 0], ["0", 0, 0], ["0", 0, 0]],
+                    "value": "1"}]}, "$.rows[0].d"),
+        ({"rows": [{"d": "0", "insertions": [], "value": "1"}]}, "$.rows[0].d"),
+        ({"rows": [{"d": [0], "insertions": [], "value": "0"}, 7]}, "$.rows[1]"),
+        ([], "$.rows"),
+        ({"rows": {}}, "$.rows"),
+    ])
+    def test_check_universal_malformed_table(self, capsys, tmp_path, doc, path):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", "universal", "--kind", "string",
+                           "--table", str(table))
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "SchemaError"
+        assert err["message"].startswith(path + ":")
+
+    def test_check_universal_unreadable_table(self, capsys, tmp_path):
+        missing = str(tmp_path / "no-such-table.json")
+        code, out, _ = run(capsys, "check", "universal", "--table", missing)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "SchemaError" and missing in err["message"]
+        (tmp_path / "bad.json").write_text("{rows")
+        code, out, _ = run(capsys, "check", "universal", "--table", str(tmp_path / "bad.json"))
+        assert code == 1 and json.loads(out)["error"]["message"].startswith("$: invalid JSON")
+
     def test_ifunction_from_config_jfile(self, capsys, tmp_path):
         from orbiqrr.genus0 import j_closed_form_Pn
         from orbiqrr.orbtarget import projective_space, target_to_obj

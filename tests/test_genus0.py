@@ -35,7 +35,7 @@ from orbiqrr.genus0 import (
     small_expansion,
 )
 from orbiqrr.genus0.jfunction import JFunction, LinForm
-from orbiqrr.genus0.lefschetz import _rising_coefficients, _spread_untwisted
+from orbiqrr.genus0.lefschetz import _rising_coefficients
 from orbiqrr.givental import GiventalElement
 from orbiqrr.orbtarget import (
     BundleModel,
@@ -410,7 +410,7 @@ def _per_slice_modification(t, F, J, nonequivariant=False):
         J = nonequivariant_limit(J)
     lam = None if nonequivariant else Scalar.lam(1)
     series = J.series
-    spreads = [_spread_untwisted(t, c1cls) for (_pair, c1cls) in F.lines]
+    spreads = [t.spread_untwisted(c1cls) for (_pair, c1cls) in F.lines]
     all_terms = {}
     for (n, d), cls in series.data.items():
         if sum(d) > dmax:

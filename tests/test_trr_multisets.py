@@ -11,7 +11,6 @@ residuals) or raise InsufficientTable with the same missing keys.
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from orbiqrr.genus0.correlators import _deg_splits, _report, _value
 from orbiqrr.linalg import mat_inv
 from orbiqrr.orbtarget import bmu, point, projective_space, weighted_projective
 
-from helpers import p1_table
+from helpers import p1_table, random_table
 
 Frac = Fraction
 
@@ -144,20 +143,6 @@ def test_one_deleted_entry(name):
 # -- random tables: every violation, multi-slot bases, fractional ages ------------
 
 TARGETS = [point(), bmu(2), bmu(3), projective_space(1), weighted_projective([1, 2])]
-
-
-def random_table(t, nmax: int, dmax: int, fill: float, rng: random.Random) -> CorrelatorTable:
-    """Random small rationals (zero among them) at the dimension-valid keys of
-    stable moduli with n <= nmax and total degree <= dmax; each stored with
-    probability ``fill``, so that the others are missing."""
-    table = CorrelatorTable(t)
-    letters = [(slot, k) for slot in t.flat_basis for k in range(nmax - 2)]
-    for d in range(dmax + 1):
-        for n in range(3 if d == 0 else 2, nmax + 1):
-            for ins in combinations_with_replacement(letters, n):
-                if table.dimension_ok((d,), ins) and rng.random() < fill:
-                    table.set((d,), ins, sc(Frac(rng.randint(-2, 2), rng.randint(1, 2))))
-    return table
 
 
 @settings(max_examples=60, deadline=None)
