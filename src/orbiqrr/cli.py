@@ -383,6 +383,9 @@ def cmd_check(args, cache) -> dict:
                                   f"({e.strerror})") from None
             table = _table_from_obj(t, text)
         elif t == point():
+            if args.kind == "divisor":     # zero instances would read as a pass
+                raise UsageError("check universal --kind divisor needs --table: the built-in "
+                                 "point table has no degree-2 divisor class")
             table = build_point_table(t, args.nmax)
         else:
             # only the point has a built-in table; never label its numbers as t's

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from math import comb
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import NormalFormViolation, SchemaError
-from ..exactalg import parse_scalar, sc
+from ..exactalg import Scalar, parse_scalar
 from ..givental import GiventalElement
 from ..orbtarget import CohClass, TargetModel
 
@@ -112,6 +114,7 @@ class JFunction:
 def j_closed_form_Pn(n: int, dmax: int) -> JFunction:
     """J for P^n on H^0 + H^2: z e^{(t0 + t1 p)/z} sum_d Q'^d / prod_{k<=d} (p+kz)^{n+1}.
 
+    Slice d is ``_apply_factor_product`` (e = -(n+1), s = d, rho = p) on z.
     The prefactor and the Q e^{t1} absorption are symbolic; the stored series
     is the exact t = 0 slice.  String shift (t0 -> t0 + eps multiplies by
     e^{eps/z}) and divisor shift (t1 -> t1 + eps is Q -> Q e^eps times
@@ -120,37 +123,78 @@ def j_closed_form_Pn(n: int, dmax: int) -> JFunction:
     """
     from ..orbtarget import projective_space
     t = projective_space(n)
-    zmin = 1 - (n + 1) * dmax - n - 2
-    e = GiventalElement(t, zmin, 1, dmax)
+    e = GiventalElement(t, 1 - (n + 1) * dmax - n - 2, 1, dmax)
+    head, p = {1: t.unit()}, t.basis_class("0", "p")
     for d in range(dmax + 1):
-        for a, c in _pn_degree_coeffs(n, d).items():
-            zpow = 1 - (n + 1) * d - a
-            if zpow < zmin:
-                continue
-            e.add_to(zpow, (d,), CohClass(t, {("0", a): sc(c)}))
+        for zpow, c in _apply_factor_product(head, p, d, -(n + 1), False).items():
+            e.add_to(zpow, (d,), c)
     pref = {("0", 0): LinForm.var("t0"), ("0", 1): LinForm.var("t1")}
     return JFunction(t, e, prefactor=pref, tpoint=dict(pref), kind="factored")
 
 
-def _pn_degree_coeffs(n: int, d: int) -> Dict[int, Frac]:
-    """p-expansion of prod_{k=1..d} (p + kz)^{-(n+1)} * z^{(n+1)d}: maps a -> coeff of p^a."""
-    coeffs = {0: Frac(1)}
-    for k in range(1, d + 1):
-        # multiply by (1 + p/(kz))^{-(n+1)} = sum_j binom(-(n+1), j) (p/(kz))^j, then k^{-(n+1)}
-        factor = {}
-        b = Frac(1)
-        for j in range(n + 1):
-            if j:
-                b *= Frac(-(n + 1) - (j - 1), j)
-            factor[j] = b / Frac(k) ** j
-        out: Dict[int, Frac] = {}
-        for a, c in coeffs.items():
-            for j, f in factor.items():
-                if a + j <= n:
-                    out[a + j] = out.get(a + j, Frac(0)) + c * f
-        scale = Frac(1, k) ** (n + 1)
-        coeffs = {a: c * scale for a, c in out.items()}
-    return coeffs
+# -- the hypergeometric factor kernel ----------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _factor_coefficients(e: int, s: int, top: int) -> Tuple[Frac, ...]:
+    """c_0..c_m with prod_{k=1..s} (x + kz)^e = sum_i c_i x^i z^(e s - i) mod x^(top+1).
+
+    Each factor is the binomial series (x + kz)^e = sum_j C(e, j) k^(e-j)
+    x^j z^(e-j), finite for e > 0; m = min(top, e s) for e > 0, else top
+    (m = 0 when s = 0).  For e = 1 the c_i are the unsigned Stirling numbers
+    [s+1, i+1]."""
+    m = min(top, e * s) if e > 0 else top
+    binom = [Frac(1)]                        # C(e, j), j <= min(e, m) for e > 0
+    for j in range(1, m + 1 if e < 0 else min(e, m) + 1):
+        binom.append(binom[-1] * (e - j + 1) / j)
+    coeffs = [Frac(1)]
+    for k in range(1, s + 1):
+        factor = [b * Frac(k) ** (e - j) for j, b in enumerate(binom)]
+        out = [Frac(0)] * min(len(coeffs) + len(factor) - 1, m + 1)
+        for i, c in enumerate(coeffs):
+            for j, f in enumerate(factor[:len(out) - i]):
+                out[i + j] += c * f
+        coeffs = out
+    return tuple(coeffs)
+
+
+def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: int, e: int,
+                          equivariant: bool) -> Dict[int, CohClass]:
+    """prod_{k=1..s} (lambda + rho + kz)^e times sum_n c_n z^n, with lambda = 0
+    unless ``equivariant``; e is a nonzero integer.
+
+    With x = lambda + rho this is sum_i c_i x^i z^(e s - i)
+    (``_factor_coefficients``), and x^i = sum_j C(i, j) lambda^(i-j) rho^j, so
+    a slice c becomes sum_i sum_j c_i C(i, j) lambda^(i-j) z^(e s - i)
+    (rho^j c).  This is exact because the cup product is commutative and rho,
+    a degree-2 class on each component, is nilpotent: the powers rho^j c
+    stop at the first zero, so a slice costs at most dim + 1 class products
+    and each coefficient is a rational times one power of lambda.  For e < 0
+    the series in x is infinite, so x must be nilpotent too: lambda = 0, and
+    ``equivariant`` must be false.
+    """
+    lam_top = e * s if equivariant else 0    # the highest power of lambda that occurs
+    powers: Dict[int, List[CohClass]] = {}
+    for n, c in slice_terms.items():
+        row = [c]                        # rho^j c, up to the first zero
+        while e < 0 or len(row) <= e * s:
+            nxt = row[-1].mul(rho)
+            if nxt.is_zero:
+                break
+            row.append(nxt)
+        powers[n] = row
+    top = max((len(row) for row in powers.values()), default=1) - 1
+    weights = {(i, j): Scalar.lam(i - j).scaled(a * comb(i, j))
+               for i, a in enumerate(_factor_coefficients(e, s, top + lam_top))
+               for j in range(max(0, i - lam_top), min(i, top) + 1)}
+    out: Dict[int, CohClass] = {}
+    for n, row in powers.items():
+        for (i, j), w in weights.items():
+            if j < len(row):
+                term = row[j].scale(w)
+                m = n + e * s - i
+                out[m] = out[m] + term if m in out else term
+    return out
 
 
 def shift_t0(j: JFunction, name: str = "eps") -> JFunction:

@@ -3,18 +3,15 @@ expansion, mirror map, nonequivariant limit, and hypersurface invariant
 extraction.
 
 The modification multiplies each degree slice J_d by the finite products
-prod_j prod_{k=1..s_j} (lambda + rho_j + k z), s_j = <rho_j, d>, each in
-closed form: prod_{k=1..s} (x + kz) = sum_i a_i x^i z^(s-i) with integer
-a_i (unsigned Stirling numbers), and x^i = (lambda + rho)^i expands by the
-binomial theorem.  This is exact because the cup product is commutative and
-rho, a degree-2 class on each component, is nilpotent: a slice meets at most
-dim + 1 powers of rho, and each comes with an integer times one power of
-lambda.  The nonequivariant pipelines (mirror map, invariants, the
-nonequivariant I-function) take the limit first: they set lambda = 0 in J
-and in every factor, (rho_j + k z), and never build the lambda-polynomials
-that the limit would discard.  This is exact: evaluation at lambda = 0 is a
-ring map on coefficients regular at 0, and an untwisted J carries no lambda,
-because lambda is the weight of the fibre action on F.  The small-space
+prod_j prod_{k=1..s_j} (lambda + rho_j + k z), s_j = <rho_j, d>, each through
+the hypergeometric factor kernel ``jfunction._apply_factor_product`` with
+e = 1, the kernel that also builds the J-function of P^n.  The
+nonequivariant pipelines (mirror map, invariants, the nonequivariant
+I-function) take the limit first: they set lambda = 0 in J and in every
+factor, (rho_j + k z), and never build the lambda-polynomials that the
+limit would discard.  This is exact: evaluation at lambda = 0 is a ring map
+on coefficients regular at 0, and an untwisted J carries no lambda, because
+lambda is the weight of the fibre action on F.  The small-space
 expansion reads I = z F(t) + sum_k G^k(t) gamma_k + O(1/z); the mirror map
 divides by F and re-validates the J normal form; invariant extraction strips
 the exponential prefactor e^{tau p / z}, unwinds the divisor flow e^{d tau},
@@ -26,9 +23,7 @@ on every piece here (see ``extract_invariants``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..errors import (
     AssumptionViolated,
@@ -48,38 +43,22 @@ from ..exactalg import (
 )
 from ..givental import GiventalElement
 from ..orbtarget import BundleModel, CohClass, TargetModel, graded_exp, wps_pullback_line
-from .jfunction import JFunction, LinForm
+from .jfunction import JFunction, LinForm, _apply_factor_product
 
 Frac = Fraction
 Slot = Tuple[str, int]
-
-
-@lru_cache(maxsize=128)
-def _rising_coefficients(s: int) -> Tuple[int, ...]:
-    """a_0..a_s with prod_{k=1..s} (y + k) = sum_i a_i y^i: a_i = [s+1, i+1],
-    the unsigned Stirling numbers of the first kind."""
-    coeffs = [1]
-    for k in range(1, s + 1):
-        coeffs = [k * same + lower for same, lower in zip(coeffs + [0], [0] + coeffs)]
-    return tuple(coeffs)
 
 
 def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
                                 nonequivariant: bool = False) -> JFunction:
     """I_F: multiply J_d by prod_j prod_{k=1..s_j} (lambda + rho_j + kz), s_j = <rho_j, d>.
 
-    Each line's product is applied in closed form.  With x = lambda + rho,
-    prod_{k=1..s} (x + kz) = sum_i a_i x^i z^(s-i) (``_rising_coefficients``)
-    and x^i = sum_j C(i, j) lambda^(i-j) rho^j, so a slice c of J_d becomes
-    sum_i sum_j a_i C(i, j) lambda^(i-j) z^(s-i) (rho^j c).  This is exact
-    because the cup product is commutative and rho, a degree-2 class on each
-    component, is nilpotent: the powers rho^j c stop at the first zero, so a
-    slice costs at most dim + 1 class products and each coefficient is an
-    integer times one power of lambda.
+    Each line's product is one call of the factor kernel
+    ``jfunction._apply_factor_product`` with e = 1 and x = lambda + rho.
 
     With ``nonequivariant`` the result is the lambda -> 0 limit of I_F, taken
-    first: J goes through ``nonequivariant_limit`` and only the lambda^0 terms
-    (j = i) remain, prod_k (rho + kz) = sum_i a_i rho^i z^(s-i).  This equals
+    first: J goes through ``nonequivariant_limit`` and the kernel runs with
+    lambda = 0, so only the lambda^0 terms remain.  This equals
     ``nonequivariant_limit`` of the equivariant result, window included,
     because evaluation at lambda = 0 is a ring map on coefficients regular
     at 0.  A J with a pole or a ln(lambda) term at lambda = 0 (only a loaded
@@ -109,7 +88,7 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
             if steps < 0:
                 raise AssumptionViolated(
                     f"<rho, d> = {steps} < 0 at d = {d}: outside the convexity assumption")
-            slice_terms = _apply_factor_product(slice_terms, rho, steps, not nonequivariant)
+            slice_terms = _apply_factor_product(slice_terms, rho, steps, 1, not nonequivariant)
         for n, c in slice_terms.items():
             if not c.is_zero:
                 all_terms[(n, d)] = c
@@ -119,34 +98,6 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
         out.add_to(nn, dd, c)
     return JFunction(t, out, prefactor=J.prefactor, tpoint=J.tpoint, kind=J.kind,
                      novikov_twist=J.novikov_twist)
-
-
-def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: int,
-                          equivariant: bool) -> Dict[int, CohClass]:
-    """prod_{k=1..s} (lambda + rho + kz) times sum_n c_n z^n, in closed form,
-    with lambda = 0 unless ``equivariant``."""
-    lam_top = s if equivariant else 0    # the highest power of lambda that occurs
-    powers: Dict[int, List[CohClass]] = {}
-    for n, c in slice_terms.items():
-        row = [c]                        # rho^j c, up to the first zero
-        while len(row) <= s:
-            nxt = row[-1].mul(rho)
-            if nxt.is_zero:
-                break
-            row.append(nxt)
-        powers[n] = row
-    top = max((len(row) for row in powers.values()), default=1) - 1
-    weights = {(i, j): sc(a * comb(i, j)) * Scalar.lam(i - j)
-               for i, a in enumerate(_rising_coefficients(s))
-               for j in range(max(0, i - lam_top), min(i, top) + 1)}
-    out: Dict[int, CohClass] = {}
-    for n, row in powers.items():
-        for (i, j), w in weights.items():
-            if j < len(row):
-                term = row[j].scale(w)
-                m = n + s - i
-                out[m] = out[m] + term if m in out else term
-    return out
 
 
 def small_expansion(I: JFunction):

@@ -11,6 +11,9 @@ map Q = q exp(G/F), and the Yukawa coupling
 from which the n_d are extracted triangularly.  None of the package machinery
 is used here.
 
+pn_j_degree_series gives the degree-d slice of the J-function of P^n from
+the same Fraction series helpers.
+
 string_recursion_point_correlator computes point psi-integrals purely from
 the string equation.
 """
@@ -130,6 +133,23 @@ def quintic_instanton_numbers(dmax: int) -> Tuple[Dict[int, Frac], Dict[int, Fra
         big_n[d] = sum((n[d // k] / Frac(k ** 3) for k in range(1, d + 1) if d % k == 0),
                        Frac(0))
     return n, big_n
+
+
+# -- the J-function of P^n ------------------------------------------------------
+
+
+def pn_j_degree_series(n: int, d: int) -> List[Frac]:
+    """[y^a] of 1 / prod_{k=1..d} (1 + y/k)^(n+1), a = 0..n.
+
+    With y = p/z, J_d of P^n is z (z^d d!)^(-(n+1)) times this series in p
+    (p^(n+1) = 0): the p^a coefficient sits at z^(1 - (n+1) d - a)."""
+    prod = [Frac(1)]
+    for k in range(1, d + 1):
+        prod = s_mul(prod, [Frac(1), Frac(1, k)], n)
+    power = [Frac(1)]
+    for _ in range(n + 1):
+        power = s_mul(power, prod, n)
+    return s_inv(power, n)
 
 
 # -- point correlators from the string equation --------------------------------

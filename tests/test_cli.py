@@ -190,6 +190,14 @@ class TestPipelines:
                            "--target", "point")
         assert code == 0 and json.loads(out)["instances"] == 6
 
+    def test_check_universal_divisor_needs_a_table(self, capsys):
+        # the built-in point table has no divisor: its 0 instances must not read as ok
+        code, out, err = run(capsys, "check", "universal", "--kind", "divisor", "--nmax", "6")
+        assert code != 0 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError"
+        assert "divisor class" in error["message"]
+
     def test_check_serre(self, capsys):
         code, out, _ = run(capsys, "check", "serre", "--target", "P1", "--bundle", "O1",
                            "--smax", "2", "--zmax", "3")

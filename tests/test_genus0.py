@@ -34,8 +34,7 @@ from orbiqrr.genus0 import (
     shift_t1,
     small_expansion,
 )
-from orbiqrr.genus0.jfunction import JFunction, LinForm
-from orbiqrr.genus0.lefschetz import _rising_coefficients
+from orbiqrr.genus0.jfunction import JFunction, LinForm, _factor_coefficients
 from orbiqrr.givental import GiventalElement
 from orbiqrr.orbtarget import (
     BundleModel,
@@ -48,7 +47,12 @@ from orbiqrr.orbtarget import (
 )
 
 from helpers import p1_table
-from oracles import quintic_instanton_numbers, string_recursion_point_correlator
+from oracles import (
+    pn_j_degree_series,
+    quintic_instanton_numbers,
+    s_mul,
+    string_recursion_point_correlator,
+)
 
 Frac = Fraction
 
@@ -487,10 +491,36 @@ def test_rising_coefficients_are_stirling_numbers():
         5: (120, 274, 225, 85, 15, 1),
         6: (720, 1764, 1624, 735, 175, 21, 1),
     }
-    assert _rising_coefficients(0) == (1,)
+    assert _factor_coefficients(1, 0, 0) == (1,)
     for s, want in stirling.items():
-        assert _rising_coefficients(s) == want
-        assert sum(_rising_coefficients(s)) == factorial(s + 1)
+        assert _factor_coefficients(1, s, s) == want
+        assert sum(_factor_coefficients(1, s, s)) == factorial(s + 1)
+
+
+def test_factor_coefficients_of_e_and_minus_e_are_inverse():
+    # prod_k (x + kz)^e * prod_k (x + kz)^(-e) = 1, truncated at x^top
+    for e in range(1, 7):
+        for s in range(9):
+            for top in range(7):
+                pos, neg = _factor_coefficients(e, s, top), _factor_coefficients(-e, s, top)
+                assert len(pos) == min(top, e * s) + 1
+                assert len(neg) == (top + 1 if s else 1)
+                assert s_mul(list(pos), list(neg), top) == [1] + [0] * top
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_closed_form_j_matches_the_fraction_oracle(n):
+    # J_d = z (z^d d!)^(-(n+1)) / prod_k (1 + p/(kz))^(n+1), p^(n+1) = 0
+    for dmax in range(7):
+        j = j_closed_form_Pn(n, dmax)
+        want = {}
+        for d in range(dmax + 1):
+            for a, c in enumerate(pn_j_degree_series(n, d)):
+                if c:
+                    want[(1 - (n + 1) * d - a, (d,), ("0", a))] = c / factorial(d) ** (n + 1)
+        got = {(zpow, d, slot): v.as_fraction()
+               for (zpow, d), cls in j.series.data.items() for slot, v in cls.terms.items()}
+        assert got == want
 
 
 class TestLimitFirst:
