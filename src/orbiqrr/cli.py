@@ -372,8 +372,18 @@ def cmd_quantize(args, cache) -> dict:
 
 
 def cmd_check(args, cache) -> dict:
+    if args.what == "serre":
+        if args.target is None or args.bundle is None:
+            raise UsageError("check serre needs --target and --bundle")
+        t, bundles = resolve_target(args.target)
+        F = resolve_bundle(t, bundles, args.bundle)
+        s = parse_s_list(args.s) if args.s else \
+            [sc(0)] + [sc(Frac(1, k + 2)) for k in range(args.smax)]
+        return check_serre_cone(t, F, s, args.zmax)
+    if args.bundle is not None:
+        raise UsageError(f"check {args.what} takes no --bundle")
+    t = resolve_target(args.target)[0] if args.target else point()
     if args.what == "universal":
-        t = resolve_target(args.target)[0] if args.target else point()
         if args.table:
             try:
                 with open(args.table) as fh:
@@ -394,22 +404,20 @@ def cmd_check(args, cache) -> dict:
         report = check_universal_equation(args.kind, table)
         return report
     if args.what == "cocycle":
-        t = point()
-        val = commutator_cocycle(t, (mat_eye_like(t), 1), (mat_eye_like(t), -1), args.K)
-        return {"pair": "[z^, (1/z)^]", "target": "point", "K": args.K,
-                "scalar": val.to_obj(), "expected": "-1/2",
-                "ok": val == sc(Frac(-1, 2))}
+        eye = mat_eye_like(t)
+        val = commutator_cocycle(t, (eye, 1), (eye, -1), args.K)
+        # the double contraction of (hbar/2) g^-1 dd with -(1/2 hbar) g qq: -N/2
+        expected = sc(Frac(-len(t.flat_basis), 2))
+        return {"pair": "[z^, (1/z)^]", "target": t.name, "K": args.K,
+                "scalar": val.to_obj(), "expected": expected.to_obj(),
+                "ok": val == expected}
     if args.what == "string":
-        t = point()
+        if t != point():
+            raise UsageError(f"check string --target {t.name}: only the point "
+                             "potential is built in")
         pot = build_point_potential(t, args.nmax)
         resid = string_residual(t, pot)
         return {"target": "point", "nmax": args.nmax, "residual_zero": resid.is_zero}
-    if args.what == "serre":
-        t, bundles = resolve_target(args.target)
-        F = resolve_bundle(t, bundles, args.bundle)
-        s = parse_s_list(args.s) if args.s else \
-            [sc(0)] + [sc(Frac(1, k + 2)) for k in range(args.smax)]
-        return check_serre_cone(t, F, s, args.zmax)
     raise UsageError(f"unknown check {args.what!r}")
 
 

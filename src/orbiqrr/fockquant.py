@@ -17,6 +17,18 @@ exactly as produced by quantizing B z^m:
 
 (the m = 0 sign follows from h_A = (1/2) Omega(Af, f) and agrees with the
 m -> 0 limits of the other two shapes).  Index sums are truncated at K.
+
+The cocycle C(A, B) = [A^, B^] - {A, B}^ of A = B_1 z^m_1, B = B_2 z^m_2 is
+computed on the coefficient dicts, never by applying operators: for
+normal-ordered operators the commutator is the sum of contractions
+[d_i, q_j] = delta_ij of one operator's d/dq with the other's q, minus the
+same with the roles swapped (a q_v^2 or d_v^2 term contracts on v twice).
+Single contractions give a quadratic part, which must equal {A, B}^; the
+double contractions (hbar dd against hbar^-1 qq) give the constant, the
+cocycle.  With ksafe = K - |m_1| - |m_2|, a quadratic term that survives
+the subtraction raises TruncationTooNarrow when it is an hbar^-1 qq term,
+a q d term with d-index below ksafe, or an hbar dd term with both indices
+below ksafe; terms past that are left by the truncation at K.
 """
 
 from __future__ import annotations
@@ -103,14 +115,6 @@ class FockPolynomial:
 
     def __sub__(self, o: "FockPolynomial") -> "FockPolynomial":
         return self._combine(o, True)
-
-    def scale(self, c) -> "FockPolynomial":
-        c = sc(c)
-        out = FockPolynomial(self.target, self.kmax, self.degmax)
-        for mono, coeffs in self.terms.items():
-            for h, x in coeffs.items():
-                out.add_term(mono, h, x * c)
-        return out
 
     def derivative(self, var: Var) -> "FockPolynomial":
         out = FockPolynomial(self.target, self.kmax, self.degmax)
@@ -382,15 +386,81 @@ def hamiltonian_cocycle(opA: FockOperator, opB: FockOperator) -> Scalar:
     return out
 
 
+def _contractions(X: FockOperator, Y: FockOperator):
+    """XY - :XY: for normal-ordered X and Y, as ((qq, qd, dd), constant).
+
+    Every d/dq of X is contracted with every q of Y on the same variable
+    ([d_i, q_j] = delta_ij); Y is indexed by variable, so only such pairs
+    meet.  A diagonal key counts twice on either side: d_v (c q_v^2) gives
+    2c q_v, and (b d_v^2) q_v gives 2b d_v.  The one double contraction,
+    hbar b d_x d_y against hbar^-1 a q_x q_y, gives the constant
+    a b (1 + delta_xy).
+    """
+    qq_on: Dict[Var, List] = {}      # v -> (w, a) for a q_v q_w in Y.qq, a doubled on v = w
+    for (u, v), a in Y.qq.items():
+        if u == v:
+            qq_on.setdefault(u, []).append((u, a.scaled(2)))
+        else:
+            qq_on.setdefault(u, []).append((v, a))
+            qq_on.setdefault(v, []).append((u, a))
+    qd_on: Dict[Var, List] = {}      # u -> (v, c) for c q_u d_v in Y.qd
+    for (u, v), c in Y.qd.items():
+        qd_on.setdefault(u, []).append((v, c))
+    qq: Dict[Tuple[Var, Var], Scalar] = {}
+    qd: Dict[Tuple[Var, Var], Scalar] = {}
+    dd: Dict[Tuple[Var, Var], Scalar] = {}
+    constant = SCALAR_ZERO
+    for (x, y), c in X.qd.items():                   # c q_x d_y
+        for w, a in qq_on.get(y, ()):
+            key = (x, w) if x <= w else (w, x)
+            qq[key] = qq.get(key, SCALAR_ZERO) + c * a
+        for v, c2 in qd_on.get(y, ()):
+            key = (x, v)
+            qd[key] = qd.get(key, SCALAR_ZERO) + c * c2
+    for (x, y), b in X.dd.items():                   # hbar b d_x d_y
+        if x == y:
+            ends, bs = ((x, x),), b.scaled(2)
+        else:
+            ends, bs = ((x, y), (y, x)), b
+        for hit, left in ends:
+            for w, a in qq_on.get(hit, ()):
+                key = (w, left)
+                qd[key] = qd.get(key, SCALAR_ZERO) + bs * a
+                if hit == x and w == y:
+                    constant = constant + b * a
+            for v, c2 in qd_on.get(hit, ()):
+                key = (left, v) if left <= v else (v, left)
+                dd[key] = dd.get(key, SCALAR_ZERO) + bs * c2
+    return (qq, qd, dd), constant
+
+
+def _checked(hpow: int, key: Tuple[Var, Var], ksafe: int) -> bool:
+    """Whether a surviving term fails the cocycle check: every hbar^-1 qq
+    term, a q d term whose d-index is below ksafe, an hbar dd term whose
+    indices both are."""
+    (k1, _), (k2, _) = key
+    return hpow < 0 or k2 < ksafe and (hpow == 0 or k1 < ksafe)
+
+
 def commutator_cocycle(t: TargetModel, A: Tuple, B: Tuple, K: int) -> Scalar:
     """Scalar part of [A^, B^] - {A, B}^ for A = (B_1, m_1), B = (B_2, m_2).
 
-    The scalar is read off the residual on the constant 1.  The residual
-    minus that scalar must then kill exactly these probes, where
-    ksafe = K - |m_1| - |m_2| keeps index truncation from leaking in:
-    q_k^a for 0 <= k < max(ksafe, 1), and q_k^a q_{k+1}^a for
-    0 <= k < max(ksafe - 1, 1), over every basis index a.  Otherwise it
-    raises TruncationTooNarrow.
+    The commutator is formed on the coefficient dicts: both operators are
+    normal ordered, so [A^, B^] = (A^B^ - :A^B^:) - (B^A^ - :B^A^:), the
+    contractions of one operator's d/dq with the other's q
+    (``_contractions``).  Single contractions give the quadratic part,
+    from which the quantized bracket {A, B}^ = ((B_1 B_2 - B_2 B_1)
+    z^(m_1 + m_2))^ is subtracted; the double contractions (dd against qq)
+    give the constant, which is returned.
+
+    Truncating both operators at K leaves terms near K in the difference.
+    With ksafe = K - |m_1| - |m_2| (at least 2, as K >= |m_1| + |m_2| + 2
+    is required), a surviving term raises TruncationTooNarrow, naming it,
+    when it is an hbar^-1 qq term, a q d term whose d-index is below ksafe,
+    or an hbar dd term with both indices below ksafe.  That covers every
+    term whose indices all lie below ksafe, and every term that the probe
+    polynomials q_k^a (k < ksafe) and q_k^a q_(k+1)^a (k < ksafe - 1) of an
+    evaluation-based check would see.
     """
     (B1, m1), (B2, m2) = A, B
     if K < abs(m1) + abs(m2) + 2:
@@ -400,37 +470,24 @@ def commutator_cocycle(t: TargetModel, A: Tuple, B: Tuple, K: int) -> Scalar:
     M1, M2 = _as_matrix(t, B1), _as_matrix(t, B2)
     LC = [[x - y for x, y in zip(r12, r21)]
           for r12, r21 in zip(mat_mul(M1, M2), mat_mul(M2, M1))]
-    bracket = None
+    bracket = FockOperator(t, K)
     if not mat_is_zero(LC):
         bracket = quantize_monomial(t, LC, m1 + m2, K, check=False)
 
+    ab, c_ab = _contractions(op1, op2)
+    ba, c_ba = _contractions(op2, op1)
     ksafe = K - abs(m1) - abs(m2)
-    nb = len(t.flat_basis)
-    degmax = 4
-
-    def residual(p: FockPolynomial) -> FockPolynomial:
-        r = op1.apply(op2.apply(p)) - op2.apply(op1.apply(p))
-        if bracket is not None:
-            r = r - bracket.apply(p)
-        return r
-
-    one = FockPolynomial(t, K, degmax)
-    one.add_term((), 0, SCALAR_ONE)
-    scalar = residual(one).coeff((), 0)
-    # the residual minus scalar*id must kill every small test polynomial
-    probes: List[FockPolynomial] = []
-    for k in range(0, max(ksafe, 1)):
-        for a in range(nb):
-            p = FockPolynomial(t, K, degmax)
-            p.add_term(((k, a),), 0, SCALAR_ONE)
-            probes.append(p)
-    for k in range(0, max(ksafe - 1, 1)):
-        for a in range(nb):
-            p = FockPolynomial(t, K, degmax)
-            p.add_term(((k, a), (k + 1, a)), 0, SCALAR_ONE)
-            probes.append(p)
-    for p in probes:
-        if not (residual(p) - p.scale(scalar)).is_zero:
-            raise TruncationTooNarrow(
-                "commutator residual is not scalar on the safe index range")
-    return scalar
+    shapes = (("qq/hbar", -1), ("q d", 0), ("hbar dd", 1))
+    for (name, hpow), plus, minus, sub in zip(shapes, ab, ba,
+                                              (bracket.qq, bracket.qd, bracket.dd)):
+        for key in sorted(set(plus) | set(minus) | set(sub)):
+            if not _checked(hpow, key, ksafe):
+                continue
+            rest = (plus.get(key, SCALAR_ZERO) - minus.get(key, SCALAR_ZERO)
+                    - sub.get(key, SCALAR_ZERO))
+            if not rest.is_zero:
+                raise TruncationTooNarrow(
+                    f"commutator residual keeps the non-scalar term {name} on "
+                    f"{key[0]}, {key[1]} (hbar^{hpow}, coefficient {rest.to_obj()}) "
+                    f"with ksafe = {ksafe}")
+    return c_ab - c_ba

@@ -1,5 +1,7 @@
 """Shared test utilities: random classes, invariant-respecting random bundles,
-a small P^1 correlator table and random dimension-respecting tables."""
+a small P^1 correlator table, random dimension-respecting tables, and the
+probe-polynomial commutator cocycle that the contraction code is checked
+against."""
 
 from __future__ import annotations
 
@@ -7,8 +9,11 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from orbiqrr.exactalg import sc
+from orbiqrr.errors import TruncationTooNarrow
+from orbiqrr.exactalg import SCALAR_ONE, sc
+from orbiqrr.fockquant import FockPolynomial, quantize_monomial
 from orbiqrr.genus0 import CorrelatorTable
+from orbiqrr.linalg import mat_is_zero, mat_mul, multiplication_matrix
 from orbiqrr.orbtarget import BundleModel, CohClass, TargetModel, projective_space
 
 Frac = Fraction
@@ -125,3 +130,66 @@ def random_table(t, nmax: int, dmax: int, fill: float, rng: random.Random) -> Co
                 if table.dimension_ok((d,), ins) and rng.random() < fill:
                     table.set((d,), ins, sc(Frac(rng.randint(-2, 2), rng.randint(1, 2))))
     return table
+
+
+def scaled(p: FockPolynomial, c) -> FockPolynomial:
+    """c * p, term by term."""
+    out = FockPolynomial(p.target, p.kmax, p.degmax)
+    for mono, coeffs in p.terms.items():
+        for h, x in coeffs.items():
+            out.add_term(mono, h, x * sc(c))
+    return out
+
+
+def probe_commutator_cocycle(t: TargetModel, A, B, K: int):
+    """Scalar part of [A^, B^] - {A, B}^ by applying it to probe polynomials.
+
+    The scalar is read off the residual on the constant 1.  The residual
+    minus that scalar must then kill exactly these probes, where
+    ksafe = K - |m_1| - |m_2| keeps index truncation from leaking in:
+    q_k^a for 0 <= k < max(ksafe, 1), and q_k^a q_{k+1}^a for
+    0 <= k < max(ksafe - 1, 1), over every basis index a.  Otherwise it
+    raises TruncationTooNarrow.
+    """
+    (B1, m1), (B2, m2) = A, B
+    if K < abs(m1) + abs(m2) + 2:
+        raise TruncationTooNarrow(f"need K >= |m|+|m'|+2 = {abs(m1) + abs(m2) + 2}")
+    op1 = quantize_monomial(t, B1, m1, K)
+    op2 = quantize_monomial(t, B2, m2, K)
+    M1, M2 = (multiplication_matrix(t, X) if isinstance(X, CohClass) else X
+              for X in (B1, B2))
+    LC = [[x - y for x, y in zip(r12, r21)]
+          for r12, r21 in zip(mat_mul(M1, M2), mat_mul(M2, M1))]
+    bracket = None
+    if not mat_is_zero(LC):
+        bracket = quantize_monomial(t, LC, m1 + m2, K, check=False)
+
+    ksafe = K - abs(m1) - abs(m2)
+    nb = len(t.flat_basis)
+    degmax = 4
+
+    def residual(p: FockPolynomial) -> FockPolynomial:
+        r = op1.apply(op2.apply(p)) - op2.apply(op1.apply(p))
+        if bracket is not None:
+            r = r - bracket.apply(p)
+        return r
+
+    one = FockPolynomial(t, K, degmax)
+    one.add_term((), 0, SCALAR_ONE)
+    scalar = residual(one).coeff((), 0)
+    probes = []
+    for k in range(0, max(ksafe, 1)):
+        for a in range(nb):
+            p = FockPolynomial(t, K, degmax)
+            p.add_term(((k, a),), 0, SCALAR_ONE)
+            probes.append(p)
+    for k in range(0, max(ksafe - 1, 1)):
+        for a in range(nb):
+            p = FockPolynomial(t, K, degmax)
+            p.add_term(((k, a), (k + 1, a)), 0, SCALAR_ONE)
+            probes.append(p)
+    for p in probes:
+        if not (residual(p) - scaled(p, scalar)).is_zero:
+            raise TruncationTooNarrow(
+                "commutator residual is not scalar on the safe index range")
+    return scalar

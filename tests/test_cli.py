@@ -175,6 +175,41 @@ class TestPipelines:
         code, out, _ = run(capsys, "check", "string", "--nmax", "6")
         assert code == 0 and json.loads(out)["residual_zero"]
 
+    @pytest.mark.parametrize("target, name, expected", [
+        ("point", "point", "-1/2"), ("Bmu2", "Bmu2", "-1"), ("Bmu3", "Bmu3", "-3/2"),
+        ("P1", "P1", "-1"), ("P2", "P2", "-3/2"), ("WPS:1,1,2", "WPS(1,1,2)", "-2"),
+        ("WPS:1,2,2", "WPS(1,2,2)", "-5/2")])
+    def test_check_cocycle_on_a_target(self, capsys, target, name, expected):
+        # [z^, (1/z)^] = -N/2 for N basis classes, labelled with the target it ran on
+        code, out, _ = run(capsys, "check", "cocycle", "--K", "6", "--target", target)
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] is True
+        assert doc["target"] == name
+        assert doc["scalar"] == doc["expected"] == expected
+
+    def test_check_cocycle_default_output_unchanged(self, capsys):
+        code, out, _ = run(capsys, "check", "cocycle", "--K", "6")
+        assert code == 0
+        assert out == ('{"K": 6, "expected": "-1/2", "ok": true, "pair": "[z^, (1/z)^]", '
+                       '"scalar": "-1/2", "target": "point"}')
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "cocycle", "--K", "6", "--bundle", "O1"),
+        ("check", "string", "--nmax", "6", "--bundle", "O1"),
+        ("check", "string", "--nmax", "6", "--target", "P2"),
+        ("check", "universal", "--kind", "trr", "--nmax", "5", "--bundle", "O1"),
+        ("check", "serre", "--bundle", "O1"),
+        ("check", "serre", "--target", "P1")])
+    def test_check_rejects_flags_it_ignores_or_lacks(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "UsageError"
+
+    def test_check_string_on_the_point_target(self, capsys):
+        code, out, _ = run(capsys, "check", "string", "--nmax", "6", "--target", "point")
+        assert code == 0 and json.loads(out) == {"nmax": 6, "residual_zero": True,
+                                                 "target": "point"}
+
     def test_check_universal_trr(self, capsys):
         code, out, _ = run(capsys, "check", "universal", "--kind", "trr", "--nmax", "7")
         assert code == 0

@@ -22,6 +22,8 @@ from orbiqrr.fockquant import (
 from orbiqrr.linalg import mat_is_zero, mat_mul, mat_transpose, mat_inv, gram_matrix
 from orbiqrr.orbtarget import bmu, point
 
+from helpers import scaled
+
 Frac = Fraction
 
 
@@ -220,11 +222,11 @@ def _apply_composed(op, p):
     """One throw-away polynomial per operator term, summed with +."""
     out = FockPolynomial(p.target, p.kmax, p.degmax)
     for (v1, v2), c in op.qq.items():
-        out = out + _shift_hbar(_mul_var(_mul_var(p, v1), v2), -1).scale(c)
+        out = out + scaled(_shift_hbar(_mul_var(_mul_var(p, v1), v2), -1), c)
     for (qv, dv), c in op.qd.items():
-        out = out + _mul_var(p.derivative(dv), qv).scale(c)
+        out = out + scaled(_mul_var(p.derivative(dv), qv), c)
     for (v1, v2), c in op.dd.items():
-        out = out + _shift_hbar(p.derivative(v1).derivative(v2), 1).scale(c)
+        out = out + scaled(_shift_hbar(p.derivative(v1).derivative(v2), 1), c)
     return out
 
 
@@ -350,7 +352,7 @@ def test_sub_matches_adding_the_negation(data):
     t = _TARGETS[data.draw(st.sampled_from(sorted(_TARGETS)))]
     p = data.draw(_polynomials(t, data.draw(st.integers(2, 5))))
     q = data.draw(_polynomials(t, data.draw(st.integers(2, 5))))
-    diff, ref = p - q, p + q.scale(sc(-1))
+    diff, ref = p - q, p + scaled(q, sc(-1))
     assert (diff.kmax, diff.degmax, diff.terms) == (ref.kmax, ref.degmax, ref.terms)
     assert (p - p).is_zero
 
