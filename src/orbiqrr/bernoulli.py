@@ -4,12 +4,14 @@ Convention: t e^{tx} / (e^t - 1) = sum_m B_m(x) t^m / m!, so B_1(0) = -1/2.
 Numbers come from the triangular recurrence
     B_m = -1/(m+1) * sum_{k<m} C(m+1, k) B_k,
 and polynomials from B_m(x) = sum_k C(m, k) B_k x^{m-k}.  Everything is an
-exact Fraction; polynomials are memoized up to the largest m requested.
+exact Fraction; polynomials are memoized up to the largest m requested,
+and values at a point in a bounded cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import List
 
@@ -40,6 +42,7 @@ def bernoulli_poly(m: int) -> List[Fraction]:
     return list(_polys[m])
 
 
+@lru_cache(maxsize=256)
 def bernoulli_value(m: int, x) -> Fraction:
     """B_m(x) at a rational point, exactly."""
     x = Fraction(x)

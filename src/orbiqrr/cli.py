@@ -371,7 +371,32 @@ def cmd_quantize(args, cache) -> dict:
             "operator": op.to_obj()}
 
 
+# the flags each check reads besides --target, with their defaults; a flag
+# given to a check that does not read it is a usage error
+CHECK_FLAGS = {
+    "serre": {"bundle": None, "s": None, "smax": 2, "zmax": 3},
+    "universal": {"table": None, "kind": "string", "nmax": 6},
+    "cocycle": {"K": 6},
+    "string": {"nmax": 6},
+}
+
+
+def _check_flags(args):
+    """Reject the flags the chosen check does not read, then fill in its defaults."""
+    # --smax and --nmax are read only without --s and --table
+    for given, unread in (("s", "smax"), ("table", "nmax")):
+        if getattr(args, given) and getattr(args, unread) is not None:
+            raise UsageError(f"check {args.what} with --{given} takes no --{unread}")
+    reads = CHECK_FLAGS[args.what]
+    for flag in ("bundle", "K", "table", "kind", "nmax", "smax", "zmax", "s"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, reads.get(flag))
+        elif flag not in reads:
+            raise UsageError(f"check {args.what} takes no --{flag}")
+
+
 def cmd_check(args, cache) -> dict:
+    _check_flags(args)
     if args.what == "serre":
         if args.target is None or args.bundle is None:
             raise UsageError("check serre needs --target and --bundle")
@@ -380,8 +405,6 @@ def cmd_check(args, cache) -> dict:
         s = parse_s_list(args.s) if args.s else \
             [sc(0)] + [sc(Frac(1, k + 2)) for k in range(args.smax)]
         return check_serre_cone(t, F, s, args.zmax)
-    if args.bundle is not None:
-        raise UsageError(f"check {args.what} takes no --bundle")
     t = resolve_target(args.target)[0] if args.target else point()
     if args.what == "universal":
         if args.table:
@@ -523,16 +546,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="identity suites")
     c.add_argument("what", choices=("universal", "cocycle", "string", "serre"))
-    c.add_argument("--kind", default="string",
-                   choices=("string", "divisor", "dilaton", "trr"))
-    c.add_argument("--table", default=None)
-    c.add_argument("--nmax", type=int, default=6)
-    c.add_argument("--K", type=int, default=6)
+    # unset flags are None: CHECK_FLAGS holds each check's flags and defaults
+    c.add_argument("--kind", default=None, choices=("string", "divisor", "dilaton", "trr"),
+                   help="universal (default string)")
+    c.add_argument("--table", default=None, help="universal")
+    c.add_argument("--nmax", type=int, default=None,
+                   help="universal without --table, string (default 6)")
+    c.add_argument("--K", type=int, default=None, help="cocycle (default 6)")
     c.add_argument("--target", default=None)
-    c.add_argument("--bundle", default=None)
-    c.add_argument("--smax", type=int, default=2)
-    c.add_argument("--zmax", type=int, default=3)
-    c.add_argument("--s", default=None)
+    c.add_argument("--bundle", default=None, help="serre")
+    c.add_argument("--smax", type=int, default=None, help="serre without --s (default 2)")
+    c.add_argument("--zmax", type=int, default=None, help="serre (default 3)")
+    c.add_argument("--s", default=None, help="serre")
     c.set_defaults(func=cmd_check)
     return p
 

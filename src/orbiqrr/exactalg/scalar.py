@@ -11,31 +11,36 @@ value is a genuine rational function of lambda reports lam_den == 1.
 Every polynomial level (Cyc coefficients in u, RatFunc coefficients in l)
 runs on the dense polynomial kernel in ``poly``.
 
-Canonical form: denominators are monic, num/den coprime, trailing zero
-l-coefficients stripped, root index minimal.  Equality is syntactic on the
-canonical form (after lifting both sides to a common root index and
-cyclotomic order).
+Canonical form ``ell``: denominators are monic, num/den coprime, trailing
+zero l-coefficients stripped, root index minimal.  Equality is syntactic on
+the canonical form (after lifting both sides to a common root index and
+cyclotomic order).  Hashes and serialisation are those of the canonical
+form.
 
-Two lanes short-cut the general path.  Each is a slot that the
-constructors fill in from the canonical form; each operator tries the
-rational lane first, then the Laurent lane, then the general path.
+Two lanes short-cut the general path, and on them the lane holds the value.
+Each operator tries the rational lane first, then the Laurent lane, then
+the general path.  A value the general path builds has its canonical form
+and fills in its lanes from it.  A lane result holds only its lanes: its
+canonical form is built from the Laurent lane the first time something
+reads ``ell`` (a hash, the general path, serialisation off the rational
+lane, ``nonequiv_limit``, ``exp``), and kept.  The zero test, invertibility
+and every lane operator read the lanes only, so a chain of lane arithmetic
+builds no RatFunc or Cyc at all.
 
-Rational lane: a Scalar whose canonical form is a plain rational (zero
-included) also holds that value as a Fraction.  When both operands hold
-one, ``+ - * / neg inverse ==`` take a single Fraction operation and build
-the result's canonical form directly, with no kernel call and no RatFunc
-or Cyc arithmetic.  This covers every value of the untwisted theory.
+Rational lane: a Scalar whose value is a plain rational (zero included)
+holds that value as a Fraction.  When both operands hold one,
+``+ - * / neg inverse ==`` take a single Fraction operation, with no kernel
+call and no RatFunc or Cyc arithmetic, and serialise as 'p/q'.  This
+covers every value of the untwisted theory.
 
 Laurent lane: a Scalar in Q[lambda, 1/lambda] (one l-part, root index 1,
 a monic monomial denominator u^b and only rational Cyc coefficients; the
-Euler twist's s_k ~ lambda^-k make most twisted values so) also holds
+Euler twist's s_k ~ lambda^-k make most twisted values so) holds
 (shift, coefficients): the value sum_i c_i lambda^(shift + i) with
 Fraction c_i and c_0 != 0, (0, ()) for zero.  Rationals hold (0, (q,)).
 When both operands hold one, ``+ - * neg ==`` run on the Fraction lists
 (align the shifts, add or convolve with the kernel, trim zeros at both
-ends), and so do ``inverse`` of a monomial and ``/`` by one.  The result's
-canonical form is built eagerly from the list, so ``ell``, hashes and
-serialisation are those of the general path.
+ends), and so do ``inverse`` of a monomial and ``/`` by one.
 
 A product of a plain rational q with a value off both lanes (ln(lambda),
 zeta or a root index present) scales each numerator Cyc by q; denominators,
@@ -206,21 +211,23 @@ RF_ONE = RatFunc((CYC_ONE,), (CYC_ONE,), _reduced=True)
 class Scalar:
     """Element of Q(zeta)(lambda^(1/lam_den))[l].
 
-    ``_q`` is the rational lane: the value as a Fraction when the canonical
-    form is a plain rational, else None.  ``_lau`` is the Laurent lane: the
-    value as (shift, coefficients) when it lies in Q[lambda, 1/lambda],
-    else None.  Both are derived from ``ell`` and ``lam_den`` by the
-    constructor, never set on their own (see the module docstring for the
-    lanes and for the singleton ``SCALAR_ONE``).
+    ``_q`` is the rational lane: the value as a Fraction when it is a plain
+    rational, else None.  ``_lau`` is the Laurent lane: the value as
+    (shift, coefficients) when it lies in Q[lambda, 1/lambda], else None.
+    ``_ell`` is the canonical form, or None on a lane result until the
+    first read of ``ell`` builds it from ``_lau``.  The constructor derives
+    both lanes from the canonical form; ``_from_q`` and ``_from_lau`` set
+    only the lanes (see the module docstring for the lanes and for the
+    singleton ``SCALAR_ONE``).
     """
 
-    __slots__ = ("lam_den", "ell", "_q", "_lau")
+    __slots__ = ("lam_den", "_ell", "_q", "_lau")
 
     def __init__(self, ell: Sequence[RatFunc], lam_den: int = 1, _norm: bool = False):
         if _norm:
-            self.ell = tuple(ell)
+            self._ell = tuple(ell)
             self.lam_den = lam_den
-            self._q, self._lau = _lanes(self.ell, lam_den)
+            self._q, self._lau = _lanes(self._ell, lam_den)
             return
         parts = poly.strip(list(ell))
         # minimize the root index: gcd of all u-exponents present
@@ -231,9 +238,17 @@ class Scalar:
             if g > 1:
                 parts = [RatFunc(rf.num[::g], rf.den[::g], _reduced=True) for rf in parts]
                 lam_den //= g
-        self.ell = tuple(parts)
+        self._ell = tuple(parts)
         self.lam_den = lam_den
-        self._q, self._lau = _lanes(self.ell, lam_den)
+        self._q, self._lau = _lanes(self._ell, lam_den)
+
+    @property
+    def ell(self) -> Tuple[RatFunc, ...]:
+        """The canonical form, built from the Laurent lane on the first read."""
+        e = self._ell
+        if e is None:
+            e = self._ell = _lau_ell(self._lau)
+        return e
 
     # -- constructors
 
@@ -274,11 +289,15 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return not self.ell
+        q = self._q          # zero is always on the rational lane
+        return q is not None and not q
 
     @property
     def is_invertible(self) -> bool:
-        return len(self.ell) == 1
+        x = self._lau
+        if x is not None:
+            return bool(x[1])
+        return len(self._ell) == 1
 
     def is_rational(self) -> bool:
         return self._q is not None
@@ -307,16 +326,18 @@ class Scalar:
     # -- arithmetic
 
     def __add__(self, o: "Scalar") -> "Scalar":
-        if not self.ell:
-            return o
-        if not o.ell:
-            return self
-        p, q = self._q, o._q
-        if p is not None and q is not None:
-            return _from_q(p + q)
+        p = self._q
+        if p is not None:
+            if not p:
+                return o         # zero plus anything is that thing, a non-Scalar too
+            q = o._q
+            if q is not None:
+                return _from_q(p + q) if q else self
         x, y = self._lau, o._lau
         if x is not None and y is not None:
-            return _from_lau(*_lau_add(x, y))
+            return _from_lau(*_lau_add(x, y)) if y[1] else self
+        if o.is_zero:
+            return self
         a, b = Scalar._common(self, o)
         return Scalar(poly.add(a.ell, b.ell, RF_ZERO), a.lam_den)
 
@@ -342,7 +363,7 @@ class Scalar:
         p, q = self._q, o._q
         if p is not None and q is not None:
             return _from_q(p * q)
-        if not self.ell or not o.ell:
+        if self.is_zero or o.is_zero:
             return SCALAR_ZERO
         x, y = self._lau, o._lau
         if x is not None and y is not None:
@@ -359,7 +380,7 @@ class Scalar:
         """self * q for an int or Fraction q, without building a Scalar for q:
         one Fraction operation on the rational lane, one per coefficient on
         the Laurent lane, ``_scaled`` off both lanes."""
-        if q == 1 or not self.ell:
+        if q == 1 or self.is_zero:
             return self
         if not q:
             return SCALAR_ZERO
@@ -380,7 +401,7 @@ class Scalar:
         both lanes (its zeta, root index or l-terms are those of self).
         """
         out = object.__new__(Scalar)
-        out.ell = tuple(
+        out._ell = tuple(
             RatFunc(tuple(Cyc(c.order, tuple(x * q for x in c.coeffs), _reduced=True)
                           for c in rf.num), rf.den, _reduced=True)
             for rf in self.ell)
@@ -389,7 +410,7 @@ class Scalar:
         return out
 
     def inverse(self) -> "Scalar":
-        if not self.ell:
+        if self.is_zero:
             raise NonInvertible("division by zero scalar")
         if self._q is not None:
             return _from_q(1 / self._q)
@@ -519,48 +540,51 @@ _DEN_ONE = (CYC_ONE,)
 
 
 def _from_q(q: Frac) -> "Scalar":
-    """The canonical Scalar of a Fraction, built without the constructor.
+    """The Scalar of a Fraction: its lanes only, the canonical form unbuilt.
 
-    0 and 1 return the singletons; any other value gets the one-coefficient
-    form (Cyc of order 1 over the denominator 1) the general path builds.
+    0 and 1 return the singletons.
     """
     if not q:
         return SCALAR_ZERO
     if q == 1:
         return SCALAR_ONE
-    c = Cyc(1, (q,), _reduced=True)
     out = object.__new__(Scalar)
-    out.ell = (RatFunc((c,), _DEN_ONE, _reduced=True),)
+    out._ell = None
     out.lam_den = 1
     out._q = q
-    out._lau = (0, c.coeffs)
+    out._lau = (0, (q,))
     return out
 
 
 def _from_lau(shift: int, coeffs: Tuple[Frac, ...]) -> "Scalar":
-    """The canonical Scalar of sum_i coeffs[i] lambda^(shift + i), built without
-    the constructor; coeffs is empty (zero) or has nonzero ends.
-
-    Plain rationals go through ``_from_q``.  Otherwise the form is the one
-    the general path builds: order-1 Cyc coefficients over the denominator
-    1 when shift >= 0 (u^shift as leading zeros), else over the monic
-    u^-shift, which the nonzero lowest coefficient makes coprime.
+    """The Scalar of sum_i coeffs[i] lambda^(shift + i): its Laurent lane only,
+    the canonical form unbuilt; coeffs is empty (zero) or has nonzero ends.
+    Plain rationals go through ``_from_q``.
     """
     if not coeffs:
         return SCALAR_ZERO
     if shift == 0 and len(coeffs) == 1:
         return _from_q(coeffs[0])
-    num = tuple(Cyc(1, (c,), _reduced=True) for c in coeffs)
-    if shift >= 0:
-        rf = RatFunc((CYC_ZERO,) * shift + num, _DEN_ONE, _reduced=True)
-    else:
-        rf = RatFunc(num, (CYC_ZERO,) * -shift + _DEN_ONE, _reduced=True)
     out = object.__new__(Scalar)
-    out.ell = (rf,)
+    out._ell = None
     out.lam_den = 1
     out._q = None
     out._lau = (shift, coeffs)
     return out
+
+
+def _lau_ell(lau: Laurent) -> Tuple[RatFunc, ...]:
+    """The canonical form of a Laurent-lane value, the one the general path
+    builds: order-1 Cyc coefficients over the denominator 1 when shift >= 0
+    (u^shift as leading zeros), else over the monic u^-shift, which the
+    nonzero lowest coefficient makes coprime; () for zero."""
+    shift, coeffs = lau
+    if not coeffs:
+        return ()
+    num = tuple(Cyc(1, (c,), _reduced=True) for c in coeffs)
+    if shift >= 0:
+        return (RatFunc((CYC_ZERO,) * shift + num, _DEN_ONE, _reduced=True),)
+    return (RatFunc(num, (CYC_ZERO,) * -shift + _DEN_ONE, _reduced=True),)
 
 
 SCALAR_ZERO = Scalar((), 1, _norm=True)

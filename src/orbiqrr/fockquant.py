@@ -45,8 +45,8 @@ from .errors import (
 from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
 from .linalg import (
     Matrix,
+    gram_inverse,
     gram_matrix,
-    mat_inv,
     mat_is_zero,
     mat_mul,
     multiplication_matrix,
@@ -263,10 +263,8 @@ def quantize_monomial(t: TargetModel, B, m: int, K: int,
     if check and not is_infinitesimally_symplectic(t, Bm, m):
         raise NotInfinitesimallySymplectic(
             f"B z^{m} is not infinitesimally symplectic (need B* = (-1)^{m + 1} B)")
-    g = gram_matrix(t)
-    ginv = mat_inv(g)
-    lower = mat_mul(g, Bm)     # B_{ab} = g_{ac} B^c_b
-    upper = mat_mul(Bm, ginv)  # B^{ab} = B^a_c g^{cb}
+    lower = mat_mul(gram_matrix(t), Bm)     # B_{ab} = g_{ac} B^c_b
+    upper = mat_mul(Bm, gram_inverse(t))   # B^{ab} = B^a_c g^{cb}
     n = len(t.flat_basis)
     op = FockOperator(t, K)
     if m < 0:

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DimensionMismatch, InsufficientTable
 from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
-from ..linalg import mat_inv
+from ..linalg import gram_inverse
 from ..orbtarget import CohClass, TargetModel
 
 Frac = Fraction
@@ -237,7 +237,7 @@ def _check_trr(table: CorrelatorTable) -> dict:
     ``missing`` keys, are those of the slot-by-slot sum.
     """
     t = table.target
-    ginv = mat_inv(t.gram())
+    ginv = gram_inverse(t)
     basis = t.flat_basis
     # per alpha: its slot, the excess of (phi_alpha, 0), the nonzero g^{beta alpha}
     alphas = [(aslot, table.excess(((aslot, 0),)),

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from .errors import NonInvertible
 from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar
 from .orbtarget import CohClass, TargetModel
 
 Matrix = List[List[Scalar]]
+FrozenMatrix = Tuple[Tuple[Scalar, ...], ...]     # a memo no caller can change
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -69,5 +70,12 @@ def multiplication_matrix(t: TargetModel, cls: CohClass) -> Matrix:
     return out
 
 
-def gram_matrix(t: TargetModel) -> Matrix:
+def gram_matrix(t: TargetModel) -> FrozenMatrix:
     return t.gram()
+
+
+def gram_inverse(t: TargetModel) -> FrozenMatrix:
+    """The inverse of the target's Gram matrix, computed once per target."""
+    if t._gram_inv is None:
+        t._gram_inv = tuple(map(tuple, mat_inv(t.gram())))
+    return t._gram_inv

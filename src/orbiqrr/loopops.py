@@ -31,8 +31,8 @@ from .exactalg import SCALAR_ZERO, Scalar, sc, window_product
 from .givental import GiventalElement
 from .linalg import (
     Matrix,
+    gram_inverse,
     gram_matrix,
-    mat_inv,
     mat_is_zero,
     mat_mul,
     mat_transpose,
@@ -209,8 +209,7 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
 
 def is_infinitesimally_symplectic(t: TargetModel, B: Matrix, m: int) -> bool:
     """B z^m is infinitesimally symplectic iff B* = (-1)^(m+1) B."""
-    g = gram_matrix(t)
-    badj = mat_mul(mat_inv(g), mat_mul(mat_transpose(B), g))
+    badj = mat_mul(gram_inverse(t), mat_mul(mat_transpose(B), gram_matrix(t)))
     sign = sc((-1) ** (m + 1))
     diff = [[x - y * sign for x, y in zip(r1, r2)] for r1, r2 in zip(badj, B)]
     return mat_is_zero(diff)

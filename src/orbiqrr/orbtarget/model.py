@@ -99,6 +99,8 @@ class TargetModel:
             (c.cid, i) for c in self.components for i in range(len(c.basis))
         ]
         self.flat_index = {key: n for n, key in enumerate(self.flat_basis)}
+        self._gram: Optional[Tuple[Tuple[Scalar, ...], ...]] = None
+        self._gram_inv = None       # linalg.gram_inverse's memo
         self.validate()
 
     # -- validation ---------------------------------------------------------
@@ -186,17 +188,20 @@ class TargetModel:
 
     # -- pairings -------------------------------------------------------------
 
-    def gram(self) -> List[List[Scalar]]:
-        """Orbifold Poincare pairing on the flat basis."""
-        n = len(self.flat_basis)
-        g = [[SCALAR_ZERO] * n for _ in range(n)]
-        for a, (cid, ai) in enumerate(self.flat_basis):
-            comp = self.by_id[cid]
-            partner = comp.involution
-            for bi in range(len(self.by_id[partner].basis)):
-                b = self.flat_index[(partner, bi)]
-                g[a][b] = sc(comp.pairing[ai][bi])
-        return g
+    def gram(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """Orbifold Poincare pairing on the flat basis, built once per target
+        (tuple rows, so no caller can change the memo)."""
+        if self._gram is None:
+            n = len(self.flat_basis)
+            g = [[SCALAR_ZERO] * n for _ in range(n)]
+            for a, (cid, ai) in enumerate(self.flat_basis):
+                comp = self.by_id[cid]
+                partner = comp.involution
+                for bi in range(len(self.by_id[partner].basis)):
+                    b = self.flat_index[(partner, bi)]
+                    g[a][b] = sc(comp.pairing[ai][bi])
+            self._gram = tuple(map(tuple, g))
+        return self._gram
 
     def orbifold_pairing(self, a: "CohClass", b: "CohClass") -> Scalar:
         self._check_class(a)
@@ -285,7 +290,7 @@ class CohClass:
         else is coerced or validated."""
         out = object.__new__(cls)
         out.target = target
-        out.terms = {k: v for k, v in terms.items() if v.ell}     # an empty ell is zero
+        out.terms = {k: v for k, v in terms.items() if not v.is_zero}
         return out
 
     @property

@@ -205,6 +205,38 @@ class TestPipelines:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "UsageError"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("check", "cocycle", "--K", "6", "--table", "nosuch.json", "--kind", "trr"), "--table"),
+        (("check", "cocycle", "--nmax", "6"), "--nmax"),
+        (("check", "cocycle", "--zmax", "3"), "--zmax"),
+        (("check", "string", "--K", "99", "--smax", "7"), "--K"),
+        (("check", "string", "--nmax", "6", "--kind", "trr"), "--kind"),
+        (("check", "string", "--s", "0,1/2"), "--s"),
+        (("check", "universal", "--kind", "trr", "--K", "6"), "--K"),
+        (("check", "universal", "--kind", "trr", "--zmax", "3"), "--zmax"),
+        (("check", "universal", "--table", "nosuch.json", "--nmax", "5"), "--nmax"),
+        (("check", "serre", "--target", "P1", "--bundle", "O1", "--nmax", "3"), "--nmax"),
+        (("check", "serre", "--target", "P1", "--bundle", "O1", "--table", "t.json"),
+         "--table"),
+        (("check", "serre", "--target", "P1", "--bundle", "O1", "--s", "0,1/2",
+          "--smax", "3"), "--smax")])
+    def test_check_rejects_a_flag_it_does_not_read(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError"
+        assert error["message"].endswith(f"takes no {flag}")
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (("check", "cocycle"), "K", 6),
+        (("check", "string"), "nmax", 6),
+        (("check", "serre", "--target", "P1", "--bundle", "O1"), "checked_zmax", 3)])
+    def test_check_defaults_fill_in_unset_flags(self, capsys, argv, key, value):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)[key] == value
+        code, out2, _ = run(capsys, *argv, "--" + key.replace("checked_", ""), str(value))
+        assert code == 0 and out2 == out
+
     def test_check_string_on_the_point_target(self, capsys):
         code, out, _ = run(capsys, "check", "string", "--nmax", "6", "--target", "point")
         assert code == 0 and json.loads(out) == {"nmax": 6, "residual_zero": True,

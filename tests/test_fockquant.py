@@ -19,8 +19,8 @@ from orbiqrr.fockquant import (
     string_operator,
     string_residual,
 )
-from orbiqrr.linalg import mat_is_zero, mat_mul, mat_transpose, mat_inv, gram_matrix
-from orbiqrr.orbtarget import bmu, point
+from orbiqrr.linalg import gram_inverse, gram_matrix, mat_inv, mat_is_zero, mat_mul, mat_transpose
+from orbiqrr.orbtarget import bmu, point, projective_space, weighted_projective
 
 from helpers import scaled
 
@@ -56,6 +56,21 @@ def random_symplectic_monomial(t, rng, mmax=3):
     m = rng.randint(-mmax, mmax)
     B = self_adjoint(t, rng) if m % 2 else anti_self_adjoint(t, rng)
     return B, m
+
+
+@pytest.mark.parametrize("build", [
+    point, lambda: bmu(3), lambda: projective_space(2), lambda: weighted_projective([1, 2, 3])])
+def test_gram_and_its_inverse_are_built_once_per_target(build):
+    """The memo equals a fresh inverse of a fresh Gram matrix, and no caller can change it."""
+    t = build()
+    g, ginv = gram_matrix(t), gram_inverse(t)
+    assert gram_matrix(t) is g and t.gram() is g and gram_inverse(t) is ginv
+    assert all(isinstance(row, tuple) for row in g + ginv)
+    fresh = [list(row) for row in build().gram()]
+    assert [list(row) for row in g] == fresh
+    assert [list(row) for row in ginv] == mat_inv(fresh)
+    n = len(t.flat_basis)
+    assert mat_mul(g, ginv) == [[sc(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 class TestShapes:
