@@ -273,7 +273,15 @@ def cmd_delta(args, cache) -> dict:
     return payload
 
 
+def _check_max_degree(args, least: int):
+    """A UsageError unless --max-degree >= least."""
+    if args.max_degree < least:
+        raise UsageError(f"{args.command} needs --max-degree >= {least}, "
+                         f"not {args.max_degree}")
+
+
 def cmd_ifunction(args, cache) -> dict:
+    _check_max_degree(args, 0)
     t, bundles = resolve_target(args.target)
     request = {"op": "ifunction", **target_request(args.target, t), "bundle": args.bundle,
                "max_degree": args.max_degree, "nonequivariant": args.nonequivariant}
@@ -299,15 +307,14 @@ def _builtin_j(t, args):
             raise SchemaError(f"$.jfunction_file: cannot read {t.jfunction_file!r} "
                               f"({e.strerror})") from None
         return load_j_function(t, text)
-    if t.dim >= 1:
-        j = j_closed_form_Pn(t.dim, args.max_degree)
-        if j.target == t:
-            return j
+    if t.dim >= 1 and t == projective_space(t.dim):
+        return j_closed_form_Pn(t.dim, args.max_degree)
     raise UsageError(f"no J-function source for target {t.name}; "
                      "use a P^n target or a config with jfunction_file")
 
 
 def cmd_mirror_map(args, cache) -> dict:
+    _check_max_degree(args, 0)
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
     j = _builtin_j(t, args)
@@ -324,18 +331,12 @@ def cmd_mirror_map(args, cache) -> dict:
     return {"target": t.name, "bundle": F.name, "rows": rows}
 
 
-@functools.lru_cache(maxsize=None)
-def _quintic_pair():
-    """P^4 and O(5), the one pair ``invariants`` computes; built once per process."""
-    t = projective_space(4)
-    return t, wps_pullback_line(t, 5)
-
-
 def cmd_invariants(args, cache) -> dict:
+    _check_max_degree(args, 1)
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
-    p4, o5 = _quintic_pair()
-    if t != p4 or F != o5:
+    p4 = projective_space(4)
+    if t != p4 or F != wps_pullback_line(p4, 5):
         # the pipeline computes P4/O5 whatever was asked; never label it otherwise
         raise UnsupportedTarget(
             f"invariants are implemented for P4/O5 only, not {t.name}/{F.name}")

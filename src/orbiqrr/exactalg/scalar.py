@@ -23,9 +23,9 @@ the general path.  A value the general path builds has its canonical form
 and fills in its lanes from it.  A lane result holds only its lanes: its
 canonical form is built from the Laurent lane the first time something
 reads ``ell`` (a hash, the general path, serialisation off the rational
-lane, ``nonequiv_limit``, ``exp``), and kept.  The zero test, invertibility
-and every lane operator read the lanes only, so a chain of lane arithmetic
-builds no RatFunc or Cyc at all.
+lane, ``exp``), and kept.  The zero test, invertibility, the lambda -> 0
+limit and every lane operator read the lanes only, so a chain of lane
+arithmetic builds no RatFunc or Cyc at all.
 
 Rational lane: a Scalar whose value is a plain rational (zero included)
 holds that value as a Fraction.  When both operands hold one,
@@ -450,9 +450,23 @@ class Scalar:
     # -- limits and special maps
 
     def nonequiv_limit(self) -> "Scalar":
-        """Substitute lambda = 0 exactly."""
-        if self.is_zero:
+        """Substitute lambda = 0 exactly.
+
+        A lane value reads its lane: a rational is its own limit, and
+        sum_i c_i lambda^(shift + i) with c_0 != 0 goes to 0 for shift > 0,
+        to c_0 for shift = 0, and has a pole for shift < 0.  Only a value
+        off both lanes reads its canonical form.
+        """
+        if self._q is not None:
             return self
+        x = self._lau
+        if x is not None:
+            shift, coeffs = x
+            if shift > 0:
+                return SCALAR_ZERO
+            if shift == 0:
+                return _from_q(coeffs[0])
+            raise PoleAtZero("pole at lambda = 0")
         if len(self.ell) > 1:
             raise LogObstruction("ln(lambda) survives at lambda = 0")
         return Scalar.from_cyc(self.ell[0].eval_at_zero())

@@ -7,11 +7,21 @@ Conventions:
     the order of the automorphism, not the group order;
   * weighted projective sectors are indexed by the fractions f = k/w_j, with
     age(X_f) = sum_j <f w_j> and involution f -> -f mod 1.
+
+The four target builders are memoised: a process builds and validates each
+built-in target once (up to 64 of each kind), and every later call with the
+same parameters returns that same object.  A built-in target is therefore
+shared by every caller in the process and must be treated as immutable; its
+only mutable state is the memo of its own Gram matrix (``gram``,
+``linalg.gram_inverse``), which depends on nothing but the target.  Invalid
+parameters raise on every call (a raised exception is not memoised).
+Targets loaded from a config file are built fresh each time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, Sequence, Tuple
 
@@ -55,12 +65,14 @@ def _projective_component(cid: str, r: int, age: Frac, involution: str,
                      untwisted_restriction=restriction)
 
 
+@lru_cache(maxsize=64)
 def point() -> TargetModel:
     return TargetModel("point", dim=0, curve_rank=1,
                        components=[_point_like_component("0", 1, Frac(0), "0", Frac(1))],
                        c1_tangent_pairing=(Frac(0),))
 
 
+@lru_cache(maxsize=64)
 def bmu(r: int) -> TargetModel:
     """B(mu_r): one point sector per group element, each with integral 1/r."""
     if r < 1:
@@ -75,6 +87,7 @@ def bmu(r: int) -> TargetModel:
                        c1_tangent_pairing=(Frac(0),))
 
 
+@lru_cache(maxsize=64)
 def projective_space(n: int) -> TargetModel:
     if n < 1:
         raise InvalidParams("P^n needs n >= 1")
@@ -84,9 +97,14 @@ def projective_space(n: int) -> TargetModel:
 
 
 def weighted_projective(weights: Sequence[int]) -> TargetModel:
+    """P(w_0..w_n); a list and a tuple of the same weights give one object."""
+    return _weighted_projective(tuple(weights))
+
+
+@lru_cache(maxsize=64)
+def _weighted_projective(weights: Tuple[int, ...]) -> TargetModel:
     if not weights or any(w < 1 for w in weights):
         raise InvalidParams("weights must be positive integers")
-    weights = list(weights)
     dim = len(weights) - 1
     fracs = sorted({Frac(k, w) for w in weights for k in range(w)})
     comps = []

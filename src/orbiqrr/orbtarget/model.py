@@ -264,6 +264,8 @@ class TargetModel:
         return comp.basis[idx].degree + 2 * comp.age
 
     def __eq__(self, other) -> bool:
+        if other is self:                # a shared built-in target meets itself
+            return True
         if not isinstance(other, TargetModel):
             return NotImplemented
         from .config import target_to_obj

@@ -424,6 +424,74 @@ class TestPipelines:
             outs.append(json.loads(out)["operator"])
         assert outs[0] == outs[1]
 
+    def test_ifunction_classes_live_on_the_target(self, capsys, monkeypatch):
+        """The CLI's I-function of P2/O3 pairs on its own target."""
+        from orbiqrr import cli
+        built = []
+        real = cli.hypergeometric_modification
+
+        def keep(t, F, J, **kw):
+            built.append((t, real(t, F, J, **kw)))
+            return built[-1][1]
+
+        monkeypatch.setattr(cli, "hypergeometric_modification", keep)
+        code, _out, _ = run(capsys, "ifunction", "--target", "P2", "--bundle", "O3",
+                            "--max-degree", "2")
+        assert code == 0
+        (t, i), = built
+        assert i.target is t
+        classes = list(i.series.data.values())
+        assert len(classes) > 10
+        for cls in classes:
+            assert cls.target is t
+            t.orbifold_pairing(cls, t.unit())
+
+    def test_non_pn_target_builds_no_closed_form_j(self, capsys, monkeypatch):
+        from orbiqrr import cli
+
+        def boom(*_args):
+            raise AssertionError("closed-form J built for a target that is not P^n")
+
+        monkeypatch.setattr(cli, "j_closed_form_Pn", boom)
+        code, _out, err = run(capsys, "mirror-map", "--target", "WPS:1,1,2", "--bundle", "O1",
+                              "--max-degree", "2")
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "UsageError"
+
+
+class TestMaxDegree:
+    @pytest.mark.parametrize("argv, least", [
+        (("invariants", "--target", "P4", "--bundle", "O5", "--max-degree", "0"), 1),
+        (("invariants", "--target", "P4", "--bundle", "O5", "--max-degree", "-3"), 1),
+        (("mirror-map", "--target", "P2", "--bundle", "O3", "--max-degree", "-1"), 0),
+        (("mirror-map", "--target", "P2", "--bundle", "O3", "--max-degree", "-2"), 0),
+        (("ifunction", "--target", "P2", "--bundle", "O3", "--max-degree", "-1"), 0),
+        (("ifunction", "--target", "P2", "--bundle", "O3", "--max-degree", "-1",
+          "--nonequivariant"), 0),
+    ])
+    def test_out_of_range_is_a_usage_error(self, capsys, tmp_path, argv, least):
+        cache = str(tmp_path / "cache")
+        code, out, err = run(capsys, "--cache-dir", cache, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError"
+        assert f"--max-degree >= {least}" in error["message"]
+        assert not os.path.exists(cache) or not os.listdir(cache)
+
+    def test_mirror_map_at_degree_zero(self, capsys):
+        code, out, _ = run(capsys, "mirror-map", "--target", "P2", "--bundle", "O3",
+                           "--max-degree", "0")
+        assert code == 0
+        assert out == ('{"bundle": "O3", "rows": [{"coeff": "1", "d": [0], "series": "F"}], '
+                       '"target": "P2"}')
+
+    def test_ifunction_at_degree_zero(self, capsys):
+        code, out, _ = run(capsys, "ifunction", "--target", "P2", "--bundle", "O3",
+                           "--max-degree", "0", "--nonequivariant")
+        assert code == 0
+        assert json.loads(out)["rows"] == [
+            {"basis": "1", "coeff": "1", "component": "0", "d": [0], "zpow": 1}]
+
 
 class TestCache:
     def test_delta_euler_hit_skips_the_s_values(self, capsys, tmp_path, monkeypatch):

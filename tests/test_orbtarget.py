@@ -43,12 +43,13 @@ class TestBuilders:
         assert t.orbifold_pairing(t.unit(), t.unit()) == SCALAR_ONE
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParams):
-            bmu(0)
-        with pytest.raises(InvalidParams):
-            projective_space(0)
-        with pytest.raises(InvalidParams):
-            weighted_projective([1, -2])
+        for _ in range(2):          # a builder memoises no exception: each call raises
+            with pytest.raises(InvalidParams):
+                bmu(0)
+            with pytest.raises(InvalidParams):
+                projective_space(0)
+            with pytest.raises(InvalidParams):
+                weighted_projective([1, -2])
 
     def test_bmu2_pairing(self):
         t = bmu(2)
@@ -86,6 +87,40 @@ class TestBuilders:
         for c in t.components:
             p = t.by_id[c.involution]
             assert c.age + p.age == t.dim - c.dim
+
+
+class TestSharedTargets:
+    """A process builds each built-in target once and shares that object."""
+
+    def test_each_builder_returns_one_object(self):
+        assert projective_space(4) is projective_space(4)
+        assert point() is point()
+        assert bmu(3) is bmu(3)
+        assert weighted_projective([1, 2, 3]) is weighted_projective((1, 2, 3))
+        assert projective_space(3) is not projective_space(4)
+
+    def test_the_cli_and_the_closed_form_share_p4(self):
+        from orbiqrr.cli import resolve_target
+        from orbiqrr.genus0 import j_closed_form_Pn
+        assert resolve_target("P4")[0] is j_closed_form_Pn(4, 2).target
+
+    def test_a_config_target_is_never_the_shared_object(self, tmp_path):
+        from orbiqrr.cli import resolve_target
+        obj = target_to_obj(projective_space(2), [])
+        obj["jfunction_file"] = "j.json"
+        cfg = tmp_path / "p2.json"
+        cfg.write_text(json.dumps(obj))
+        t, _ = resolve_target(str(cfg))
+        assert t is not projective_space(2)
+        assert t.jfunction_file == str(tmp_path / "j.json")
+        assert projective_space(2).jfunction_file is None
+        assert resolve_target(str(cfg))[0] is not t
+
+    def test_identity_skips_the_serialised_comparison(self, monkeypatch):
+        from orbiqrr.orbtarget import config
+        t = projective_space(2)
+        monkeypatch.setattr(config, "target_to_obj", None)
+        assert t == t and not t != t
 
 
 class TestBundles:

@@ -4,17 +4,22 @@ A Scalar on the rational or the Laurent lane holds its value in the lane;
 its canonical form ``ell`` is built from the lane the first time something
 reads it.  That form must be the one the general constructor normalises the
 same value to, with the same equality, hash and serialisation.  The lane
-operations, and the classes built from their results, must not build it.
+operations, the lambda -> 0 limit, and the classes built from their results,
+must not build it.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbiqrr.errors import PoleAtZero
 from orbiqrr.exactalg import SCALAR_ONE, SCALAR_ZERO, Cyc, Scalar, sc
 from orbiqrr.exactalg.cyclotomic import CYC_ONE, CYC_ZERO
 from orbiqrr.exactalg.scalar import RatFunc, _from_lau
+from orbiqrr.genus0 import j_closed_form_Pn
+from orbiqrr.genus0.lefschetz import nonequivariant_limit
 from orbiqrr.orbtarget import CohClass, projective_space
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9)
@@ -97,3 +102,51 @@ def test_lane_results_leave_the_form_unbuilt():
     terms = [v for cls in classes for v in cls.terms.values()]
     assert len(terms) > 10
     assert all(v._ell is None for v in terms if v is not SCALAR_ONE)
+
+
+def limit_through_the_form(x):
+    """lambda -> 0 read off the canonical form: u = 0 in its one l-part."""
+    if not x.ell:
+        return SCALAR_ZERO
+    (rf,) = x.ell
+    return Scalar.from_cyc(rf.eval_at_zero())
+
+
+def outcome(limit, x):
+    try:
+        return limit(x).to_obj()
+    except PoleAtZero:
+        return PoleAtZero
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 3),
+       st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=1, max_size=6))
+def test_the_lane_limit_is_the_limit_of_the_form(shift, coeffs):
+    want = outcome(limit_through_the_form, general_form(shift, coeffs))
+    lazy = lane_form(shift, coeffs)
+    assert outcome(Scalar.nonequiv_limit, lazy) == want
+    assert lazy._ell is None or lazy is SCALAR_ZERO or lazy is SCALAR_ONE
+    if want is not PoleAtZero:
+        assert lazy.nonequiv_limit() == limit_through_the_form(general_form(shift, coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals)
+def test_a_rational_is_its_own_limit(q):
+    assert outcome(Scalar.nonequiv_limit, sc(q)) == \
+        outcome(limit_through_the_form, general_form(0, [q])) == str(q)
+
+
+def test_the_limit_of_a_pole_names_it():
+    with pytest.raises(PoleAtZero, match="pole at lambda = 0"):
+        _from_lau(-1, (Fraction(3), Fraction(1))).nonequiv_limit()
+
+
+def test_the_limit_of_a_closed_form_j_builds_no_form():
+    j = j_closed_form_Pn(4, 3)
+    lim = nonequivariant_limit(j)
+    for e in (j.series, lim.series):
+        terms = [v for cls in e.data.values() for v in cls.terms.values()]
+        assert len(terms) >= 16
+        assert all(v._ell is None for v in terms if v is not SCALAR_ONE)
