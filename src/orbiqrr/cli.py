@@ -78,11 +78,19 @@ def _number(parse, tok: str, spec: str):
         raise UsageError(f"bad number {tok!r} in {spec!r}") from None
 
 
+def _read_text(path: str, field: str) -> str:
+    """The text of a user-named file, or a SchemaError naming the field and path."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise SchemaError(f"{field}: cannot read {path!r} ({e.strerror})") from None
+
+
 def resolve_target(spec: str):
     """point | Pn | Bmun | WPS:w0,w1,... | path-to-config.json -> (target, bundles)."""
     if os.path.exists(spec):
-        with open(spec) as fh:
-            t, bundles = load_target(fh.read())
+        t, bundles = load_target(_read_text(spec, "target"))
         if t.jfunction_file:
             # a config names its J-function file relative to itself
             t.jfunction_file = os.path.abspath(
@@ -131,7 +139,7 @@ def target_request(spec: str, t) -> dict:
     fields = {"target": spec}
     if os.path.exists(spec):
         fields["config_sha256"] = _file_sha256(spec)
-        if t.jfunction_file and os.path.exists(t.jfunction_file):
+        if t.jfunction_file and os.path.isfile(t.jfunction_file):
             fields["jfunction_sha256"] = _file_sha256(t.jfunction_file)
     return fields
 
@@ -218,15 +226,16 @@ def cmd_target(args, cache) -> dict:
             extra = [resolve_bundle(t, bundles, args.bundle)]
         return json.loads(dump_target(t, extra))
     if args.action == "validate":
-        with open(args.spec) as fh:
-            t, bundles = load_target(fh.read())
+        t, bundles = load_target(_read_text(args.spec, "target"))
         return {"valid": True, "target": t.name, "bundles": sorted(bundles)}
     raise UsageError(f"unknown target action {args.action!r}")
 
 
 def cmd_bernoulli(args, cache) -> dict:
-    val = bernoulli_value(args.m, Frac(args.x))
-    return {"m": args.m, "x": str(Frac(args.x)), "value": str(val)}
+    if args.m < 0:
+        raise UsageError(f"bernoulli needs --m >= 0, not {args.m}")
+    x = _number(Frac, args.x, "--x")
+    return {"m": args.m, "x": str(x), "value": str(bernoulli_value(args.m, x))}
 
 
 def cmd_delta(args, cache) -> dict:
@@ -300,13 +309,7 @@ def _builtin_j(t, args):
     """The J-function of t: a config's jfunction_file, else the closed form
     when t equals the built-in P^n (a name alone never selects it)."""
     if t.jfunction_file:
-        try:
-            with open(t.jfunction_file) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise SchemaError(f"$.jfunction_file: cannot read {t.jfunction_file!r} "
-                              f"({e.strerror})") from None
-        return load_j_function(t, text)
+        return load_j_function(t, _read_text(t.jfunction_file, "$.jfunction_file"))
     if t.dim >= 1 and t == projective_space(t.dim):
         return j_closed_form_Pn(t.dim, args.max_degree)
     raise UsageError(f"no J-function source for target {t.name}; "
@@ -381,6 +384,10 @@ CHECK_FLAGS = {
     "string": {"nmax": 6},
 }
 
+# the least --nmax with something to check: a universal equation needs an
+# n >= 4 entry, the string residual a potential term (n >= 3)
+CHECK_NMAX = {"universal": 4, "string": 3}
+
 
 def _check_flags(args):
     """Reject the flags the chosen check does not read, then fill in its defaults."""
@@ -394,6 +401,10 @@ def _check_flags(args):
             setattr(args, flag, reads.get(flag))
         elif flag not in reads:
             raise UsageError(f"check {args.what} takes no --{flag}")
+    least = CHECK_NMAX.get(args.what)
+    if least is not None and args.nmax < least:
+        raise UsageError(f"check {args.what} needs --nmax >= {least}, not {args.nmax}: "
+                         "below it there is no instance to check")
 
 
 def cmd_check(args, cache) -> dict:
@@ -409,13 +420,7 @@ def cmd_check(args, cache) -> dict:
     t = resolve_target(args.target)[0] if args.target else point()
     if args.what == "universal":
         if args.table:
-            try:
-                with open(args.table) as fh:
-                    text = fh.read()
-            except OSError as e:
-                raise SchemaError(f"--table: cannot read {args.table!r} "
-                                  f"({e.strerror})") from None
-            table = _table_from_obj(t, text)
+            table = _table_from_obj(t, _read_text(args.table, "--table"))
         elif t == point():
             if args.kind == "divisor":     # zero instances would read as a pass
                 raise UsageError("check universal --kind divisor needs --table: the built-in "

@@ -33,8 +33,9 @@ below ksafe; terms past that are left by the truncation at K.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -188,15 +189,15 @@ class FockOperator:
     def apply(self, p: FockPolynomial) -> FockPolynomial:
         """The operator applied to p, truncated at p's kmax and degmax.
 
-        A single pass: each monomial of p meets each qq term once, and only
-        the qd and dd terms whose d-variable occurs in it, and every product
-        goes straight into one output through add_term.  Those terms are
-        visited in their dict order, so the summation order into each output
-        key (which fixes the serialised Cyc form) is that of a full scan.
+        A single pass: each monomial of p meets the terms in their dict
+        order, which fixes the summation order into each output key (and so
+        the serialised Cyc form), and every product goes straight into one
+        output through add_term.  A qd term whose d-variable, or a dd term
+        whose first d-variable, is absent from the monomial gives nothing
+        and is skipped.
         """
         out = FockPolynomial(p.target, p.kmax, p.degmax)
         add = out.add_term
-        qd_by_var, dd_by_var = _index_by_var(self.qd, 1), _index_by_var(self.dd, 0)
         for mono, coeffs in p.terms.items():
             if len(mono) + 2 <= p.degmax:
                 for (v1, v2), c in self.qq.items():
@@ -204,7 +205,9 @@ class FockOperator:
                     for h, x in coeffs.items():
                         add(grown, h - 1, x * c)
             present = set(mono)
-            for (qv, dv), c in _terms_on(qd_by_var, present):
+            for (qv, dv), c in self.qd.items():
+                if dv not in present:
+                    continue
                 mult = mono.count(dv)
                 rest = list(mono)
                 rest.remove(dv)
@@ -212,7 +215,9 @@ class FockOperator:
                 cm = c if mult == 1 else c * sc(mult)
                 for h, x in coeffs.items():
                     add(rest, h, x * cm)
-            for (v1, v2), c in _terms_on(dd_by_var, present):
+            for (v1, v2), c in self.dd.items():
+                if v1 not in present:
+                    continue
                 m1 = mono.count(v1)
                 rest = list(mono)
                 rest.remove(v1)
@@ -233,21 +238,6 @@ class FockOperator:
             ]
         return {"K": self.kmax, "qq_over_hbar": rows(self.qq),
                 "q_d": rows(self.qd), "hbar_dd": rows(self.dd)}
-
-
-def _index_by_var(terms: Dict, slot: int) -> Dict[Var, List]:
-    """The terms grouped by the variable key[slot], each as (dict position, key, coeff)."""
-    index: Dict[Var, List] = {}
-    for pos, (key, c) in enumerate(terms.items()):
-        index.setdefault(key[slot], []).append((pos, key, c))
-    return index
-
-
-def _terms_on(index: Dict[Var, List], variables) -> List:
-    """(key, coeff) of the indexed terms on any of the variables, in dict order."""
-    hits = [t for v in variables for t in index.get(v, ())]
-    hits.sort()                  # positions are distinct: the keys are never compared
-    return [(key, c) for _, key, c in hits]
 
 
 def _as_matrix(t: TargetModel, B) -> Matrix:
@@ -316,21 +306,16 @@ def build_point_potential(t: TargetModel, nmax: int) -> FockPolynomial:
 
     Expressed in t-variables (the affine dilaton shift q_1 = t_1 - 1 is
     applied symbolically by the string-residual helper, never expanded);
-    carried at the hbar^-1 level.
+    carried at the hbar^-1 level.  Each entry of ``build_point_table`` gives
+    one monomial, its insertions, with the entry's value over
+    prod (multiplicity)! as coefficient.
     """
-    from .genus0.correlators import _compositions, point_correlators
+    from .genus0.correlators import build_point_table
     pot = FockPolynomial(t, nmax, nmax)
-    for n in range(3, nmax + 1):
-        for kp in _compositions(n - 3, n):
-            value = point_correlators(n, list(kp))
-            mults: Dict[int, int] = {}
-            for k in kp:
-                mults[k] = mults.get(k, 0) + 1
-            denom = 1
-            for mcount in mults.values():
-                denom *= factorial(mcount)
-            mono = tuple((k, 0) for k in kp)
-            pot.add_term(mono, -1, sc(Frac(value, denom)))
+    for (_n, _d, insertions), value in build_point_table(t, nmax).entries.items():
+        denom = prod(factorial(m) for m in Counter(insertions).values())
+        pot.add_term([(k, t.flat_index[slot]) for slot, k in insertions], -1,
+                     value.scaled(Frac(1, denom)))
     return pot
 
 

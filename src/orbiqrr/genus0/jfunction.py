@@ -26,7 +26,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import NormalFormViolation, SchemaError
-from ..exactalg import Scalar, parse_scalar
+from ..exactalg import Scalar, parse_scalar, poly
 from ..givental import GiventalElement
 from ..orbtarget import CohClass, TargetModel
 
@@ -150,11 +150,7 @@ def _factor_coefficients(e: int, s: int, top: int) -> Tuple[Frac, ...]:
     coeffs = [Frac(1)]
     for k in range(1, s + 1):
         factor = [b * Frac(k) ** (e - j) for j, b in enumerate(binom)]
-        out = [Frac(0)] * min(len(coeffs) + len(factor) - 1, m + 1)
-        for i, c in enumerate(coeffs):
-            for j, f in enumerate(factor[:len(out) - i]):
-                out[i + j] += c * f
-        coeffs = out
+        coeffs = poly.mul(coeffs, factor, Frac(0))[:m + 1]
     return tuple(coeffs)
 
 

@@ -27,6 +27,7 @@ from typing import Dict, Tuple
 
 from ..errors import (
     AssumptionViolated,
+    BasisMismatch,
     LogObstruction,
     PoleAtZero,
     PositivityViolated,
@@ -64,7 +65,13 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     at 0.  A J with a pole or a ln(lambda) term at lambda = 0 (only a loaded
     one can carry lambda) raises PoleAtZero or LogObstruction here, naming
     its (d, z^n).
+
+    J must live on a target equal to t; every class of the result lives on
+    t itself, also when J's target is another object (a config-file copy of
+    a built-in P^n).
     """
+    if J.target != t:
+        raise BasisMismatch(f"J-function of {J.target.name} used on target {t.name}")
     if not F.pulled_back or F.lines is None:
         raise AssumptionViolated(
             "hypergeometric modification needs a split bundle pulled back from the coarse space")
@@ -76,7 +83,7 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     # of the products (this is exactly where positivity violations surface)
     by_degree: Dict[Tuple[int, ...], Dict[int, CohClass]] = {}
     for (n, d), cls in series.data.items():
-        by_degree.setdefault(d, {})[n] = cls
+        by_degree.setdefault(d, {})[n] = cls if cls.target is t else CohClass(t, cls.terms)
     all_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
     for d, slice_terms in by_degree.items():
         for (pairing, _c1), rho in zip(F.lines, spreads):
@@ -109,11 +116,7 @@ def small_expansion(I: JFunction):
     PositivityViolated when any z-power above 1 survives.
     """
     t = I.target
-    d0len = None
-    for (_n, d) in I.series.data:
-        d0len = len(d)
-        break
-    rank = d0len if d0len is not None else t.curve_rank
+    rank = I.series.rank
     f = TruncSeries(rank, 0, 0, I.dmax)
     g: Dict[Slot, TruncSeries] = {}
     for (n, d), cls in sorted(I.series.data.items(), key=lambda kv: -kv[0][0]):

@@ -60,19 +60,20 @@ class GiventalElement(WindowedSeries):
         """Coefficient q_k: the z^k slice at Novikov degree 0, k >= 0."""
         return self.get(k, self._d0())
 
+    @property
+    def rank(self) -> int:
+        """The Novikov rank: the length of a stored degree, else the target's curve rank."""
+        for (_n, d) in self.data:
+            return len(d)
+        return self.target.curve_rank
+
     def _d0(self) -> Deg:
-        return (0,) * _rank(self)
+        return (0,) * self.rank
 
     def p_part(self, k: int) -> CohClass:
         """Darboux p_k = (-1)^(k+1) * coefficient of z^(-k-1) at Novikov degree 0."""
         cls = self.get(-k - 1, self._d0())
         return cls.scale(sc((-1) ** (k + 1)))
-
-
-def _rank(e: GiventalElement) -> int:
-    for (_n, d) in e.data:
-        return len(d)
-    return e.target.curve_rank
 
 
 def element_from_class(t: TargetModel, cls: CohClass, zpow: int = 0,
@@ -121,10 +122,9 @@ def dilaton_shift(t: TargetModel, tvec: GiventalElement,
     shift under the Euler specialization introduces lambda^(1/2) factors,
     visible as lam_den == 2 on the scalars of the result.
     """
-    rank = _rank(tvec)
     zmax = max(tvec.zmax, 1)
     shifted = tvec.copy_window(tvec.zmin, zmax, tvec.dmax)
-    shifted.add_to(1, (0,) * rank, t.unit().scale(sc(-1)))
+    shifted.add_to(1, (0,) * tvec.rank, t.unit().scale(sc(-1)))
     if bundle is None or s_values is None:
         return shifted
     try:

@@ -180,7 +180,7 @@ def _residual_report(t: TargetModel, prod: LoopOperator, lo: int, hi: int) -> di
 
 
 def check_symplectomorphism(t: TargetModel, M: LoopOperator) -> dict:
-    """Report on M*(-z) M(z) - 1 for an operator with completely known support."""
+    """Report on M*(-z) M(z) - 1 over the window where the product is known."""
     prod = adjoint(t, M).flip_z().compose(M).sub_identity()
     return _residual_report(t, prod, prod.zmin, prod.zmax)
 
@@ -189,19 +189,21 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
                                   s_values: Sequence[Scalar], zmax: int) -> dict:
     """Verify Delta*(-z) Delta(z) = 1 through z-degree zmax by direct product.
 
-    Delta is built with enough z-headroom that the composition window of the
-    truncations covers [zmin, zmax].  The report also notes whether the
-    infinitesimal identity log Delta*(-z) + log Delta(z) = 0 held on the
+    Delta is built on the window [-depth, zmax + depth], depth = max dim + 1,
+    and ``check_symplectomorphism`` reports on the product.  Its two factors
+    have unknown tails above zmax + depth and lowest power -depth, so the
+    product window tops out at exactly zmax; TruncationTooNarrow is raised
+    if the reported top falls short of it.  The report also notes whether
+    the infinitesimal identity log Delta*(-z) + log Delta(z) = 0 held on the
     built window (it implies the product identity to all orders, since the
     multiplication blocks commute).
     """
     depth = max(c.dim for c in t.components) + 1
     L, d = _log_delta_and_delta(t, F, s_values, zmax + depth, zmax + depth)
-    prod = adjoint(t, d).flip_z().compose(d)
-    report = _residual_report(t, prod.sub_identity(), prod.zmin, min(zmax, prod.zmax))
-    if prod.zmax < zmax:
-        raise TruncationTooNarrow(
-            f"product reliable only to z^{prod.zmax}, needed z^{zmax}")
+    report = check_symplectomorphism(t, d)
+    top = report["checked_range"][1]
+    if top < zmax:
+        raise TruncationTooNarrow(f"product reliable only to z^{top}, needed z^{zmax}")
     resid = adjoint(t, L).flip_z() + L
     report["log_residual_zero"] = resid.is_zero
     return report

@@ -29,6 +29,7 @@ from ..errors import (
     BasisMismatch,
     IndexOutOfRange,
     InvariantViolation,
+    NonInvertible,
     TruncationTooNarrow,
 )
 from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc, window_product, zero_deg
@@ -106,6 +107,7 @@ class TargetModel:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
+        from ..linalg import mat_inv          # linalg imports this package
         ids = [c.cid for c in self.components]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("component ids", "duplicate component id")
@@ -135,12 +137,17 @@ class TargetModel:
             if c.basis[0].degree != 0:
                 raise InvariantViolation("unit class",
                                          f"first basis entry of {c.cid} must have degree 0")
-            if len(c.pairing) != len(c.basis) or any(len(row) != len(p.basis) for row in c.pairing):
-                raise InvariantViolation("pairing dimensions",
-                                         f"pairing of {c.cid} has wrong shape")
-            if _det([row[:] for row in c.pairing]) == 0:
+            if (len(p.basis) != len(c.basis) or len(c.pairing) != len(c.basis)
+                    or any(len(row) != len(p.basis) for row in c.pairing)):
+                raise InvariantViolation(
+                    "pairing dimensions",
+                    f"pairing of {c.cid} has wrong shape, or {c.cid} and its partner "
+                    f"{p.cid} have bases of unequal size")
+            try:
+                mat_inv([[sc(x) for x in row] for row in c.pairing])
+            except NonInvertible:
                 raise InvariantViolation("pairing nondegenerate",
-                                         f"pairing of {c.cid} is degenerate")
+                                         f"pairing of {c.cid} is degenerate") from None
             for a in range(len(c.basis)):
                 for b_ in range(len(p.basis)):
                     if c.pairing[a][b_] != p.pairing[b_][a]:
@@ -279,7 +286,7 @@ class CohClass:
 
     def __init__(self, target: TargetModel, terms: Dict[Tuple[str, int], Scalar]):
         self.target = target
-        self.terms = {k: v for k, v in terms.items() if not sc(v).is_zero}
+        self.terms = {k: s for k, v in terms.items() if not (s := sc(v)).is_zero}
         for (cid, idx) in self.terms:
             comp = target.by_id.get(cid)
             if comp is None or idx >= len(comp.basis):
@@ -570,28 +577,3 @@ class BundleModel:
             return False
         keys = set(self.eigen) | set(other.eigen)
         return all(self.eigen_class(*k) == other.eigen_class(*k) for k in keys)
-
-
-# -- small exact linear algebra over Fractions --------------------------------
-
-def _det(m: List[List[Frac]]) -> Frac:
-    n = len(m)
-    if n == 0:
-        return Frac(1)
-    m = [[Frac(x) for x in row] for row in m]
-    det = Frac(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Frac(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det

@@ -210,9 +210,6 @@ def _read_t(t: TargetModel, x: GiventalElement, inv_root: CohClass) -> GiventalE
 
 
 def _positive_parts_equal(a: GiventalElement, b: GiventalElement) -> bool:
-    hi = min(a.zmax, b.zmax)
-    for src, other in ((a, b), (b, a)):
-        for (n, d), cls in src.data.items():
-            if 0 <= n <= hi and other.get(n, d) != cls:
-                return False
-    return True
+    """Whether a and b agree at every z^n, 0 <= n <= min(a.zmax, b.zmax)."""
+    hi, dmax = min(a.zmax, b.zmax), max(a.dmax, b.dmax)
+    return a.copy_window(0, hi, dmax) == b.copy_window(0, hi, dmax)

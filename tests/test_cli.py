@@ -79,6 +79,8 @@ class TestBasicCommands:
         (("delta", "--target", "point", "--bundle", "trivial", "--s=1,x", "--zmax", "2"), "x"),
         (("quantize", "--target", "Bmu2", "--bundle", "char:1", "--B", "am:x",
           "--m", "1", "--K", "4"), "x"),
+        (("bernoulli", "--m", "2", "--x", "abc"), "abc"),
+        (("bernoulli", "--m", "2", "--x", "1/0"), "1/0"),
     ])
     def test_malformed_number_is_a_usage_error(self, capsys, argv, token):
         code, _out, err = run(capsys, *argv)
@@ -86,6 +88,46 @@ class TestBasicCommands:
         error = json.loads(err)["error"]
         assert error["code"] == "UsageError"
         assert repr(token) in error["message"]
+
+    def test_negative_bernoulli_index_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "bernoulli", "--m", "-1", "--x", "1/2")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError" and "--m >= 0" in error["message"]
+
+    @pytest.mark.parametrize("argv, path, field", [
+        (("target", "validate"), "missing", "target"),
+        (("target", "validate"), "dir", "target"),
+        (("target", "show"), "dir", "target"),
+        (("delta", "--bundle", "O1", "--s=0,1", "--zmax", "2", "--target"), "dir", "target"),
+        (("ifunction", "--bundle", "O1", "--max-degree", "1", "--target"), "dir", "target"),
+    ])
+    def test_unreadable_file_is_a_structured_error(self, capsys, tmp_path, argv, path, field):
+        """A user-named file that cannot be read is a SchemaError naming the
+        field and the path."""
+        path = str(tmp_path if path == "dir" else tmp_path / "nosuch.json")
+        code, out, _ = run(capsys, *argv, path)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "SchemaError"
+        assert error["message"].startswith(f"{field}: cannot read {path!r}")
+
+    def test_unreadable_jfunction_file_is_a_structured_error(self, capsys, tmp_path):
+        """A jfunction_file that names a directory fails as a SchemaError, also
+        in the cache key, which hashes the file."""
+        from orbiqrr.orbtarget import projective_space, target_to_obj
+        (tmp_path / "j.json").mkdir()
+        obj = target_to_obj(projective_space(2), [])
+        obj["name"] = "P2custom"
+        obj["jfunction_file"] = "j.json"
+        (tmp_path / "t.json").write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "--cache-dir", str(tmp_path / "cache"), "ifunction",
+                           "--target", str(tmp_path / "t.json"), "--bundle", "O1",
+                           "--max-degree", "1")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "SchemaError"
+        assert error["message"].startswith("$.jfunction_file: cannot read ")
 
 
 class TestPipelines:
@@ -241,6 +283,34 @@ class TestPipelines:
         code, out, _ = run(capsys, "check", "string", "--nmax", "6", "--target", "point")
         assert code == 0 and json.loads(out) == {"nmax": 6, "residual_zero": True,
                                                  "target": "point"}
+
+    @pytest.mark.parametrize("kind", ["string", "dilaton", "trr"])
+    def test_check_universal_needs_nmax_4(self, capsys, kind):
+        """Below nmax 4 the point table has no n >= 4 entry, so no instance."""
+        for nmax in ("3", "0"):
+            code, out, err = run(capsys, "check", "universal", "--kind", kind, "--nmax", nmax)
+            assert code == 2 and out == ""
+            error = json.loads(err)["error"]
+            assert error["code"] == "UsageError" and "--nmax >= 4" in error["message"]
+        code, out, _ = run(capsys, "check", "universal", "--kind", kind, "--nmax", "4")
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] is True and doc["instances"] > 0
+
+    def test_check_string_needs_nmax_3(self, capsys):
+        """At nmax 3 the residual keeps the t_0^2 term of -(1/2) t_0 g t_0,
+        which only the potential's t_0^3 / 6 cancels; below, it is cut."""
+        from orbiqrr.fockquant import FockPolynomial, string_residual
+        from orbiqrr.orbtarget import point
+        for nmax in ("2", "-1"):
+            code, out, err = run(capsys, "check", "string", "--nmax", nmax)
+            assert code == 2 and out == ""
+            error = json.loads(err)["error"]
+            assert error["code"] == "UsageError" and "--nmax >= 3" in error["message"]
+        t = point()
+        assert not string_residual(t, FockPolynomial(t, 3, 3)).is_zero
+        assert string_residual(t, FockPolynomial(t, 2, 2)).is_zero
+        code, out, _ = run(capsys, "check", "string", "--nmax", "3")
+        assert code == 0 and json.loads(out)["residual_zero"] is True
 
     def test_check_universal_trr(self, capsys):
         code, out, _ = run(capsys, "check", "universal", "--kind", "trr", "--nmax", "7")
@@ -445,6 +515,35 @@ class TestPipelines:
         for cls in classes:
             assert cls.target is t
             t.orbifold_pairing(cls, t.unit())
+
+    def test_ifunction_classes_live_on_a_config_copy_of_pn(self, capsys, tmp_path,
+                                                          monkeypatch):
+        """A config file equal to the built-in P2 gets the closed-form J, whose
+        target is the shared P2; the I-function's classes still pair on the
+        config's own target."""
+        from orbiqrr import cli
+        from orbiqrr.orbtarget import projective_space, target_to_obj
+        cfg = tmp_path / "p2copy.json"
+        cfg.write_text(json.dumps(target_to_obj(projective_space(2), [])))
+        built = []
+        real = cli.hypergeometric_modification
+
+        def keep(t, F, J, **kw):
+            built.append((t, J, real(t, F, J, **kw)))
+            return built[-1][2]
+
+        monkeypatch.setattr(cli, "hypergeometric_modification", keep)
+        code, out, _ = run(capsys, "ifunction", "--target", str(cfg), "--bundle", "O3",
+                           "--max-degree", "1")
+        assert code == 0
+        (t, j, i), = built
+        assert j.target is not t and i.target is t
+        for cls in i.series.data.values():
+            assert cls.target is t
+            t.orbifold_pairing(cls, t.unit())
+        code, builtin, _ = run(capsys, "ifunction", "--target", "P2", "--bundle", "O3",
+                               "--max-degree", "1")
+        assert code == 0 and json.loads(builtin)["rows"] == json.loads(out)["rows"]
 
     def test_non_pn_target_builds_no_closed_form_j(self, capsys, monkeypatch):
         from orbiqrr import cli

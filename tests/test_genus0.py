@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from orbiqrr.errors import (
     AssumptionViolated,
+    BasisMismatch,
     DimensionMismatch,
     InsufficientTable,
     LogObstruction,
@@ -40,6 +41,8 @@ from orbiqrr.orbtarget import (
     BundleModel,
     CohClass,
     bmu,
+    dump_target,
+    load_target,
     point,
     projective_space,
     weighted_projective,
@@ -297,6 +300,28 @@ class TestHypermod:
         F = wps_pullback_line(t, -1)
         with pytest.raises(AssumptionViolated):
             hypergeometric_modification(t, F, j)
+
+    @pytest.mark.parametrize("nonequivariant", [False, True])
+    def test_classes_move_onto_an_equal_target(self, nonequivariant):
+        """J on the shared P2, t an equal config copy: the result lives on t,
+        with the coefficients of the shared-target result."""
+        j = j_closed_form_Pn(2, 2)
+        copy, _ = load_target(dump_target(j.target, []))
+        assert copy is not j.target and copy == j.target
+        on_copy = hypergeometric_modification(copy, wps_pullback_line(copy, 3), j,
+                                              nonequivariant=nonequivariant)
+        shared = hypergeometric_modification(j.target, wps_pullback_line(j.target, 3), j,
+                                             nonequivariant=nonequivariant)
+        assert on_copy.target is copy
+        assert on_copy.series.data.keys() == shared.series.data.keys()
+        for key, cls in on_copy.series.data.items():
+            assert cls.target is copy and cls.terms == shared.series.data[key].terms
+            copy.orbifold_pairing(cls, copy.unit())
+
+    def test_j_of_another_target_rejected(self):
+        t = projective_space(3)
+        with pytest.raises(BasisMismatch, match="J-function of P2 used on target P3"):
+            hypergeometric_modification(t, wps_pullback_line(t, 1), j_closed_form_Pn(2, 1))
 
     def test_i_equals_j_mod_novikov(self):
         # every built modification satisfies I == J at Q^0

@@ -276,6 +276,14 @@ class TestCohClass:
         with pytest.raises(BasisMismatch):
             t.unit() + CohClass(bmu(2), {("1", 0): 1})    # a slot P1 does not have
 
+    def test_int_coefficients_are_stored_as_scalars(self):
+        t = projective_space(1)
+        c = CohClass(t, {("0", 0): 2, ("0", 1): Frac(1, 3)})
+        assert all(isinstance(v, Scalar) for v in c.terms.values())
+        assert c.scale(3) == CohClass(t, {("0", 0): sc(6), ("0", 1): sc(1)})
+        assert (c + c).terms == {("0", 0): sc(4), ("0", 1): sc(Frac(2, 3))}
+        assert c == t.unit().scale(2) + t.basis_class("0", "p").scale(Frac(1, 3))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_mul_matches_the_term_by_term_product(self, data):
@@ -383,6 +391,49 @@ class TestConfig:
             load_target(json.dumps(obj))
         obj["components"][0]["mult"][-1] = [1, 1, 1, "0"]   # a zero entry carries no degree
         assert load_target(json.dumps(obj))[0].dim == 2
+
+    @staticmethod
+    def _with_partners(a_size: int, b_size: int) -> dict:
+        """P1 plus a pair of r = 2 partner components a, b of dimension 1
+        with a_size and b_size basis classes; a's pairing is the identity
+        block, b's its transpose."""
+        obj = target_to_obj(projective_space(1), [])
+        obj["name"] = "partners"
+
+        def comp(cid, partner, n, m):
+            basis = [{"name": "1", "degree": 0}] + [
+                {"name": f"p{i}", "degree": 2} for i in range(1, n)]
+            pairing = [["1" if i == j else "0" for j in range(m)] for i in range(n)]
+            return {"id": cid, "r": 2, "age": "0", "involution": partner,
+                    "basis": basis, "pairing": pairing, "mult": []}
+
+        obj["components"] += [comp("a", "b", a_size, b_size), comp("b", "a", b_size, a_size)]
+        return obj
+
+    def test_partners_with_unequal_bases_rejected(self):
+        assert len(load_target(json.dumps(self._with_partners(2, 2)))[0].flat_basis) == 6
+        with pytest.raises(InvariantViolation,
+                           match="pairing dimensions: .* a and its partner b have bases"):
+            load_target(json.dumps(self._with_partners(2, 3)))
+
+    def test_partners_with_unequal_bases_fail_cli_validation(self, tmp_path, capsys):
+        from orbiqrr.cli import main
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self._with_partners(2, 3)))
+        assert main(["target", "validate", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "InvariantViolation"
+        assert err["message"].startswith("pairing dimensions")
+
+    @pytest.mark.parametrize("pairing", [[["1", "1"], ["1", "1"]], [["0", "0"], ["0", "0"]],
+                                         [["1", "2"], ["2", "4"]]])
+    def test_singular_pairing_rejected(self, pairing):
+        """Symmetric 2x2 blocks of determinant 0 on P1's component."""
+        obj = target_to_obj(projective_space(1), [])
+        obj["components"][0]["pairing"] = pairing
+        with pytest.raises(InvariantViolation,
+                           match="pairing nondegenerate: pairing of 0 is degenerate"):
+            load_target(json.dumps(obj))
 
     def test_schema_error_paths(self):
         with pytest.raises(SchemaError, match=r"\$"):
