@@ -2,11 +2,19 @@
 
 Artifacts are keyed by a SHA-256 of the canonical-JSON request (target,
 bundle, s-values, truncations) plus the schema version and the package
-version; files store the payload together with its own content hash.  A
-hash mismatch on load raises CorruptCache; callers recompute and overwrite.
-Bumping SCHEMA_VERSION or releasing a new ``orbiqrr.__version__``
-invalidates every old entry (the key changes).  Entries are written to a
-temp file in the cache directory and renamed into place.
+version.  An entry is the canonical JSON of its document, which sorted keys
+fix to the layout
+
+    {"key":"<key>","payload":<P>,"sha256":"<64 hex>","version":<N>}
+
+where P is the canonical JSON of the payload and the digest is its SHA-256.
+A hit checks that layout, hashes the P bytes as read and parses them once;
+the payload is never re-encoded.  An entry in any other layout (torn,
+truncated, re-serialised, another version) or with a digest mismatch raises
+CorruptCache; callers recompute and overwrite.  Bumping SCHEMA_VERSION or
+releasing a new ``orbiqrr.__version__`` invalidates every old entry (the key
+changes).  Entries are written to a temp file in the cache directory and
+renamed into place.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import contextlib
 import hashlib
 import json
 import os
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from . import __version__
 from .errors import CorruptCache
@@ -33,8 +41,10 @@ def request_key(request: dict) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def _payload_hash(payload) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+def _frame(key: str, digest: str) -> Tuple[str, str]:
+    """The text of an entry before and after its payload."""
+    return (f'{{"key":{json.dumps(key)},"payload":',
+            f',"sha256":"{digest}","version":{SCHEMA_VERSION}}}')
 
 
 class ArtifactCache:
@@ -49,36 +59,34 @@ class ArtifactCache:
     def load(self, key: str):
         if not self.directory:
             return None
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            raise CorruptCache(f"unreadable cache entry {key}")
-        if doc.get("version") != SCHEMA_VERSION:
+            with open(self._path(key), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             return None
-        if _payload_hash(doc.get("payload")) != doc.get("sha256"):
-            raise CorruptCache(f"hash mismatch for cache entry {key}")
-        return doc["payload"]
+        except OSError:
+            raise CorruptCache(f"unreadable cache entry {key}")
+        head, tail = _frame(key, "0" * 64)
+        body = data[len(head):len(data) - len(tail)]
+        tail = _frame(key, hashlib.sha256(body).hexdigest())[1]
+        if (len(head) + len(body) + len(tail) == len(data)
+                and data.startswith(head.encode()) and data.endswith(tail.encode())):
+            with contextlib.suppress(ValueError):
+                return json.loads(body)
+        raise CorruptCache(f"cache entry {key} fails its layout or hash check")
 
     def store(self, key: str, payload):
         if not self.directory:
             return
-        doc = {
-            "version": SCHEMA_VERSION,
-            "key": key,
-            "sha256": _payload_hash(payload),
-            "payload": payload,
-        }
+        text = canonical_json(payload)
+        head, tail = _frame(key, hashlib.sha256(text.encode()).hexdigest())
         # write a sibling temp file and rename it over the entry, so that a
         # crashed or concurrent writer never leaves a torn entry behind
         path = self._path(key)
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
             with open(tmp, "x") as fh:
-                fh.write(canonical_json(doc))
+                fh.write(head + text + tail)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):

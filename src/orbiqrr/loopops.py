@@ -224,16 +224,13 @@ def class_Am(t: TargetModel, F: BundleModel, m: int) -> CohClass:
     """A_m restricted to X_i is sum_{0<=l<r_i} ch(F_i^(l)) B_m(l / r_i)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    out = t.zero_class()
-    for comp in t.components:
-        for l in range(comp.r):
-            cls = F.eigen_class(comp.cid, l)
-            if cls.is_zero:
-                continue
-            w = bernoulli_value(m, Frac(l, comp.r))
-            if w:
-                out = out + cls.scale(sc(w))
-    return out
+    terms: Dict[Tuple[str, int], Scalar] = {}
+    for (cid, l), cls in F.eigen.items():    # the nonzero eigen parts only
+        w = bernoulli_value(m, Frac(l, t.component(cid).r))
+        if w:
+            for k, v in cls.terms.items():
+                terms[k] = terms.get(k, SCALAR_ZERO) + v.scaled(w)
+    return CohClass(t, terms)
 
 
 def euler_s_values(kmax: int, include_log: bool = True) -> List[Scalar]:

@@ -1,11 +1,26 @@
+import hashlib
 import json
 import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiqrr.cli import main
 from orbiqrr.orbtarget import dump_target, weighted_projective
+
+
+# strings that JSON must escape, and text beyond ASCII
+_TRICKY_TEXT = st.text(st.sampled_from('"\\\n\t/{}[],:ab\u00e9\u03bb\u20ac\U0001d11e') | st.characters(),
+                       max_size=8)
+
+
+def _rehashed(entry: bytes, body: bytes) -> bytes:
+    """``entry`` with its payload replaced by ``body`` and the digest of ``body``."""
+    head = entry[:entry.index(b'"payload":') + len(b'"payload":')]
+    return head + body + b',"sha256":"' + hashlib.sha256(body).hexdigest().encode() + b'","version":1}'
 
 
 def run(capsys, *argv):
@@ -673,6 +688,84 @@ class TestCache:
         doc2 = json.loads(out)
         assert doc2["cache"] == "recomputed"
         assert doc2["rows"][0]["N"] == "2875"
+
+    @staticmethod
+    def _invariants_entry(capsys, tmp_path):
+        """A cache holding the entry of ``invariants P4/O5 --max-degree 1``."""
+        cache = str(tmp_path / "cache")
+        argv = ["--cache-dir", cache, "invariants", "--target", "P4",
+                "--bundle", "O5", "--max-degree", "1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        (entry,) = os.listdir(cache)
+        return argv, os.path.join(cache, entry), json.loads(out)
+
+    def test_flipped_payload_byte_recomputed(self, capsys, tmp_path):
+        argv, path, _first = self._invariants_entry(capsys, tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert data.count(b'"N":"2875"') == 1
+        with open(path, "wb") as fh:      # one byte, same length and layout
+            fh.write(data.replace(b'"N":"2875"', b'"N":"2876"'))
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["cache"] == "recomputed"
+        assert doc["rows"][0]["N"] == "2875"
+        with open(path, "rb") as fh:
+            assert fh.read() == data      # overwritten with the right entry
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:len(data) // 2],                             # torn mid-payload
+        lambda data: data[:-1],                                         # last byte lost
+        lambda data: data.replace(b'"version":1}', b'"version":2}'),    # another version
+        lambda data: data + b"\n",                                      # trailing newline
+        lambda data: _rehashed(data, b'{"rows":['),                     # hash ok, not JSON
+    ])
+    def test_entry_not_in_the_layout_recomputed(self, capsys, tmp_path, damage):
+        argv, path, first = self._invariants_entry(capsys, tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(damage(data))
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["cache"] == "recomputed"
+        assert doc == {**first, "cache": "recomputed"}
+
+    def test_entry_written_as_a_document_is_served(self, capsys, tmp_path):
+        """An entry written as canonical_json of the whole document (how
+        entries were always written) is a hit, read from the entry."""
+        from orbiqrr.cache import SCHEMA_VERSION, canonical_json
+        argv, path, first = self._invariants_entry(capsys, tmp_path)
+        payload = {k: v for k, v in first.items() if k != "cache"}
+        payload["rows"][0]["N"] = "999"
+        doc = {"version": SCHEMA_VERSION, "key": os.path.basename(path)[:-len(".json")],
+               "sha256": hashlib.sha256(canonical_json(payload).encode()).hexdigest(),
+               "payload": payload}
+        with open(path, "w") as fh:
+            fh.write(canonical_json(doc))
+        code, out, _ = run(capsys, *argv)
+        served = json.loads(out)
+        assert code == 0 and served["cache"] == "cached"
+        assert served["rows"][0]["N"] == "999"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | _TRICKY_TEXT,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TRICKY_TEXT, kids, max_size=4),
+        max_leaves=20))
+    def test_store_load_round_trip_pins_the_layout(self, payload):
+        from orbiqrr import cache as cache_mod
+        with tempfile.TemporaryDirectory() as directory:
+            store = cache_mod.ArtifactCache(directory)
+            key = cache_mod.request_key({"payload": payload})
+            store.store(key, payload)
+            assert store.load(key) == payload
+            text = cache_mod.canonical_json(payload)
+            doc = {"version": cache_mod.SCHEMA_VERSION, "key": key, "payload": payload,
+                   "sha256": hashlib.sha256(text.encode()).hexdigest()}
+            with open(store._path(key), "rb") as fh:
+                assert fh.read() == cache_mod.canonical_json(doc).encode()
 
     def test_version_bump_invalidates(self, capsys, tmp_path):
         from orbiqrr import cache as cache_mod

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiqrr.bernoulli import bernoulli_number, bernoulli_value
 from orbiqrr.exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
@@ -124,6 +126,53 @@ class TestAmClasses:
             a0 = class_Am(t, F, 0)
             for comp in t.components:
                 assert a0.degree_part(0).coeff(comp.cid, 0) == sc(3)
+
+
+def _class_Am_slow(t, F, m):
+    """A_m by the loop over every (component, l) pair, one class sum per part."""
+    out = t.zero_class()
+    for comp in t.components:
+        for l in range(comp.r):
+            cls = F.eigen_class(comp.cid, l)
+            if cls.is_zero:
+                continue
+            w = bernoulli_value(m, Frac(l, comp.r))
+            if w:
+                out = out + cls.scale(sc(w))
+    return out
+
+
+def _assert_same_Am(t, F):
+    for m in range(10):
+        fast, slow = class_Am(t, F, m), _class_Am_slow(t, F, m)
+        assert fast.target is t
+        assert fast == slow, (t.name, F.name, m)
+        assert ({k: v.to_obj() for k, v in fast.terms.items()}
+                == {k: v.to_obj() for k, v in slow.terms.items()}), (t.name, F.name, m)
+
+
+class TestAmOverNonzeroParts:
+    """class_Am visits only F.eigen; the slow path visits every (component, l)."""
+
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_characters(self, r):
+        t = bmu(r)
+        for j in range(r):
+            _assert_same_Am(t, bmu_character(t, j))
+
+    @pytest.mark.parametrize("weights", [[1, 1, 2], [1, 2, 3], [1, 1, 1, 1, 2]])
+    def test_wps_lines(self, weights):
+        t = weighted_projective(weights)
+        for deg in range(-3, 4):
+            _assert_same_Am(t, wps_pullback_line(t, deg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("bmu", r) for r in range(2, 13)] + [("wps", (1, 1, 2)), ("wps", (1, 2, 3))]),
+           st.integers(0, 2 ** 32), st.integers(1, 4))
+    def test_random_bundles(self, spec, seed, rank):
+        kind, arg = spec
+        t = bmu(arg) if kind == "bmu" else weighted_projective(list(arg))
+        _assert_same_Am(t, random_bundle(t, random.Random(seed), rank=rank))
 
 
 class TestAdjointness:
