@@ -23,10 +23,10 @@ def main():
     f = result["F"]
     print(f"F(Q)      = " + " + ".join(
         f"{f.get(0, (d,)).as_fraction()} Q^{d}" for d in range(dmax + 1)))
-    _form, gp = result["G"][("0", 1)]
+    gp = result["G"][("0", 1)]
     print(f"G^p(Q)    =     " + " + ".join(
         f"{gp.get(0, (d,)).as_fraction()} Q^{d}" for d in range(1, dmax + 1)))
-    _tf, tau = result["tau"][("0", 1)]
+    tau = result["tau"][("0", 1)]
     print(f"tau_p(Q)  =     " + " + ".join(
         f"{tau.get(0, (d,)).as_fraction()} Q^{d}" for d in range(1, dmax + 1)))
     table = result["invariants"]

@@ -327,7 +327,7 @@ def cmd_mirror_map(args, cache) -> dict:
     rows = []
     for (_z, d), c in sorted(f.items()):
         rows.append({"series": "F", "d": list(d), "coeff": c.to_obj()})
-    for slot, (form, ser) in sorted(tau.items()):
+    for slot, ser in sorted(tau.items()):
         for (_z, d), c in sorted(ser.items()):
             rows.append({"series": f"tau[{slot[0]}/{slot[1]}]", "d": list(d),
                          "coeff": c.to_obj()})

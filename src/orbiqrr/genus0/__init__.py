@@ -6,17 +6,7 @@ from .correlators import (
     check_universal_equation,
     point_correlators,
 )
-from .jfunction import (
-    JFunction,
-    LinForm,
-    encodings_equal,
-    j_closed_form_Pn,
-    load_j_function,
-    multiply_prefactor,
-    novikov_divisor_twist,
-    shift_t0,
-    shift_t1,
-)
+from .jfunction import JFunction, j_closed_form_Pn, load_j_function
 from .lefschetz import (
     extract_invariants,
     hypergeometric_modification,
@@ -33,14 +23,8 @@ __all__ = [
     "build_point_table",
     "check_universal_equation",
     "JFunction",
-    "LinForm",
     "j_closed_form_Pn",
     "load_j_function",
-    "shift_t0",
-    "shift_t1",
-    "multiply_prefactor",
-    "novikov_divisor_twist",
-    "encodings_equal",
     "hypergeometric_modification",
     "small_expansion",
     "mirror_map",

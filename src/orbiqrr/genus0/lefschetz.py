@@ -12,9 +12,10 @@ factor, (rho_j + k z), and never build the lambda-polynomials that the
 limit would discard.  This is exact: evaluation at lambda = 0 is a ring map
 on coefficients regular at 0, and an untwisted J carries no lambda, because
 lambda is the weight of the fibre action on F.  The small-space
-expansion reads I = z F(t) + sum_k G^k(t) gamma_k + O(1/z); the mirror map
-divides by F and re-validates the J normal form; invariant extraction strips
-the exponential prefactor e^{tau p / z}, unwinds the divisor flow e^{d tau},
+expansion reads I = z F + sum_k G^k gamma_k + O(1/z), with F and each G^k a
+Novikov series; the mirror map tau = G/F is a series per slot, and J = I/F
+is re-validated against the normal form; invariant extraction strips
+the exponential e^{tau p / z}, unwinds the divisor flow e^{d tau},
 and reads the one-point z^{-1} layer.  Both exponentials are the one kernel
 ``orbtarget.graded_exp``, whose weight z^n Q^d x -> n + deg x + |d| is >= 1
 on every piece here (see ``extract_invariants``).
@@ -44,7 +45,7 @@ from ..exactalg import (
 )
 from ..givental import GiventalElement
 from ..orbtarget import BundleModel, CohClass, TargetModel, graded_exp, wps_pullback_line
-from .jfunction import JFunction, LinForm, _apply_factor_product
+from .jfunction import JFunction, _apply_factor_product
 
 Frac = Fraction
 Slot = Tuple[str, int]
@@ -103,22 +104,24 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     out = GiventalElement(t, series.zmin, zmax, series.dmax)
     for (nn, dd), c in all_terms.items():
         out.add_to(nn, dd, c)
-    return JFunction(t, out, prefactor=J.prefactor, tpoint=J.tpoint, kind=J.kind,
-                     novikov_twist=J.novikov_twist)
+    return JFunction(t, out)
 
 
 def small_expansion(I: JFunction):
     """I = z F + sum_k G^k gamma_k + O(1/z) on the small space.
 
-    Returns (F, G) with F a Novikov series and G a dict over degree <= 2
-    untwisted slots, each value a pair (parameter linear form, Novikov
-    series): the prefactor contributes t_k * F to G^k.  Raises
-    PositivityViolated when any z-power above 1 survives.
+    Returns (F, G): F is a Novikov series and G maps a slot gamma_k to the
+    Novikov series G^k.  G has an entry for every untwisted slot of degree
+    <= 2 (the small parameter space), zero or not, and for every other slot
+    the z^0 layer reaches.  Raises PositivityViolated when any z-power above
+    1 survives.
     """
     t = I.target
     rank = I.series.rank
     f = TruncSeries(rank, 0, 0, I.dmax)
-    g: Dict[Slot, TruncSeries] = {}
+    g: Dict[Slot, TruncSeries] = {
+        ("0", idx): TruncSeries(rank, 0, 0, I.dmax)
+        for idx, b in enumerate(t.by_id["0"].basis) if b.degree <= 2}
     for (n, d), cls in sorted(I.series.data.items(), key=lambda kv: -kv[0][0]):
         if n > 1:
             raise PositivityViolated(
@@ -139,23 +142,20 @@ def small_expansion(I: JFunction):
     dzero = (0,) * rank
     if not f.get(0, dzero) == SCALAR_ONE:
         raise PositivityViolated("F(t) is not 1 mod Q")
-    gout = {slot: (I.tpoint.get(slot, LinForm()), series) for slot, series in g.items()}
-    for slot, form in I.tpoint.items():
-        if slot not in gout and not form.is_zero:
-            gout[slot] = (form, TruncSeries(rank, 0, 0, I.dmax))
-    return f, gout
+    return f, g
 
 
 def mirror_map(I: JFunction, f, g):
-    """Cor-comp style change of variables: tau_k = t_k + G^k/F and J = I/F.
+    """Cor-comp style change of variables: tau^k = G^k/F and J = I/F.
 
     ``(f, g)`` is ``small_expansion(I)``.  Returns (tau, J_twisted) with tau
-    a dict slot -> (linear form, Novikov series).  The result is re-validated
+    a dict slot -> Novikov series, each without its Q^0 term (that is the
+    parameter point, which must be rational).  The result is re-validated
     against the J normal form.
     """
     inv_f = series_invert(f)
     tau = {}
-    for slot, (form, series) in g.items():
+    for slot, series in g.items():
         ratio = series * inv_f
         d0 = (0,) * series.rank
         head = ratio.get(0, d0)
@@ -163,18 +163,16 @@ def mirror_map(I: JFunction, f, g):
         if not head.is_zero:
             if not head.is_rational():
                 raise PositivityViolated("mirror map head must be rational")
-            form = form + LinForm({"__const__": head.as_fraction()})
             ratio = ratio - TruncSeries.from_scalar(head, series.rank, 0, 0, series.dmax)
-        tau[slot] = (form, ratio)
+        tau[slot] = ratio
     series = novikov_scale(I.series, inv_f)
-    out = JFunction(I.target, series, prefactor=I.prefactor, tpoint=I.tpoint,
-                    kind=I.kind, novikov_twist=I.novikov_twist)
+    out = JFunction(I.target, series)
     # normal form after division: z-head exactly 1 at d=0 and nothing above
     d0 = (0,) * inv_f.rank
     for (n, d), cls in out.series.data.items():
         if n == 1 and d != d0 and not cls.is_zero:
             raise PositivityViolated("z^1 layer of J is not exactly z after division")
-    for slot, (form, ratio) in tau.items():
+    for slot, ratio in tau.items():
         for (_z, d), c in ratio.items():
             if out.series.get(0, d).coeff(*slot) != c:
                 raise PositivityViolated("z^0 layer of J does not match tau")
@@ -200,8 +198,7 @@ def nonequivariant_limit(j: JFunction) -> JFunction:
         except LogObstruction:
             raise LogObstruction(f"ln(lambda) survives at lambda=0 in coefficient (d={d}, z^{n})")
 
-    return JFunction(j.target, j.series.map(limit), prefactor=j.prefactor, tpoint=j.tpoint,
-                     kind=j.kind, novikov_twist=j.novikov_twist)
+    return JFunction(j.target, j.series.map(limit))
 
 
 def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
@@ -228,7 +225,7 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     slot = ("0", 1)
     if slot not in tau:
         raise UnsupportedTarget("mirror map has no divisor direction")
-    _form, tau_p = tau[slot]
+    tau_p = tau[slot]
     dmax = j_twisted.dmax
     p = t.basis_class("0", "p")
     # the (z^{-1}, p^2) slot of e^{-tau_p p / z} J

@@ -76,6 +76,4 @@ def gram_matrix(t: TargetModel) -> FrozenMatrix:
 
 def gram_inverse(t: TargetModel) -> FrozenMatrix:
     """The inverse of the target's Gram matrix, computed once per target."""
-    if t._gram_inv is None:
-        t._gram_inv = tuple(map(tuple, mat_inv(t.gram())))
-    return t._gram_inv
+    return t.gram_inverse()

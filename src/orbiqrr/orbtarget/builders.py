@@ -13,7 +13,7 @@ built-in target once (up to 64 of each kind), and every later call with the
 same parameters returns that same object.  A built-in target is therefore
 shared by every caller in the process and must be treated as immutable; its
 only mutable state is the memo of its own Gram matrix (``gram``,
-``linalg.gram_inverse``), which depends on nothing but the target.  Invalid
+``gram_inverse``), which depends on nothing but the target.  Invalid
 parameters raise on every call (a raised exception is not memoised).
 Targets loaded from a config file are built fresh each time.
 """

@@ -101,7 +101,8 @@ class TargetModel:
         ]
         self.flat_index = {key: n for n, key in enumerate(self.flat_basis)}
         self._gram: Optional[Tuple[Tuple[Scalar, ...], ...]] = None
-        self._gram_inv = None       # linalg.gram_inverse's memo
+        self._gram_inv: Optional[Tuple[Tuple[Scalar, ...], ...]] = None
+        self._pairing_inv: Dict[str, List[List[Scalar]]] = {}   # cid -> inverse block
         self.validate()
 
     # -- validation ---------------------------------------------------------
@@ -144,7 +145,7 @@ class TargetModel:
                     f"pairing of {c.cid} has wrong shape, or {c.cid} and its partner "
                     f"{p.cid} have bases of unequal size")
             try:
-                mat_inv([[sc(x) for x in row] for row in c.pairing])
+                self._pairing_inv[c.cid] = mat_inv([[sc(x) for x in row] for row in c.pairing])
             except NonInvertible:
                 raise InvariantViolation("pairing nondegenerate",
                                          f"pairing of {c.cid} is degenerate") from None
@@ -153,6 +154,13 @@ class TargetModel:
                     if c.pairing[a][b_] != p.pairing[b_][a]:
                         raise InvariantViolation("pairing symmetry",
                                                  f"pairing of {c.cid}/{p.cid} not symmetric")
+            restr = c.untwisted_restriction
+            if restr is not None and (len(restr) != len(c0.basis)
+                                      or any(len(row) != len(c.basis) for row in restr)):
+                raise InvariantViolation(
+                    "untwisted restriction",
+                    f"restriction to {c.cid} must have {len(c0.basis)} rows (the untwisted "
+                    f"basis) of {len(c.basis)} entries (the basis of {c.cid})")
             # graded_exp relies on deg(a b) = deg a + deg b
             n_basis = len(c.basis)
             for (a, b_), prod in c.mult.items():
@@ -209,6 +217,23 @@ class TargetModel:
                     g[a][b] = sc(comp.pairing[ai][bi])
             self._gram = tuple(map(tuple, g))
         return self._gram
+
+    def gram_inverse(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """The inverse of ``gram``, built once per target from the pairing
+        blocks that ``validate`` inverted: the Gram matrix pairs component c
+        with its partner p through the block P_c, so its inverse has
+        (P_c^-1)[j][k] at ((p, j), (c, k))."""
+        if self._gram_inv is None:
+            n = len(self.flat_basis)
+            g = [[SCALAR_ZERO] * n for _ in range(n)]
+            for comp in self.components:
+                partner = comp.involution
+                for j, row in enumerate(self._pairing_inv[comp.cid]):
+                    a = self.flat_index[(partner, j)]
+                    for k, x in enumerate(row):
+                        g[a][self.flat_index[(comp.cid, k)]] = x
+            self._gram_inv = tuple(map(tuple, g))
+        return self._gram_inv
 
     def orbifold_pairing(self, a: "CohClass", b: "CohClass") -> Scalar:
         self._check_class(a)
@@ -289,7 +314,7 @@ class CohClass:
         self.terms = {k: s for k, v in terms.items() if not (s := sc(v)).is_zero}
         for (cid, idx) in self.terms:
             comp = target.by_id.get(cid)
-            if comp is None or idx >= len(comp.basis):
+            if comp is None or not 0 <= idx < len(comp.basis):
                 raise BasisMismatch(f"unknown basis slot ({cid}, {idx})")
 
     @classmethod

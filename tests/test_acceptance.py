@@ -27,18 +27,13 @@ from orbiqrr.fockquant import (
 from orbiqrr.genus0 import (
     build_point_table,
     check_universal_equation,
-    encodings_equal,
     hypergeometric_modification,
     j_closed_form_Pn,
     mirror_map,
-    multiply_prefactor,
     nonequivariant_limit,
-    novikov_divisor_twist,
     quintic_pipeline,
-    shift_t1,
     small_expansion,
 )
-from orbiqrr.genus0.jfunction import LinForm
 from orbiqrr.linalg import mat_is_zero, mat_mul, mat_transpose, mat_inv, gram_matrix, multiplication_matrix
 from orbiqrr.loopops import (
     LoopOperator,
@@ -66,7 +61,7 @@ from orbiqrr.serre import (
     serre_M_operator,
 )
 
-from helpers import random_bundle
+from helpers import p1_table, random_bundle
 from oracles import quintic_instanton_numbers, string_recursion_point_correlator
 from test_fockquant import anti_self_adjoint, random_symplectic_monomial
 from test_loopops import log_gamma_blocks, _assert_same_blocks
@@ -153,12 +148,12 @@ def test_criterion_5_quantum_lefschetz_quintic():
         f = result["F"]
         assert f.get(0, (0,)) == SCALAR_ONE
         assert f.get(0, (1,)) == sc(120)
-        form, gp = result["G"][("0", 1)]
+        gp = result["G"][("0", 1)]
         assert gp.get(0, (1,)) == sc(770)
         # the quoted mirror ratio G_1/F_1 = 770/120 = 77/12; the map itself is
         # the series quotient G/F = 770 Q + ... (what the oracle pins)
         assert gp.get(0, (1,)) / f.get(0, (1,)) == sc(Frac(77, 12))
-        _tform, tau_p = result["tau"][("0", 1)]
+        tau_p = result["tau"][("0", 1)]
         assert tau_p.get(0, (1,)) == sc(770)
         table = result["invariants"]
         assert table["N"][1] == 2875 == oracle_N[1]
@@ -210,7 +205,7 @@ def test_criterion_6_quantization():
 
 
 def test_criterion_7_universal_equations():
-    with budget(7, "string/dilaton/TRR on the point table, divisor shift on P^n", 10.0):
+    with budget(7, "string/dilaton/TRR on the point table, divisor on the P^1 table", 10.0):
         t = point()
         table = build_point_table(t, 8)
         for kind in ("string", "dilaton", "trr"):
@@ -220,12 +215,13 @@ def test_criterion_7_universal_equations():
         assert report["ok"] and report["instances"] == 0  # vacuous on a point
         # sanity against the string-recursion oracle
         assert point_value(table, (1, 0, 0, 0)) == string_recursion_point_correlator((1, 0, 0, 0))
-        # divisor-shift identity of the encoded P^n closed form
-        j = j_closed_form_Pn(4, 3)
-        lhs = shift_t1(j, "eps")
-        rhs = multiply_prefactor(novikov_divisor_twist(j, "eps"), ("0", 1),
-                                 LinForm.var("eps"))
-        assert encodings_equal(lhs, rhs)
+        # the divisor equation on real P^1 numbers, and a corrupted entry caught
+        _t1, table1 = p1_table()
+        report = check_universal_equation("divisor", table1)
+        assert report["ok"] and report["instances"] > 0, report
+        p = ("0", 1)
+        table1.set((1,), [(p, 0), (p, 0), (p, 0), (p, 0)], sc(5))
+        assert not check_universal_equation("divisor", table1)["ok"]
 
 
 def point_value(table, kp):

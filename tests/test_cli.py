@@ -144,6 +144,18 @@ class TestBasicCommands:
         assert error["code"] == "SchemaError"
         assert error["message"].startswith("$.jfunction_file: cannot read ")
 
+    def test_jfunction_file_without_rows_is_a_structured_error(self, capsys, tmp_path):
+        from orbiqrr.orbtarget import projective_space, target_to_obj
+        (tmp_path / "j.json").write_text(json.dumps({"row": []}))
+        obj = target_to_obj(projective_space(2), [])
+        obj["jfunction_file"] = "j.json"
+        (tmp_path / "t.json").write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "ifunction", "--target", str(tmp_path / "t.json"),
+                           "--bundle", "O1", "--max-degree", "1")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error == {"code": "SchemaError", "message": "$.rows: expected a list"}
+
 
 class TestPipelines:
     def test_invariants_quintic(self, capsys):

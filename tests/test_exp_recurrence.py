@@ -286,7 +286,7 @@ def old_extracted_n(j_twisted, tau, degree):
     """N_d by the replaced strip-and-unwind."""
     t = j_twisted.target
     dmax = j_twisted.dmax
-    _form, tau_p = tau[("0", 1)]
+    tau_p = tau[("0", 1)]
     stripped = old_mul_exp_class_over_z(j_twisted.series, tau_p.scale(sc(-1)),
                                         t.basis_class("0", "p"))
     x = {}

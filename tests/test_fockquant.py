@@ -20,7 +20,14 @@ from orbiqrr.fockquant import (
     string_residual,
 )
 from orbiqrr.linalg import gram_inverse, gram_matrix, mat_inv, mat_is_zero, mat_mul, mat_transpose
-from orbiqrr.orbtarget import bmu, point, projective_space, weighted_projective
+from orbiqrr.orbtarget import (
+    bmu,
+    dump_target,
+    load_target,
+    point,
+    projective_space,
+    weighted_projective,
+)
 
 from helpers import scaled
 
@@ -59,9 +66,14 @@ def random_symplectic_monomial(t, rng, mmax=3):
 
 
 @pytest.mark.parametrize("build", [
-    point, lambda: bmu(3), lambda: projective_space(2), lambda: weighted_projective([1, 2, 3])])
+    point, lambda: bmu(3), lambda: projective_space(2), lambda: weighted_projective([1, 2, 3]),
+    lambda: bmu(2), lambda: bmu(12), lambda: projective_space(1), lambda: projective_space(4),
+    lambda: weighted_projective([1, 1, 2]), lambda: weighted_projective([2, 3]),
+    lambda: weighted_projective([1, 1, 1, 1, 2]),
+    lambda: load_target(dump_target(weighted_projective([1, 2, 3]), []))[0]])
 def test_gram_and_its_inverse_are_built_once_per_target(build):
-    """The memo equals a fresh inverse of a fresh Gram matrix, and no caller can change it."""
+    """The memo equals a fresh inverse of a fresh Gram matrix, and no caller can change it;
+    on every family of built-in targets and on a config target."""
     t = build()
     g, ginv = gram_matrix(t), gram_inverse(t)
     assert gram_matrix(t) is g and t.gram() is g and gram_inverse(t) is ginv

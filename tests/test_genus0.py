@@ -14,28 +14,24 @@ from orbiqrr.errors import (
     NormalFormViolation,
     PoleAtZero,
     PositivityViolated,
+    SchemaError,
 )
 from orbiqrr.exactalg import SCALAR_ONE, Scalar, sc
 from orbiqrr.genus0 import (
     CorrelatorTable,
     build_point_table,
     check_universal_equation,
-    encodings_equal,
     extract_invariants,
     hypergeometric_modification,
     j_closed_form_Pn,
     load_j_function,
     mirror_map,
-    multiply_prefactor,
     nonequivariant_limit,
-    novikov_divisor_twist,
     point_correlators,
     quintic_pipeline,
-    shift_t0,
-    shift_t1,
     small_expansion,
 )
-from orbiqrr.genus0.jfunction import JFunction, LinForm, _factor_coefficients
+from orbiqrr.genus0.jfunction import JFunction, _factor_coefficients
 from orbiqrr.givental import GiventalElement
 from orbiqrr.orbtarget import (
     BundleModel,
@@ -222,20 +218,6 @@ class TestClosedFormJ:
         # the p^4 component of the z^(-1)... z^(-8) coefficient is binom(8,4) = 70
         assert j.coefficient((1,), -8).coeff("0", 4) == sc(70)
 
-    def test_string_shift_encoding(self):
-        j = j_closed_form_Pn(3, 2)
-        lhs = shift_t0(j, "eps")
-        rhs = multiply_prefactor(j, ("0", 0), LinForm.var("eps"))
-        assert lhs.prefactor == rhs.prefactor
-        assert lhs.series == rhs.series
-
-    def test_divisor_shift_encoding(self):
-        # shifting t1 by eps == substituting Q -> Q e^eps and multiplying e^{eps p/z}
-        j = j_closed_form_Pn(4, 3)
-        lhs = shift_t1(j, "eps")
-        rhs = multiply_prefactor(novikov_divisor_twist(j, "eps"), ("0", 1),
-                                 LinForm.var("eps"))
-        assert encodings_equal(lhs, rhs)
 
 
 def _p2_rows(dmax=1):
@@ -275,6 +257,49 @@ class TestLoadJ:
         rows.append({"d": [1], "zpow": 0, "component": "0", "basis": 0, "coeff": "1"})
         with pytest.raises(NormalFormViolation, match="dimension filter"):
             load_j_function(t, {"rows": rows})
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", ["a"]),          # not an integer
+        ("d", [1, 0]),         # two entries on a curve-rank-1 target
+        ("d", [-1]),           # negative degree
+        ("d", 1),              # not a list
+        ("d", [True]),         # a JSON boolean is not an integer
+        ("zpow", -2.7),        # not an integer (was truncated to -2)
+        ("zpow", "1"),
+    ])
+    def test_malformed_row_names_its_field(self, field, value):
+        rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": 0,
+                              "coeff": "0", field: value}]
+        with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.{field}: "):
+            load_j_function(projective_space(2), {"rows": rows})
+
+    @pytest.mark.parametrize("row, message", [
+        (7, r"^\$\.rows\[0\]: expected an object$"),
+        ({"d": [0], "zpow": 0, "component": "0", "basis": 1},
+         r"^\$\.rows\[0\]\.coeff: missing required field$"),
+    ])
+    def test_row_without_an_object_or_a_field(self, row, message):
+        with pytest.raises(SchemaError, match=message):
+            load_j_function(projective_space(2), {"rows": [row] + _p2_rows()})
+
+    @pytest.mark.parametrize("basis", [-2, 3, "q"])
+    def test_basis_outside_the_component_rejected(self, basis):
+        rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": basis,
+                              "coeff": "1"}]
+        with pytest.raises(BasisMismatch):
+            load_j_function(projective_space(2), {"rows": rows})
+
+    def test_irrational_parameter_point_rejected(self):
+        rows = _p2_rows() + [{"d": [0], "zpow": 0, "component": "0", "basis": 1,
+                              "coeff": "0,1|1"}]          # t = lambda p
+        with pytest.raises(NormalFormViolation, match="parameter point must be rational"):
+            load_j_function(projective_space(2), {"rows": rows})
+
+    def test_rational_parameter_point_accepted(self):
+        rows = _p2_rows() + [{"d": [0], "zpow": 0, "component": "0", "basis": 1,
+                              "coeff": "3/2"}]
+        j = load_j_function(projective_space(2), {"rows": rows})
+        assert j.coefficient((0,), 0) == j.target.basis_class("0", "p").scale(sc(Frac(3, 2)))
 
 
 class TestHypermod:
@@ -356,10 +381,9 @@ class TestSmallExpansionAndMirror:
         assert f.get(0, (0,)) == SCALAR_ONE
         for d in range(1, 3):
             assert f.get(0, (d,)).is_zero
-        # G = t: the only content is the parameter linear forms
-        for slot, (form, series) in g.items():
-            assert series.is_zero
-            assert not form.is_zero
+        # G = t = 0: one zero series per small-space slot, 1 and p
+        assert sorted(g) == [("0", 0), ("0", 1)]
+        assert all(series.is_zero for series in g.values())
 
     def test_quintic_f_and_g(self):
         j = j_closed_form_Pn(4, 2)
@@ -370,9 +394,7 @@ class TestSmallExpansionAndMirror:
         assert f.get(0, (0,)) == SCALAR_ONE
         assert f.get(0, (1,)) == sc(120)
         assert f.get(0, (2,)) == sc(113400)
-        form, gp = g[("0", 1)]
-        assert gp.get(0, (1,)) == sc(770)
-        assert form == LinForm.var("t1")
+        assert g[("0", 1)].get(0, (1,)) == sc(770)
 
     def test_mirror_map_quintic(self):
         j = j_closed_form_Pn(4, 2)
@@ -381,10 +403,10 @@ class TestSmallExpansionAndMirror:
         i = nonequivariant_limit(hypergeometric_modification(t, F, j))
         f, g = small_expansion(i)
         tau, j_tw = mirror_map(i, f, g)
-        form, tau_p = tau[("0", 1)]
+        tau_p = tau[("0", 1)]
         # G_1/F_1 = 770/120 = 77/12; the series quotient (G/F)(Q) itself starts 770 Q
         # (the classical quintic mirror map), which the instanton extraction confirms
-        assert g[("0", 1)][1].get(0, (1,)) / f.get(0, (1,)) == sc(Frac(77, 12))
+        assert g[("0", 1)].get(0, (1,)) / f.get(0, (1,)) == sc(Frac(77, 12))
         assert tau_p.get(0, (1,)) == sc(770)
         assert tau_p.get(0, (2,)) == sc(810225 - 120 * 770)
         # normal form after division
@@ -466,8 +488,7 @@ def _per_slice_modification(t, F, J, nonequivariant=False):
     out = GiventalElement(t, series.zmin, zmax, dmax)
     for (nn, dd), c in all_terms.items():
         out.add_to(nn, dd, c)
-    return JFunction(t, out, prefactor=J.prefactor, tpoint=J.tpoint, kind=J.kind,
-                     novikov_twist=J.novikov_twist)
+    return JFunction(t, out)
 
 
 def _split_bundle(t, degrees):

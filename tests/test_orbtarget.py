@@ -270,7 +270,7 @@ class TestCohClass:
         t = projective_space(1)
         c = CohClass(t, {("0", 0): 2, ("0", 1): Frac(0)})
         assert c.terms == {("0", 0): sc(2)}
-        for slot in (("1", 0), ("0", 2)):
+        for slot in (("1", 0), ("0", 2), ("0", -1), ("0", -2)):
             with pytest.raises(BasisMismatch):
                 CohClass(t, {slot: 1})
         with pytest.raises(BasisMismatch):
@@ -434,6 +434,22 @@ class TestConfig:
         with pytest.raises(InvariantViolation,
                            match="pairing nondegenerate: pairing of 0 is degenerate"):
             load_target(json.dumps(obj))
+
+    @pytest.mark.parametrize("rows", [
+        [["1", "0", "0"]],                         # one row, P2 has three
+        [["1", "0"], ["0", "1"], ["0", "0"]],      # rows of two entries
+    ])
+    def test_restriction_of_the_wrong_shape_rejected(self, rows, tmp_path, capsys):
+        from orbiqrr.cli import main
+        obj = target_to_obj(projective_space(2), [])
+        obj["components"][0]["untwisted_restriction"] = rows
+        with pytest.raises(InvariantViolation, match="untwisted restriction: restriction "
+                           "to 0 must have 3 rows"):
+            load_target(json.dumps(obj))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["target", "validate", str(bad)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
 
     def test_schema_error_paths(self):
         with pytest.raises(SchemaError, match=r"\$"):
