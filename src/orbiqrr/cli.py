@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .bernoulli import bernoulli_value
 from .cache import ArtifactCache
-from .errors import OrbiqrrError, SchemaError, UnsupportedTarget, UsageError
+from .errors import OrbiqrrError, SchemaError, UsageError
 from .exactalg import Scalar, sc
 from .fockquant import (
     build_point_potential,
@@ -38,11 +38,9 @@ from .genus0 import (
     hypergeometric_modification,
     j_closed_form_Pn,
     load_j_function,
-    mirror_map,
-    quintic_pipeline,
-    small_expansion,
 )
 from .genus0.correlators import CorrelatorTable
+from .genus0.lefschetz import check_extractable, extract_invariants, lefschetz_chain
 from .loopops import (
     check_delta_symplectomorphism,
     class_Am,
@@ -320,10 +318,7 @@ def cmd_mirror_map(args, cache) -> dict:
     _check_max_degree(args, 0)
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
-    j = _builtin_j(t, args)
-    i = hypergeometric_modification(t, F, j, nonequivariant=True)
-    f, g = small_expansion(i)
-    tau, j_tw = mirror_map(i, f, g)
+    f, _g, tau, _j_tw = lefschetz_chain(t, F, _builtin_j(t, args))
     rows = []
     for (_z, d), c in sorted(f.items()):
         rows.append({"series": "F", "d": list(d), "coeff": c.to_obj()})
@@ -338,17 +333,13 @@ def cmd_invariants(args, cache) -> dict:
     _check_max_degree(args, 1)
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
-    p4 = projective_space(4)
-    if t != p4 or F != wps_pullback_line(p4, 5):
-        # the pipeline computes P4/O5 whatever was asked; never label it otherwise
-        raise UnsupportedTarget(
-            f"invariants are implemented for P4/O5 only, not {t.name}/{F.name}")
+    check_extractable(t, F)      # before the cache: a rejected pair stores nothing
     request = {"op": "invariants", **target_request(args.target, t), "bundle": args.bundle,
                "max_degree": args.max_degree}
 
     def compute():
-        result = quintic_pipeline(args.max_degree)
-        table = result["invariants"]
+        _f, _g, tau, j_tw = lefschetz_chain(t, F, _builtin_j(t, args))
+        table = extract_invariants(j_tw, tau, F)
         rows = [{"d": d, "N": str(table["N"][d]), "n": str(table["n"][d])}
                 for d in sorted(table["N"])]
         return {"target": t.name, "bundle": F.name, "max_degree": args.max_degree,

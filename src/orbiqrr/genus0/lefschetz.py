@@ -14,11 +14,12 @@ on coefficients regular at 0, and an untwisted J carries no lambda, because
 lambda is the weight of the fibre action on F.  The small-space
 expansion reads I = z F + sum_k G^k gamma_k + O(1/z), with F and each G^k a
 Novikov series; the mirror map tau = G/F is a series per slot, and J = I/F
-is re-validated against the normal form; invariant extraction strips
-the exponential e^{tau p / z}, unwinds the divisor flow e^{d tau},
-and reads the one-point z^{-1} layer.  Both exponentials are the one kernel
-``orbtarget.graded_exp``, whose weight z^n Q^d x -> n + deg x + |d| is >= 1
-on every piece here (see ``extract_invariants``).
+is re-validated against the normal form; ``lefschetz_chain`` runs these
+steps on the target, bundle and J it is given, for every pipeline.  Invariant
+extraction strips e^{tau p / z}, unwinds the divisor flow e^{d tau} and reads
+the one-point z^{-1} layer, for the pairs ``check_extractable`` alone admits.
+Both exponentials are the one kernel ``orbtarget.graded_exp``, whose weight
+z^n Q^d x -> n + deg x + |d| is >= 1 on every piece here.
 """
 
 from __future__ import annotations
@@ -179,6 +180,14 @@ def mirror_map(I: JFunction, f, g):
     return tau, out
 
 
+def lefschetz_chain(t: TargetModel, F: BundleModel, J: JFunction):
+    """(f, g, tau, J_twisted) of ``hypergeometric_modification(t, F, J, True)``."""
+    i_lim = hypergeometric_modification(t, F, J, nonequivariant=True)
+    f, g = small_expansion(i_lim)
+    tau, j_tw = mirror_map(i_lim, f, g)
+    return f, g, tau, j_tw
+
+
 def novikov_scale(e: GiventalElement, s: TruncSeries) -> GiventalElement:
     """Multiply a Givental element by a scalar Novikov series (no z-content)."""
     if any(n for n, _d in s.data):
@@ -201,6 +210,16 @@ def nonequivariant_limit(j: JFunction) -> JFunction:
     return JFunction(j.target, j.series.map(limit))
 
 
+def check_extractable(t: TargetModel, F: BundleModel):
+    """The pairs ``extract_invariants`` reads: a P^4-shaped target t (so tau has
+    the divisor slot) and a Calabi-Yau slice deg F = deg TX; else UnsupportedTarget."""
+    comps = t.components
+    if t.dim != 4 or len(comps) != 1 or [b.degree for b in comps[0].basis] != [0, 2, 4, 6, 8]:
+        raise UnsupportedTarget(f"invariant extraction expects a P^4-shaped target, not {t.name}")
+    if F.c1_pairing[0] != t.c1_tangent_pairing[0]:
+        raise UnsupportedTarget(f"invariant extraction expects deg F = deg TX, not {F.name}")
+
+
 def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     """Genus-0 invariant table N_d of the hypersurface cut out by F.
 
@@ -217,19 +236,14 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     bookkeeping and is frozen against the classical d = 1 value 2875.
     """
     t = j_twisted.target
-    if t.dim != 4 or len(t.components) != 1 or len(t.components[0].basis) != 5:
-        raise UnsupportedTarget("quintic extraction expects a P^4-shaped target")
-    degree = F.c1_pairing[0]
-    if degree != t.c1_tangent_pairing[0]:
-        raise UnsupportedTarget("quintic extraction expects deg F = deg TX (Calabi-Yau slice)")
-    slot = ("0", 1)
-    if slot not in tau:
-        raise UnsupportedTarget("mirror map has no divisor direction")
-    tau_p = tau[slot]
+    check_extractable(t, F)
+    tau_p = tau[("0", 1)]
     dmax = j_twisted.dmax
     p = t.basis_class("0", "p")
+    # a zero Q^0 block keys each exponential's unit at Q^0 also when tau_p is zero
+    q0 = {(0, (0,)): t.zero_class()}
     # the (z^{-1}, p^2) slot of e^{-tau_p p / z} J
-    strip = graded_exp(t, {(-1, d): p.scale(-c) for (_z, d), c in tau_p.items()},
+    strip = graded_exp(t, {**q0, **{(-1, d): p.scale(-c) for (_z, d), c in tau_p.items()}},
                        -t.dim, 0, dmax)
     c_series: Dict[int, Scalar] = {d: SCALAR_ZERO for d in range(1, dmax + 1)}
     z_minus_1 = window_product(j_twisted.series.data, strip, lambda a, b: a.mul(b),
@@ -238,7 +252,7 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
         c_series[d] = cls.coeff("0", 2)
     # unwind sum_k x_k q^k, q = Q e^{tau_p} = Q^1 + O(Q^2): triangular solve
     unit = t.unit()
-    e_tau = graded_exp(t, {k: unit.scale(c) for k, c in tau_p.items()}, 0, 0, dmax)
+    e_tau = graded_exp(t, {**q0, **{k: unit.scale(c) for k, c in tau_p.items()}}, 0, 0, dmax)
     q = TruncSeries(1, 0, 0, dmax, {(0, (d + 1,)): c.coeff("0", 0)
                                     for (_z, (d,)), c in e_tau.items() if d < dmax})
     x: Dict[int, Scalar] = {}
@@ -253,7 +267,7 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     n_table: Dict[int, Frac] = {}
     big_n: Dict[int, Frac] = {}
     for d in range(1, dmax + 1):
-        nd = x[d] * sc(Frac(degree, d))
+        nd = x[d] * sc(Frac(F.c1_pairing[0], d))
         if not nd.is_rational():
             raise UnsupportedTarget("extraction produced a non-rational invariant")
         big_n[d] = nd.as_fraction()
@@ -272,23 +286,19 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
 def quintic_pipeline(dmax: int) -> dict:
     """The whole desk-scale computation for the quintic threefold in P^4.
 
-    Closed-form J for P^4, hypergeometric modification by O(5) with lambda -> 0
-    taken first, mirror map, invariant extraction.  Returns the mirror map
-    Q-series and the N_d / n_d tables.
+    Closed-form J for P^4, ``lefschetz_chain`` with O(5), invariant
+    extraction.  Returns the mirror map Q-series and the N_d / n_d tables
+    (empty at dmax = 0).
     """
     from .jfunction import j_closed_form_Pn
 
     j = j_closed_form_Pn(4, dmax)
-    t = j.target
-    F = wps_pullback_line(t, 5)
-    i_lim = hypergeometric_modification(t, F, j, nonequivariant=True)
-    f, g = small_expansion(i_lim)
-    tau, j_tw = mirror_map(i_lim, f, g)
-    table = extract_invariants(j_tw, tau, F)
+    F = wps_pullback_line(j.target, 5)
+    f, g, tau, j_tw = lefschetz_chain(j.target, F, j)
     return {
         "F": f,
         "G": g,
         "tau": tau,
         "J_twisted": j_tw,
-        "invariants": table,
+        "invariants": extract_invariants(j_tw, tau, F),
     }

@@ -592,6 +592,26 @@ class BundleModel:
                     raise InvariantViolation(
                         "eigenbundle involution",
                         f"I^*F_{partner}^({other_l}) != F_{comp.cid}^({l})")
+        if self.lines is not None:
+            # a split F = sum of lines: untwisted degree-2 classes that add up to
+            # c1(F^(0)) on the untwisted sector, with pairings that add up to c1_pairing
+            c1_sum, pairing_sum = t.zero_class(), (Frac(0),) * len(self.c1_pairing)
+            for pairing, c1 in self.lines:
+                if any(cid != "0" for cid, _i in c1.terms) or c1.degree_part(2) != c1:
+                    raise InvariantViolation("split lines", f"line class {c1} is not an "
+                                             "untwisted class of degree 2")
+                if len(pairing) != len(pairing_sum):
+                    raise InvariantViolation("split lines", f"a line pairing has {len(pairing)} "
+                                             f"entries, not {len(pairing_sum)}")
+                c1_sum = c1_sum + c1
+                pairing_sum = tuple(a + b for a, b in zip(pairing_sum, pairing))
+            if pairing_sum != self.c1_pairing:
+                raise InvariantViolation("split lines", f"line pairings sum to "
+                                         f"{list(map(str, pairing_sum))}, not the c1_pairing "
+                                         f"{list(map(str, self.c1_pairing))}")
+            if c1_sum != self.eigen_class("0", 0).degree_part(2):
+                raise InvariantViolation("split lines", f"line classes sum to {c1_sum}, not "
+                                         "the degree-2 part of F^(0) on component 0")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BundleModel):

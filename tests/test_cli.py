@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbiqrr.cli import main
-from orbiqrr.orbtarget import dump_target, weighted_projective
+from orbiqrr.orbtarget import dump_target, projective_space, weighted_projective
 
 
 # strings that JSON must escape, and text beyond ASCII
@@ -61,6 +61,22 @@ class TestBasicCommands:
         err = json.loads(out)["error"]
         assert err["code"] == "InvariantViolation"
         assert "age reciprocity" in err["message"]
+
+    def test_bundle_with_inconsistent_lines_is_rejected(self, capsys, tmp_path):
+        """O5 of a P4 config whose line says c1 = 3p, <c1, line> = 4: it would
+        compare equal to the built-in O5 and label another I-function 'O5'."""
+        code, out, _ = run(capsys, "target", "show", "P4", "--bundle", "O5")
+        cfg = json.loads(out)
+        cfg["bundles"][0]["lines"][0] = {"c1_pairing": ["4"],
+                                         "c1": {"0": ["0", "3", "0", "0", "0"]}}
+        (tmp_path / "p4.json").write_text(json.dumps(cfg))
+        for argv in (("target", "validate", str(tmp_path / "p4.json")),
+                     ("ifunction", "--target", str(tmp_path / "p4.json"), "--bundle", "O5",
+                      "--max-degree", "1", "--nonequivariant")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 1
+            error = json.loads(out)["error"]
+            assert error["code"] == "InvariantViolation" and "split lines" in error["message"]
 
     def test_usage_error(self, capsys):
         code, _out, err = run(capsys, "delta", "--target", "nosuch",
@@ -170,12 +186,52 @@ class TestPipelines:
 
     def test_invariants_rejects_other_targets(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
-        for target, bundle in (("P2", "O3"), ("P4", "O4"), ("P3", "O5"), ("P4", "trivial")):
-            code, out, _ = run(capsys, "--cache-dir", cache, "invariants", "--target", target,
-                               "--bundle", bundle, "--max-degree", "2")
-            assert code == 1, (target, bundle)
-            assert json.loads(out)["error"]["code"] == "UnsupportedTarget"
-        assert not os.listdir(cache)   # rejected before the cache is consulted
+        # a config copy of P4 under another name has no J-function source
+        renamed = json.loads(dump_target(projective_space(4), []))
+        renamed["name"] = "P4copy"
+        (tmp_path / "p4copy.json").write_text(json.dumps(renamed))
+        for target, bundle, error in (
+                ("P2", "O3", "UnsupportedTarget"), ("P4", "O4", "UnsupportedTarget"),
+                ("P3", "O5", "UnsupportedTarget"), ("P4", "trivial", "UnsupportedTarget"),
+                ("P4", "O6", "UnsupportedTarget"), ("WPS:1,1,1,1,1", "O5", "UsageError"),
+                (str(tmp_path / "p4copy.json"), "O5", "UsageError")):
+            code, out, err = run(capsys, "--cache-dir", cache, "invariants", "--target", target,
+                                 "--bundle", bundle, "--max-degree", "2")
+            assert (code, json.loads(out or err)["error"]["code"]) == \
+                ({"UnsupportedTarget": 1, "UsageError": 2}[error], error), (target, bundle)
+        assert not os.listdir(cache)   # no rejected pair stores an entry
+
+    def test_invariants_on_a_config_copy_label_its_bundle(self, capsys, tmp_path):
+        """A config copy of P4 (name P4) with O5 renamed 'quintic' gives the rows
+        of P4/O5, labelled with the bundle the numbers were computed from."""
+        code, out, _ = run(capsys, "target", "show", "P4", "--bundle", "O5")
+        assert code == 0
+        cfg = json.loads(out)
+        cfg["bundles"][0]["name"] = "quintic"
+        (tmp_path / "p4.json").write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "invariants", "--target", str(tmp_path / "p4.json"),
+                           "--bundle", "quintic", "--max-degree", "3")
+        assert code == 0
+        copy = json.loads(out)
+        code, out, _ = run(capsys, "invariants", "--target", "P4", "--bundle", "O5",
+                           "--max-degree", "3")
+        builtin = json.loads(out)
+        assert (copy["target"], copy["bundle"], builtin["bundle"]) == ("P4", "quintic", "O5")
+        assert copy["rows"] == builtin["rows"]
+        assert [r["n"] for r in copy["rows"]] == ["2875", "609250", "317206375"]
+
+    def test_invariants_builds_the_bundle_once(self, capsys, monkeypatch):
+        from orbiqrr import cli
+        from orbiqrr.genus0 import lefschetz
+        calls = []
+        build = cli.wps_pullback_line
+        for module in (cli, lefschetz):
+            monkeypatch.setattr(module, "wps_pullback_line",
+                                lambda t, m: calls.append((t.name, m)) or build(t, m))
+        code, _out, _ = run(capsys, "invariants", "--target", "P4", "--bundle", "O5",
+                            "--max-degree", "3")
+        assert code == 0
+        assert calls == [("P4", 5)]
 
     def test_invariants_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "invariants", "--target", "P4",
@@ -850,7 +906,9 @@ class TestCache:
         doc = json.loads(out)
         assert code == 0 and doc["cache"] == "computed"
         assert doc["operator"]["blocks"]["1"]["0/p"] == "1/12"
-        obj["bundles"][0]["eigen"][0]["ch"][1] = "5"   # ch_1 of F: 1 -> 5
+        # ch_1 of F: 1 -> 5, with its line and c1 pairing to match
+        obj["bundles"] = target_to_obj(t, [wps_pullback_line(t, 5)])["bundles"]
+        obj["bundles"][0]["name"] = "F"
         cfg.write_text(json.dumps(obj))
         code, out, _ = run(capsys, *argv)
         doc = json.loads(out)

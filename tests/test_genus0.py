@@ -16,7 +16,7 @@ from orbiqrr.errors import (
     PositivityViolated,
     SchemaError,
 )
-from orbiqrr.exactalg import SCALAR_ONE, Scalar, sc
+from orbiqrr.exactalg import SCALAR_ONE, Scalar, TruncSeries, sc
 from orbiqrr.genus0 import (
     CorrelatorTable,
     build_point_table,
@@ -443,6 +443,25 @@ class TestInvariantExtraction:
         for d in (1, 2, 3):
             assert table["N"][d] == oracle_N[d], d
             assert table["n"][d] == oracle_n[d], d
+
+    def test_quintic_pipeline_at_degree_zero_has_empty_tables(self):
+        result = quintic_pipeline(0)
+        assert result["invariants"] == {"N": {}, "n": {}}
+        assert result["tau"][("0", 1)].is_zero
+
+    def test_zero_mirror_map_extracts_the_z_minus_1_layer_itself(self):
+        """With tau = 0 the strip e^{-tau p / z} and the flow e^{d tau} are 1,
+        so x_d is the (z^{-1}, p^2) coefficient of J itself: N_d = 5 x_d / d."""
+        t = projective_space(4)
+        F = wps_pullback_line(t, 5)
+        e = GiventalElement(t, -1, 1, 2)
+        e.add_to(1, (0,), t.unit())
+        e.add_to(-1, (1,), CohClass(t, {("0", 2): sc(575)}))
+        e.add_to(-1, (2,), CohClass(t, {("0", 2): sc(975)}))
+        tau = {("0", 1): TruncSeries(1, 0, 0, 2)}
+        table = extract_invariants(JFunction(t, e), tau, F)
+        assert table["N"] == {1: 2875, 2: Frac(4875, 2)}
+        assert table["n"] == {1: 2875, 2: Frac(4875, 2) - Frac(2875, 8)}
 
     def test_quintic_numbers_match_oracle_to_degree_8(self):
         # n_8 has 24 digits: the pipeline's largest rationals

@@ -168,6 +168,41 @@ class TestBundles:
                 assert [(p, c.terms) for p, c in F.lines] == \
                     [((Frac(m),), CohClass(t, {("0", 1): sc(m)}).terms)]
 
+    def test_every_builtin_line_bundle_has_consistent_lines(self):
+        """O(m), m = -3..6, on the point, Bmu_r, P^1..P^5 and five WPS targets:
+        the lines rule of ``BundleModel.validate`` holds on each, and the one
+        line is (c1_pairing, the degree-2 part of F^(0) on component 0)."""
+        targets = [point(), bmu(2), bmu(3), bmu(5)] + \
+            [projective_space(n) for n in range(1, 6)] + \
+            [weighted_projective(w) for w in ([1, 1, 2], [1, 2, 3], [1, 1, 1, 1, 2],
+                                              [1, 1, 1, 1, 4], [1, 1, 1, 2, 5])]
+        count = 0
+        for t in targets:
+            for m in range(-3, 7):
+                F = wps_pullback_line(t, m)
+                [(pairing, c1)] = F.lines
+                assert pairing == F.c1_pairing
+                assert c1 == F.eigen_class("0", 0).degree_part(2)
+                count += 1
+        assert count == 140
+
+    @pytest.mark.parametrize("pairing, c1, match", [
+        (["4"], ["0", "3", "0", "0", "0"], "pairings sum to"),
+        (["4"], ["0", "5", "0", "0", "0"], "pairings sum to"),
+        (["5"], ["0", "3", "0", "0", "0"], "classes sum to"),
+        (["5"], ["0", "0", "5", "0", "0"], "not an untwisted class of degree 2"),
+        (["5", "0"], ["0", "5", "0", "0", "0"], "has 2 entries, not 1"),
+    ])
+    def test_inconsistent_lines_are_rejected(self, pairing, c1, match):
+        """A config bundle whose lines disagree with its c1_pairing or its
+        Chern character is an InvariantViolation at load, not a bundle that
+        compares equal to O(5) and computes another I-function."""
+        t = projective_space(4)
+        obj = json.loads(dump_target(t, [wps_pullback_line(t, 5)]))
+        obj["bundles"][0]["lines"] = [{"c1_pairing": pairing, "c1": {"0": c1}}]
+        with pytest.raises(InvariantViolation, match=match):
+            load_target(json.dumps(obj))
+
     def test_rank_sum_violation(self):
         t = bmu(2)
         from orbiqrr.orbtarget import BundleModel, CohClass
