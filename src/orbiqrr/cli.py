@@ -33,6 +33,7 @@ from .fockquant import (
     string_residual,
 )
 from .genus0 import (
+    JFunction,
     build_point_table,
     check_universal_equation,
     hypergeometric_modification,
@@ -237,6 +238,7 @@ def cmd_bernoulli(args, cache) -> dict:
 
 
 def cmd_delta(args, cache) -> dict:
+    _check_least(args, "zmax", 0)
     # the target is resolved first: target_request reads a config's jfunction_file
     t, bundles = resolve_target(args.target)
     if args.euler:
@@ -280,15 +282,16 @@ def cmd_delta(args, cache) -> dict:
     return payload
 
 
-def _check_max_degree(args, least: int):
-    """A UsageError unless --max-degree >= least."""
-    if args.max_degree < least:
-        raise UsageError(f"{args.command} needs --max-degree >= {least}, "
-                         f"not {args.max_degree}")
+def _check_least(args, flag: str, least: int):
+    """A UsageError unless the value of --flag is >= least."""
+    value = getattr(args, flag.replace("-", "_"))
+    if value < least:
+        command = f"check {args.what}" if args.command == "check" else args.command
+        raise UsageError(f"{command} needs --{flag} >= {least}, not {value}")
 
 
 def cmd_ifunction(args, cache) -> dict:
-    _check_max_degree(args, 0)
+    _check_least(args, "max-degree", 0)
     t, bundles = resolve_target(args.target)
     request = {"op": "ifunction", **target_request(args.target, t), "bundle": args.bundle,
                "max_degree": args.max_degree, "nonequivariant": args.nonequivariant}
@@ -304,10 +307,16 @@ def cmd_ifunction(args, cache) -> dict:
 
 
 def _builtin_j(t, args):
-    """The J-function of t: a config's jfunction_file, else the closed form
-    when t equals the built-in P^n (a name alone never selects it)."""
+    """The J-function of t through --max-degree: a config's jfunction_file,
+    cut to that degree, else the closed form when t equals the built-in P^n
+    (a name alone never selects it)."""
     if t.jfunction_file:
-        return load_j_function(t, _read_text(t.jfunction_file, "$.jfunction_file"))
+        j = load_j_function(t, _read_text(t.jfunction_file, "$.jfunction_file"))
+        if j.dmax < args.max_degree:
+            raise UsageError(f"--max-degree {args.max_degree} exceeds degree {j.dmax}, "
+                             f"the highest in {t.jfunction_file}")
+        return JFunction(t, j.series.copy_window(j.series.zmin, j.series.zmax,
+                                                 args.max_degree))
     if t.dim >= 1 and t == projective_space(t.dim):
         return j_closed_form_Pn(t.dim, args.max_degree)
     raise UsageError(f"no J-function source for target {t.name}; "
@@ -315,7 +324,7 @@ def _builtin_j(t, args):
 
 
 def cmd_mirror_map(args, cache) -> dict:
-    _check_max_degree(args, 0)
+    _check_least(args, "max-degree", 0)
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
     f, _g, tau, _j_tw = lefschetz_chain(t, F, _builtin_j(t, args))
@@ -330,7 +339,7 @@ def cmd_mirror_map(args, cache) -> dict:
 
 
 def cmd_invariants(args, cache) -> dict:
-    _check_max_degree(args, 1)
+    _check_least(args, "max-degree", 1)
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
     check_extractable(t, F)      # before the cache: a rejected pair stores nothing
@@ -393,9 +402,8 @@ def _check_flags(args):
         elif flag not in reads:
             raise UsageError(f"check {args.what} takes no --{flag}")
     least = CHECK_NMAX.get(args.what)
-    if least is not None and args.nmax < least:
-        raise UsageError(f"check {args.what} needs --nmax >= {least}, not {args.nmax}: "
-                         "below it there is no instance to check")
+    if least is not None:
+        _check_least(args, "nmax", least)
 
 
 def cmd_check(args, cache) -> dict:
@@ -403,6 +411,7 @@ def cmd_check(args, cache) -> dict:
     if args.what == "serre":
         if args.target is None or args.bundle is None:
             raise UsageError("check serre needs --target and --bundle")
+        _check_least(args, "zmax", 0)
         t, bundles = resolve_target(args.target)
         F = resolve_bundle(t, bundles, args.bundle)
         s = parse_s_list(args.s) if args.s else \

@@ -154,7 +154,8 @@ class WindowedSeries:
 
         The result is known from zmin + o.zmin up to the first power an
         unknown tail reaches: one factor's tail (above its zmax) times the
-        other's lowest power.
+        other's lowest power.  Each factor has zmin <= zmax, so that window
+        is never empty.
         """
         zmax = min(self.zmax + o.zmin, o.zmax + self.zmin)
         out = self._empty(self.zmin + o.zmin, zmax, min(self.dmax, o.dmax))

@@ -6,7 +6,7 @@ ordinary multiplication by a class.  Every operator the theory builds (log
 Delta, Delta, their inverses, adjoints, z-flips, sums and products) is of
 that kind, so an operator M(z) is the series M(z) . 1 in the space that
 holds J: a GiventalElement, whose products are class products
-(``exactalg.window_product``) and whose adjoint is the involution
+(``WindowedSeries.product``) and whose adjoint is the involution
 transport.  A block's matrix on the flat basis is derived on demand, for
 reports that list entries.
 
@@ -22,12 +22,13 @@ ones above are not, which is why ``delta_operator`` keeps only those.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .bernoulli import bernoulli_value
 from .errors import TruncationTooNarrow
-from .exactalg import SCALAR_ZERO, Scalar, sc, window_product
+from .exactalg import SCALAR_ZERO, Scalar, sc
 from .givental import GiventalElement
 from .linalg import (
     Matrix,
@@ -47,35 +48,31 @@ class LoopOperator(GiventalElement):
     """A window [zmin, zmax] of multiplication operators on H^*(IX), one per z-power.
 
     The operator M(z) is held as the series M(z) . 1: a GiventalElement with
-    keys (n, ()) and dmax 0, whose z^n block acts as ordinary multiplication
-    by that class.  Since ``multiplication_matrix`` is an injective ring map,
-    class equality, class products and the involution transport are matrix
+    keys (n, ()), whose z^n block acts as ordinary multiplication by that
+    class.  Since ``multiplication_matrix`` is an injective ring map, class
+    equality, class products and the involution transport are matrix
     equality, matrix products and the adjoint g^-1 B^T g.
 
-    ``exact=True`` asserts the operator has no tail above zmax either (its
-    support is completely listed), which widens the reliable windows of sums
-    and compositions.  Truncations of genuinely infinite series (like Delta)
-    are exact=False: their blocks above zmax are unknown.
+    The window is the WindowedSeries one: blocks above zmax are unknown, so
+    an operator known to vanish above z^k is declared on any zmax >= k.  A
+    block has no Novikov degree, so the operator is known at every one
+    (dmax is unbounded) and applying it keeps the element's Novikov window.
     """
 
-    __slots__ = ("exact",)
+    __slots__ = ()
 
     def __init__(self, target: TargetModel, zmin: int, zmax: int,
-                 classes: Dict[int, CohClass], exact: bool = False):
-        self.exact = exact
-        super().__init__(target, zmin, zmax, 0, {(n, ()): c for n, c in classes.items()})
+                 classes: Dict[int, CohClass]):
+        super().__init__(target, zmin, zmax, math.inf,
+                         {(n, ()): c for n, c in classes.items()})
 
-    def _empty(self, zmin: int, zmax: int, dmax: int) -> "LoopOperator":
-        return LoopOperator(self.target, zmin, zmax, {}, exact=self.exact)
+    def _empty(self, zmin: int, zmax: int, dmax) -> "LoopOperator":
+        return LoopOperator(self.target, zmin, zmax, {})
 
     @property
     def mult_classes(self) -> Dict[int, CohClass]:
         """The multiplier class of each z-power (a read-only view)."""
         return {n: c for (n, _d), c in self.data.items()}
-
-    @staticmethod
-    def identity(target: TargetModel, zmin: int = 0, zmax: int = 0) -> "LoopOperator":
-        return LoopOperator(target, zmin, zmax, {0: target.unit_everywhere()}, exact=True)
 
     def block(self, n: int) -> Matrix:
         """The z^n block as a matrix on the flat basis."""
@@ -83,37 +80,9 @@ class LoopOperator(GiventalElement):
 
     # -- algebra
 
-    def _sum_empty(self, o: "LoopOperator") -> "LoopOperator":
-        zmin = min(self.zmin, o.zmin)
-        if self.exact and o.exact:
-            zmax = max(self.zmax, o.zmax)
-        elif self.exact:
-            zmax = o.zmax      # the exact side contributes known zeros above its window
-        elif o.exact:
-            zmax = self.zmax
-        else:
-            zmax = min(self.zmax, o.zmax)
-        return LoopOperator(self.target, zmin, zmax, {}, exact=self.exact and o.exact)
-
     def compose(self, o: "LoopOperator") -> "LoopOperator":
-        """(self . o)(z): blocks C_n = sum_{a+b=n} A_a B_b.
-
-        For a pair of exact operators the full product window is exact; with
-        unknown tails the result is reliable only where neither tail can
-        contribute.
-        """
-        zmin = self.zmin + o.zmin
-        caps = []
-        if not self.exact:
-            caps.append(self.zmax + o.zmin)   # self's unknown tail times o's floor
-        if not o.exact:
-            caps.append(o.zmax + self.zmin)
-        zmax = min(caps) if caps else self.zmax + o.zmax
-        if zmin > zmax:
-            raise TruncationTooNarrow("composition window is empty")
-        out = LoopOperator(self.target, zmin, zmax, {}, exact=self.exact and o.exact)
-        out.data = window_product(self.data, o.data, lambda a, b: a.mul(b), out.inside)
-        return out
+        """(self . o)(z): blocks C_n = sum_{a+b=n} A_a B_b, on the product window."""
+        return self.product(o, lambda a, b: a.mul(b))
 
     def flip_z(self) -> "LoopOperator":
         """M(z) -> M(-z): blocks keep their exponent, odd ones change sign."""
@@ -126,16 +95,8 @@ class LoopOperator(GiventalElement):
         return out
 
     def apply(self, e: GiventalElement) -> GiventalElement:
-        zmin = e.zmin + self.zmin
-        caps = [e.zmax + self.zmin]
-        if not self.exact:
-            caps.append(self.zmax + e.zmin)
-        zmax = min(caps)
-        if zmin > zmax:
-            raise TruncationTooNarrow("operator application window is empty")
-        out = GiventalElement(self.target, zmin, zmax, e.dmax)
-        out.data = window_product(e.data, self.data, lambda x, c: c.mul(x), out.inside)
-        return out
+        """M(z) e(z) on the product window, with e's Novikov window."""
+        return e.product(self, lambda x, c: c.mul(x))
 
 
 # -- adjoints ------------------------------------------------------------------
@@ -298,23 +259,8 @@ def log_delta_classes(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]
 
 def log_delta(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
               zmax: int) -> LoopOperator:
-    """log Delta as a multiplication-type loop operator.
-
-    For a finite s-list every block above z^(len(s)-1) vanishes, so the
-    operator support is completely known (exact) whenever zmax clears that
-    bound; Euler-specialized lists are finite truncations, and callers
-    compare their blocks coefficientwise.
-    """
-    return _log_delta_from(t, log_delta_classes(t, F, s_values, zmax), s_values, zmax)
-
-
-def _log_delta_from(t: TargetModel, classes: Dict[int, CohClass],
-                    s_values: Sequence[Scalar], zmax: int) -> LoopOperator:
-    """log Delta from its blocks through zmax."""
-    kmax = len(list(s_values)) - 1
-    exact = zmax >= kmax  # z^(m-1) blocks need s_{m+h-1}, so support stops at z^kmax
-    zmin = min(-1, *classes) if classes else -1
-    return LoopOperator(t, zmin, zmax, classes, exact=exact)
+    """log Delta as a multiplication-type loop operator on [-1, zmax]."""
+    return LoopOperator(t, -1, zmax, log_delta_classes(t, F, s_values, zmax))
 
 
 def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
@@ -324,8 +270,8 @@ def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     (z^0, degree-0) part.
 
     The exponential (``graded_exp``) runs on the z-window up to zmax + dim(X),
-    so every emitted block <= zmax is exact (see the module docstring).
-    Delta itself keeps an unknown upward tail (exact=False).
+    so every emitted block <= zmax is exact (see the module docstring);
+    the blocks above zmax are unknown.
     """
     return _delta_from(t, log_delta_classes(t, F, s_values, zmax + t.dim), zmax)
 
@@ -346,7 +292,7 @@ def _log_delta_and_delta(t: TargetModel, F: BundleModel, s_values: Sequence[Scal
     window, so the narrower window's blocks are the wider one's up to its top."""
     logs = log_delta_classes(t, F, s_values, max(log_zmax, delta_zmax + t.dim))
     narrow = {n: c for n, c in logs.items() if n <= log_zmax}
-    return _log_delta_from(t, narrow, s_values, log_zmax), _delta_from(t, logs, delta_zmax)
+    return LoopOperator(t, -1, log_zmax, narrow), _delta_from(t, logs, delta_zmax)
 
 
 def delta_inverse(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],

@@ -143,9 +143,12 @@ def bmu_character(t: TargetModel, j: int) -> BundleModel:
     """The character chi_j of mu_r as a line bundle on B(mu_r).
 
     On the sector of g = u^k it contributes the eigenvalue zeta_r^{jk},
-    i.e. the eigen index l = (jk mod r) / gcd(r, k) relative to r_i.
+    i.e. the eigen index l = (jk mod r) / gcd(r, k) relative to r_i.  Any
+    target other than B(mu_r), r its number of components, is InvalidParams.
     """
     r = len(t.components)
+    if t != bmu(r):
+        raise InvalidParams(f"the character chi_{j} needs a B(mu_r) target, not {t.name}")
     eigen: Dict[Tuple[str, int], CohClass] = {}
     for k in range(r):
         cid = str(k)

@@ -674,6 +674,75 @@ class TestMaxDegree:
         assert json.loads(out)["rows"] == [
             {"basis": "1", "coeff": "1", "component": "0", "d": [0], "zpow": 1}]
 
+    def test_jfunction_file_is_cut_to_max_degree(self, capsys, tmp_path):
+        """A config copy of P4 whose J file goes to degree 2 gives the built-in
+        P4 rows at --max-degree 1 and 2; --max-degree 3 is a UsageError that
+        names both degrees."""
+        from orbiqrr.genus0 import j_closed_form_Pn
+        from orbiqrr.orbtarget import target_to_obj, wps_pullback_line
+        rows = []
+        for (n, d), cls in j_closed_form_Pn(4, 2).series.data.items():
+            for (cid, idx), c in cls.terms.items():
+                rows.append({"d": list(d), "zpow": n, "component": cid,
+                             "basis": idx, "coeff": str(c.as_fraction())})
+        (tmp_path / "j.json").write_text(json.dumps({"rows": rows}))
+        p4 = projective_space(4)
+        obj = target_to_obj(p4, [wps_pullback_line(p4, 5)])
+        obj["name"] = "P4file"
+        obj["jfunction_file"] = "j.json"
+        cfg = str(tmp_path / "p4file.json")
+        with open(cfg, "w") as fh:
+            fh.write(json.dumps(obj))
+        for command, extra in (("ifunction", ("--nonequivariant",)), ("invariants", ())):
+            for degree in ("1", "2"):
+                code, out, _ = run(capsys, command, "--target", cfg, "--bundle", "O5",
+                                   "--max-degree", degree, *extra)
+                assert code == 0, (command, degree)
+                code, builtin, _ = run(capsys, command, "--target", "P4", "--bundle", "O5",
+                                       "--max-degree", degree, *extra)
+                assert json.loads(out)["rows"] == json.loads(builtin)["rows"], (command, degree)
+            code, out, err = run(capsys, command, "--target", cfg, "--bundle", "O5",
+                                 "--max-degree", "3", *extra)
+            assert code == 2 and out == ""
+            error = json.loads(err)["error"]
+            assert error["code"] == "UsageError"
+            assert "--max-degree 3" in error["message"] and "degree 2" in error["message"]
+
+
+class TestZmax:
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--target", "Bmu3", "--bundle", "char:1", "--euler", "--zmax", "-3"),
+        ("delta", "--target", "P1", "--bundle", "O1", "--euler", "--zmax", "-2", "--log"),
+        ("delta", "--target", "P1", "--bundle", "O1", "--s", "0,1", "--zmax", "-1",
+         "--check-symplectic"),
+        ("check", "serre", "--target", "P1", "--bundle", "O1", "--zmax", "-1"),
+    ])
+    def test_negative_zmax_is_a_usage_error(self, capsys, tmp_path, argv):
+        cache = str(tmp_path / "cache")
+        code, out, err = run(capsys, "--cache-dir", cache, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError" and "--zmax >= 0" in error["message"]
+        assert not os.path.exists(cache) or not os.listdir(cache)
+        zero = list(argv)
+        zero[zero.index("--zmax") + 1] = "0"
+        assert run(capsys, *zero)[0] == 0, zero
+
+
+class TestCharacter:
+    @pytest.mark.parametrize("target, j", [("P2", 1), ("WPS:1,2", 2), ("point", 1)])
+    def test_character_needs_a_bmu_target(self, capsys, tmp_path, target, j):
+        cache = str(tmp_path / "cache")
+        code, out, _ = run(capsys, "--cache-dir", cache, "delta", "--target", target,
+                           "--bundle", f"char:{j}", "--euler", "--zmax", "2")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "InvalidParams" and "B(mu_r)" in error["message"]
+        assert not os.path.exists(cache) or not os.listdir(cache)
+        code, out, _ = run(capsys, "delta", "--target", "Bmu3", "--bundle", f"char:{j}",
+                           "--euler", "--zmax", "2")
+        assert code == 0 and json.loads(out)["bundle"] == f"char{j}"
+
 
 class TestCache:
     def test_delta_euler_hit_skips_the_s_values(self, capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """LoopOperator stores one multiplier class per z-power.  Each operation is
 checked against the matrix formula on the flat basis that it stands for,
-written out here with linalg and blockwise sums."""
+written out here with linalg and blockwise sums, on the window that the
+WindowedSeries rule gives it."""
 
 import json
 import random
@@ -30,10 +31,12 @@ seeds = st.integers(0, 2 ** 32 - 1)
 
 
 def random_operator(t, rng, contains_zero=False):
+    """Classes on [zmin, top], declared on a window that may reach past top:
+    an operator known to vanish above z^top."""
     zmin = rng.randint(-2, 0 if contains_zero else 1)
-    zmax = max(zmin, 0) + rng.randint(0, 2) if contains_zero else zmin + rng.randint(0, 3)
-    classes = {n: random_class(t, rng) for n in range(zmin, zmax + 1) if rng.random() < 0.8}
-    return LoopOperator(t, zmin, zmax, classes, exact=rng.random() < 0.5)
+    top = max(zmin, 0) + rng.randint(0, 2) if contains_zero else zmin + rng.randint(0, 3)
+    classes = {n: random_class(t, rng) for n in range(zmin, top + 1) if rng.random() < 0.8}
+    return LoopOperator(t, zmin, top + rng.choice((0, 0, 1, 3, 6)), classes)
 
 
 def zero_matrix(t):
@@ -56,19 +59,10 @@ def matrices(op):
             for n in range(op.zmin, op.zmax + 1)}
 
 
-def assert_blocks(op, want, zmin, zmax, exact):
-    assert (op.zmin, op.zmax, op.exact) == (zmin, zmax, exact)
+def assert_blocks(op, want, zmin, zmax):
+    assert (op.zmin, op.zmax) == (zmin, zmax)
     for n in range(zmin - 1, zmax + 1):
         assert op.block(n) == want.get(n, zero_matrix(op.target)), n
-
-
-def sum_window(a, b):
-    zmin = min(a.zmin, b.zmin)
-    if a.exact and b.exact:
-        return zmin, max(a.zmax, b.zmax)
-    if a.exact or b.exact:
-        return zmin, (b if a.exact else a).zmax
-    return zmin, min(a.zmax, b.zmax)
 
 
 @settings(max_examples=150, deadline=None)
@@ -77,15 +71,14 @@ def test_compose_is_the_blockwise_matrix_product(t, seed):
     rng = random.Random(seed)
     a, b = random_operator(t, rng), random_operator(t, rng)
     zmin = a.zmin + b.zmin
-    caps = ([] if a.exact else [a.zmax + b.zmin]) + ([] if b.exact else [b.zmax + a.zmin])
-    zmax = min(caps) if caps else a.zmax + b.zmax
+    zmax = min(a.zmax + b.zmin, b.zmax + a.zmin)
     ma, mb = matrices(a), matrices(b)
     want = {}
     for i, x in ma.items():
         for j, y in mb.items():
             if zmin <= i + j <= zmax:
                 want[i + j] = mat_add(want.get(i + j, zero_matrix(t)), mat_mul(x, y))
-    assert_blocks(a.compose(b), want, zmin, zmax, a.exact and b.exact)
+    assert_blocks(a.compose(b), want, zmin, zmax)
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,7 +88,7 @@ def test_adjoint_is_the_gram_transpose(t, seed):
     g = gram_matrix(t)
     g_inv = mat_inv(g)
     want = {n: mat_mul(g_inv, mat_mul(mat_transpose(b), g)) for n, b in matrices(op).items()}
-    assert_blocks(adjoint(t, op), want, op.zmin, op.zmax, op.exact)
+    assert_blocks(adjoint(t, op), want, op.zmin, op.zmax)
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,14 +99,14 @@ def test_sub_identity_flip_and_sum(t, seed):
     ma, mb = matrices(a), matrices(b)
     want = dict(ma)
     want[0] = mat_add(ma[0], identity_matrix(t), sign=-1)
-    assert_blocks(a.sub_identity(), want, a.zmin, a.zmax, a.exact)
+    assert_blocks(a.sub_identity(), want, a.zmin, a.zmax)
     want = {n: blk if n % 2 == 0 else mat_add(zero_matrix(t), blk, sign=-1)
             for n, blk in ma.items()}
-    assert_blocks(a.flip_z(), want, a.zmin, a.zmax, a.exact)
-    zmin, zmax = sum_window(a, b)
+    assert_blocks(a.flip_z(), want, a.zmin, a.zmax)
+    zmin, zmax = min(a.zmin, b.zmin), min(a.zmax, b.zmax)
     want = {n: mat_add(ma.get(n, zero_matrix(t)), mb.get(n, zero_matrix(t)))
             for n in range(zmin, zmax + 1)}
-    assert_blocks(a + b, want, zmin, zmax, a.exact and b.exact)
+    assert_blocks(a + b, want, zmin, zmax)
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,7 +119,7 @@ def test_apply_is_the_matrix_action_on_the_flat_vector(t, seed):
         for d in ((0,), (1,)):
             e.add_to(n, d, random_class(t, rng))
     zmin = e.zmin + op.zmin
-    zmax = min([e.zmax + op.zmin] + ([] if op.exact else [op.zmax + e.zmin]))
+    zmax = min(e.zmax + op.zmin, op.zmax + e.zmin)
     got = op.apply(e)
     assert (got.zmin, got.zmax, got.dmax) == (zmin, zmax, e.dmax)
     size = len(t.flat_basis)
@@ -168,14 +161,16 @@ def test_apply_keeps_a_rank_two_novikov_degree(t, seed):
 @given(targets, seeds)
 def test_failing_symplectic_report_matches_the_matrix_products(t, seed):
     """M*(-z) M(z) - 1 by matrices: adjoint g^-1 B^T g, odd blocks negated,
-    blockwise products on the exact window, the identity taken off z^0."""
+    blockwise products, the identity taken off z^0.  M is declared up to
+    z^(2 top - zmin), so the product window is all of [2 zmin, 2 top]."""
     rng = random.Random(seed)
     op = random_operator(t, rng, contains_zero=True)
-    op = LoopOperator(t, op.zmin, op.zmax, op.mult_classes, exact=True)
+    top = max([0, *op.mult_classes])
+    op = LoopOperator(t, op.zmin, 2 * top - op.zmin, op.mult_classes)
     g = gram_matrix(t)
     g_inv = mat_inv(g)
-    m = matrices(op)
-    lo, hi = 2 * op.zmin, 2 * op.zmax
+    m = {n: blk for n, blk in matrices(op).items() if n <= top}
+    lo, hi = 2 * op.zmin, 2 * top
     prod = {n: zero_matrix(t) for n in range(lo, hi + 1)}
     for i, x in m.items():
         adj = mat_mul(g_inv, mat_mul(mat_transpose(x), g))

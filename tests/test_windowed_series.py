@@ -1,6 +1,6 @@
 """The truncation window shared by TruncSeries and GiventalElement, and the
 windowed product, checked on both coefficient types against a plain-dict
-reference over Fractions."""
+reference over Fractions; LoopOperator products keep the same window."""
 
 from collections import defaultdict
 from fractions import Fraction
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbiqrr.exactalg import TruncSeries, sc
 from orbiqrr.givental import GiventalElement
+from orbiqrr.loopops import LoopOperator
 from orbiqrr.orbtarget import CohClass, projective_space
 
 P2 = projective_space(2)
@@ -165,3 +166,21 @@ def test_truncseries_rejects_a_wrong_rank():
             TruncSeries(RANK, 0, 1, 2, {(0, d): sc(1)})
     with pytest.raises(ValueError, match="rank mismatch"):
         s * TruncSeries(1, 0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows, windows)
+def test_one_product_window_for_every_kind(wa, wb):
+    """TruncSeries, GiventalElement and LoopOperator products (compose, and
+    apply to an element) share one z-window: from the sum of the floors to
+    the first power an unknown tail reaches.  Every factor has zmin <= zmax,
+    so that window is never empty."""
+    want = (wa[0] + wb[0], min(wa[1] + wb[0], wb[1] + wa[0]))
+    assert want[0] <= want[1]
+    a, b = (LoopOperator(P2, w[0], w[1], {}) for w in (wa, wb))
+    products = [kind.product(kind.make(wa), kind.make(wb)) for kind in KINDS]
+    products += [a.compose(b), a.apply(CohKind().make(wb))]
+    for prod in products:
+        assert (prod.zmin, prod.zmax) == want, type(prod).__name__
+    assert isinstance(products[2], LoopOperator)
+    assert products[3].dmax == wb[2] and type(products[3]) is GiventalElement
