@@ -5,8 +5,11 @@ quantize, check.  All output is deterministic JSON (sorted keys) unless
 --format pretty/csv is chosen; rationals print as "p/q" strings, rational
 functions as {num, den} coefficient arrays, series as sparse rows.
 
-Exit codes: 0 success, 1 domain error (structured payload on stdout),
-2 usage error.
+Exit codes: 0 success (--help and --version too), 1 domain error (a
+structured {"error": {"code", "message"}} payload on stdout), 2 usage error.
+Every usage error, argparse's own included (a bad int, a missing, unknown or
+conflicting flag), prints {"error": {"code": "UsageError", ...}} on stderr
+and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -156,6 +159,8 @@ def parse_s_list(text: str):
             out.append(Scalar.log_lambda() * sc(_number(Frac, tok[:-1], text)))
         else:
             out.append(sc(_number(Frac, tok, text)))
+    if not out:                  # an empty list would check, or compute, nothing
+        raise UsageError(f"no s-value in --s {text!r}")
     return out
 
 
@@ -186,10 +191,6 @@ def operator_obj(op) -> dict:
 
 
 def emit(obj, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(obj, sort_keys=True)
-    if fmt == "pretty":
-        return json.dumps(obj, sort_keys=True, indent=2)
     if fmt == "csv":
         rows = obj.get("rows") if isinstance(obj, dict) else None
         if rows is None:
@@ -203,7 +204,7 @@ def emit(obj, fmt: str) -> str:
                                    if not isinstance(r.get(c, ""), str)
                                    else str(r.get(c, "")) for c in cols) + "\n")
         return buf.getvalue().rstrip("\n")
-    raise UsageError(f"unknown format {fmt!r}")
+    return json.dumps(obj, sort_keys=True, indent=2 if fmt == "pretty" else None)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -216,37 +217,28 @@ def _cached(cache, request: dict, compute) -> dict:
 
 
 def cmd_target(args, cache) -> dict:
-    if args.spec is None:
-        raise UsageError("target: missing target spec or config file")
-    if args.action == "show":
-        t, bundles = resolve_target(args.spec)
-        extra = []
-        if args.bundle:
-            extra = [resolve_bundle(t, bundles, args.bundle)]
-        return json.loads(dump_target(t, extra))
     if args.action == "validate":
         t, bundles = load_target(_read_text(args.spec, "target"))
         return {"valid": True, "target": t.name, "bundles": sorted(bundles)}
-    raise UsageError(f"unknown target action {args.action!r}")
+    t, bundles = resolve_target(args.spec)
+    extra = [resolve_bundle(t, bundles, args.bundle)] if args.bundle else []
+    return json.loads(dump_target(t, extra))
 
 
 def cmd_bernoulli(args, cache) -> dict:
-    if args.m < 0:
-        raise UsageError(f"bernoulli needs --m >= 0, not {args.m}")
     x = _number(Frac, args.x, "--x")
     return {"m": args.m, "x": str(x), "value": str(bernoulli_value(args.m, x))}
 
 
 def cmd_delta(args, cache) -> dict:
-    _check_least(args, "zmax", 0)
     # the target is resolved first: target_request reads a config's jfunction_file
     t, bundles = resolve_target(args.target)
     if args.euler:
         if args.check_symplectic:
             raise UsageError("--check-symplectic needs a finite --s list")
         s = None                 # keyed as null and computed on a miss only
-    elif args.s is None:
-        raise UsageError("provide --euler or --s s0,s1,...")
+    elif args.no_log:            # it would only split one output over two keys
+        raise UsageError("--no-log needs --euler")
     else:
         s = parse_s_list(args.s)
     request = {
@@ -282,16 +274,7 @@ def cmd_delta(args, cache) -> dict:
     return payload
 
 
-def _check_least(args, flag: str, least: int):
-    """A UsageError unless the value of --flag is >= least."""
-    value = getattr(args, flag.replace("-", "_"))
-    if value < least:
-        command = f"check {args.what}" if args.command == "check" else args.command
-        raise UsageError(f"{command} needs --{flag} >= {least}, not {value}")
-
-
 def cmd_ifunction(args, cache) -> dict:
-    _check_least(args, "max-degree", 0)
     t, bundles = resolve_target(args.target)
     request = {"op": "ifunction", **target_request(args.target, t), "bundle": args.bundle,
                "max_degree": args.max_degree, "nonequivariant": args.nonequivariant}
@@ -324,7 +307,6 @@ def _builtin_j(t, args):
 
 
 def cmd_mirror_map(args, cache) -> dict:
-    _check_least(args, "max-degree", 0)
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
     f, _g, tau, _j_tw = lefschetz_chain(t, F, _builtin_j(t, args))
@@ -339,7 +321,6 @@ def cmd_mirror_map(args, cache) -> dict:
 
 
 def cmd_invariants(args, cache) -> dict:
-    _check_least(args, "max-degree", 1)
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
     check_extractable(t, F)      # before the cache: a rejected pair stores nothing
@@ -375,79 +356,50 @@ def cmd_quantize(args, cache) -> dict:
             "operator": op.to_obj()}
 
 
-# the flags each check reads besides --target, with their defaults; a flag
-# given to a check that does not read it is a usage error
-CHECK_FLAGS = {
-    "serre": {"bundle": None, "s": None, "smax": 2, "zmax": 3},
-    "universal": {"table": None, "kind": "string", "nmax": 6},
-    "cocycle": {"K": 6},
-    "string": {"nmax": 6},
-}
-
-# the least --nmax with something to check: a universal equation needs an
-# n >= 4 entry, the string residual a potential term (n >= 3)
-CHECK_NMAX = {"universal": 4, "string": 3}
+def _check_target(args):
+    """The target of a check: --target, else the built-in point."""
+    return resolve_target(args.target)[0] if args.target else point()
 
 
-def _check_flags(args):
-    """Reject the flags the chosen check does not read, then fill in its defaults."""
-    # --smax and --nmax are read only without --s and --table
-    for given, unread in (("s", "smax"), ("table", "nmax")):
-        if getattr(args, given) and getattr(args, unread) is not None:
-            raise UsageError(f"check {args.what} with --{given} takes no --{unread}")
-    reads = CHECK_FLAGS[args.what]
-    for flag in ("bundle", "K", "table", "kind", "nmax", "smax", "zmax", "s"):
-        if getattr(args, flag) is None:
-            setattr(args, flag, reads.get(flag))
-        elif flag not in reads:
-            raise UsageError(f"check {args.what} takes no --{flag}")
-    least = CHECK_NMAX.get(args.what)
-    if least is not None:
-        _check_least(args, "nmax", least)
+def cmd_check_serre(args, cache) -> dict:
+    t, bundles = resolve_target(args.target)
+    F = resolve_bundle(t, bundles, args.bundle)
+    return check_serre_cone(t, F, parse_s_list(args.s), args.zmax)
 
 
-def cmd_check(args, cache) -> dict:
-    _check_flags(args)
-    if args.what == "serre":
-        if args.target is None or args.bundle is None:
-            raise UsageError("check serre needs --target and --bundle")
-        _check_least(args, "zmax", 0)
-        t, bundles = resolve_target(args.target)
-        F = resolve_bundle(t, bundles, args.bundle)
-        s = parse_s_list(args.s) if args.s else \
-            [sc(0)] + [sc(Frac(1, k + 2)) for k in range(args.smax)]
-        return check_serre_cone(t, F, s, args.zmax)
-    t = resolve_target(args.target)[0] if args.target else point()
-    if args.what == "universal":
-        if args.table:
-            table = _table_from_obj(t, _read_text(args.table, "--table"))
-        elif t == point():
-            if args.kind == "divisor":     # zero instances would read as a pass
-                raise UsageError("check universal --kind divisor needs --table: the built-in "
-                                 "point table has no degree-2 divisor class")
-            table = build_point_table(t, args.nmax)
-        else:
-            # only the point has a built-in table; never label its numbers as t's
-            raise UsageError(f"check universal --target {t.name} needs --table "
-                             "(only the point table is built in)")
-        report = check_universal_equation(args.kind, table)
-        return report
-    if args.what == "cocycle":
-        eye = mat_eye_like(t)
-        val = commutator_cocycle(t, (eye, 1), (eye, -1), args.K)
-        # the double contraction of (hbar/2) g^-1 dd with -(1/2 hbar) g qq: -N/2
-        expected = sc(Frac(-len(t.flat_basis), 2))
-        return {"pair": "[z^, (1/z)^]", "target": t.name, "K": args.K,
-                "scalar": val.to_obj(), "expected": expected.to_obj(),
-                "ok": val == expected}
-    if args.what == "string":
-        if t != point():
-            raise UsageError(f"check string --target {t.name}: only the point "
-                             "potential is built in")
-        pot = build_point_potential(t, args.nmax)
-        resid = string_residual(t, pot)
-        return {"target": "point", "nmax": args.nmax, "residual_zero": resid.is_zero}
-    raise UsageError(f"unknown check {args.what!r}")
+def cmd_check_universal(args, cache) -> dict:
+    t = _check_target(args)
+    if args.table is not None:
+        table = _table_from_obj(t, _read_text(args.table, "--table"))
+    elif t == point():
+        if args.kind == "divisor":     # zero instances would read as a pass
+            raise UsageError("check universal --kind divisor needs --table: the built-in "
+                             "point table has no degree-2 divisor class")
+        table = build_point_table(t, 6 if args.nmax is None else args.nmax)
+    else:
+        # only the point has a built-in table; never label its numbers as t's
+        raise UsageError(f"check universal --target {t.name} needs --table "
+                         "(only the point table is built in)")
+    return check_universal_equation(args.kind, table)
+
+
+def cmd_check_cocycle(args, cache) -> dict:
+    t = _check_target(args)
+    eye = mat_eye_like(t)
+    val = commutator_cocycle(t, (eye, 1), (eye, -1), args.K)
+    # the double contraction of (hbar/2) g^-1 dd with -(1/2 hbar) g qq: -N/2
+    expected = sc(Frac(-len(t.flat_basis), 2))
+    return {"pair": "[z^, (1/z)^]", "target": t.name, "K": args.K,
+            "scalar": val.to_obj(), "expected": expected.to_obj(), "ok": val == expected}
+
+
+def cmd_check_string(args, cache) -> dict:
+    t = _check_target(args)
+    if t != point():
+        raise UsageError(f"check string --target {t.name}: only the point "
+                         "potential is built in")
+    resid = string_residual(t, build_point_potential(t, args.nmax))
+    return {"target": "point", "nmax": args.nmax, "residual_zero": resid.is_zero}
 
 
 def _table_from_obj(t, text: str) -> CorrelatorTable:
@@ -492,8 +444,29 @@ def _table_from_obj(t, text: str) -> CorrelatorTable:
 # -- entry point --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors, printed by main as JSON."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+class _AtLeast(argparse.Action):
+    """An int flag with a lower bound: a value below ``least`` is a UsageError."""
+
+    def __init__(self, option_strings, dest, least, **kwargs):
+        super().__init__(option_strings, dest, type=int, **kwargs)
+        self.least = least
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.least:
+            command = parser.prog.split(" ", 1)[1]
+            raise UsageError(f"{command} needs {option_string} >= {self.least}, not {value}")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="orbiqrr", description=__doc__)
+    p = _Parser(prog="orbiqrr", description=__doc__)
     p.add_argument("--format", choices=("json", "pretty", "csv"), default="json")
     p.add_argument("--cache-dir", default=None,
                    help="artifact cache directory (default: $ORBIQRR_CACHE)")
@@ -502,23 +475,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("target", help="build, show, validate target configs")
     t.add_argument("action", choices=("show", "validate"))
-    t.add_argument("spec", nargs="?", help="target spec (show) or config file (validate)")
+    t.add_argument("spec", help="target spec (show) or config file (validate)")
     t.add_argument("--bundle", default=None)
     t.set_defaults(func=cmd_target)
 
     b = sub.add_parser("bernoulli", help="exact Bernoulli polynomial values")
-    b.add_argument("--m", type=int, required=True)
+    b.add_argument("--m", action=_AtLeast, least=0, required=True)
     b.add_argument("--x", required=True, help="rational point p/q")
     b.set_defaults(func=cmd_bernoulli)
 
     d = sub.add_parser("delta", help="the quantum Riemann-Roch loop operator")
     d.add_argument("--target", required=True)
     d.add_argument("--bundle", required=True)
-    d.add_argument("--euler", action="store_true")
+    s_values = d.add_mutually_exclusive_group(required=True)
+    s_values.add_argument("--euler", action="store_true")
+    s_values.add_argument("--s", help="comma list s0,s1,... ('L' = ln lambda)")
     d.add_argument("--no-log", action="store_true",
                    help="with --euler, drop the s_0 = ln(lambda) slot")
-    d.add_argument("--s", default=None, help="comma list s0,s1,... ('L' = ln lambda)")
-    d.add_argument("--zmax", type=int, required=True)
+    d.add_argument("--zmax", action=_AtLeast, least=0, required=True)
     d.add_argument("--log", action="store_true", help="emit log Delta instead of Delta")
     d.add_argument("--check-symplectic", action="store_true")
     d.set_defaults(func=cmd_delta)
@@ -526,20 +500,20 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("ifunction", help="hypergeometric modification of the J-function")
     i.add_argument("--target", required=True)
     i.add_argument("--bundle", required=True)
-    i.add_argument("--max-degree", type=int, required=True)
+    i.add_argument("--max-degree", action=_AtLeast, least=0, required=True)
     i.add_argument("--nonequivariant", action="store_true")
     i.set_defaults(func=cmd_ifunction)
 
     mm = sub.add_parser("mirror-map", help="small-space expansion and mirror map")
     mm.add_argument("--target", required=True)
     mm.add_argument("--bundle", required=True)
-    mm.add_argument("--max-degree", type=int, required=True)
+    mm.add_argument("--max-degree", action=_AtLeast, least=0, required=True)
     mm.set_defaults(func=cmd_mirror_map)
 
     inv = sub.add_parser("invariants", help="hypersurface genus-0 invariants")
     inv.add_argument("--target", required=True)
     inv.add_argument("--bundle", required=True)
-    inv.add_argument("--max-degree", type=int, required=True)
+    inv.add_argument("--max-degree", action=_AtLeast, least=1, required=True)
     inv.set_defaults(func=cmd_invariants)
 
     q = sub.add_parser("quantize", help="quantize an infinitesimally symplectic B z^m")
@@ -547,24 +521,42 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bundle", default=None)
     q.add_argument("--B", required=True, help="identity or am:M")
     q.add_argument("--m", type=int, required=True)
-    q.add_argument("--K", type=int, required=True)
+    q.add_argument("--K", action=_AtLeast, least=0, required=True)
     q.set_defaults(func=cmd_quantize)
 
-    c = sub.add_parser("check", help="identity suites")
-    c.add_argument("what", choices=("universal", "cocycle", "string", "serre"))
-    # unset flags are None: CHECK_FLAGS holds each check's flags and defaults
-    c.add_argument("--kind", default=None, choices=("string", "divisor", "dilaton", "trr"),
-                   help="universal (default string)")
-    c.add_argument("--table", default=None, help="universal")
-    c.add_argument("--nmax", type=int, default=None,
-                   help="universal without --table, string (default 6)")
-    c.add_argument("--K", type=int, default=None, help="cocycle (default 6)")
-    c.add_argument("--target", default=None)
-    c.add_argument("--bundle", default=None, help="serre")
-    c.add_argument("--smax", type=int, default=None, help="serre without --s (default 2)")
-    c.add_argument("--zmax", type=int, default=None, help="serre (default 3)")
-    c.add_argument("--s", default=None, help="serre")
-    c.set_defaults(func=cmd_check)
+    c = sub.add_parser("check", help="identity suites").add_subparsers(dest="what",
+                                                                       required=True)
+    cs = c.add_parser("serre", help="quantum Serre duality on the Lagrangian cone")
+    cs.add_argument("--target", required=True)
+    cs.add_argument("--bundle", required=True)
+    cs.add_argument("--s", default="0,1/2,1/3",
+                    help="comma list s0,s1,... ('L' = ln lambda; default 0,1/2,1/3)")
+    cs.add_argument("--zmax", action=_AtLeast, least=0, default=3)
+    cs.set_defaults(func=cmd_check_serre)
+
+    # the least --nmax with something to check: a universal equation needs an
+    # n >= 4 entry, the string residual a potential term (n >= 3)
+    cu = c.add_parser("universal", help="genus-0 universal equations")
+    cu.add_argument("--target", help="default: the point")
+    cu.add_argument("--kind", choices=("string", "divisor", "dilaton", "trr"),
+                    default="string")
+    # no default in the group: argparse skips its conflict test for a value
+    # that is the default, so the default 6 is applied where --nmax is read
+    table = cu.add_mutually_exclusive_group()
+    table.add_argument("--table", help="a correlator table file")
+    table.add_argument("--nmax", action=_AtLeast, least=4,
+                       help="the size of the built-in point table (default 6)")
+    cu.set_defaults(func=cmd_check_universal)
+
+    cc = c.add_parser("cocycle", help="the quantization cocycle [z^, (1/z)^] = -N/2")
+    cc.add_argument("--target", help="default: the point")
+    cc.add_argument("--K", type=int, default=6)
+    cc.set_defaults(func=cmd_check_cocycle)
+
+    cst = c.add_parser("string", help="the string equation on the point potential")
+    cst.add_argument("--target", help="default: the point")
+    cst.add_argument("--nmax", action=_AtLeast, least=3, default=6)
+    cst.set_defaults(func=cmd_check_string)
     return p
 
 
@@ -576,13 +568,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
-    cache = ArtifactCache(args.cache_dir or os.environ.get("ORBIQRR_CACHE"))
-    try:
-        result = args.func(args, cache)
-        print(emit(result, args.format))
+        cache = ArtifactCache(args.cache_dir or os.environ.get("ORBIQRR_CACHE"))
+        print(emit(args.func(args, cache), args.format))
         return 0
+    except SystemExit as e:      # --help and --version: a parse error raises UsageError
+        return 0 if e.code in (0, None) else 2
     except UsageError as e:
         print(json.dumps({"error": {"code": e.code, "message": str(e)}},
                          sort_keys=True), file=sys.stderr)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -83,6 +84,26 @@ class TestBasicCommands:
                               "--bundle", "trivial", "--zmax", "2", "--s", "0")
         assert code == 2
         assert json.loads(err)["error"]["code"] == "UsageError"
+
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--target", "P1", "--bundle", "O1", "--s", "0", "--zmax", "abc"),
+        ("delta", "--target", "P1", "--bundle", "O1", "--s", "0"),
+        ("check", "nosuch"),
+        ("check", "serre", "--target", "P1", "--bundle", "O1", "--smax", "2"),
+        # a group member given its would-be default still conflicts
+        ("check", "universal", "--table", "t.json", "--nmax", "6")])
+    def test_argparse_errors_are_json_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "UsageError"
+
+    def test_help_and_version_exit_0(self, capsys):
+        code, out, _ = run(capsys, "--version")
+        assert code == 0 and out.startswith("orbiqrr ")
+        code, out, _ = run(capsys, "check", "serre", "--help")
+        assert code == 0
+        assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--target", "--bundle",
+                                                       "--s", "--zmax"}
 
     def test_main_builds_one_parser_and_keeps_no_state(self, capsys, monkeypatch):
         from orbiqrr import cli
@@ -249,6 +270,16 @@ class TestPipelines:
         assert doc["symplectic_check"]["symplectic"]
         assert doc["operator"]["kind"] == "multiplication"
 
+    def test_delta_no_log_needs_euler(self, capsys, tmp_path):
+        """Nothing reads --no-log without --euler: it would only add a cache key."""
+        cache = str(tmp_path / "cache")
+        code, out, err = run(capsys, "--cache-dir", cache, "delta", "--target", "P1",
+                             "--bundle", "O1", "--s", "0,1", "--no-log", "--zmax", "1")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"code": "UsageError", "message": "--no-log needs --euler"}
+        assert not os.path.exists(cache) or not os.listdir(cache)
+
     def test_delta_euler_log(self, capsys):
         code, out, _ = run(capsys, "delta", "--target", "point", "--bundle", "trivial",
                            "--euler", "--zmax", "2", "--log")
@@ -281,6 +312,17 @@ class TestPipelines:
         assert code == 0
         doc = json.loads(out)
         assert doc["operator"]["q_d"]
+
+    def test_quantize_needs_k_0(self, capsys):
+        """Below --K 0 the truncated operator is empty, not the quantization."""
+        code, out, err = run(capsys, "quantize", "--target", "point", "--B", "identity",
+                             "--m", "-1", "--K", "-1")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"code": "UsageError", "message": "quantize needs --K >= 0, not -1"}
+        code, out, _ = run(capsys, "quantize", "--target", "point", "--B", "identity",
+                           "--m", "-1", "--K", "0")
+        assert code == 0
 
     def test_quantize_rejects_nonsymplectic(self, capsys):
         code, out, _ = run(capsys, "quantize", "--target", "point", "--B", "identity",
@@ -344,13 +386,16 @@ class TestPipelines:
         (("check", "serre", "--target", "P1", "--bundle", "O1", "--table", "t.json"),
          "--table"),
         (("check", "serre", "--target", "P1", "--bundle", "O1", "--s", "0,1/2",
-          "--smax", "3"), "--smax")])
+          "--smax", "3"), "--smax"),
+        # --s states the s-list: --smax 0 once checked an empty one and passed
+        (("check", "serre", "--target", "P1", "--bundle", "O1", "--smax", "0",
+          "--zmax", "2"), "--smax")])
     def test_check_rejects_a_flag_it_does_not_read(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "UsageError"
-        assert error["message"].endswith(f"takes no {flag}")
+        assert re.search(re.escape(flag) + r"\b", error["message"]), error["message"]
 
     @pytest.mark.parametrize("argv, key, value", [
         (("check", "cocycle"), "K", 6),
@@ -420,9 +465,26 @@ class TestPipelines:
 
     def test_check_serre(self, capsys):
         code, out, _ = run(capsys, "check", "serre", "--target", "P1", "--bundle", "O1",
-                           "--smax", "2", "--zmax", "3")
+                           "--zmax", "3")
         assert code == 0
         assert json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("argv, text", [
+        (("delta", "--target", "Bmu3", "--bundle", "char:1", "--s", ",", "--zmax", "2"), ","),
+        (("delta", "--target", "P1", "--bundle", "O1", "--s", "", "--zmax", "2"), ""),
+        (("check", "serre", "--target", "P1", "--bundle", "O1", "--s", ",", "--zmax", "2"),
+         ","),
+        (("check", "serre", "--target", "Bmu3", "--bundle", "char:1", "--s", "",
+          "--zmax", "2"), "")])
+    def test_empty_s_list_is_a_usage_error(self, capsys, tmp_path, argv, text):
+        """An s-list without an s-value would label the identity operator as
+        Delta, or pass the Serre check on nothing."""
+        cache = str(tmp_path / "cache")
+        code, out, err = run(capsys, "--cache-dir", cache, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError" and repr(text) in error["message"]
+        assert not os.path.exists(cache) or not os.listdir(cache)
 
     def test_check_universal_from_table_file(self, capsys, tmp_path):
         rows = []
