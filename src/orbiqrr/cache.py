@@ -2,19 +2,21 @@
 
 Artifacts are keyed by a SHA-256 of the canonical-JSON request (target,
 bundle, s-values, truncations) plus the schema version and the package
-version.  An entry is the canonical JSON of its document, which sorted keys
-fix to the layout
+version.  An entry has the fixed layout
 
     {"key":"<key>","payload":<P>,"sha256":"<64 hex>","version":<N>}
 
-where P is the canonical JSON of the payload and the digest is its SHA-256.
-A hit checks that layout, hashes the P bytes as read and parses them once;
-the payload is never re-encoded.  An entry in any other layout (torn,
-truncated, re-serialised, another version) or with a digest mismatch raises
-CorruptCache; callers recompute and overwrite.  Bumping SCHEMA_VERSION or
-releasing a new ``orbiqrr.__version__`` invalidates every old entry (the key
-changes).  Entries are written to a temp file in the cache directory and
-renamed into place.
+where P is the text a hit prints: the payload with its status
+"cache": "cached", encoded as the CLI's ``--format json`` encodes it; the
+digest is the SHA-256 of P.  A hit checks that layout, hashes the P
+bytes as read and parses them once, and returns P with that parse as a
+``Hit``: the CLI prints P as it is, so a hit never encodes its payload
+again.  An entry in any other layout (torn, truncated, re-serialised,
+another version), with a digest mismatch or with a P that is not a JSON
+object raises CorruptCache; callers recompute and overwrite.  Bumping
+SCHEMA_VERSION or releasing a new ``orbiqrr.__version__`` invalidates every
+old entry (the key changes).  Entries are written to a temp file in the
+cache directory and renamed into place.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ import contextlib
 import hashlib
 import json
 import os
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .errors import CorruptCache
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def canonical_json(obj) -> str:
@@ -39,6 +41,12 @@ def request_key(request: dict) -> str:
     doc = canonical_json({"version": SCHEMA_VERSION, "orbiqrr": __version__,
                           "request": request})
     return hashlib.sha256(doc.encode()).hexdigest()
+
+
+class Hit(NamedTuple):
+    """A verified entry: the text a hit prints, and its one parse."""
+    text: str
+    doc: dict
 
 
 def _frame(key: str, digest: str) -> Tuple[str, str]:
@@ -56,7 +64,7 @@ class ArtifactCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
 
-    def load(self, key: str):
+    def load(self, key: str) -> Optional[Hit]:
         if not self.directory:
             return None
         try:
@@ -71,14 +79,18 @@ class ArtifactCache:
         tail = _frame(key, hashlib.sha256(body).hexdigest())[1]
         if (len(head) + len(body) + len(tail) == len(data)
                 and data.startswith(head.encode()) and data.endswith(tail.encode())):
-            with contextlib.suppress(ValueError):
-                return json.loads(body)
+            with contextlib.suppress(ValueError):   # UnicodeDecodeError too
+                text = body.decode()
+                doc = json.loads(text)
+                if isinstance(doc, dict):
+                    return Hit(text, doc)
         raise CorruptCache(f"cache entry {key} fails its layout or hash check")
 
-    def store(self, key: str, payload):
+    def store(self, key: str, payload: dict):
         if not self.directory:
             return
-        text = canonical_json(payload)
+        # P is what a hit prints: emit's --format json text of the hit's document
+        text = json.dumps({**payload, "cache": "cached"}, sort_keys=True)
         head, tail = _frame(key, hashlib.sha256(text.encode()).hexdigest())
         # write a sibling temp file and rename it over the entry, so that a
         # crashed or concurrent writer never leaves a torn entry behind
@@ -94,7 +106,8 @@ class ArtifactCache:
             raise
 
     def get_or_compute(self, request: dict, compute: Callable[[], dict]):
-        """Returns (payload, status) with status in {computed, cached, recomputed}."""
+        """Returns (payload, status) with status in {computed, cached, recomputed};
+        a cached payload is the entry's ``Hit``."""
         key = request_key(request)
         if self.directory:
             try:

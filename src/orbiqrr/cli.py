@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bernoulli import bernoulli_value
-from .cache import ArtifactCache
+from .cache import ArtifactCache, Hit
 from .errors import OrbiqrrError, SchemaError, UsageError
 from .exactalg import Scalar, sc
 from .fockquant import (
@@ -89,26 +89,34 @@ def _read_text(path: str, field: str) -> str:
         raise SchemaError(f"{field}: cannot read {path!r} ({e.strerror})") from None
 
 
-def resolve_target(spec: str):
-    """point | Pn | Bmun | WPS:w0,w1,... | path-to-config.json -> (target, bundles)."""
-    if os.path.exists(spec):
-        t, bundles = load_target(_read_text(spec, "target"))
-        if t.jfunction_file:
-            # a config names its J-function file relative to itself
-            t.jfunction_file = os.path.abspath(
-                os.path.join(os.path.dirname(spec), t.jfunction_file))
-        return t, bundles
+def _builtin_target(spec: str):
+    """The built-in target ``spec`` names (in any case), or None."""
     low = spec.lower()
     if low == "point":
-        return point(), {}
+        return point()
     if low.startswith("p") and low[1:].isdigit():
-        return projective_space(int(low[1:])), {}
+        return projective_space(int(low[1:]))
     if low.startswith("bmu") and low[3:].isdigit():
-        return bmu(int(low[3:])), {}
+        return bmu(int(low[3:]))
     if low.startswith("wps:"):
-        weights = [_number(int, w, spec) for w in spec[4:].split(",")]
-        return weighted_projective(weights), {}
-    raise UsageError(f"unknown target {spec!r}")
+        return weighted_projective([_number(int, w, spec) for w in spec[4:].split(",")])
+    return None
+
+
+def resolve_target(spec: str):
+    """point | Pn | Bmun | WPS:w0,w1,... | path-to-config.json -> (target, bundles);
+    a built-in name wins over a file of that name (./P2 names the file)."""
+    t = _builtin_target(spec)
+    if t is not None:
+        return t, {}
+    if not os.path.exists(spec):
+        raise UsageError(f"unknown target {spec!r}")
+    t, bundles = load_target(_read_text(spec, "target"))
+    if t.jfunction_file:
+        # a config names its J-function file relative to itself
+        t.jfunction_file = os.path.abspath(
+            os.path.join(os.path.dirname(spec), t.jfunction_file))
+    return t, bundles
 
 
 def resolve_bundle(t, bundles, spec: str):
@@ -139,7 +147,7 @@ def target_request(spec: str, t) -> dict:
     content.
     """
     fields = {"target": spec}
-    if os.path.exists(spec):
+    if _builtin_target(spec) is None:
         fields["config_sha256"] = _file_sha256(spec)
         if t.jfunction_file and os.path.isfile(t.jfunction_file):
             fields["jfunction_sha256"] = _file_sha256(t.jfunction_file)
@@ -191,6 +199,10 @@ def operator_obj(op) -> dict:
 
 
 def emit(obj, fmt: str) -> str:
+    if isinstance(obj, Hit):     # a cache hit prints its verified text as stored
+        if fmt == "json":
+            return obj.text
+        obj = obj.doc
     if fmt == "csv":
         rows = obj.get("rows") if isinstance(obj, dict) else None
         if rows is None:
@@ -210,10 +222,11 @@ def emit(obj, fmt: str) -> str:
 # -- subcommands -------------------------------------------------------------------
 
 
-def _cached(cache, request: dict, compute) -> dict:
-    """The payload of ``request`` (computed on a miss), with its cache status."""
+def _cached(cache, request: dict, compute):
+    """The payload of ``request`` (computed on a miss), with its cache status;
+    a hit is the entry's ``Hit``, printed as stored."""
     payload, status = cache.get_or_compute(request, compute)
-    return {**payload, "cache": status}
+    return payload if status == "cached" else {**payload, "cache": status}
 
 
 def cmd_target(args, cache) -> dict:
@@ -230,7 +243,7 @@ def cmd_bernoulli(args, cache) -> dict:
     return {"m": args.m, "x": str(x), "value": str(bernoulli_value(args.m, x))}
 
 
-def cmd_delta(args, cache) -> dict:
+def cmd_delta(args, cache):
     # the target is resolved first: target_request reads a config's jfunction_file
     t, bundles = resolve_target(args.target)
     if args.euler:
@@ -269,12 +282,13 @@ def cmd_delta(args, cache) -> dict:
         return out
 
     payload = _cached(cache, request, compute)
-    if args.check_symplectic:
+    if args.check_symplectic:    # a changed document: a hit's stored text no longer prints
+        payload = payload.doc if isinstance(payload, Hit) else payload
         payload["symplectic_check"] = check_delta_symplectomorphism(t, bundle(), s, args.zmax)
     return payload
 
 
-def cmd_ifunction(args, cache) -> dict:
+def cmd_ifunction(args, cache):
     t, bundles = resolve_target(args.target)
     request = {"op": "ifunction", **target_request(args.target, t), "bundle": args.bundle,
                "max_degree": args.max_degree, "nonequivariant": args.nonequivariant}
@@ -320,7 +334,7 @@ def cmd_mirror_map(args, cache) -> dict:
     return {"target": t.name, "bundle": F.name, "rows": rows}
 
 
-def cmd_invariants(args, cache) -> dict:
+def cmd_invariants(args, cache):
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
     check_extractable(t, F)      # before the cache: a rejected pair stores nothing

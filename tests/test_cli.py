@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,57 @@ _TRICKY_TEXT = st.text(st.sampled_from('"\\\n\t/{}[],:ab\u00e9\u03bb\u20ac\U0001
                        max_size=8)
 
 
+def _entry(key: str, body: bytes) -> bytes:
+    """An entry in the documented layout around ``body``, with the digest of ``body``."""
+    return (b'{"key":"' + key.encode() + b'","payload":' + body + b',"sha256":"'
+            + hashlib.sha256(body).hexdigest().encode() + b'","version":2}')
+
+
 def _rehashed(entry: bytes, body: bytes) -> bytes:
     """``entry`` with its payload replaced by ``body`` and the digest of ``body``."""
-    head = entry[:entry.index(b'"payload":') + len(b'"payload":')]
-    return head + body + b',"sha256":"' + hashlib.sha256(body).hexdigest().encode() + b'","version":1}'
+    return _entry(json.loads(entry)["key"], body)
+
+
+# JSON values as a payload may hold them, and payloads: objects of them
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TRICKY_TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TRICKY_TEXT, kids, max_size=4),
+    max_leaves=20)
+_PAYLOADS = st.dictionaries(_TRICKY_TEXT, _JSON_VALUES, max_size=5)
+
+
+def _store_until(directory, payload, stop):
+    """Store ``payload`` under one key until ``stop`` is set (a writer process)."""
+    from orbiqrr.cache import ArtifactCache
+    store = ArtifactCache(directory)
+    while not stop.is_set():
+        store.store("k", payload)
+
+
+class _HalfWrite:
+    """A file that writes half of what it is given, then blocks until killed."""
+
+    def __init__(self, path, mode, halfway):
+        self.fh, self.halfway = open(path, mode), halfway
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        self.halfway.set()
+        time.sleep(600)
+
+
+def _store_half(directory, halfway):
+    """Store an entry whose write stops halfway (a writer process to kill)."""
+    from orbiqrr import cache as cache_mod
+    cache_mod.open = lambda path, mode: _HalfWrite(path, mode, halfway)
+    cache_mod.ArtifactCache(directory).store("k", {"rows": ["new"] * 1000})
 
 
 def run(capsys, *argv):
@@ -163,6 +211,38 @@ class TestBasicCommands:
         error = json.loads(out)["error"]
         assert error["code"] == "SchemaError"
         assert error["message"].startswith(f"{field}: cannot read {path!r}")
+
+    @pytest.mark.parametrize("files, dirs", [(["P2"], ["point"]), (["point"], ["P2"])])
+    def test_builtin_names_win_over_files_in_the_cwd(self, capsys, tmp_path, monkeypatch,
+                                                     files, dirs):
+        """A file or directory named like a built-in target never shadows it;
+        ./NAME still names the file."""
+        from orbiqrr.orbtarget import target_to_obj
+        (tmp_path / "empty").mkdir()
+        monkeypatch.chdir(tmp_path / "empty")
+        ifunction = ["ifunction", "--target", "P2", "--bundle", "O3", "--max-degree", "1"]
+        assert run(capsys, "--cache-dir", "c", *ifunction)[0] == 0
+        (key,) = os.listdir("c")
+        monkeypatch.chdir(tmp_path)
+        obj = target_to_obj(projective_space(1), [])
+        obj["name"] = "notbuiltin"
+        for name in files:
+            (tmp_path / name).write_text(json.dumps(obj))
+        for name in dirs:
+            (tmp_path / name).mkdir()
+        for name in ("P2", "point"):
+            code, out, _ = run(capsys, "check", "cocycle", "--target", name, "--K", "4")
+            assert code == 0 and json.loads(out)["target"] == name
+        code, out, _ = run(capsys, "--cache-dir", "c", *ifunction)
+        assert code == 0 and json.loads(out)["target"] == "P2"
+        assert os.listdir("c") == [key]
+        (name,) = files
+        code, out, _ = run(capsys, "check", "cocycle", "--target", f"./{name}", "--K", "4")
+        assert code == 0 and json.loads(out)["target"] == "notbuiltin"
+        (name,) = dirs
+        code, out, _ = run(capsys, "check", "cocycle", "--target", f"./{name}", "--K", "4")
+        assert code == 1
+        assert json.loads(out)["error"]["message"].startswith(f"target: cannot read './{name}'")
 
     def test_unreadable_jfunction_file_is_a_structured_error(self, capsys, tmp_path):
         """A jfunction_file that names a directory fails as a SchemaError, also
@@ -903,9 +983,9 @@ class TestCache:
         argv, path, _first = self._invariants_entry(capsys, tmp_path)
         with open(path, "rb") as fh:
             data = fh.read()
-        assert data.count(b'"N":"2875"') == 1
+        assert data.count(b'"N": "2875"') == 1
         with open(path, "wb") as fh:      # one byte, same length and layout
-            fh.write(data.replace(b'"N":"2875"', b'"N":"2876"'))
+            fh.write(data.replace(b'"N": "2875"', b'"N": "2876"'))
         code, out, _ = run(capsys, *argv)
         doc = json.loads(out)
         assert code == 0 and doc["cache"] == "recomputed"
@@ -916,9 +996,11 @@ class TestCache:
     @pytest.mark.parametrize("damage", [
         lambda data: data[:len(data) // 2],                             # torn mid-payload
         lambda data: data[:-1],                                         # last byte lost
-        lambda data: data.replace(b'"version":1}', b'"version":2}'),    # another version
+        lambda data: data.replace(b'"version":2}', b'"version":3}'),    # another version
         lambda data: data + b"\n",                                      # trailing newline
         lambda data: _rehashed(data, b'{"rows":['),                     # hash ok, not JSON
+        lambda data: _rehashed(data, b'[{"rows": []}]'),                # hash ok, not an object
+        lambda data: _rehashed(data, b'{"rows": "\xff"}'),              # hash ok, not UTF-8
     ])
     def test_entry_not_in_the_layout_recomputed(self, capsys, tmp_path, damage):
         argv, path, first = self._invariants_entry(capsys, tmp_path)
@@ -932,39 +1014,128 @@ class TestCache:
         assert doc == {**first, "cache": "recomputed"}
 
     def test_entry_written_as_a_document_is_served(self, capsys, tmp_path):
-        """An entry written as canonical_json of the whole document (how
-        entries were always written) is a hit, read from the entry."""
-        from orbiqrr.cache import SCHEMA_VERSION, canonical_json
+        """An entry written in the documented layout, around the text a hit
+        prints, is a hit: read from the entry and printed as it is stored."""
         argv, path, first = self._invariants_entry(capsys, tmp_path)
-        payload = {k: v for k, v in first.items() if k != "cache"}
-        payload["rows"][0]["N"] = "999"
-        doc = {"version": SCHEMA_VERSION, "key": os.path.basename(path)[:-len(".json")],
-               "sha256": hashlib.sha256(canonical_json(payload).encode()).hexdigest(),
-               "payload": payload}
-        with open(path, "w") as fh:
-            fh.write(canonical_json(doc))
+        first["rows"][0]["N"] = "999"
+        text = json.dumps({**first, "cache": "cached"}, sort_keys=True)
+        with open(path, "wb") as fh:
+            fh.write(_entry(os.path.basename(path)[:-len(".json")], text.encode()))
         code, out, _ = run(capsys, *argv)
-        served = json.loads(out)
-        assert code == 0 and served["cache"] == "cached"
-        assert served["rows"][0]["N"] == "999"
+        assert code == 0 and out == text
+        assert json.loads(out)["rows"][0]["N"] == "999"
 
     @settings(max_examples=150, deadline=None)
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | _TRICKY_TEXT,
-        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TRICKY_TEXT, kids, max_size=4),
-        max_leaves=20))
+    @given(_PAYLOADS)
     def test_store_load_round_trip_pins_the_layout(self, payload):
+        """An entry is the frame around the text a hit prints; load returns
+        that text and its parse."""
         from orbiqrr import cache as cache_mod
         with tempfile.TemporaryDirectory() as directory:
             store = cache_mod.ArtifactCache(directory)
             key = cache_mod.request_key({"payload": payload})
             store.store(key, payload)
-            assert store.load(key) == payload
-            text = cache_mod.canonical_json(payload)
-            doc = {"version": cache_mod.SCHEMA_VERSION, "key": key, "payload": payload,
-                   "sha256": hashlib.sha256(text.encode()).hexdigest()}
+            text = json.dumps({**payload, "cache": "cached"}, sort_keys=True)
+            assert store.load(key) == (text, {**payload, "cache": "cached"})
             with open(store._path(key), "rb") as fh:
-                assert fh.read() == cache_mod.canonical_json(doc).encode()
+                assert fh.read() == _entry(key, text.encode())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_PAYLOADS, st.none() | st.lists(st.dictionaries(_TRICKY_TEXT, _JSON_VALUES,
+                                                             max_size=3), max_size=4))
+    def test_hit_prints_what_a_re_encoded_hit_printed(self, payload, rows):
+        """The fast path (print the verified text, format the parse load made)
+        against the slow path (parse the canonical payload, add the status and
+        encode it again), in every format."""
+        from orbiqrr import cache as cache_mod
+        from orbiqrr.cli import emit
+        if rows is not None:
+            payload = {**payload, "rows": rows}
+        slow = {**json.loads(cache_mod.canonical_json(payload)), "cache": "cached"}
+        with tempfile.TemporaryDirectory() as directory:
+            store = cache_mod.ArtifactCache(directory)
+            store.store("k", payload)
+            hit = store.load("k")
+            assert hit.text == json.dumps(slow, sort_keys=True)
+            with open(store._path("k"), "rb") as fh:
+                assert fh.read() == _entry("k", hit.text.encode())
+        for fmt in ("json", "pretty") + (("csv",) if rows is not None else ()):
+            assert emit(hit, fmt) == emit(slow, fmt)
+
+    @pytest.mark.parametrize("argv, formats", [
+        (["ifunction", "--target", "P1", "--bundle", "O2", "--max-degree", "2"],
+         ("json", "pretty", "csv")),
+        (["ifunction", "--target", "P2", "--bundle", "O3", "--max-degree", "1",
+          "--nonequivariant"], ("json", "pretty", "csv")),
+        (["delta", "--target", "Bmu3", "--bundle", "char:1", "--euler", "--zmax", "3"],
+         ("json", "pretty")),
+        (["delta", "--target", "WPS:1,1,2", "--bundle", "O1", "--euler", "--zmax", "2",
+          "--log"], ("json", "pretty")),
+        (["delta", "--target", "Bmu3", "--bundle", "char:1", "--s=0,2/5,-1/3,1/7",
+          "--zmax", "3", "--check-symplectic"], ("json", "pretty")),
+        (["invariants", "--target", "P4", "--bundle", "O5", "--max-degree", "2"],
+         ("json", "pretty", "csv")),
+    ])
+    def test_warm_stdout_is_cold_stdout_with_the_status_changed(self, capsys, tmp_path,
+                                                                 argv, formats):
+        for fmt in formats:
+            cache = ["--format", fmt, "--cache-dir", str(tmp_path / fmt)]
+            code1, cold, _ = run(capsys, *cache, *argv)
+            code2, warm, _ = run(capsys, *cache, *argv)
+            assert code1 == code2 == 0
+            if fmt == "csv":             # rows only: no status to change
+                assert warm == cold != ""
+            else:
+                assert cold.count('"cache": "computed"') == 1
+                assert warm == cold.replace('"cache": "computed"', '"cache": "cached"')
+            if "--check-symplectic" in argv:
+                assert json.loads(warm)["symplectic_check"]["symplectic"] is True
+
+    def test_concurrent_writers_and_a_killed_writer(self, tmp_path):
+        """Three processes store one key in a loop while it is loaded: every
+        load is a miss or a verified hit.  A fourth is killed halfway through
+        its write: the previous entry still loads, and its temp file is ignored."""
+        import multiprocessing
+        import signal
+        from orbiqrr.cache import ArtifactCache
+        ctx = multiprocessing.get_context("spawn")
+        directory = str(tmp_path / "cache")
+        payloads = [{"rows": [str(i) * (1000 + 3000 * i)], "writer": i} for i in range(3)]
+        texts = {json.dumps({**p, "cache": "cached"}, sort_keys=True) for p in payloads}
+        stop = ctx.Event()
+        writers = [ctx.Process(target=_store_until, args=(directory, p, stop))
+                   for p in payloads]
+        for w in writers:
+            w.start()
+        store = ArtifactCache(directory)
+        hits, deadline = [], time.monotonic() + 60
+        try:
+            while len(hits) < 300 and time.monotonic() < deadline:
+                hit = store.load("k")            # a torn entry would raise CorruptCache
+                if hit is not None:
+                    hits.append(hit)
+        finally:
+            stop.set()
+            for w in writers:
+                w.join(30)
+        assert [w.exitcode for w in writers] == [0, 0, 0]
+        assert len(hits) == 300
+        assert all(hit.text in texts and hit.doc == json.loads(hit.text) for hit in hits)
+        last = store.load("k")
+        assert last.text in texts
+
+        halfway = ctx.Event()
+        victim = ctx.Process(target=_store_half, args=(directory, halfway))
+        victim.start()
+        try:
+            assert halfway.wait(30)
+        finally:
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(30)
+        assert victim.exitcode == -signal.SIGKILL
+        (tmp,) = [name for name in os.listdir(directory) if name.endswith(".tmp")]
+        assert os.path.getsize(os.path.join(directory, tmp)) > 0
+        assert store.load("k") == last
 
     def test_version_bump_invalidates(self, capsys, tmp_path):
         from orbiqrr import cache as cache_mod
@@ -1020,7 +1191,8 @@ class TestCache:
         with pytest.raises(OSError, match="disk full"):
             store.store("k", {"rows": ["new" * 1000]})
         monkeypatch.undo()
-        assert store.load("k") == {"rows": ["old"]}
+        assert store.load("k") == ('{"cache": "cached", "rows": ["old"]}',
+                                   {"cache": "cached", "rows": ["old"]})
         assert os.listdir(store.directory) == ["k.json"]   # no temp file left behind
 
     def test_config_target_keyed_by_content(self, capsys, tmp_path, monkeypatch):
