@@ -27,7 +27,7 @@ from . import __version__
 from .bernoulli import bernoulli_value
 from .cache import ArtifactCache, Hit
 from .errors import OrbiqrrError, SchemaError, UsageError
-from .exactalg import Scalar, sc
+from .exactalg import Scalar, deg_from_json, sc, zero_deg
 from .fockquant import (
     build_point_potential,
     commutator_cocycle,
@@ -94,9 +94,9 @@ def _builtin_target(spec: str):
     low = spec.lower()
     if low == "point":
         return point()
-    if low.startswith("p") and low[1:].isdigit():
+    if low.startswith("p") and low[1:].isdecimal():
         return projective_space(int(low[1:]))
-    if low.startswith("bmu") and low[3:].isdigit():
+    if low.startswith("bmu") and low[3:].isdecimal():
         return bmu(int(low[3:]))
     if low.startswith("wps:"):
         return weighted_projective([_number(int, w, spec) for w in spec[4:].split(",")])
@@ -430,11 +430,8 @@ def _table_from_obj(t, text: str) -> CorrelatorTable:
         path = f"$.rows[{i}]"
         if not isinstance(row, dict) or not isinstance(row.get("insertions"), list):
             raise SchemaError(f"{path}: expected an object with an insertions list")
-        d = row.get("d", [0] * t.curve_rank)
-        if not (isinstance(d, list) and len(d) == t.curve_rank
-                and all(type(x) is int and x >= 0 for x in d)):
-            raise SchemaError(f"{path}.d: expected {t.curve_rank} nonnegative integers "
-                              f"(the curve rank of {t.name})")
+        d = (deg_from_json(row["d"], t.curve_rank, f"{path}.d", t.name) if "d" in row
+             else zero_deg(t.curve_rank))
         insertions = []
         for j, ins in enumerate(row["insertions"]):
             try:
@@ -451,7 +448,7 @@ def _table_from_obj(t, text: str) -> CorrelatorTable:
             value = Frac(row["value"])
         except (KeyError, TypeError, ValueError, ArithmeticError) as e:
             raise SchemaError(f"{path}.value: expected a rational ({e})") from None
-        table.set(tuple(d), insertions, sc(value))
+        table.set(d, insertions, sc(value))
     return table
 
 

@@ -14,7 +14,8 @@ from .scalar import (
     root_of_unity,
     sc,
 )
-from .series import TruncSeries, WindowedSeries, deg_add, series_invert, window_product, zero_deg
+from .series import (Deg, TruncSeries, WindowedSeries, deg_add, deg_from_json, deg_pairing,
+                     deg_splits, series_invert, window_product, zero_deg)
 
 __all__ = [
     "Cyc",
@@ -29,6 +30,10 @@ __all__ = [
     "WindowedSeries",
     "window_product",
     "series_invert",
+    "Deg",
     "deg_add",
+    "deg_pairing",
+    "deg_splits",
+    "deg_from_json",
     "zero_deg",
 ]

@@ -5,15 +5,17 @@ needs it; its docstring states the window rule.  ``window_product`` is the
 package's one product of two windowed block dicts (series products, the
 graded exponential, loop operators and invariant extraction call it).
 ``TruncSeries`` is the Scalar-valued series with its ring product and
-``series_invert``.
+``series_invert``.  ``Deg``, ``zero_deg`` and the ``deg_*`` functions are the
+one owner of Novikov degrees: zero, sum, pairing, splittings and JSON reader.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from itertools import product
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from ..errors import NonUnitConstantTerm
+from ..errors import NonUnitConstantTerm, SchemaError
 from .scalar import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
 
 Deg = Tuple[int, ...]
@@ -31,6 +33,27 @@ def deg_add(a: Deg, b: Deg) -> Deg:
 
 def zero_deg(rank: int) -> Deg:
     return (0,) * rank
+
+
+def deg_pairing(v: Sequence, d: Deg):
+    """<v, d> = sum of v_i d_i over the d_i != 0 (int 0 at d = 0); ValueError on unequal lengths."""
+    if len(v) != len(d):
+        raise ValueError(f"a pairing vector of {len(v)} entries against the degree {d}")
+    return sum(c * x for c, x in zip(v, d) if x)
+
+
+def deg_splits(d: Deg) -> Iterator[Tuple[Deg, Deg]]:
+    """Every d = d1 + d2 with d1, d2 >= 0, d1 in lexicographic order."""
+    for d1 in product(*(range(x + 1) for x in d)):
+        yield d1, tuple(x - y for x, y in zip(d, d1))
+
+
+def deg_from_json(x, rank: int, path: str, owner: str) -> Deg:
+    """A JSON list of ``rank`` nonnegative ints as a degree, else a SchemaError."""
+    if not (isinstance(x, list) and len(x) == rank and all(type(a) is int and a >= 0 for a in x)):
+        raise SchemaError(f"{path}: expected {rank} nonnegative integers "
+                          f"(the curve rank of {owner})")
+    return tuple(x)
 
 
 def window_product(a: Dict[Key, object], b: Dict[Key, object], mul: Callable,

@@ -30,7 +30,7 @@ from math import comb, factorial, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DimensionMismatch, InsufficientTable
-from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, sc
+from ..exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, deg_pairing, deg_splits, sc
 from ..linalg import gram_inverse
 from ..orbtarget import CohClass, TargetModel
 
@@ -61,7 +61,7 @@ class CorrelatorTable:
 
     def budget(self, d: Tuple[int, ...]):
         """dim(X) - 3 + <c_1(TX), d>, the excess the dimension constraint asks for."""
-        return self.target.dim - 3 + sum(c * di for c, di in zip(self._c1, d) if di)
+        return self.target.dim - 3 + deg_pairing(self._c1, d)
 
     def dimension_ok(self, d: Tuple[int, ...], insertions: Sequence[Insertion]) -> bool:
         return self.excess(insertions) == self.budget(d)
@@ -194,7 +194,7 @@ def _divisor_rhs(table, d, marked, rest, missing) -> Scalar:
     the k_j >= 1, where gamma acts on a_j through ``spread_untwisted``."""
     t = table.target
     gamma = t.by_id["0"].basis[marked[0][1]]
-    pairing = sum((Frac(c) * di for c, di in zip(gamma.curve_pairing, d)), Frac(0))
+    pairing = deg_pairing(gamma.curve_pairing, d) if gamma.curve_pairing else 0
     rhs = _value(table, d, rest, missing).scaled(pairing)
     spread = t.spread_untwisted(CohClass(t, {marked[0]: SCALAR_ONE}))
     for j, (slot, k) in enumerate(rest):
@@ -251,7 +251,7 @@ def _check_trr(table: CorrelatorTable) -> dict:
         if n < 3:
             continue
         lhs = table.entries[(n, d, ins)]
-        splits = [(d1, d2, table.budget(d1)) for d1, d2 in _deg_splits(d)]
+        splits = [(d1, d2, table.budget(d1)) for d1, d2 in deg_splits(d)]
         counts = Counter(ins)
         residuals: Dict[Insertion, Dict[Tuple[Insertion, Insertion], Scalar]] = {}
         for v1, m1 in counts.items():
@@ -331,15 +331,3 @@ def _trr_violations(n: int, d, ins, residuals) -> list:
                     out.append({"n": n, "d": list(d), "insertions": ins,
                                 "split": [i1, i2, i3], "residual": resid.to_obj()})
     return out
-
-
-def _deg_splits(d: Tuple[int, ...]):
-    """All splittings d = d1 + d2 of a nonnegative multidegree."""
-    if len(d) == 1:
-        for a in range(d[0] + 1):
-            yield (a,), (d[0] - a,)
-        return
-    head = d[0]
-    for a in range(head + 1):
-        for tail1, tail2 in _deg_splits(d[1:]):
-            yield (a,) + tail1, (head - a,) + tail2

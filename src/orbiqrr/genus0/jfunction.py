@@ -17,7 +17,7 @@ from math import comb
 from typing import Dict, List, Tuple
 
 from ..errors import NormalFormViolation, SchemaError
-from ..exactalg import Scalar, parse_scalar, poly
+from ..exactalg import Scalar, deg_from_json, deg_pairing, parse_scalar, poly, zero_deg
 from ..givental import GiventalElement
 from ..orbtarget import CohClass, TargetModel
 
@@ -40,7 +40,7 @@ class JFunction:
         return self.series.get(zpow, d)
 
     def validate_normal_form(self):
-        d0 = (0,) * self.target.curve_rank
+        d0 = zero_deg(self.target.curve_rank)
         head = self.coefficient(d0, 1)
         if head != self.target.unit():
             raise NormalFormViolation("the (d=0, z^1) coefficient must be the unit class")
@@ -155,11 +155,7 @@ def load_j_function(t: TargetModel, data) -> JFunction:
         for key in ("d", "zpow", "component", "basis", "coeff"):
             if key not in row:
                 raise SchemaError(f"{path}.{key}: missing required field")
-        d, zpow = row["d"], row["zpow"]
-        if not (isinstance(d, list) and len(d) == t.curve_rank
-                and all(type(x) is int and x >= 0 for x in d)):
-            raise SchemaError(f"{path}.d: expected {t.curve_rank} nonnegative integers "
-                              f"(the curve rank of {t.name})")
+        d, zpow = deg_from_json(row["d"], t.curve_rank, f"{path}.d", t.name), row["zpow"]
         if type(zpow) is not int:
             raise SchemaError(f"{path}.zpow: expected an integer, got {zpow!r}")
         cid = str(row["component"])
@@ -171,19 +167,16 @@ def load_j_function(t: TargetModel, data) -> JFunction:
             raise SchemaError(f"{path}.coeff: {e}")
         basis = row["basis"]
         idx = basis if type(basis) is int else t.by_id[cid].basis_index(str(basis))
-        parsed.append((tuple(d), zpow, cid, idx, coeff))
+        parsed.append((d, zpow, cid, idx, coeff))
         dmax = max(dmax, sum(d))
         zmin, zmax = min(zmin, zpow), max(zmax, zpow)
     e = GiventalElement(t, zmin, zmax, dmax)
     for (d, zpow, cid, idx, coeff) in parsed:
-        if any(d):
-            cap = 1 - sum(Frac(c) * di for c, di in zip(t.c1_tangent_pairing, d))
-        else:
-            cap = Frac(1)
+        cap = 1 - deg_pairing(t.c1_tangent_pairing, d)
         if not coeff.is_zero and zpow > cap:
             raise NormalFormViolation(
                 f"row (d={d}, z^{zpow}) violates the dimension filter z <= {cap}")
         e.add_to(zpow, d, CohClass(t, {(cid, idx): coeff}))
-    if not all(c.is_rational() for c in e.get(0, (0,) * t.curve_rank).terms.values()):
+    if not all(c.is_rational() for c in e.get(0, zero_deg(t.curve_rank)).terms.values()):
         raise NormalFormViolation("the parameter point must be rational")
     return JFunction(t, e)

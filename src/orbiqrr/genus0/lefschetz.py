@@ -40,9 +40,11 @@ from ..exactalg import (
     SCALAR_ZERO,
     Scalar,
     TruncSeries,
+    deg_pairing,
     sc,
     series_invert,
     window_product,
+    zero_deg,
 )
 from ..givental import GiventalElement
 from ..orbtarget import BundleModel, CohClass, TargetModel, graded_exp, wps_pullback_line
@@ -89,7 +91,7 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     all_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
     for d, slice_terms in by_degree.items():
         for (pairing, _c1), rho in zip(F.lines, spreads):
-            steps = sum((Frac(p) * di for p, di in zip(pairing, d)), Frac(0))
+            steps = deg_pairing(pairing, d)
             if steps.denominator != 1:
                 raise AssumptionViolated(
                     f"<rho, d> = {steps} is not an integer at d = {d}")
@@ -140,8 +142,7 @@ def small_expansion(I: JFunction):
                     raise PositivityViolated(
                         f"z^0 layer leaves the small space at d={d}: {(cid, idx)}")
                 g.setdefault((cid, idx), TruncSeries(rank, 0, 0, I.dmax)).add_to(0, d, c)
-    dzero = (0,) * rank
-    if not f.get(0, dzero) == SCALAR_ONE:
+    if not f.get(0, zero_deg(rank)) == SCALAR_ONE:
         raise PositivityViolated("F(t) is not 1 mod Q")
     return f, g
 
@@ -158,8 +159,7 @@ def mirror_map(I: JFunction, f, g):
     tau = {}
     for slot, series in g.items():
         ratio = series * inv_f
-        d0 = (0,) * series.rank
-        head = ratio.get(0, d0)
+        head = ratio.get(0, zero_deg(series.rank))
         # the constant part belongs to the parameter point, not the Q-series
         if not head.is_zero:
             if not head.is_rational():
@@ -169,7 +169,7 @@ def mirror_map(I: JFunction, f, g):
     series = novikov_scale(I.series, inv_f)
     out = JFunction(I.target, series)
     # normal form after division: z-head exactly 1 at d=0 and nothing above
-    d0 = (0,) * inv_f.rank
+    d0 = zero_deg(inv_f.rank)
     for (n, d), cls in out.series.data.items():
         if n == 1 and d != d0 and not cls.is_zero:
             raise PositivityViolated("z^1 layer of J is not exactly z after division")
@@ -211,10 +211,11 @@ def nonequivariant_limit(j: JFunction) -> JFunction:
 
 
 def check_extractable(t: TargetModel, F: BundleModel):
-    """The pairs ``extract_invariants`` reads: a P^4-shaped target t (so tau has
-    the divisor slot) and a Calabi-Yau slice deg F = deg TX; else UnsupportedTarget."""
+    """The pairs ``extract_invariants`` reads: a P^4-shaped target t of curve rank 1 (so
+    tau has the divisor slot) and a Calabi-Yau slice deg F = deg TX; else UnsupportedTarget."""
     comps = t.components
-    if t.dim != 4 or len(comps) != 1 or [b.degree for b in comps[0].basis] != [0, 2, 4, 6, 8]:
+    if (t.curve_rank != 1 or t.dim != 4 or len(comps) != 1
+            or [b.degree for b in comps[0].basis] != [0, 2, 4, 6, 8]):
         raise UnsupportedTarget(f"invariant extraction expects a P^4-shaped target, not {t.name}")
     if F.c1_pairing[0] != t.c1_tangent_pairing[0]:
         raise UnsupportedTarget(f"invariant extraction expects deg F = deg TX, not {F.name}")

@@ -15,10 +15,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import NonUnitTwist, TruncationTooNarrow
-from .exactalg import SCALAR_ZERO, Scalar, WindowedSeries, sc
+from .exactalg import SCALAR_ZERO, Deg, Scalar, WindowedSeries, sc, zero_deg
 from .orbtarget import BundleModel, CohClass, TargetModel
-
-Deg = Tuple[int, ...]
 
 
 class GiventalElement(WindowedSeries):
@@ -58,7 +56,7 @@ class GiventalElement(WindowedSeries):
 
     def q_part(self, k: int) -> CohClass:
         """Coefficient q_k: the z^k slice at Novikov degree 0, k >= 0."""
-        return self.get(k, self._d0())
+        return self.get(k, zero_deg(self.rank))
 
     @property
     def rank(self) -> int:
@@ -67,12 +65,9 @@ class GiventalElement(WindowedSeries):
             return len(d)
         return self.target.curve_rank
 
-    def _d0(self) -> Deg:
-        return (0,) * self.rank
-
     def p_part(self, k: int) -> CohClass:
         """Darboux p_k = (-1)^(k+1) * coefficient of z^(-k-1) at Novikov degree 0."""
-        cls = self.get(-k - 1, self._d0())
+        cls = self.get(-k - 1, zero_deg(self.rank))
         return cls.scale(sc((-1) ** (k + 1)))
 
 
@@ -82,7 +77,7 @@ def element_from_class(t: TargetModel, cls: CohClass, zpow: int = 0,
     rank = t.curve_rank if rank is None else rank
     e = GiventalElement(t, zmin, zmax, dmax)
     if not cls.is_zero:
-        e.set(zpow, (0,) * rank, cls)
+        e.set(zpow, zero_deg(rank), cls)
     return e
 
 
@@ -124,7 +119,7 @@ def dilaton_shift(t: TargetModel, tvec: GiventalElement,
     """
     zmax = max(tvec.zmax, 1)
     shifted = tvec.copy_window(tvec.zmin, zmax, tvec.dmax)
-    shifted.add_to(1, (0,) * tvec.rank, t.unit().scale(sc(-1)))
+    shifted.add_to(1, zero_deg(tvec.rank), t.unit().scale(sc(-1)))
     if bundle is None or s_values is None:
         return shifted
     try:

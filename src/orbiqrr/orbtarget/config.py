@@ -1,6 +1,7 @@
 """Target/bundle config documents: JSON with bit-exact rational round-trips.
 
-Schema (rationals are "p/q" strings):
+Schema (rationals are "p/q" strings, an int is a nonnegative JSON integer, and
+every pairing vector has curve_rank entries, one per curve class):
 
     {
       "name": str, "dim": int, "curve_rank": int,
@@ -45,6 +46,12 @@ def _frac(s, path: str) -> Frac:
         return Fraction(s)
     except (ValueError, ZeroDivisionError, TypeError):
         raise SchemaError(f"{path}: expected a rational 'p/q', got {s!r}")
+
+
+def _int(x, path: str) -> int:
+    if type(x) is not int or x < 0:     # no bool, float or string
+        raise SchemaError(f"{path}: expected a nonnegative integer, got {x!r}")
+    return x
 
 
 def _req(obj, key, path: str):
@@ -130,8 +137,8 @@ def str_scalar(x) -> str:
 
 def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
     name = _req(obj, "name", "$")
-    dim = int(_req(obj, "dim", "$"))
-    curve_rank = int(_req(obj, "curve_rank", "$"))
+    dim = _int(_req(obj, "dim", "$"), "$.dim")
+    curve_rank = _int(_req(obj, "curve_rank", "$"), "$.curve_rank")
     comps = []
     comp_objs = _req(obj, "components", "$")
     if not isinstance(comp_objs, list) or not comp_objs:
@@ -141,7 +148,7 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
         basis = []
         for bi, bobj in enumerate(_req(cobj, "basis", path)):
             bpath = f"{path}.basis[{bi}]"
-            degree = int(_req(bobj, "degree", bpath))
+            degree = _int(_req(bobj, "degree", bpath), f"{bpath}.degree")
             if degree % 2:
                 raise SchemaError(f"{bpath}.degree: odd-degree classes are not supported")
             cp = tuple(_frac(x, f"{bpath}.curve_pairing") for x in bobj.get("curve_pairing", []))
@@ -152,15 +159,15 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
         for row in cobj.get("mult", []):
             if len(row) != 4:
                 raise SchemaError(f"{path}.mult: rows are [a, b, g, 'p/q']")
-            a, b, g, w = int(row[0]), int(row[1]), int(row[2]), _frac(row[3], f"{path}.mult")
-            mult.setdefault((a, b), {})[g] = w
+            a, b, g = (_int(x, f"{path}.mult") for x in row[:3])
+            mult.setdefault((a, b), {})[g] = _frac(row[3], f"{path}.mult")
         restriction = None
         if "untwisted_restriction" in cobj:
             restriction = [[_frac(x, f"{path}.untwisted_restriction") for x in row]
                            for row in cobj["untwisted_restriction"]]
         comps.append(Component(
             cid=str(_req(cobj, "id", path)),
-            r=int(_req(cobj, "r", path)),
+            r=_int(_req(cobj, "r", path), f"{path}.r"),
             age=_frac(_req(cobj, "age", path), f"{path}.age"),
             involution=str(_req(cobj, "involution", path)),
             basis=basis, pairing=pairing, mult=mult,
@@ -192,7 +199,7 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
             if (head.is_zero and rank != 0) or (not head.is_zero and head.as_fraction() != rank):
                 raise InvariantViolation("eigen rank consistency",
                                          f"{epath}: ch_0 != rank")
-            eigen[(cid, int(_req(eobj, "l", epath)))] = cls
+            eigen[(cid, _int(_req(eobj, "l", epath), f"{epath}.l"))] = cls
         lines = None
         if "lines" in fobj:
             lines = []

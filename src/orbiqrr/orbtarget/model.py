@@ -118,6 +118,10 @@ class TargetModel:
         if c0.r != 1 or c0.age != 0 or c0.involution != "0":
             raise InvariantViolation("distinguished component",
                                      "component '0' must have r=1, age=0, involution '0'")
+        rank = self.curve_rank
+        if len(self.c1_tangent_pairing) != rank:
+            raise InvariantViolation("curve rank", f"c1_tangent_pairing has "
+                                     f"{len(self.c1_tangent_pairing)} entries, not {rank}")
         for c in self.components:
             if c.involution not in self.by_id:
                 raise InvariantViolation("involution", f"missing partner {c.involution}")
@@ -135,6 +139,9 @@ class TargetModel:
                 if b.degree % 2 or b.degree < 0:
                     raise InvariantViolation("even degrees",
                                              f"odd/negative degree class {b.name} on {c.cid}")
+                if b.curve_pairing and len(b.curve_pairing) != rank:
+                    raise InvariantViolation("curve rank", f"curve_pairing of {b.name} on {c.cid}"
+                                             f" has {len(b.curve_pairing)} entries, not {rank}")
             if c.basis[0].degree != 0:
                 raise InvariantViolation("unit class",
                                          f"first basis entry of {c.cid} must have degree 0")
@@ -562,6 +569,9 @@ class BundleModel:
 
     def validate(self):
         t = self.target
+        if len(self.c1_pairing) != t.curve_rank:
+            raise InvariantViolation("curve rank", f"c1_pairing of {self.name} has "
+                                     f"{len(self.c1_pairing)} entries, not {t.curve_rank}")
         ranks = {}
         for (cid, l), c in self.eigen.items():
             comp = t.component(cid)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CyclotomicOrderTooSmall
-from .exactalg import SCALAR_ONE, Scalar, root_of_unity, sc
+from .exactalg import SCALAR_ONE, Scalar, deg_pairing, root_of_unity, sc, zero_deg
 from .givental import GiventalElement
 from .loopops import _log_delta_and_delta, class_Am, euler_s_values
 from .orbtarget import BundleModel, CohClass, TargetModel
@@ -73,7 +73,7 @@ def dual_variable_map(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]
         out = out.copy_window(out.zmin, 1, out.dmax)
     one_minus = (t.unit_everywhere() - tw).mul(t.unit())
     if not one_minus.is_zero:
-        out.add_to(1, (0,) * t.curve_rank, one_minus)
+        out.add_to(1, zero_deg(t.curve_rank), one_minus)
     return out
 
 
@@ -101,10 +101,8 @@ def serre_M_operator(t: TargetModel, F: BundleModel,
 
 def novikov_sign_twist(series, F: BundleModel):
     """Q^d -> (-1)^{<ch_1(F), d>} Q^d on any WindowedSeries."""
-    pairing = F.c1_pairing
-
     def sign(d) -> int:
-        val = sum(Frac(p) * di for p, di in zip(pairing, d))
+        val = deg_pairing(F.c1_pairing, d)
         if val.denominator != 1:
             raise CyclotomicOrderTooSmall(
                 f"<c1(F), {d}> = {val} is not an integer; the sign twist is undefined")
@@ -181,8 +179,7 @@ def check_serre_cone(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
 def _default_sample(t: TargetModel) -> GiventalElement:
     """A normal-form-headed sample point: z + t + phi/z tail."""
     e = GiventalElement(t, -2, 1, 0)
-    rank = t.curve_rank
-    d0 = (0,) * rank
+    d0 = zero_deg(t.curve_rank)
     e.add_to(1, d0, t.unit())
     head = t.zero_class()
     tail = t.zero_class()
@@ -202,8 +199,7 @@ def _differing_blocks(A, B, lo: int, hi: int) -> List[int]:
 def _read_t(t: TargetModel, x: GiventalElement, inv_root: CohClass) -> GiventalElement:
     """t(z) = [x / sqrt(c)]_+ + 1z: undo a twisted dilaton shift, given 1/sqrt(c)."""
     scaled = x.mul_class(inv_root)
-    rank = t.curve_rank
-    d0 = (0,) * rank
+    d0 = zero_deg(t.curve_rank)
     out = scaled.copy_window(0, max(1, scaled.zmax), scaled.dmax)
     out.add_to(1, d0, t.unit())
     return out

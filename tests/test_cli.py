@@ -72,6 +72,26 @@ def _store_half(directory, halfway):
     cache_mod.ArtifactCache(directory).store("k", {"rows": ["new"] * 1000})
 
 
+def _p4_rank2_obj(tmp_path) -> dict:
+    """A config of P4 with curve rank 2 (the second generator pairs to zero with
+    everything), its bundle O5 = O(5, 0) and the J of P4 to degree 2 in rows
+    d = [d, 0] (written to tmp_path)."""
+    from orbiqrr.genus0 import j_closed_form_Pn
+    from orbiqrr.orbtarget import target_to_obj, wps_pullback_line
+    rows = [{"d": [d, 0], "zpow": n, "component": cid, "basis": idx,
+             "coeff": str(c.as_fraction())}
+            for (n, (d,)), cls in j_closed_form_Pn(4, 2).series.data.items()
+            for (cid, idx), c in cls.terms.items()]
+    (tmp_path / "j.json").write_text(json.dumps({"rows": rows}))
+    p4 = projective_space(4)
+    obj = target_to_obj(p4, [wps_pullback_line(p4, 5)])
+    obj.update(name="P4x2", curve_rank=2, c1_tangent_pairing=["5", "0"], jfunction_file="j.json")
+    obj["components"][0]["basis"][1]["curve_pairing"] = ["1", "0"]
+    bundle = obj["bundles"][0]
+    bundle["c1_pairing"] = bundle["lines"][0]["c1_pairing"] = ["5", "0"]
+    return obj
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -127,6 +147,51 @@ class TestBasicCommands:
             error = json.loads(out)["error"]
             assert error["code"] == "InvariantViolation" and "split lines" in error["message"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("curve_rank", "x"), ("curve_rank", -1), ("curve_rank", 1.5), ("dim", "2"),
+        ("dim", -1), ("degree", 2.0), ("r", True), ("l", "0"), ("mult", "1")])
+    def test_config_integer_fields_are_json_integers(self, capsys, tmp_path, field, value):
+        """A string, float, bool or negative count is a SchemaError naming its path,
+        never a traceback or a silent int()."""
+        code, out, _ = run(capsys, "target", "show", "P2", "--bundle", "O3")
+        obj = json.loads(out)
+        comp, paths = obj["components"][0], {
+            "curve_rank": "$.curve_rank", "dim": "$.dim",
+            "degree": "$.components[0].basis[1].degree", "r": "$.components[0].r",
+            "l": "$.bundles[0].eigen[0].l", "mult": "$.components[0].mult"}
+        holder = {"curve_rank": obj, "dim": obj, "degree": comp["basis"][1], "r": comp,
+                  "l": obj["bundles"][0]["eigen"][0], "mult": comp["mult"][0]}[field]
+        holder[0 if field == "mult" else field] = value
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        for action in ("validate", "show"):
+            code, out, _ = run(capsys, "target", action, str(tmp_path / "bad.json"))
+            error = json.loads(out)["error"]
+            assert code == 1 and error["code"] == "SchemaError"
+            assert error["message"].startswith(paths[field] + ": expected a nonnegative integer")
+
+    @pytest.mark.parametrize("case", ["c1_tangent_pairing", "curve_pairing", "c1_pairing",
+                                      "builtin O5 on rank 2"])
+    def test_pairing_vector_needs_curve_rank_entries(self, capsys, tmp_path, case):
+        """A pairing vector of another length than curve_rank was paired through a
+        zip that dropped the extra entries: O5 on a rank-2 target paired only
+        the first generator."""
+        obj = _p4_rank2_obj(tmp_path)
+        argv = ("target", "validate")
+        if case == "builtin O5 on rank 2":
+            obj["bundles"] = []
+            argv = ("ifunction", "--bundle", "O5", "--max-degree", "1", "--target")
+        elif case == "c1_pairing":
+            obj["bundles"][0]["c1_pairing"] = ["5"]
+        elif case == "curve_pairing":
+            obj["components"][0]["basis"][1]["curve_pairing"] = ["1"]
+        else:
+            obj["c1_tangent_pairing"] = ["5", "0", "0"]
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        code, out, _ = run(capsys, *argv, str(tmp_path / "bad.json"))
+        error = json.loads(out)["error"]
+        assert (code, error["code"]) == (1, "InvariantViolation")
+        assert "curve rank" in error["message"]
+
     def test_usage_error(self, capsys):
         code, _out, err = run(capsys, "delta", "--target", "nosuch",
                               "--bundle", "trivial", "--zmax", "2", "--s", "0")
@@ -139,7 +204,9 @@ class TestBasicCommands:
         ("check", "nosuch"),
         ("check", "serre", "--target", "P1", "--bundle", "O1", "--smax", "2"),
         # a group member given its would-be default still conflicts
-        ("check", "universal", "--table", "t.json", "--nmax", "6")])
+        ("check", "universal", "--table", "t.json", "--nmax", "6"),
+        # a digit that int() rejects names no built-in target
+        ("check", "cocycle", "--target", "p\u00b2")])
     def test_argparse_errors_are_json_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -291,11 +358,14 @@ class TestPipelines:
         renamed = json.loads(dump_target(projective_space(4), []))
         renamed["name"] = "P4copy"
         (tmp_path / "p4copy.json").write_text(json.dumps(renamed))
+        # P4 at curve rank 2 with its O(5, 0): extraction would unpack (d,) from (d, 0)
+        (tmp_path / "p4x2.json").write_text(json.dumps(_p4_rank2_obj(tmp_path)))
         for target, bundle, error in (
                 ("P2", "O3", "UnsupportedTarget"), ("P4", "O4", "UnsupportedTarget"),
                 ("P3", "O5", "UnsupportedTarget"), ("P4", "trivial", "UnsupportedTarget"),
                 ("P4", "O6", "UnsupportedTarget"), ("WPS:1,1,1,1,1", "O5", "UsageError"),
-                (str(tmp_path / "p4copy.json"), "O5", "UsageError")):
+                (str(tmp_path / "p4copy.json"), "O5", "UsageError"),
+                (str(tmp_path / "p4x2.json"), "O5", "UnsupportedTarget")):
             code, out, err = run(capsys, "--cache-dir", cache, "invariants", "--target", target,
                                  "--bundle", bundle, "--max-degree", "2")
             assert (code, json.loads(out or err)["error"]["code"]) == \

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbiqrr.errors import InsufficientTable
-from orbiqrr.exactalg import SCALAR_ZERO, sc
+from orbiqrr.exactalg import SCALAR_ZERO, deg_splits, sc
 from orbiqrr.genus0 import CorrelatorTable, build_point_table, check_universal_equation
-from orbiqrr.genus0.correlators import _deg_splits, _report, _value
+from orbiqrr.genus0.correlators import _report, _value
 from orbiqrr.linalg import mat_inv
 from orbiqrr.orbtarget import bmu, point, projective_space, weighted_projective
 
@@ -58,7 +58,7 @@ def subset_loop_trr(table: CorrelatorTable) -> dict:
                     for amask in range(1 << len(rest)):
                         A = [rest[j] for j in range(len(rest)) if amask >> j & 1]
                         B = [rest[j] for j in range(len(rest)) if not amask >> j & 1]
-                        for d1, d2 in _deg_splits(d):
+                        for d1, d2 in deg_splits(d):
                             for ai, aslot in enumerate(basis):
                                 left = _value(table, d1, [a1] + A + [(aslot, 0)], missing)
                                 if left.is_zero:
