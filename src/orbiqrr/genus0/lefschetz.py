@@ -211,46 +211,54 @@ def nonequivariant_limit(j: JFunction) -> JFunction:
 
 
 def check_extractable(t: TargetModel, F: BundleModel):
-    """The pairs ``extract_invariants`` reads: a P^4-shaped target t of curve rank 1 (so
-    tau has the divisor slot) and a Calabi-Yau slice deg F = deg TX; else UnsupportedTarget."""
-    comps = t.components
-    if (t.curve_rank != 1 or t.dim != 4 or len(comps) != 1
-            or [b.degree for b in comps[0].basis] != [0, 2, 4, 6, 8]):
-        raise UnsupportedTarget(f"invariant extraction expects a P^4-shaped target, not {t.name}")
-    if F.c1_pairing[0] != t.c1_tangent_pairing[0]:
-        raise UnsupportedTarget(f"invariant extraction expects deg F = deg TX, not {F.name}")
+    """The pairs ``extract_invariants`` reads, else UnsupportedTarget: t is P^n-shaped (curve
+    rank 1, one component, basis degrees 0, 2, ..., 2n, the degree-2 class of degree 1 on the
+    curve), F is positive lines, r = c1(TX) - c1(F) = 0 and dim Y = n - #lines = 3."""
+    basis = t.components[0].basis
+    if (t.curve_rank != 1 or len(t.components) != 1
+            or [b.degree for b in basis] != list(range(0, 2 * t.dim + 1, 2))
+            or [b.curve_pairing for b in basis[1:2]] != [(1,)]):
+        raise UnsupportedTarget(f"invariant extraction expects a P^n-shaped target, not {t.name}")
+    if F.lines is None or any(pairing[0] <= 0 for pairing, _c1 in F.lines):
+        raise UnsupportedTarget(f"invariant extraction expects positive split lines, not {F.name}")
+    r, dim_y = t.c1_tangent_pairing[0] - F.c1_pairing[0], t.dim - len(F.lines)
+    if r != 0 or dim_y != 3:
+        raise UnsupportedTarget(f"invariant extraction expects a Calabi-Yau threefold (r = 0, "
+                                f"dim Y = 3); {F.name} on {t.name} has r = {r}, dim Y = {dim_y}")
 
 
 def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
-    """Genus-0 invariant table N_d of the hypersurface cut out by F.
+    """Genus-0 invariant table N_d of the Calabi-Yau threefold Y cut out by F.
 
     Pipeline: strip e^{tau_p p / z}, unwind the divisor factors e^{d tau_p},
-    and read the z^{-1} p^2 layer; N_d = deg(F) * x_d / d.  Both exponentials
-    go through ``graded_exp``, where the weight of z^n Q^d x is
-    n + deg x + |d|: the pieces of -tau_p p / z sit at z^(-1) Q^d with
-    d >= 1 (weight d + 1) and those of tau_p at z^0 Q^d (weight d), and
-    the windows drop only terms past Q^dmax or p^dim.  Only the (z^{-1}, p^2) slot of
-    e^{-tau_p p / z} J is read, and the divisor flow
-    sum_d x_d Q^d e^{d tau_p} = sum_k x_k q^k with q = Q e^{tau_p} unwinds
-    by a triangular solve against the powers q^k.  The normalization
-    constant deg(F) (= 5 for the quintic) absorbs the pushforward
-    bookkeeping and is frozen against the classical d = 1 value 2875.
+    and pair the z^{-1} layer x_d with p e(F), e(F) the product of the line
+    classes: <p>_d = int_X p x_d e(F) (the one-point invariant of Y), and
+    N_d = <p>_d / d by the divisor equation.  Both exponentials go through
+    ``graded_exp``, where the weight of z^n Q^d x is n + deg x + |d|: the
+    pieces of -tau_p p / z sit at z^(-1) Q^d with d >= 1 (weight d + 1) and
+    those of tau_p at z^0 Q^d (weight d), and the windows drop only terms
+    past Q^dmax or p^dim.  Only the z^{-1} layer of e^{-tau_p p / z} J is
+    read, and the divisor flow sum_d x_d Q^d e^{d tau_p} = sum_k x_k q^k,
+    q = Q e^{tau_p}, unwinds by a triangular solve against the powers q^k.
     """
     t = j_twisted.target
     check_extractable(t, F)
     tau_p = tau[("0", 1)]
     dmax = j_twisted.dmax
-    p = t.basis_class("0", "p")
+    p = CohClass(t, {("0", 1): SCALAR_ONE})
+    p_euler = p
+    for _pairing, c1 in F.lines:
+        p_euler = p_euler.mul(c1)
     # a zero Q^0 block keys each exponential's unit at Q^0 also when tau_p is zero
     q0 = {(0, (0,)): t.zero_class()}
-    # the (z^{-1}, p^2) slot of e^{-tau_p p / z} J
+    # the z^{-1} layer of e^{-tau_p p / z} J
     strip = graded_exp(t, {**q0, **{(-1, d): p.scale(-c) for (_z, d), c in tau_p.items()}},
                        -t.dim, 0, dmax)
     c_series: Dict[int, Scalar] = {d: SCALAR_ZERO for d in range(1, dmax + 1)}
     z_minus_1 = window_product(j_twisted.series.data, strip, lambda a, b: a.mul(b),
                                lambda n, d: n == -1 and 1 <= sum(d) <= dmax)
     for (_n, (d,)), cls in z_minus_1.items():
-        c_series[d] = cls.coeff("0", 2)
+        c_series[d] = t.orbifold_pairing(p_euler, cls)
     # unwind sum_k x_k q^k, q = Q e^{tau_p} = Q^1 + O(Q^2): triangular solve
     unit = t.unit()
     e_tau = graded_exp(t, {**q0, **{k: unit.scale(c) for k, c in tau_p.items()}}, 0, 0, dmax)
@@ -268,13 +276,10 @@ def extract_invariants(j_twisted: JFunction, tau, F: BundleModel) -> dict:
     n_table: Dict[int, Frac] = {}
     big_n: Dict[int, Frac] = {}
     for d in range(1, dmax + 1):
-        nd = x[d] * sc(Frac(F.c1_pairing[0], d))
+        nd = x[d] * sc(Frac(1, d))
         if not nd.is_rational():
             raise UnsupportedTarget("extraction produced a non-rational invariant")
         big_n[d] = nd.as_fraction()
-    if 1 in big_n and big_n[1] != 2875:
-        raise UnsupportedTarget(
-            f"normalization check failed: N_1 = {big_n[1]}, expected the frozen 2875")
     for d in range(1, dmax + 1):
         val = big_n[d]
         for k in range(2, d + 1):

@@ -1,7 +1,7 @@
 """Target/bundle config documents: JSON with bit-exact rational round-trips.
 
-Schema (rationals are "p/q" strings, an int is a nonnegative JSON integer, and
-every pairing vector has curve_rank entries, one per curve class):
+Schema (rationals are "p/q" strings, ints nonnegative JSON integers, lists JSON
+lists, and every pairing vector has curve_rank entries, one per curve class):
 
     {
       "name": str, "dim": int, "curve_rank": int,
@@ -51,6 +51,12 @@ def _frac(s, path: str) -> Frac:
 def _int(x, path: str) -> int:
     if type(x) is not int or x < 0:     # no bool, float or string
         raise SchemaError(f"{path}: expected a nonnegative integer, got {x!r}")
+    return x
+
+
+def _list(x, path: str) -> list:
+    if not isinstance(x, list):
+        raise SchemaError(f"{path}: expected a list, got {x!r}")
     return x
 
 
@@ -146,25 +152,27 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
     for ci, cobj in enumerate(comp_objs):
         path = f"$.components[{ci}]"
         basis = []
-        for bi, bobj in enumerate(_req(cobj, "basis", path)):
+        for bi, bobj in enumerate(_list(_req(cobj, "basis", path), f"{path}.basis")):
             bpath = f"{path}.basis[{bi}]"
             degree = _int(_req(bobj, "degree", bpath), f"{bpath}.degree")
             if degree % 2:
                 raise SchemaError(f"{bpath}.degree: odd-degree classes are not supported")
-            cp = tuple(_frac(x, f"{bpath}.curve_pairing") for x in bobj.get("curve_pairing", []))
+            cp = tuple(_frac(x, f"{bpath}.curve_pairing")
+                       for x in _list(bobj.get("curve_pairing", []), f"{bpath}.curve_pairing"))
             basis.append(BasisClass(_req(bobj, "name", bpath), degree, cp))
-        pairing = [[_frac(x, f"{path}.pairing") for x in row]
-                   for row in _req(cobj, "pairing", path)]
+        pairing = [[_frac(x, f"{path}.pairing") for x in _list(row, f"{path}.pairing")]
+                   for row in _list(_req(cobj, "pairing", path), f"{path}.pairing")]
         mult = {}
-        for row in cobj.get("mult", []):
-            if len(row) != 4:
+        for row in _list(cobj.get("mult", []), f"{path}.mult"):
+            if len(_list(row, f"{path}.mult")) != 4:
                 raise SchemaError(f"{path}.mult: rows are [a, b, g, 'p/q']")
             a, b, g = (_int(x, f"{path}.mult") for x in row[:3])
             mult.setdefault((a, b), {})[g] = _frac(row[3], f"{path}.mult")
         restriction = None
         if "untwisted_restriction" in cobj:
-            restriction = [[_frac(x, f"{path}.untwisted_restriction") for x in row]
-                           for row in cobj["untwisted_restriction"]]
+            rpath = f"{path}.untwisted_restriction"
+            restriction = [[_frac(x, rpath) for x in _list(row, rpath)]
+                           for row in _list(cobj["untwisted_restriction"], rpath)]
         comps.append(Component(
             cid=str(_req(cobj, "id", path)),
             r=_int(_req(cobj, "r", path), f"{path}.r"),
@@ -174,21 +182,21 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
             untwisted_restriction=restriction,
         ))
     c1t = tuple(_frac(x, "$.c1_tangent_pairing")
-                for x in obj.get("c1_tangent_pairing", []))
+                for x in _list(obj.get("c1_tangent_pairing", []), "$.c1_tangent_pairing"))
     target = TargetModel(name, dim, curve_rank, comps,
                          c1_tangent_pairing=c1t,
                          jfunction_file=obj.get("jfunction_file"))
     bundles = {}
-    for fi, fobj in enumerate(obj.get("bundles", [])):
+    for fi, fobj in enumerate(_list(obj.get("bundles", []), "$.bundles")):
         path = f"$.bundles[{fi}]"
         eigen = {}
-        for ei, eobj in enumerate(_req(fobj, "eigen", path)):
+        for ei, eobj in enumerate(_list(_req(fobj, "eigen", path), f"{path}.eigen")):
             epath = f"{path}.eigen[{ei}]"
             cid = str(_req(eobj, "component", epath))
             if cid not in target.by_id:
                 raise SchemaError(f"{epath}.component: unknown component {cid!r}")
             comp = target.by_id[cid]
-            ch = _req(eobj, "ch", epath)
+            ch = _list(_req(eobj, "ch", epath), f"{epath}.ch")
             if len(ch) != len(comp.basis):
                 raise SchemaError(f"{epath}.ch: expected {len(comp.basis)} coefficients")
             cls = CohClass(target, {
@@ -203,12 +211,12 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
         lines = None
         if "lines" in fobj:
             lines = []
-            for lobj in fobj["lines"]:
-                pair = tuple(_frac(x, f"{path}.lines.c1_pairing")
-                             for x in _req(lobj, "c1_pairing", path))
+            for lobj in _list(fobj["lines"], f"{path}.lines"):
+                pair = tuple(_frac(x, f"{path}.lines.c1_pairing") for x in
+                             _list(_req(lobj, "c1_pairing", path), f"{path}.lines.c1_pairing"))
                 terms = {}
                 for cid, coeffs in _req(lobj, "c1", path).items():
-                    for i, x in enumerate(coeffs):
+                    for i, x in enumerate(_list(coeffs, f"{path}.lines.c1[{cid}]")):
                         v = _frac(x, f"{path}.lines.c1[{cid}]")
                         if v:
                             terms[(cid, i)] = sc(v)
@@ -217,7 +225,7 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
             _req(fobj, "name", path), target, eigen,
             pulled_back=bool(fobj.get("pulled_back", False)),
             c1_pairing=tuple(_frac(x, f"{path}.c1_pairing")
-                             for x in fobj.get("c1_pairing", [])),
+                             for x in _list(fobj.get("c1_pairing", []), f"{path}.c1_pairing")),
             lines=lines,
         )
         declared = _frac(_req(fobj, "rank", path), f"{path}.rank")

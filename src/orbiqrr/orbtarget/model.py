@@ -606,6 +606,9 @@ class BundleModel:
             # a split F = sum of lines: untwisted degree-2 classes that add up to
             # c1(F^(0)) on the untwisted sector, with pairings that add up to c1_pairing
             c1_sum, pairing_sum = t.zero_class(), (Frac(0),) * len(self.c1_pairing)
+            if len(self.lines) != self.rank:
+                raise InvariantViolation("split lines", f"{self.name} has {len(self.lines)} "
+                                         f"lines, not one per summand of rank {self.rank}")
             for pairing, c1 in self.lines:
                 if any(cid != "0" for cid, _i in c1.terms) or c1.degree_part(2) != c1:
                     raise InvariantViolation("split lines", f"line class {c1} is not an "

@@ -14,7 +14,13 @@ from orbiqrr.exactalg import SCALAR_ONE, sc
 from orbiqrr.fockquant import FockPolynomial, quantize_monomial
 from orbiqrr.genus0 import CorrelatorTable
 from orbiqrr.linalg import mat_is_zero, mat_mul, multiplication_matrix
-from orbiqrr.orbtarget import BundleModel, CohClass, TargetModel, projective_space
+from orbiqrr.orbtarget import (
+    BundleModel,
+    CohClass,
+    TargetModel,
+    projective_space,
+    wps_pullback_line,
+)
 
 Frac = Fraction
 
@@ -193,3 +199,13 @@ def probe_commutator_cocycle(t: TargetModel, A, B, K: int):
             raise TruncationTooNarrow(
                 "commutator residual is not scalar on the safe index range")
     return scalar
+
+
+def split_bundle(t: TargetModel, degrees) -> BundleModel:
+    """O(m_1) + O(m_2) + ... on P^n, one ``lines`` entry per summand."""
+    ch = t.zero_class()
+    for m in degrees:
+        ch = ch + wps_pullback_line(t, m).eigen_class("0", 0)
+    lines = [((Frac(m),), CohClass(t, {("0", 1): sc(m)})) for m in degrees]
+    return BundleModel("+".join(f"O{m}" for m in degrees), t, {("0", 0): ch},
+                       pulled_back=True, c1_pairing=(Frac(sum(degrees)),), lines=lines)

@@ -1,15 +1,17 @@
 """Independent oracles used by the tests.
 
-quintic_instanton_numbers implements the classical mirror computation for the
-quintic threefold with plain Fraction power series: hypergeometric solutions
-F = sum (5d)!/(d!)^5 q^d and G = F-weighted harmonic-number sums, the mirror
-map Q = q exp(G/F), and the Yukawa coupling
+ci_instanton_numbers implements the classical mirror computation for a
+Calabi-Yau threefold complete intersection P^n[a_1, ..., a_k] with plain
+Fraction power series: hypergeometric solutions
+F = sum prod_i (a_i d)!/(d!)^(n+1) q^d and G = F-weighted harmonic-number
+sums, the mirror map Q = q exp(G/F), and the Yukawa coupling
 
-    5 + sum_d n_d d^3 Q^d / (1 - Q^d)
-        = 5 / ((1 - 5^5 q) F(q)^2) * (q dT/dq)^(-3),  T = log q + G/F,
+    kappa + sum_d n_d d^3 Q^d / (1 - Q^d)
+        = kappa / ((1 - mu q) F(q)^2) * (q dT/dq)^(-3),  T = log q + G/F,
 
-from which the n_d are extracted triangularly.  None of the package machinery
-is used here.
+kappa = prod a_i, mu = prod a_i^a_i, from which the n_d are extracted
+triangularly; quintic_instanton_numbers is its P4[5] case (kappa = 5,
+mu = 5^5).  None of the package machinery is used here.
 
 pn_j_degree_series gives the degree-d slice of the J-function of P^n from
 the same Fraction series helpers.
@@ -88,11 +90,31 @@ def harmonic(n: int) -> Frac:
 
 
 def quintic_instanton_numbers(dmax: int) -> Tuple[Dict[int, Frac], Dict[int, Frac]]:
-    """Returns (n, N): instanton numbers and the multiple-cover sums
-    N_d = sum_{k|d} n_{d/k} / k^3."""
+    """Returns (n, N) of the quintic threefold P4[5]: instanton numbers and the
+    multiple-cover sums N_d = sum_{k|d} n_{d/k} / k^3."""
+    return ci_instanton_numbers(4, (5,), dmax)
+
+
+def ci_instanton_numbers(n_amb: int, degrees: Tuple[int, ...],
+                         dmax: int) -> Tuple[Dict[int, Frac], Dict[int, Frac]]:
+    """Returns (n, N) of the Calabi-Yau threefold complete intersection
+    P^n[a_1, ..., a_k] (sum a_i = n + 1, n - k = 3), with
+    F = sum prod_i (a_i d)! / (d!)^(n+1) q^d, G = F sum_i a_i (H(a_i d) - H(d))
+    and the Yukawa coupling kappa / ((1 - mu q) F^2 (q dT/dq)^3),
+    kappa = prod a_i, mu = prod a_i^a_i."""
+    assert sum(degrees) == n_amb + 1 and n_amb - len(degrees) == 3
     nmax = dmax
-    F = [Frac(factorial(5 * d), factorial(d) ** 5) for d in range(nmax + 1)]
-    G = [F[d] * 5 * (harmonic(5 * d) - harmonic(d)) for d in range(nmax + 1)]
+    kappa, mu = 1, 1
+    for a in degrees:
+        kappa, mu = kappa * a, mu * a ** a
+    F = []
+    for d in range(nmax + 1):
+        num = 1
+        for a in degrees:
+            num *= factorial(a * d)
+        F.append(Frac(num, factorial(d) ** (n_amb + 1)))
+    G = [F[d] * sum((a * (harmonic(a * d) - harmonic(d)) for a in degrees), Frac(0))
+         for d in range(nmax + 1)]
     g_over_f = s_mul(G, s_inv(F, nmax), nmax)
     # mirror map: Q = q e^{G/F}; invert to q = q(Q) by fixed-point iteration
     exp_gf = s_exp(g_over_f, nmax)
@@ -109,7 +131,7 @@ def quintic_instanton_numbers(dmax: int) -> Tuple[Dict[int, Frac], Dict[int, Fra
     # B-model Yukawa in q
     disc = [Frac(1)] + [Frac(0)] * nmax
     if nmax >= 1:
-        disc[1] = Frac(-(5 ** 5))
+        disc[1] = Frac(-mu)
     f_sq = s_mul(F, F, nmax)
     # q dT/dq = 1 + q d/dq (G/F)
     dT = [Frac(0)] * (nmax + 1)
@@ -117,10 +139,10 @@ def quintic_instanton_numbers(dmax: int) -> Tuple[Dict[int, Frac], Dict[int, Fra
     for k in range(1, nmax + 1):
         dT[k] = g_over_f[k] * k
     inv_part = s_mul(s_mul(disc, f_sq, nmax), s_mul(dT, s_mul(dT, dT, nmax), nmax), nmax)
-    K_q = [5 * x for x in s_inv(inv_part, nmax)]
+    K_q = [kappa * x for x in s_inv(inv_part, nmax)]
     # change variables to Q
     K_Q = s_compose(K_q, q_of_bigq, nmax)
-    # K(Q) = 5 + sum n_d d^3 Q^d / (1 - Q^d): extract n_d triangularly
+    # K(Q) = kappa + sum n_d d^3 Q^d / (1 - Q^d): extract n_d triangularly
     n: Dict[int, Frac] = {}
     for m in range(1, nmax + 1):
         acc = K_Q[m]

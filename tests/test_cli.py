@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbiqrr.cli import main
-from orbiqrr.orbtarget import dump_target, projective_space, weighted_projective
+from orbiqrr.orbtarget import dump_target, projective_space, target_to_obj, weighted_projective
+
+from helpers import split_bundle
 
 
 # strings that JSON must escape, and text beyond ASCII
@@ -147,6 +149,18 @@ class TestBasicCommands:
             error = json.loads(out)["error"]
             assert error["code"] == "InvariantViolation" and "split lines" in error["message"]
 
+    def test_split_bundle_has_one_line_per_summand(self, capsys, tmp_path):
+        """O3 on P2 given as the lines O3 and O0: the pairings and classes add up,
+        but a rank-1 bundle with two lines would cut out a Y of the wrong dimension."""
+        code, out, _ = run(capsys, "target", "show", "P2", "--bundle", "O3")
+        cfg = json.loads(out)
+        cfg["bundles"][0]["lines"].append({"c1_pairing": ["0"], "c1": {"0": ["0", "0", "0"]}})
+        (tmp_path / "p2.json").write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "target", "validate", str(tmp_path / "p2.json"))
+        error = json.loads(out)["error"]
+        assert code == 1 and error["code"] == "InvariantViolation"
+        assert error["message"].startswith("split lines: O3 has 2 lines, not one per summand")
+
     @pytest.mark.parametrize("field, value", [
         ("curve_rank", "x"), ("curve_rank", -1), ("curve_rank", 1.5), ("dim", "2"),
         ("dim", -1), ("degree", 2.0), ("r", True), ("l", "0"), ("mult", "1")])
@@ -168,6 +182,41 @@ class TestBasicCommands:
             error = json.loads(out)["error"]
             assert code == 1 and error["code"] == "SchemaError"
             assert error["message"].startswith(paths[field] + ": expected a nonnegative integer")
+
+    @pytest.mark.parametrize("keys, value, path", [
+        (("components", 0, "mult", 0), 5, "$.components[0].mult"),
+        (("components", 0, "mult"), 5, "$.components[0].mult"),
+        (("c1_tangent_pairing",), 3, "$.c1_tangent_pairing"),
+        (("components", 0, "basis", 1, "curve_pairing"), "1",
+         "$.components[0].basis[1].curve_pairing"),
+        (("components", 0, "basis"), {"0": {}}, "$.components[0].basis"),
+        (("components", 0, "pairing"), "100", "$.components[0].pairing"),
+        (("components", 0, "pairing", 0), "001", "$.components[0].pairing"),
+        (("components", 0, "untwisted_restriction"), 1, "$.components[0].untwisted_restriction"),
+        (("components", 0, "untwisted_restriction", 0), "100",
+         "$.components[0].untwisted_restriction"),
+        (("bundles",), {}, "$.bundles"),
+        (("bundles", 0, "eigen"), 1, "$.bundles[0].eigen"),
+        (("bundles", 0, "eigen", 0, "ch"), "139", "$.bundles[0].eigen[0].ch"),
+        (("bundles", 0, "lines"), {}, "$.bundles[0].lines"),
+        (("bundles", 0, "lines", 0, "c1_pairing"), "3", "$.bundles[0].lines.c1_pairing"),
+        (("bundles", 0, "lines", 0, "c1", "0"), "030", "$.bundles[0].lines.c1[0]"),
+        (("bundles", 0, "c1_pairing"), "3", "$.bundles[0].c1_pairing")])
+    def test_config_list_fields_are_json_lists(self, capsys, tmp_path, keys, value, path):
+        """A list field given another JSON type is a SchemaError naming its path: an
+        int was a TypeError traceback, and a string was read one character a time."""
+        code, out, _ = run(capsys, "target", "show", "P2", "--bundle", "O3")
+        obj = json.loads(out)
+        holder = obj
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = value
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        for action in ("validate", "show"):
+            code, out, _ = run(capsys, "target", action, str(tmp_path / "bad.json"))
+            error = json.loads(out)["error"]
+            assert code == 1 and error["code"] == "SchemaError"
+            assert error["message"] == f"{path}: expected a list, got {value!r}"
 
     @pytest.mark.parametrize("case", ["c1_tangent_pairing", "curve_pairing", "c1_pairing",
                                       "builtin O5 on rank 2"])
@@ -360,17 +409,37 @@ class TestPipelines:
         (tmp_path / "p4copy.json").write_text(json.dumps(renamed))
         # P4 at curve rank 2 with its O(5, 0): extraction would unpack (d,) from (d, 0)
         (tmp_path / "p4x2.json").write_text(json.dumps(_p4_rank2_obj(tmp_path)))
+        # P5/O6 cuts out a Calabi-Yau fourfold, P5 with O6+O0 a threefold by a
+        # zero line: neither is a CY threefold of positive lines
+        p5 = projective_space(5)
+        (tmp_path / "p5.json").write_text(
+            json.dumps(target_to_obj(p5, [split_bundle(p5, (6, 0))])))
         for target, bundle, error in (
                 ("P2", "O3", "UnsupportedTarget"), ("P4", "O4", "UnsupportedTarget"),
                 ("P3", "O5", "UnsupportedTarget"), ("P4", "trivial", "UnsupportedTarget"),
                 ("P4", "O6", "UnsupportedTarget"), ("WPS:1,1,1,1,1", "O5", "UsageError"),
                 (str(tmp_path / "p4copy.json"), "O5", "UsageError"),
-                (str(tmp_path / "p4x2.json"), "O5", "UnsupportedTarget")):
+                (str(tmp_path / "p4x2.json"), "O5", "UnsupportedTarget"),
+                ("P5", "O6", "UnsupportedTarget"), ("WPS:1,1,2", "O4", "UnsupportedTarget"),
+                (str(tmp_path / "p5.json"), "O6+O0", "UnsupportedTarget")):
             code, out, err = run(capsys, "--cache-dir", cache, "invariants", "--target", target,
                                  "--bundle", bundle, "--max-degree", "2")
             assert (code, json.loads(out or err)["error"]["code"]) == \
                 ({"UnsupportedTarget": 1, "UsageError": 2}[error], error), (target, bundle)
         assert not os.listdir(cache)   # no rejected pair stores an entry
+
+    def test_invariants_of_a_complete_intersection(self, capsys, tmp_path):
+        """A P5 config with the split bundle O3+O3 reaches the CY threefold
+        P5[3,3] through the quintic's path (Libgober-Teitelbaum 1993)."""
+        p5 = projective_space(5)
+        (tmp_path / "p5.json").write_text(
+            json.dumps(target_to_obj(p5, [split_bundle(p5, (3, 3))])))
+        code, out, _ = run(capsys, "invariants", "--target", str(tmp_path / "p5.json"),
+                           "--bundle", "O3+O3", "--max-degree", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["target"], doc["bundle"]) == ("P5", "O3+O3")
+        assert [r["n"] for r in doc["rows"]] == ["1053", "52812", "6424326"]
 
     def test_invariants_on_a_config_copy_label_its_bundle(self, capsys, tmp_path):
         """A config copy of P4 (name P4) with O5 renamed 'quintic' gives the rows

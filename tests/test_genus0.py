@@ -32,9 +32,9 @@ from orbiqrr.genus0 import (
     small_expansion,
 )
 from orbiqrr.genus0.jfunction import JFunction, _factor_coefficients
+from orbiqrr.genus0.lefschetz import lefschetz_chain
 from orbiqrr.givental import GiventalElement
 from orbiqrr.orbtarget import (
-    BundleModel,
     CohClass,
     bmu,
     dump_target,
@@ -45,8 +45,9 @@ from orbiqrr.orbtarget import (
     wps_pullback_line,
 )
 
-from helpers import p1_table
+from helpers import p1_table, split_bundle
 from oracles import (
+    ci_instanton_numbers,
     pn_j_degree_series,
     quintic_instanton_numbers,
     s_mul,
@@ -463,6 +464,25 @@ class TestInvariantExtraction:
         assert table["N"] == {1: 2875, 2: Frac(4875, 2)}
         assert table["n"] == {1: 2875, 2: Frac(4875, 2) - Frac(2875, 8)}
 
+    @pytest.mark.parametrize("n, degrees, pinned", [
+        (5, (3, 3), (1053, 52812, 6424326)),
+        (5, (2, 4), (1280, 92288, 15655168)),
+        (6, (2, 2, 3), (720, 22428, 1611504)),
+        (7, (2, 2, 2, 2), (512, 9728, 416256))])
+    def test_complete_intersections_match_oracle(self, n, degrees, pinned):
+        """The quintic's chain on P^n with a split F = sum O(a_i): N_d = <p>_d / d
+        with <p>_d = int p x_d e(F).  P5[3,3] catches a kappa read off c1(F)
+        (6 for 9), which the quintic cannot (5 = 5)."""
+        oracle_n, oracle_N = ci_instanton_numbers(n, degrees, 4)
+        j = j_closed_form_Pn(n, 4)
+        F = split_bundle(j.target, degrees)
+        _f, _g, tau, j_tw = lefschetz_chain(j.target, F, j)
+        table = extract_invariants(j_tw, tau, F)
+        assert tuple(table["n"][d] for d in (1, 2, 3)) == pinned
+        for d in range(1, 5):
+            assert table["N"][d] == oracle_N[d], d
+            assert table["n"][d] == oracle_n[d], d
+
     def test_quintic_numbers_match_oracle_to_degree_8(self):
         # n_8 has 24 digits: the pipeline's largest rationals
         oracle_n, oracle_N = quintic_instanton_numbers(8)
@@ -510,16 +530,6 @@ def _per_slice_modification(t, F, J, nonequivariant=False):
     return JFunction(t, out)
 
 
-def _split_bundle(t, degrees):
-    """O(m_1) + O(m_2) + ... on P^n, one ``lines`` entry per summand."""
-    ch = t.zero_class()
-    for m in degrees:
-        ch = ch + wps_pullback_line(t, m).eigen_class("0", 0)
-    lines = [((Frac(m),), CohClass(t, {("0", 1): sc(m)})) for m in degrees]
-    return BundleModel("+".join(f"O{m}" for m in degrees), t, {("0", 0): ch},
-                       pulled_back=True, c1_pairing=(Frac(sum(degrees)),), lines=lines)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(
     st.integers(min_value=1, max_value=4).flatmap(
@@ -538,7 +548,7 @@ def test_one_factor_chain_per_degree_matches_per_slice(n_degrees, dmax, nonequiv
     n, degrees = n_degrees
     j = j_closed_form_Pn(n, dmax)
     t = j.target
-    F = wps_pullback_line(t, degrees[0]) if len(degrees) == 1 else _split_bundle(t, degrees)
+    F = wps_pullback_line(t, degrees[0]) if len(degrees) == 1 else split_bundle(t, degrees)
     grouped = hypergeometric_modification(t, F, j, nonequivariant=nonequivariant).series
     per_slice = _per_slice_modification(t, F, j, nonequivariant).series
     assert grouped.data == per_slice.data
