@@ -323,7 +323,7 @@ def _builtin_j(t, args):
 def cmd_mirror_map(args, cache) -> dict:
     t, bundles = resolve_target(args.target)
     F = resolve_bundle(t, bundles, args.bundle)
-    f, _g, tau, _j_tw = lefschetz_chain(t, F, _builtin_j(t, args))
+    f, _g, tau, _j_tw = lefschetz_chain(t, F, _builtin_j(t, args), zmin=0)
     rows = []
     for (_z, d), c in sorted(f.items()):
         rows.append({"series": "F", "d": list(d), "coeff": c.to_obj()})
@@ -342,7 +342,7 @@ def cmd_invariants(args, cache):
                "max_degree": args.max_degree}
 
     def compute():
-        _f, _g, tau, j_tw = lefschetz_chain(t, F, _builtin_j(t, args))
+        _f, _g, tau, j_tw = lefschetz_chain(t, F, _builtin_j(t, args), zmin=-1)
         table = extract_invariants(j_tw, tau, F)
         rows = [{"d": d, "N": str(table["N"][d]), "n": str(table["n"][d])}
                 for d in sorted(table["N"])]

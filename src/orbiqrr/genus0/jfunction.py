@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Dict, List, Tuple
+from math import comb, inf
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import NormalFormViolation, SchemaError
 from ..exactalg import Scalar, deg_from_json, deg_pairing, parse_scalar, poly, zero_deg
@@ -87,9 +87,10 @@ def _factor_coefficients(e: int, s: int, top: int) -> Tuple[Frac, ...]:
 
 
 def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: int, e: int,
-                          equivariant: bool) -> Dict[int, CohClass]:
+                          equivariant: bool, zmin: Optional[int] = None) -> Dict[int, CohClass]:
     """prod_{k=1..s} (lambda + rho + kz)^e times sum_n c_n z^n, with lambda = 0
-    unless ``equivariant``; e is a nonzero integer.
+    unless ``equivariant``; e is a nonzero integer.  With ``zmin`` the result
+    is the full one cut to z^m, m >= zmin, and is read only there.
 
     With x = lambda + rho this is sum_i c_i x^i z^(e s - i)
     (``_factor_coefficients``), and x^i = sum_j C(i, j) lambda^(i-j) rho^j, so
@@ -99,13 +100,17 @@ def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: in
     stop at the first zero, so a slice costs at most dim + 1 class products
     and each coefficient is a rational times one power of lambda.  For e < 0
     the series in x is infinite, so x must be nilpotent too: lambda = 0, and
-    ``equivariant`` must be false.
+    ``equivariant`` must be false.  The cut skips the terms with x^i at
+    m = n + e s - i < zmin, so it needs rho^j c, j <= i, for j <= n + e s - zmin.
     """
     lam_top = e * s if equivariant else 0    # the highest power of lambda that occurs
     powers: Dict[int, List[CohClass]] = {}
     for n, c in slice_terms.items():
+        jmax = min(e * s if e > 0 else inf, inf if zmin is None else n + e * s - zmin)
+        if jmax < 0:                     # every term lands below the cut
+            continue
         row = [c]                        # rho^j c, up to the first zero
-        while e < 0 or len(row) <= e * s:
+        while len(row) <= jmax:
             nxt = row[-1].mul(rho)
             if nxt.is_zero:
                 break
@@ -118,9 +123,9 @@ def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: in
     out: Dict[int, CohClass] = {}
     for n, row in powers.items():
         for (i, j), w in weights.items():
-            if j < len(row):
+            m = n + e * s - i
+            if j < len(row) and (zmin is None or m >= zmin):
                 term = row[j].scale(w)
-                m = n + e * s - i
                 out[m] = out[m] + term if m in out else term
     return out
 

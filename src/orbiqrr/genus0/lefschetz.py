@@ -11,21 +11,24 @@ I-function) take the limit first: they set lambda = 0 in J and in every
 factor, (rho_j + k z), and never build the lambda-polynomials that the
 limit would discard.  This is exact: evaluation at lambda = 0 is a ring map
 on coefficients regular at 0, and an untwisted J carries no lambda, because
-lambda is the weight of the fibre action on F.  The small-space
-expansion reads I = z F + sum_k G^k gamma_k + O(1/z), with F and each G^k a
-Novikov series; the mirror map tau = G/F is a series per slot, and J = I/F
-is re-validated against the normal form; ``lefschetz_chain`` runs these
-steps on the target, bundle and J it is given, for every pipeline.  Invariant
-extraction strips e^{tau p / z}, unwinds the divisor flow e^{d tau} and reads
-the one-point z^{-1} layer, for the pairs ``check_extractable`` alone admits.
-Both exponentials are the one kernel ``orbtarget.graded_exp``, whose weight
-z^n Q^d x -> n + deg x + |d| is >= 1 on every piece here.
+lambda is the weight of the fibre action on F.  With ``zmin`` they build
+only the z-layers they read, z >= zmin: the full result cut by
+``copy_window``, each line's cut lowered by the steps of the lines after it.
+The small-space expansion reads I = z F + sum_k G^k gamma_k + O(1/z), with
+F and each G^k a Novikov series; the mirror map tau = G/F is a series per
+slot, and J = I/F is re-validated against the normal form;
+``lefschetz_chain`` runs these steps on the target, bundle and J it is
+given, for every pipeline.  Invariant extraction strips e^{tau p / z},
+unwinds the divisor flow e^{d tau} and reads the one-point z^{-1} layer, for
+the pairs ``check_extractable`` alone admits.  Both exponentials are the one
+kernel ``orbtarget.graded_exp``, whose weight z^n Q^d x -> n + deg x + |d|
+is >= 1 on every piece here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import (
     AssumptionViolated,
@@ -55,7 +58,8 @@ Slot = Tuple[str, int]
 
 
 def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
-                                nonequivariant: bool = False) -> JFunction:
+                                nonequivariant: bool = False,
+                                zmin: Optional[int] = None) -> JFunction:
     """I_F: multiply J_d by prod_j prod_{k=1..s_j} (lambda + rho_j + kz), s_j = <rho_j, d>.
 
     Each line's product is one call of the factor kernel
@@ -73,7 +77,13 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     J must live on a target equal to t; every class of the result lives on
     t itself, also when J's target is another object (a config-file copy of
     a built-in P^n).
+
+    With ``zmin`` <= 1 the result is the full one cut by ``copy_window(zmin,
+    zmax, dmax)``, read only at z >= zmin.  Line j is cut at zmin - sum_{i>j}
+    s_i: a later line's product raises a term by up to z^(s_i).
     """
+    if zmin is not None and zmin > 1:
+        raise ValueError(f"zmin = {zmin} > 1 would cut the z^1 head of I")
     if J.target != t:
         raise BasisMismatch(f"J-function of {J.target.name} used on target {t.name}")
     if not F.pulled_back or F.lines is None:
@@ -88,23 +98,26 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     by_degree: Dict[Tuple[int, ...], Dict[int, CohClass]] = {}
     for (n, d), cls in series.data.items():
         by_degree.setdefault(d, {})[n] = cls if cls.target is t else CohClass(t, cls.terms)
+    lo = series.zmin if zmin is None else max(series.zmin, zmin)
     all_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
     for d, slice_terms in by_degree.items():
-        for (pairing, _c1), rho in zip(F.lines, spreads):
-            steps = deg_pairing(pairing, d)
-            if steps.denominator != 1:
+        steps = []
+        for pairing, _c1 in F.lines:
+            s = deg_pairing(pairing, d)
+            if s.denominator != 1:
+                raise AssumptionViolated(f"<rho, d> = {s} is not an integer at d = {d}")
+            if s < 0:
                 raise AssumptionViolated(
-                    f"<rho, d> = {steps} is not an integer at d = {d}")
-            steps = int(steps)
-            if steps < 0:
-                raise AssumptionViolated(
-                    f"<rho, d> = {steps} < 0 at d = {d}: outside the convexity assumption")
-            slice_terms = _apply_factor_product(slice_terms, rho, steps, 1, not nonequivariant)
+                    f"<rho, d> = {s} < 0 at d = {d}: outside the convexity assumption")
+            steps.append(int(s))
+        for j, (s, rho) in enumerate(zip(steps, spreads)):
+            cut = None if zmin is None else zmin - sum(steps[j + 1:])
+            slice_terms = _apply_factor_product(slice_terms, rho, s, 1, not nonequivariant, cut)
         for n, c in slice_terms.items():
-            if not c.is_zero:
+            if not c.is_zero and n >= lo:
                 all_terms[(n, d)] = c
     zmax = max([series.zmax] + [n for (n, _d) in all_terms])
-    out = GiventalElement(t, series.zmin, zmax, series.dmax)
+    out = GiventalElement(t, lo, zmax, series.dmax)
     for (nn, dd), c in all_terms.items():
         out.add_to(nn, dd, c)
     return JFunction(t, out)
@@ -180,9 +193,11 @@ def mirror_map(I: JFunction, f, g):
     return tau, out
 
 
-def lefschetz_chain(t: TargetModel, F: BundleModel, J: JFunction):
-    """(f, g, tau, J_twisted) of ``hypergeometric_modification(t, F, J, True)``."""
-    i_lim = hypergeometric_modification(t, F, J, nonequivariant=True)
+def lefschetz_chain(t: TargetModel, F: BundleModel, J: JFunction, zmin: Optional[int] = None):
+    """(f, g, tau, J_twisted) of ``hypergeometric_modification(t, F, J, True, zmin)``;
+    with ``zmin`` <= 0, J_twisted is the full one cut by ``copy_window``, read
+    only at z >= zmin, each line's cut lowered by the later lines' steps."""
+    i_lim = hypergeometric_modification(t, F, J, nonequivariant=True, zmin=zmin)
     f, g = small_expansion(i_lim)
     tau, j_tw = mirror_map(i_lim, f, g)
     return f, g, tau, j_tw

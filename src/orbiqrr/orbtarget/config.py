@@ -60,6 +60,12 @@ def _list(x, path: str) -> list:
     return x
 
 
+def _str(x, path: str) -> str:
+    if not isinstance(x, str):
+        raise SchemaError(f"{path}: expected a string, got {x!r}")
+    return x
+
+
 def _req(obj, key, path: str):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{path}.{key}: missing required field")
@@ -142,7 +148,7 @@ def str_scalar(x) -> str:
 
 
 def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
-    name = _req(obj, "name", "$")
+    name = _str(_req(obj, "name", "$"), "$.name")
     dim = _int(_req(obj, "dim", "$"), "$.dim")
     curve_rank = _int(_req(obj, "curve_rank", "$"), "$.curve_rank")
     comps = []
@@ -159,7 +165,7 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
                 raise SchemaError(f"{bpath}.degree: odd-degree classes are not supported")
             cp = tuple(_frac(x, f"{bpath}.curve_pairing")
                        for x in _list(bobj.get("curve_pairing", []), f"{bpath}.curve_pairing"))
-            basis.append(BasisClass(_req(bobj, "name", bpath), degree, cp))
+            basis.append(BasisClass(_str(_req(bobj, "name", bpath), f"{bpath}.name"), degree, cp))
         pairing = [[_frac(x, f"{path}.pairing") for x in _list(row, f"{path}.pairing")]
                    for row in _list(_req(cobj, "pairing", path), f"{path}.pairing")]
         mult = {}
@@ -211,18 +217,22 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
         lines = None
         if "lines" in fobj:
             lines = []
-            for lobj in _list(fobj["lines"], f"{path}.lines"):
-                pair = tuple(_frac(x, f"{path}.lines.c1_pairing") for x in
-                             _list(_req(lobj, "c1_pairing", path), f"{path}.lines.c1_pairing"))
+            for li, lobj in enumerate(_list(fobj["lines"], f"{path}.lines")):
+                lpath = f"{path}.lines[{li}]"
+                pair = tuple(_frac(x, f"{lpath}.c1_pairing") for x in
+                             _list(_req(lobj, "c1_pairing", lpath), f"{lpath}.c1_pairing"))
+                c1 = _req(lobj, "c1", lpath)
+                if not isinstance(c1, dict):
+                    raise SchemaError(f"{lpath}.c1: expected an object, got {c1!r}")
                 terms = {}
-                for cid, coeffs in _req(lobj, "c1", path).items():
-                    for i, x in enumerate(_list(coeffs, f"{path}.lines.c1[{cid}]")):
-                        v = _frac(x, f"{path}.lines.c1[{cid}]")
+                for cid, coeffs in c1.items():
+                    for i, x in enumerate(_list(coeffs, f"{lpath}.c1[{cid}]")):
+                        v = _frac(x, f"{lpath}.c1[{cid}]")
                         if v:
                             terms[(cid, i)] = sc(v)
                 lines.append((pair, CohClass(target, terms)))
         F = BundleModel(
-            _req(fobj, "name", path), target, eigen,
+            _str(_req(fobj, "name", path), f"{path}.name"), target, eigen,
             pulled_back=bool(fobj.get("pulled_back", False)),
             c1_pairing=tuple(_frac(x, f"{path}.c1_pairing")
                              for x in _list(fobj.get("c1_pairing", []), f"{path}.c1_pairing")),

@@ -199,8 +199,8 @@ class TestBasicCommands:
         (("bundles", 0, "eigen"), 1, "$.bundles[0].eigen"),
         (("bundles", 0, "eigen", 0, "ch"), "139", "$.bundles[0].eigen[0].ch"),
         (("bundles", 0, "lines"), {}, "$.bundles[0].lines"),
-        (("bundles", 0, "lines", 0, "c1_pairing"), "3", "$.bundles[0].lines.c1_pairing"),
-        (("bundles", 0, "lines", 0, "c1", "0"), "030", "$.bundles[0].lines.c1[0]"),
+        (("bundles", 0, "lines", 0, "c1_pairing"), "3", "$.bundles[0].lines[0].c1_pairing"),
+        (("bundles", 0, "lines", 0, "c1", "0"), "030", "$.bundles[0].lines[0].c1[0]"),
         (("bundles", 0, "c1_pairing"), "3", "$.bundles[0].c1_pairing")])
     def test_config_list_fields_are_json_lists(self, capsys, tmp_path, keys, value, path):
         """A list field given another JSON type is a SchemaError naming its path: an
@@ -217,6 +217,36 @@ class TestBasicCommands:
             error = json.loads(out)["error"]
             assert code == 1 and error["code"] == "SchemaError"
             assert error["message"] == f"{path}: expected a list, got {value!r}"
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("bundles", 0, "lines", 0, "c1"), ["0", "3", "0"],
+         "$.bundles[0].lines[0].c1: expected an object, got ['0', '3', '0']"),
+        (("bundles", 0, "lines", 0, "c1"), None,
+         "$.bundles[0].lines[0].c1: missing required field"),
+        (("bundles", 0, "name"), ["O3"], "$.bundles[0].name: expected a string, got ['O3']"),
+        (("name",), {"x": 1}, "$.name: expected a string, got {'x': 1}"),
+        (("components", 0, "basis", 0, "name"), ["one"],
+         "$.components[0].basis[0].name: expected a string, got ['one']")])
+    def test_config_names_and_line_classes_are_typed(self, capsys, tmp_path, keys, value,
+                                                     message):
+        """A name that is not a string, and a line's c1 that is not an object, are
+        SchemaErrors naming the line by its index: a list c1 died with an
+        AttributeError, a list bundle name with a TypeError, and a target or basis
+        name of another JSON type validated.  A None value deletes the field."""
+        code, out, _ = run(capsys, "target", "show", "P2", "--bundle", "O3")
+        obj = json.loads(out)
+        holder = obj
+        for key in keys[:-1]:
+            holder = holder[key]
+        if value is None:
+            del holder[keys[-1]]
+        else:
+            holder[keys[-1]] = value
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        for action in ("validate", "show"):
+            code, out, _ = run(capsys, "target", action, str(tmp_path / "bad.json"))
+            error = json.loads(out)["error"]
+            assert (code, error["code"], error["message"]) == (1, "SchemaError", message)
 
     @pytest.mark.parametrize("case", ["c1_tangent_pairing", "curve_pairing", "c1_pairing",
                                       "builtin O5 on rank 2"])

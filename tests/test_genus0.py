@@ -35,6 +35,7 @@ from orbiqrr.genus0.jfunction import JFunction, _factor_coefficients
 from orbiqrr.genus0.lefschetz import lefschetz_chain
 from orbiqrr.givental import GiventalElement
 from orbiqrr.orbtarget import (
+    BundleModel,
     CohClass,
     bmu,
     dump_target,
@@ -639,3 +640,70 @@ class TestLimitFirst:
         t = j.target
         with pytest.raises(LogObstruction, match=r"d=\(1,\), z\^-3\)"):
             hypergeometric_modification(t, wps_pullback_line(t, 3), j, nonequivariant=True)
+
+
+# single lines O1..O(n+1) on P1..P5, and split bundles with one line per summand
+_CUT_CASES = [(n, (m,)) for n in range(1, 6) for m in range(1, n + 2)] \
+    + [(3, (2, 2)), (5, (3, 3)), (6, (2, 2, 3))]
+
+
+def _bundle(t, degrees):
+    return wps_pullback_line(t, degrees[0]) if len(degrees) == 1 else split_bundle(t, degrees)
+
+
+class TestZCut:
+    """``zmin`` builds only the z-layers a caller reads: the result must be the
+    full one cut by copy_window, also for a split bundle, whose later lines
+    raise a term cut too early back above the cut."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(_CUT_CASES), st.integers(min_value=0, max_value=4), st.booleans())
+    @example((5, (3, 3)), 3, True)
+    @example((6, (2, 2, 3)), 2, False)
+    def test_cut_is_the_full_result_windowed(self, case, dmax, nonequivariant):
+        n, degrees = case
+        j = j_closed_form_Pn(n, dmax)
+        t = j.target
+        F = _bundle(t, degrees)
+        full = hypergeometric_modification(t, F, j, nonequivariant=nonequivariant).series
+        for k in range(full.zmin - 1, 2):
+            cut = hypergeometric_modification(t, F, j, nonequivariant=nonequivariant,
+                                              zmin=k).series
+            want = full.copy_window(max(k, full.zmin), full.zmax, full.dmax)
+            assert cut.data == want.data, k
+            assert (cut.zmin, cut.zmax, cut.dmax) == (want.zmin, want.zmax, want.dmax), k
+
+    def test_a_bundle_without_lines_is_cut_too(self):
+        """A rank-0 bundle has no line whose kernel call would cut J, so the
+        terms of J below the cut must be dropped all the same."""
+        j = j_closed_form_Pn(2, 2)
+        t = j.target
+        F = BundleModel("Z", t, {}, pulled_back=True, c1_pairing=(0,), lines=[])
+        for k in (0, -1):
+            cut = hypergeometric_modification(t, F, j, nonequivariant=True, zmin=k).series
+            assert cut.data == j.series.copy_window(k, j.series.zmax, j.dmax).data
+
+    def test_a_cut_above_the_head_is_rejected(self):
+        j = j_closed_form_Pn(2, 1)
+        with pytest.raises(ValueError, match="z\\^1 head"):
+            hypergeometric_modification(j.target, wps_pullback_line(j.target, 3), j, zmin=2)
+
+    @pytest.mark.parametrize("n, degrees", [(4, (5,)), (5, (3, 3)), (6, (2, 2, 3))])
+    def test_chain_at_the_cut_matches_the_full_chain(self, n, degrees):
+        """f, tau and the invariants read at the cuts the CLI uses (mirror-map 0,
+        invariants -1) equal those of the full chain, and are the oracle's."""
+        j = j_closed_form_Pn(n, 4)
+        t = j.target
+        F = _bundle(t, degrees)
+        f, g, tau, j_tw = lefschetz_chain(t, F, j)
+        table = extract_invariants(j_tw, tau, F)
+        assert table["n"] == ci_instanton_numbers(n, degrees, 4)[0]
+        for zmin in (0, -1):
+            f_c, g_c, tau_c, j_c = lefschetz_chain(t, F, j, zmin=zmin)
+            assert (f_c.data, tau_c.keys()) == (f.data, tau.keys())
+            assert {k: v.data for k, v in g_c.items()} == {k: v.data for k, v in g.items()}
+            assert all(tau_c[slot].data == tau[slot].data for slot in tau)
+            want = j_tw.series.copy_window(zmin, j_tw.series.zmax, j_tw.dmax)
+            assert j_c.series.data == want.data
+            assert j_c.series.zmin == zmin
+        assert extract_invariants(j_c, tau_c, F) == table
