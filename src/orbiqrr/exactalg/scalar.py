@@ -42,10 +42,14 @@ When both operands hold one, ``+ - * neg ==`` run on the Fraction lists
 (align the shifts, add or convolve with the kernel, trim zeros at both
 ends), and so do ``inverse`` of a monomial and ``/`` by one.
 
-A product of a plain rational q with a value off both lanes (ln(lambda),
-zeta or a root index present) scales each numerator Cyc by q; denominators,
-root index and l-length stay.  Everything else takes the general path
-through the kernel.
+Two products with a value off both lanes (ln(lambda), zeta or a root index
+present) skip the kernel too.  A plain rational q scales each numerator Cyc
+by q; denominators, root index and l-length stay.  A Laurent-lane value
+sum_i a_i lambda^(shift + i) times a monomial c u^e, u = lambda^(1/m) with
+c rational and m > 1 (so gcd(e, m) = 1), is sum_i c a_i u^(e + m (shift +
+i)): one numerator, over u^-lo when lo = e + m shift < 0, root index m
+(minimal, as gcd(lo, m) = 1).  That is the exponential lambda^a of a Delta
+head times a block.  Everything else takes the general path.
 
 One singleton for 1: ``sc(1)``, ``from_fraction(1)``, ``from_cyc`` of a
 rational 1 and every lane result equal to 1 are ``SCALAR_ONE``, and a
@@ -302,6 +306,11 @@ class Scalar:
     def is_rational(self) -> bool:
         return self._q is not None
 
+    @property
+    def is_laurent(self) -> bool:
+        """True on the Laurent lane: the value lies in Q[lambda, 1/lambda]."""
+        return self._lau is not None
+
     def as_fraction(self) -> Frac:
         if self._q is None:
             raise ValueError(f"not a plain rational: {self!r}")
@@ -373,6 +382,9 @@ class Scalar:
             return o._scaled(p)
         if q is not None:
             return self._scaled(q)
+        out = _lau_times_monomial(x, o) if x is not None else _lau_times_monomial(y, self)
+        if out is not None:
+            return out
         a, b = Scalar._common(self, o)
         return Scalar(poly.mul(a.ell, b.ell, RF_ZERO), a.lam_den)
 
@@ -599,6 +611,24 @@ def _lau_ell(lau: Laurent) -> Tuple[RatFunc, ...]:
     if shift >= 0:
         return (RatFunc((CYC_ZERO,) * shift + num, _DEN_ONE, _reduced=True),)
     return (RatFunc(num, (CYC_ZERO,) * -shift + _DEN_ONE, _reduced=True),)
+
+
+def _lau_times_monomial(lau: Optional[Laurent], mono: "Scalar") -> Optional["Scalar"]:
+    """lau times mono, off both lanes, when mono is a monomial c u^e with c
+    rational (see the module docstring); None when it is not or lau is None."""
+    ell = mono._ell
+    if lau is None or len(ell) != 1:
+        return None
+    num, den = ell[0].num, ell[0].den     # den is monic and coprime to num
+    if any(den[:-1]) or any(num[:-1]) or num[-1].order != 1:
+        return None
+    (shift, coeffs), c, m = lau, num[-1].coeffs[0], mono.lam_den
+    lo = len(num) - len(den) + m * shift
+    out = [CYC_ZERO] * (m * (len(coeffs) - 1) + 1)
+    out[::m] = [Cyc(1, (c * a,), _reduced=True) for a in coeffs]
+    if lo < 0:
+        return Scalar((RatFunc(out, (CYC_ZERO,) * -lo + _DEN_ONE, _reduced=True),), m, _norm=True)
+    return Scalar((RatFunc([CYC_ZERO] * lo + out, _DEN_ONE, _reduced=True),), m, _norm=True)
 
 
 SCALAR_ZERO = Scalar((), 1, _norm=True)

@@ -271,7 +271,8 @@ def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
 
     The exponential (``graded_exp``) runs on the z-window up to zmax + dim(X),
     so every emitted block <= zmax is exact (see the module docstring);
-    the blocks above zmax are unknown.
+    the blocks above zmax are unknown.  ln(lambda) enters only through s_0:
+    the heads and the z^(-1) block s_0 c1(F), exponentiated apart.
     """
     return _delta_from(t, log_delta_classes(t, F, s_values, zmax + t.dim), zmax)
 

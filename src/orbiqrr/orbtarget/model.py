@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import (
     AssumptionViolated,
     BasisMismatch,
+    ExpObstruction,
     IndexOutOfRange,
     InvariantViolation,
     NonInvertible,
@@ -436,42 +437,31 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
 
     with O(W^2) class products, where the power series sum_j L^j / j! takes
     O(W^3).  A block inside the window has weight at most
-    zmax + 2 dim X_i + dmax, which is where the recurrence stops.  Products
-    outside the window are dropped.  Past dmax that is exact, since Novikov
-    degrees only add up, and callers put zmin below every block a product
-    can reach.  A product dropped above zmax can come back down
-    only through blocks with n < 0, so the caller keeps the blocks that no
-    such chain reaches (z^n <= zmax - dim X when those blocks are z^(-1)
-    times classes of degree >= 2, as in log Delta).
+    zmax + 2 dim X_i + dmax, which is where the recurrence stops.
+    The pieces commute, so exp(A + B) = exp(A) exp(B), with A the pieces
+    valued in Q[lambda, 1/lambda] (``Scalar.is_laurent``) and B the rest
+    (ln(lambda) multiples, mixed values, root indices, zeta).  The
+    recurrence runs on A, again on B only when B has a piece (for the Euler
+    twist, the nilpotent z^(-1) block ln(lambda) c1(F)), and one window
+    product joins the two.  Products outside the window are dropped.  Past
+    dmax that is exact, since Novikov degrees only add up, and callers put
+    zmin below every block a product can reach.  A product dropped above
+    zmax, in a factor or in the join, comes back down only through blocks
+    with n < 0, so the blocks promised exact are those no such chain
+    reaches: z^n <= zmax - dim X when those blocks are z^(-1) times classes
+    of degree >= 2, as in log Delta, the blocks callers keep; the blocks
+    above depend on the split.
     """
     d0 = next((zero_deg(len(d)) for _n, d in blocks), ())
 
     def inside(n: int, d) -> bool:
         return zmin <= n <= zmax and sum(d) <= dmax
 
-    out: Dict[Key, CohClass] = {}
-    for comp in t.components:
-        cid = comp.cid
-        head = SCALAR_ZERO
-        pieces: Dict[int, Dict[Key, Dict[Tuple[str, int], Scalar]]] = {}
-        for (n, d), cls in blocks.items():
-            if not inside(n, d):
-                continue
-            for (c, idx), v in cls.terms.items():
-                if c != cid:
-                    continue
-                if n == 0 and idx == 0 and not any(d):
-                    head = head + v
-                    continue
-                w = n + comp.basis[idx].degree + sum(d)
-                if w <= 0:
-                    raise TruncationTooNarrow(
-                        f"block at z^{n} Q^{list(d)} has a piece of weight {w} on "
-                        f"component {cid}; the graded exponential needs weight >= 1")
-                pieces.setdefault(w, {}).setdefault((n, d), {})[(cid, idx)] = v.scaled(w)
+    def exp_of(comp, pieces) -> Dict[Key, CohClass]:
+        """sum_w E_w on component comp, for the pieces w -> (n, d) -> w L_w."""
         scaled = {w: {k: CohClass._valid(t, terms) for k, terms in by_key.items()}
                   for w, by_key in pieces.items()}
-        unit = t.unit(cid)
+        unit = t.unit(comp.cid)
         E: List[Dict[Key, CohClass]] = [{(0, d0): unit}]
         acc = {(0, d0): unit}
         for w in range(1, zmax + 2 * comp.dim + dmax + 1):
@@ -488,7 +478,36 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
             E.append(Ew)
             for k, c in Ew.items():
                 acc[k] = acc[k] + c if k in acc else c
-        scalar_factor = head.exp()
+        return acc
+
+    out: Dict[Key, CohClass] = {}
+    for comp in t.components:
+        cid = comp.cid
+        head = SCALAR_ZERO
+        lane, rest = {}, {}      # w -> (n, d) -> terms of w L_w, for A and for B
+        for (n, d), cls in blocks.items():
+            if not inside(n, d):
+                continue
+            for (c, idx), v in cls.terms.items():
+                if c != cid:
+                    continue
+                if n == 0 and idx == 0 and not any(d):
+                    head = head + v
+                    continue
+                w = n + comp.basis[idx].degree + sum(d)
+                if w <= 0:
+                    raise TruncationTooNarrow(
+                        f"block at z^{n} Q^{list(d)} has a piece of weight {w} on "
+                        f"component {cid}; the graded exponential needs weight >= 1")
+                pieces = lane if v.is_laurent else rest
+                pieces.setdefault(w, {}).setdefault((n, d), {})[(cid, idx)] = v.scaled(w)
+        acc = exp_of(comp, lane)
+        if rest:
+            acc = window_product(acc, exp_of(comp, rest), lambda a, b: a.mul(b), inside)
+        try:
+            scalar_factor = head.exp()
+        except ExpObstruction as e:
+            raise ExpObstruction(f"component {cid}: head {head.to_obj()}: {e}") from e
         for k, c in acc.items():
             c = c.scale(scalar_factor)
             if not c.is_zero:

@@ -538,6 +538,34 @@ class TestPipelines:
         blk = doc["operator"]["blocks"]["1"]["0/1"]
         assert blk == {"num": ["1/12"], "den": ["0", "1"]}
 
+    @pytest.mark.parametrize("argv, digest", [
+        # lam_den 18: the heads lambda^(a/3) times the s_0 = L/3 parts
+        ("delta --target Bmu3 --bundle char:1 --s=1/3L,0,L --zmax 4",
+         "08a504db70937950e4ea811acff6477cd91621e579d012777c7b5f828c93a19e"),
+        ("delta --target WPS:1,1,2 --bundle O1 --s=0,L,-1/2,2L --zmax 4",
+         "00db7c827a440046a4ba399d81b7b2a9cd1d5e348b9ba064a57329d11dd98078"),
+        ("delta --target P2 --bundle O3 --euler --zmax 4",
+         "762fd0742683281dd4aaf6383dc50cae70f80a03e38259cea2217ff7a54b28e9"),
+        ("delta --target Bmu8 --bundle char:3 --euler --zmax 7",
+         "a999fdb0500a1cbe27ef2d6e2a2b5196a83c5e6a463ec713a2b78f4d91db0e39"),
+    ])
+    def test_delta_stdout_bytes(self, capsys, tmp_path, argv, digest):
+        """The sha256 of stdout from a fresh cache, for Delta requests that the
+        recorded references do not cover: ln(lambda) off the z^0 head, root
+        indices, a pulled-back bundle on P2."""
+        code = main(["--cache-dir", str(tmp_path / "cache")] + argv.split())
+        assert code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_delta_exp_obstruction_names_the_component(self, capsys):
+        """A rational s_0 leaves a head with no exponential in the scalar ring."""
+        code, out, _ = run(capsys, "delta", "--target", "Bmu3", "--bundle", "char:1",
+                           "--s=1", "--zmax", "2")
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "ExpObstruction",
+            "message": "component 1: head -1/6: exp of a nonzero constant is transcendental"}
+
     def test_ifunction_p1_o3_positivity(self, capsys):
         code, out, _ = run(capsys, "ifunction", "--target", "P1", "--bundle", "O3",
                            "--max-degree", "1", "--nonequivariant")

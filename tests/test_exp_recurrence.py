@@ -4,7 +4,13 @@ sum_j L^j / j! and the other exponentials that it replaced, on random blocks.
 Both sides truncate their products to the window, so they agree on the
 blocks that no dropped term above zmax can reach: for log blocks whose
 z^(-1) pieces carry degree >= 2, z^n with n <= zmax - dim X, the blocks
-every caller keeps."""
+every caller keeps.
+
+The random pieces are of every kind ``graded_exp`` splits apart: Laurent
+values in Q[lambda, 1/lambda], and ln(lambda) multiples, mixed
+q + q' ln(lambda) and zeta values.  Values with zeta are compared with
+``==``, since a cyclotomic number has no canonical form yet; all others
+byte for byte, through ``to_obj``."""
 
 import random
 from fractions import Fraction
@@ -13,8 +19,16 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbiqrr.errors import TruncationTooNarrow
-from orbiqrr.exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, TruncSeries, deg_add, sc
+from orbiqrr.errors import ExpObstruction, TruncationTooNarrow
+from orbiqrr.exactalg import (
+    SCALAR_ONE,
+    SCALAR_ZERO,
+    Scalar,
+    TruncSeries,
+    deg_add,
+    root_of_unity,
+    sc,
+)
 from orbiqrr.genus0 import (
     extract_invariants,
     hypergeometric_modification,
@@ -92,15 +106,44 @@ def power_series_exp(t, blocks, zmin, zmax, dmax=0):
     return out
 
 
-def random_coeff(rng):
-    """A rational, sometimes times a power of 1/lambda (as in the Euler s-values)."""
+def random_coeff(rng, zeta=False):
+    """A rational, sometimes times a power of 1/lambda (as in the Euler s-values);
+    or off the Laurent lane: q ln(lambda), q + q' ln(lambda), and with zeta a
+    value q + q' zeta_n^k."""
     x = sc(rand_frac(rng))
-    return x * Scalar.lam(-rng.randint(1, 3)) if rng.random() < 0.3 else x
+    x = x * Scalar.lam(-rng.randint(1, 3)) if rng.random() < 0.3 else x
+    kind = rng.random()
+    if kind < 0.15:
+        return x * Scalar.log_lambda()
+    if kind < 0.3:
+        return x + Scalar.log_lambda() * sc(rand_frac(rng))
+    if zeta and kind < 0.45:
+        n = rng.randint(3, 7)
+        return x + root_of_unity(n, rng.randint(1, n - 1)) * sc(rand_frac(rng))
+    return x
+
+
+def has_zeta(classes):
+    return any(c.order != 1 for cls in classes.values() for v in cls.terms.values()
+               for rf in v.ell for c in rf.num + rf.den)
+
+
+def assert_blocks_agree(got, want, top, window):
+    """got's blocks all lie in window(n, d); on z^n, n <= top, they equal want's:
+    by ``==`` when a value carries zeta, else byte for byte."""
+    assert all(window(n, d) for n, d in got)
+    if has_zeta(got) or has_zeta(want):
+        g = {k: c for k, c in got.items() if k[0] <= top}
+        assert g.keys() == {k for k in want if k[0] <= top}
+        assert all(c == want[k] for k, c in g.items())
+    else:
+        assert as_obj(got, top) == as_obj(want, top)
 
 
 def random_log_blocks(t, rng, zmax):
     """Random log blocks on z^-1..zmax: nilpotent z^-1 blocks (degree >= 2),
     mixed-degree blocks elsewhere, and (z^0, degree-0) heads q ln(lambda)."""
+    zeta = rng.random() < 0.3
     blocks = {}
     for n in range(-1, zmax + 1):
         terms = {}
@@ -111,7 +154,7 @@ def random_log_blocks(t, rng, zmax):
             if n == 0 and idx == 0:
                 terms[(cid, idx)] = Scalar.log_lambda() * sc(rand_frac(rng))
             else:
-                terms[(cid, idx)] = random_coeff(rng)
+                terms[(cid, idx)] = random_coeff(rng, zeta)
         blocks[(n, ())] = CohClass(t, terms)
     return {k: c for k, c in blocks.items() if not c.is_zero}
 
@@ -120,6 +163,7 @@ def random_novikov_blocks(t, rng, zmax, dmax, rank):
     """Random blocks z^n Q^d x on n = -1..zmax, |d| <= dmax, of weight >= 1
     apart from the head; the z^-1 pieces carry degree >= 2 or |d| >= 2, so a
     product meets at most dim X + dmax of them."""
+    zeta = rng.random() < 0.3
     blocks = {}
     for n in range(-1, zmax + 1):
         for d in _degrees(rank, dmax):
@@ -133,7 +177,7 @@ def random_novikov_blocks(t, rng, zmax, dmax, rank):
                 if n == 0 and idx == 0 and not any(d):
                     terms[(cid, idx)] = Scalar.log_lambda() * sc(rand_frac(rng))
                 else:
-                    terms[(cid, idx)] = random_coeff(rng)
+                    terms[(cid, idx)] = random_coeff(rng, zeta)
             if terms:
                 blocks[(n, d)] = CohClass(t, terms)
     return blocks
@@ -159,7 +203,7 @@ def test_recurrence_equals_the_power_series(t, seed):
     logs = random_log_blocks(t, rng, zmax)
     want = power_series_exp(t, logs, zmin, zmax)
     got = graded_exp(t, logs, zmin, zmax, 0)
-    assert as_obj(got, zmax - t.dim) == as_obj(want, zmax - t.dim)
+    assert_blocks_agree(got, want, zmax - t.dim, lambda n, d: zmin <= n <= zmax)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,7 +219,8 @@ def test_recurrence_equals_the_power_series_with_novikov_degrees(t, seed):
     blocks = random_novikov_blocks(t, rng, zmax, dmax, rank)
     want = power_series_exp(t, blocks, zmin, zmax, dmax)
     got = graded_exp(t, blocks, zmin, zmax, dmax)
-    assert as_obj(got, zmax - reach) == as_obj(want, zmax - reach)
+    assert_blocks_agree(got, want, zmax - reach,
+                        lambda n, d: zmin <= n <= zmax and sum(d) <= dmax)
 
 
 def old_class_exp(cls):
@@ -209,7 +254,7 @@ def test_class_exp_equals_the_power_series(t, seed):
         if idx == 0:
             terms[(cid, idx)] = Scalar.log_lambda() * sc(rand_frac(rng))
         else:
-            terms[(cid, idx)] = random_coeff(rng)
+            terms[(cid, idx)] = random_coeff(rng, zeta=True)
     cls = CohClass(t, terms)
     assert cls.exp() == old_class_exp(cls)
 
@@ -221,15 +266,56 @@ def test_class_exp_equals_the_power_series(t, seed):
     (bmu(5), bmu_character, 2, 8),
 ])
 def test_euler_delta_equals_the_power_series(t, bundle, arg, zmax):
-    """delta_operator on the Euler s-values keeps exactly the power series'
-    blocks <= zmax, built from the same log window zmax + dim X."""
     F = bundle(t, arg)
-    s = euler_s_values(zmax + 2 * t.dim + 2)
+    assert_delta_equals_the_power_series(t, F, euler_s_values(zmax + 2 * t.dim + 2), zmax)
+
+
+def assert_delta_equals_the_power_series(t, F, s, zmax):
+    """delta_operator keeps exactly the power series' blocks <= zmax, built
+    from the same log window zmax + dim X."""
     zmin = -max(c.dim for c in t.components) - 1
     logs = {(n, ()): c for n, c in log_delta_classes(t, F, s, zmax + t.dim).items()}
     want = power_series_exp(t, logs, zmin, zmax + t.dim)
     got = {(n, ()): c for n, c in delta_operator(t, F, s, zmax).mult_classes.items()}
     assert as_obj(got, zmax) == as_obj(want, zmax)
+
+
+DELTA_CASES = [
+    (weighted_projective([1, 1, 2]), wps_pullback_line, 1),
+    (weighted_projective([1, 2, 3]), wps_pullback_line, 2),
+    (projective_space(2), wps_pullback_line, 3),
+    (bmu(3), bmu_character, 1),
+    (bmu(5), bmu_character, 2),
+]
+
+
+def random_s_values(rng, kmax):
+    """s_0 a rational multiple of ln(lambda), as the head's exponential needs;
+    every other slot zero, q, q lambda^-k, q ln(lambda) or q + q' ln(lambda)."""
+    L = Scalar.log_lambda()
+    out = [L * sc(rand_frac(rng))]
+    for k in range(1, kmax + 1):
+        q, q2 = sc(rand_frac(rng)), sc(rand_frac(rng))
+        out.append(rng.choice([SCALAR_ZERO, q, q * Scalar.lam(-k), q * L, q + q2 * L]))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DELTA_CASES), seeds)
+def test_delta_with_ln_lambda_in_any_slot_equals_the_power_series(case, seed):
+    t, bundle, arg = case
+    rng = random.Random(seed)
+    zmax = rng.randint(0, 3)
+    s = random_s_values(rng, rng.randint(1, zmax + 2 * t.dim + 2))
+    assert_delta_equals_the_power_series(t, bundle(t, arg), s, zmax)
+
+
+def test_a_head_without_an_exponential_names_its_component():
+    """A rational s_0 gives the twisted sectors of B(mu_3) a rational head, which
+    has no exponential in the scalar ring; the error names the first one."""
+    t = bmu(3)
+    with pytest.raises(ExpObstruction, match=r"^component 1: head -1/6: .*transcendental"):
+        delta_operator(t, bmu_character(t, 1), [sc(1)], 2)
 
 
 def test_a_piece_of_weight_below_one_is_refused():

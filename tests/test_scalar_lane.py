@@ -4,15 +4,16 @@ The reference functions below are the general path written out: lift both
 operands to a common root index and combine their l-coefficient tuples
 with the polynomial kernel, building every result with the Scalar
 constructor.  The rational lane, the Laurent lane (values in
-Q[lambda, 1/lambda]), a product with a plain rational, and the skip of a
-product with SCALAR_ONE must give the same canonical form: the same nested
+Q[lambda, 1/lambda]), a product with a plain rational, a Laurent value
+times a monomial c lambda^(p/q), and the skip of a product with SCALAR_ONE
+must give the same canonical form: the same nested
 Cyc orders and coefficients, the same root index, hash and serialisation.
 The monomial-denominator sum of RatFunc is checked against the
 cross-multiplied sum through the RatFunc constructor.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -322,10 +323,12 @@ def test_laurent_and_scaled_products_skip_cyc_arithmetic(monkeypatch):
     z = root_of_unity(5, 2) * Scalar.lam(-1) + Scalar.log_lambda()
     want = [ref_add(x, y), ref_sub(x, y), ref_mul(x, y), ref_div(x, Scalar.lam(-3)),
             ref_mul(x, sc(3)), ref_mul(z, sc(Fraction(2, 3))), ref_mul(sc(-2), z)]
+    m = Scalar.lam(Fraction(-7, 3)) * sc(Fraction(2, 5))
+    want += [ref_mul(x, m), ref_mul(m, y)]
     monkeypatch.setattr(Cyc, "__add__", boom)
     monkeypatch.setattr(Cyc, "__mul__", boom)
     got = [x + y, x - y, x * y, x / Scalar.lam(-3), x * sc(3), z * sc(Fraction(2, 3)),
-           sc(-2) * z]
+           sc(-2) * z, x * m, m * y]
     for g, w in zip(got, want):
         assert_same(g, w)
 
@@ -376,6 +379,27 @@ def test_scaled_matches_the_product_with_the_rational(x, q):
     got = x.scaled(q)
     assert_same(got, ref_mul(x, sc(q)))
     assert_same(got, x * sc(q))
+
+
+# -- Laurent values times a monomial c lambda^(p/q) ---------------------------
+
+
+@st.composite
+def monomials(draw):
+    """c lambda^(p/q) with q = 2..12, gcd(p, q) = 1, p of both signs; c = 1 is
+    the exp(a ln(lambda)) of a Delta component."""
+    q = draw(st.integers(2, 12))
+    p = draw(st.integers(-4 * q, 4 * q).filter(lambda p: gcd(p, q) == 1))
+    return Scalar.lam(Fraction(p, q)) * sc(draw(st.one_of(st.just(Fraction(1)), nonzero)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurents(), monomials())
+def test_laurent_times_a_monomial_matches_the_general_path(x, m):
+    want = ref_mul(x, m)
+    for got in (x * m, m * x):
+        assert_same(got, want)
+        assert got.lam_den == want.lam_den and got == want
 
 
 # -- RatFunc sums over two monomial denominators -----------------------------
