@@ -64,6 +64,7 @@ from .orbtarget import (
     weighted_projective,
     wps_pullback_line,
 )
+from .orbtarget.config import _frac, _int, _req, decode_json
 from .serre import check_serre_cone
 
 Frac = Fraction
@@ -123,9 +124,8 @@ def resolve_bundle(t, bundles, spec: str):
     if spec in bundles:
         return bundles[spec]
     low = spec.lower()
-    if low.startswith("trivial"):
-        rank = _number(int, spec.split(":", 1)[1], spec) if ":" in spec else 1
-        return trivial_bundle(t, rank)
+    if low == "trivial" or low.startswith("trivial:"):
+        return trivial_bundle(t, _number(int, spec[8:], spec) if ":" in spec else 1)
     if low.startswith("char:"):
         return bmu_character(t, _number(int, spec[5:], spec))
     if low.startswith("o"):
@@ -417,11 +417,9 @@ def cmd_check_string(args, cache) -> dict:
 
 
 def _table_from_obj(t, text: str) -> CorrelatorTable:
-    """A table of t from {"rows": [{"d", "insertions": [[cid, idx, k], ...], "value"}]}."""
-    try:
-        doc = json.loads(text)
-    except ValueError as e:
-        raise SchemaError(f"$: invalid JSON ({e})") from None
+    """A table of t from {"rows": [{"d", "insertions": [[cid, idx, k], ...], "value"}]},
+    idx and k JSON integers and each value a "p/q" string or a JSON integer."""
+    doc = decode_json(text)
     rows = doc.get("rows") if isinstance(doc, dict) else None
     if not isinstance(rows, list):
         raise SchemaError("$.rows: expected a list")
@@ -434,21 +432,14 @@ def _table_from_obj(t, text: str) -> CorrelatorTable:
              else zero_deg(t.curve_rank))
         insertions = []
         for j, ins in enumerate(row["insertions"]):
-            try:
-                cid, idx, k = ins if isinstance(ins, list) else None
-                slot, k = (str(cid), int(idx)), int(k)
-            except (TypeError, ValueError, ArithmeticError) as e:
-                raise SchemaError(f"{path}.insertions[{j}]: expected [component, basis "
-                                  f"index, psibar power] ({e})") from None
-            if slot not in t.flat_index or k < 0:
-                raise SchemaError(f"{path}.insertions[{j}]: no slot {slot} with psibar "
-                                  f"power {k} in {t.name}")
-            insertions.append((slot, k))
-        try:
-            value = Frac(row["value"])
-        except (KeyError, TypeError, ValueError, ArithmeticError) as e:
-            raise SchemaError(f"{path}.value: expected a rational ({e})") from None
-        table.set(d, insertions, sc(value))
+            ipath = f"{path}.insertions[{j}]"
+            if not (isinstance(ins, list) and len(ins) == 3):
+                raise SchemaError(f"{ipath}: expected [component, basis index, psibar power]")
+            slot = (str(ins[0]), _int(ins[1], ipath))
+            if slot not in t.flat_index:
+                raise SchemaError(f"{ipath}: no slot {slot} in {t.name}")
+            insertions.append((slot, _int(ins[2], ipath)))
+        table.set(d, insertions, sc(_frac(_req(row, "value", path), f"{path}.value")))
     return table
 
 

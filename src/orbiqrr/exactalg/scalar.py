@@ -285,10 +285,6 @@ class Scalar:
         """The formal symbol l = ln(lambda)."""
         return Scalar((RF_ZERO, RF_ONE), 1, _norm=True)
 
-    @staticmethod
-    def zeta(n: int, k: int = 1) -> "Scalar":
-        return Scalar.from_cyc(Cyc.root_of_unity(n, k))
-
     # -- structure
 
     @property
@@ -644,7 +640,7 @@ def sc(x) -> Scalar:
 
 def root_of_unity(n: int, k: int) -> Scalar:
     """zeta_n^k in canonical cyclotomic form."""
-    return Scalar.zeta(n, k)
+    return Scalar.from_cyc(Cyc.root_of_unity(n, k))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -674,7 +670,7 @@ def parse_scalar(obj) -> Scalar:
     """Parse 'p/q', 'n0,n1,...|d0,d1,...' (lambda polys, lowest first), or the to_obj() form."""
     if isinstance(obj, Scalar):
         return obj
-    if isinstance(obj, int):
+    if type(obj) is int:                # not a bool
         return Scalar.from_fraction(obj)
     if isinstance(obj, str):
         return Scalar((_parse_rf(obj),), 1)

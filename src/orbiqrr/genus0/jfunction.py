@@ -10,16 +10,16 @@ z^1 at Q^0.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import NormalFormViolation, SchemaError
 from ..exactalg import Scalar, deg_from_json, deg_pairing, parse_scalar, poly, zero_deg
 from ..givental import GiventalElement
 from ..orbtarget import CohClass, TargetModel
+from ..orbtarget.config import decode_json
 
 Frac = Fraction
 
@@ -87,10 +87,11 @@ def _factor_coefficients(e: int, s: int, top: int) -> Tuple[Frac, ...]:
 
 
 def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: int, e: int,
-                          equivariant: bool, zmin: Optional[int] = None) -> Dict[int, CohClass]:
+                          equivariant: bool, zmin: float = -inf) -> Dict[int, CohClass]:
     """prod_{k=1..s} (lambda + rho + kz)^e times sum_n c_n z^n, with lambda = 0
-    unless ``equivariant``; e is a nonzero integer.  With ``zmin`` the result
-    is the full one cut to z^m, m >= zmin, and is read only there.
+    unless ``equivariant``; e is a nonzero integer.  The result is the full
+    one cut to z^m, m >= zmin, and is read only there; the default -inf cuts
+    nothing.
 
     With x = lambda + rho this is sum_i c_i x^i z^(e s - i)
     (``_factor_coefficients``), and x^i = sum_j C(i, j) lambda^(i-j) rho^j, so
@@ -106,7 +107,7 @@ def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: in
     lam_top = e * s if equivariant else 0    # the highest power of lambda that occurs
     powers: Dict[int, List[CohClass]] = {}
     for n, c in slice_terms.items():
-        jmax = min(e * s if e > 0 else inf, inf if zmin is None else n + e * s - zmin)
+        jmax = min(e * s if e > 0 else inf, n + e * s - zmin)
         if jmax < 0:                     # every term lands below the cut
             continue
         row = [c]                        # rho^j c, up to the first zero
@@ -124,7 +125,7 @@ def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: in
     for n, row in powers.items():
         for (i, j), w in weights.items():
             m = n + e * s - i
-            if j < len(row) and (zmin is None or m >= zmin):
+            if j < len(row) and m >= zmin:
                 term = row[j].scale(w)
                 out[m] = out[m] + term if m in out else term
     return out
@@ -134,7 +135,8 @@ def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: in
 
 
 def load_j_function(t: TargetModel, data) -> JFunction:
-    """Rows {d, zpow, component, basis, coeff}; rationals or lambda rational strings.
+    """Rows {d, zpow, component, basis, coeff}; a coeff is a "p/q" string, a
+    lambda rational string or a JSON integer (a float or a bool is refused).
 
     d is a list of curve_rank nonnegative integers and zpow an integer; a
     malformed row is a SchemaError naming $.rows[i] and the field.  The
@@ -143,10 +145,7 @@ def load_j_function(t: TargetModel, data) -> JFunction:
     in positive degrees.
     """
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"$: invalid JSON ({e})")
+        data = decode_json(data)
     rows = data.get("rows") if isinstance(data, dict) else data
     if not isinstance(rows, list):
         raise SchemaError("$.rows: expected a list")

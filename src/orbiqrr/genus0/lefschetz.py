@@ -11,24 +11,26 @@ I-function) take the limit first: they set lambda = 0 in J and in every
 factor, (rho_j + k z), and never build the lambda-polynomials that the
 limit would discard.  This is exact: evaluation at lambda = 0 is a ring map
 on coefficients regular at 0, and an untwisted J carries no lambda, because
-lambda is the weight of the fibre action on F.  With ``zmin`` they build
-only the z-layers they read, z >= zmin: the full result cut by
-``copy_window``, each line's cut lowered by the steps of the lines after it.
-The small-space expansion reads I = z F + sum_k G^k gamma_k + O(1/z), with
-F and each G^k a Novikov series; the mirror map tau = G/F is a series per
-slot, and J = I/F is re-validated against the normal form;
-``lefschetz_chain`` runs these steps on the target, bundle and J it is
-given, for every pipeline.  Invariant extraction strips e^{tau p / z},
-unwinds the divisor flow e^{d tau} and reads the one-point z^{-1} layer, for
-the pairs ``check_extractable`` alone admits.  Both exponentials are the one
+lambda is the weight of the fibre action on F.  They build only the
+z-layers they read, z >= zmin: the full result cut by ``copy_window``, each
+line's cut lowered by the steps of the lines after it (the default zmin =
+-inf cuts nothing).  The small-space expansion reads I = z F + sum_k G^k
+gamma_k + O(1/z), with F and each G^k a Novikov series.  The mirror map
+divides by F once: J = I/F, re-validated against the normal form, and
+tau = G/F is read off J's z^0 layer; ``lefschetz_chain`` runs these steps
+on the target, bundle and J it is given, for every pipeline.  Invariant
+extraction strips e^{tau p / z}, unwinds the divisor flow e^{d tau} and
+reads the one-point z^{-1} layer, for the pairs ``check_extractable`` alone
+admits.  Both exponentials are the one
 kernel ``orbtarget.graded_exp``, whose weight z^n Q^d x -> n + deg x + |d|
 is >= 1 on every piece here.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..errors import (
     AssumptionViolated,
@@ -59,7 +61,7 @@ Slot = Tuple[str, int]
 
 def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
                                 nonequivariant: bool = False,
-                                zmin: Optional[int] = None) -> JFunction:
+                                zmin: float = -math.inf) -> JFunction:
     """I_F: multiply J_d by prod_j prod_{k=1..s_j} (lambda + rho_j + kz), s_j = <rho_j, d>.
 
     Each line's product is one call of the factor kernel
@@ -78,11 +80,12 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     t itself, also when J's target is another object (a config-file copy of
     a built-in P^n).
 
-    With ``zmin`` <= 1 the result is the full one cut by ``copy_window(zmin,
-    zmax, dmax)``, read only at z >= zmin.  Line j is cut at zmin - sum_{i>j}
-    s_i: a later line's product raises a term by up to z^(s_i).
+    The result is the full one cut by ``copy_window(zmin, zmax, dmax)``, read
+    only at z >= zmin; zmin must be <= 1, and the default -inf cuts nothing.
+    Line j is cut at zmin - sum_{i>j} s_i: a later line's product raises a
+    term by up to z^(s_i).
     """
-    if zmin is not None and zmin > 1:
+    if zmin > 1:
         raise ValueError(f"zmin = {zmin} > 1 would cut the z^1 head of I")
     if J.target != t:
         raise BasisMismatch(f"J-function of {J.target.name} used on target {t.name}")
@@ -98,7 +101,7 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
     by_degree: Dict[Tuple[int, ...], Dict[int, CohClass]] = {}
     for (n, d), cls in series.data.items():
         by_degree.setdefault(d, {})[n] = cls if cls.target is t else CohClass(t, cls.terms)
-    lo = series.zmin if zmin is None else max(series.zmin, zmin)
+    lo = max(series.zmin, zmin)
     all_terms: Dict[Tuple[int, Tuple[int, ...]], CohClass] = {}
     for d, slice_terms in by_degree.items():
         steps = []
@@ -111,8 +114,8 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
                     f"<rho, d> = {s} < 0 at d = {d}: outside the convexity assumption")
             steps.append(int(s))
         for j, (s, rho) in enumerate(zip(steps, spreads)):
-            cut = None if zmin is None else zmin - sum(steps[j + 1:])
-            slice_terms = _apply_factor_product(slice_terms, rho, s, 1, not nonequivariant, cut)
+            slice_terms = _apply_factor_product(slice_terms, rho, s, 1, not nonequivariant,
+                                                zmin - sum(steps[j + 1:]))
         for n, c in slice_terms.items():
             if not c.is_zero and n >= lo:
                 all_terms[(n, d)] = c
@@ -161,42 +164,35 @@ def small_expansion(I: JFunction):
 
 
 def mirror_map(I: JFunction, f, g):
-    """Cor-comp style change of variables: tau^k = G^k/F and J = I/F.
+    """Cor-comp style change of variables: J = I/F and tau^k = G^k/F.
 
-    ``(f, g)`` is ``small_expansion(I)``.  Returns (tau, J_twisted) with tau
-    a dict slot -> Novikov series, each without its Q^0 term (that is the
-    parameter point, which must be rational).  The result is re-validated
-    against the J normal form.
+    ``(f, g)`` is ``small_expansion(I)``.  I is divided by F once: F has no
+    z-content, so G^k/F is the gamma_k coefficient of the z^0 layer of J.
+    Returns (tau, J_twisted) with tau a dict slot of g -> Novikov series,
+    each without its Q^0 term (that is the parameter point, which must be
+    rational).  J_twisted is re-validated against the J normal form.
     """
-    inv_f = series_invert(f)
-    tau = {}
-    for slot, series in g.items():
-        ratio = series * inv_f
-        head = ratio.get(0, zero_deg(series.rank))
-        # the constant part belongs to the parameter point, not the Q-series
-        if not head.is_zero:
-            if not head.is_rational():
-                raise PositivityViolated("mirror map head must be rational")
-            ratio = ratio - TruncSeries.from_scalar(head, series.rank, 0, 0, series.dmax)
-        tau[slot] = ratio
-    series = novikov_scale(I.series, inv_f)
-    out = JFunction(I.target, series)
-    # normal form after division: z-head exactly 1 at d=0 and nothing above
-    d0 = zero_deg(inv_f.rank)
+    out = JFunction(I.target, novikov_scale(I.series, series_invert(f)))
+    d0 = zero_deg(f.rank)
+    tau = {slot: TruncSeries(f.rank, 0, 0, out.dmax) for slot in g}
     for (n, d), cls in out.series.data.items():
+        # normal form after division: z-head exactly 1 at d=0 and nothing above
         if n == 1 and d != d0 and not cls.is_zero:
             raise PositivityViolated("z^1 layer of J is not exactly z after division")
-    for slot, ratio in tau.items():
-        for (_z, d), c in ratio.items():
-            if out.series.get(0, d).coeff(*slot) != c:
-                raise PositivityViolated("z^0 layer of J does not match tau")
+        # the constant part belongs to the parameter point, not the Q-series
+        if n == 0 and d == d0 and not all(c.is_rational() for c in cls.terms.values()):
+            raise PositivityViolated("mirror map head must be rational")
+        if n == 0 and d != d0:
+            for slot, c in cls.terms.items():
+                tau[slot].set(0, d, c)
     return tau, out
 
 
-def lefschetz_chain(t: TargetModel, F: BundleModel, J: JFunction, zmin: Optional[int] = None):
+def lefschetz_chain(t: TargetModel, F: BundleModel, J: JFunction, zmin: float = -math.inf):
     """(f, g, tau, J_twisted) of ``hypergeometric_modification(t, F, J, True, zmin)``;
-    with ``zmin`` <= 0, J_twisted is the full one cut by ``copy_window``, read
-    only at z >= zmin, each line's cut lowered by the later lines' steps."""
+    J_twisted is the full one cut by ``copy_window``, read only at z >= zmin
+    (zmin <= 0; the default -inf cuts nothing), each line's cut lowered by
+    the later lines' steps."""
     i_lim = hypergeometric_modification(t, F, J, nonequivariant=True, zmin=zmin)
     f, g = small_expansion(i_lim)
     tau, j_tw = mirror_map(i_lim, f, g)

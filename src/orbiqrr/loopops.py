@@ -18,6 +18,11 @@ top.  A dropped term can come back down only through z^(-1) blocks, each
 of which raises the degree by at least 2, so at most dim X times: with the
 log window taken up to zmax + dim X, the blocks <= zmax are exact and the
 ones above are not, which is why ``delta_operator`` keeps only those.
+Delta's window starts at depth dim X + 1, z^(-dim X - 1), below every
+block: on X_i a z^(-k) term has at least k factors from the z^(-1) block,
+each of degree >= 2, so it vanishes for k > dim X_i; and no X_i is larger
+than X itself (component 0), by age reciprocity and the nonnegative ages
+``TargetModel.validate`` demands.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
                                   s_values: Sequence[Scalar], zmax: int) -> dict:
     """Verify Delta*(-z) Delta(z) = 1 through z-degree zmax by direct product.
 
-    Delta is built on the window [-depth, zmax + depth], depth = max dim + 1,
+    Delta is built on the window [-depth, zmax + depth], depth = dim X + 1,
     and ``check_symplectomorphism`` reports on the product.  Its two factors
     have unknown tails above zmax + depth and lowest power -depth, so the
     product window tops out at exactly zmax; TruncationTooNarrow is raised
@@ -159,7 +164,7 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
     built window (it implies the product identity to all orders, since the
     multiplication blocks commute).
     """
-    depth = max(c.dim for c in t.components) + 1
+    depth = t.dim + 1
     L, d = _log_delta_and_delta(t, F, s_values, zmax + depth, zmax + depth)
     report = check_symplectomorphism(t, d)
     top = report["checked_range"][1]
@@ -279,7 +284,7 @@ def delta_operator(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
 
 def _delta_from(t: TargetModel, logs: Dict[int, CohClass], zmax: int) -> LoopOperator:
     """Delta through zmax from the log blocks through zmax + dim(X)."""
-    zmin_out = -max(c.dim for c in t.components) - 1
+    zmin_out = -t.dim - 1
     blocks = graded_exp(t, {(n, ()): c for n, c in logs.items()}, zmin_out, zmax + t.dim, 0)
     out = LoopOperator(t, zmin_out, zmax, {})
     out.data = {k: c for k, c in blocks.items() if k[0] <= zmax}

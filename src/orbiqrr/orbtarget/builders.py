@@ -32,25 +32,15 @@ from .model import BasisClass, BundleModel, CohClass, Component, TargetModel
 Frac = Fraction
 
 
-def _point_like_component(cid: str, r: int, age: Frac, involution: str,
-                          integral: Frac) -> Component:
-    return Component(
-        cid=cid, r=r, age=age, involution=involution,
-        basis=[BasisClass("1", 0)],
-        pairing=[[integral]],
-        mult={(0, 0): {0: Frac(1)}},
-        untwisted_restriction=[[Frac(1)]],
-    )
-
-
 def _projective_component(cid: str, r: int, age: Frac, involution: str,
                           dim: int, integral: Frac, hname: str = "h",
-                          untwisted_dim: int | None = None,
-                          curve_pairing: Tuple[Frac, ...] = (Frac(1),)) -> Component:
+                          untwisted_dim: int | None = None) -> Component:
+    """The truncated polynomial ring Q[h]/h^(dim+1), int h^dim = integral; at
+    dim 0 a point sector.  h pairs to 1 with the curve class."""
     basis = [BasisClass("1", 0)]
     for k in range(1, dim + 1):
         basis.append(BasisClass(hname if k == 1 else f"{hname}^{k}", 2 * k,
-                                curve_pairing if k == 1 else ()))
+                                (Frac(1),) if k == 1 else ()))
     pairing = [[integral if a + b == dim else Frac(0) for b in range(dim + 1)]
                for a in range(dim + 1)]
     mult = {}
@@ -68,7 +58,7 @@ def _projective_component(cid: str, r: int, age: Frac, involution: str,
 @lru_cache(maxsize=64)
 def point() -> TargetModel:
     return TargetModel("point", dim=0, curve_rank=1,
-                       components=[_point_like_component("0", 1, Frac(0), "0", Frac(1))],
+                       components=[_projective_component("0", 1, Frac(0), "0", 0, Frac(1))],
                        c1_tangent_pairing=(Frac(0),))
 
 
@@ -82,7 +72,7 @@ def bmu(r: int) -> TargetModel:
         cid = str(k)
         order = r // gcd(r, k) if k else 1
         involution = str((r - k) % r)
-        comps.append(_point_like_component(cid, order, Frac(0), involution, Frac(1, r)))
+        comps.append(_projective_component(cid, order, Frac(0), involution, 0, Frac(1, r)))
     return TargetModel(f"Bmu{r}", dim=0, curve_rank=1, components=comps,
                        c1_tangent_pairing=(Frac(0),))
 
@@ -133,9 +123,10 @@ def _weighted_projective(weights: Tuple[int, ...]) -> TargetModel:
 
 
 def trivial_bundle(t: TargetModel, rank: int = 1) -> BundleModel:
-    """Rank-r trivial bundle: invariant on every sector, ch = rank."""
+    """Rank-r trivial bundle: invariant on every sector, ch = rank; named
+    ``trivial``, or ``trivial:<r>`` for r != 1."""
     eigen = {(c.cid, 0): CohClass(t, {(c.cid, 0): sc(rank)}) for c in t.components}
-    return BundleModel("trivial", t, eigen, pulled_back=True,
+    return BundleModel("trivial" if rank == 1 else f"trivial:{rank}", t, eigen, pulled_back=True,
                        c1_pairing=(Frac(0),) * t.curve_rank)
 
 

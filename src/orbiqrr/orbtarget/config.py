@@ -1,7 +1,8 @@
 """Target/bundle config documents: JSON with bit-exact rational round-trips.
 
-Schema (rationals are "p/q" strings, ints nonnegative JSON integers, lists JSON
-lists, and every pairing vector has curve_rank entries, one per curve class):
+Schema (rationals are "p/q" strings or JSON integers, never floats or bools;
+ints nonnegative JSON integers, lists JSON lists, and every pairing vector has
+curve_rank entries, one per curve class):
 
     {
       "name": str, "dim": int, "curve_rank": int,
@@ -41,11 +42,21 @@ from .model import BasisClass, BundleModel, CohClass, Component, TargetModel
 Frac = Fraction
 
 
-def _frac(s, path: str) -> Frac:
+def decode_json(text: str):
+    """The value of a JSON document, or a SchemaError at $."""
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise SchemaError(f"{path}: expected a rational 'p/q', got {s!r}")
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"$: invalid JSON ({e})") from None
+
+
+def _frac(s, path: str) -> Frac:
+    if isinstance(s, str) or type(s) is int:     # no float (inexact) or bool
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(f"{path}: expected a rational 'p/q', got {s!r}")
 
 
 def _int(x, path: str) -> int:
@@ -247,11 +258,7 @@ def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
 
 def load_target(text: str) -> Tuple[TargetModel, Dict[str, BundleModel]]:
     """Parse and fully validate a config document."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"$: invalid JSON ({e})")
-    return target_from_obj(obj)
+    return target_from_obj(decode_json(text))
 
 
 def dump_target(t: TargetModel, bundles: List[BundleModel]) -> str:

@@ -132,6 +132,9 @@ class TargetModel:
                                          f"({c.cid}^I)^I != {c.cid}")
             if p.r != c.r:
                 raise InvariantViolation("involution order", f"r_{c.cid} != r_{p.cid}")
+            # with reciprocity, ages >= 0 make dim X (that of component 0) the largest dim X_i
+            if c.age < 0:
+                raise InvariantViolation("nonnegative age", f"age({c.cid}) = {c.age} < 0")
             if c.age + p.age != self.dim - c.dim:
                 raise InvariantViolation(
                     "age reciprocity",

@@ -12,7 +12,7 @@ the s-list rather than as an additive symbol.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import CyclotomicOrderTooSmall
 from .exactalg import SCALAR_ONE, Scalar, deg_pairing, root_of_unity, sc, zero_deg
@@ -77,20 +77,15 @@ def dual_variable_map(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]
     return out
 
 
-def serre_M_operator(t: TargetModel, F: BundleModel,
-                     max_order: Optional[int] = None) -> CohClass:
+def serre_M_operator(t: TargetModel, F: BundleModel) -> CohClass:
     """The multiplier (-1)^(rank F_i^mov / 2 - age(F_i)) per component.
 
-    Fractional exponents p/q become zeta_{2q}^p; max_order, when given, caps
-    the cyclotomic order and raises CyclotomicOrderTooSmall if insufficient.
+    Fractional exponents p/q become zeta_{2q}^p.
     """
     terms = {}
     for comp in t.components:
         e = F.moving_rank(comp.cid) / 2 - F.age_on(comp.cid)
         q = e.denominator
-        if max_order is not None and (2 * q) > max_order and q != 1:
-            raise CyclotomicOrderTooSmall(
-                f"(-1)^{e} needs a {2 * q}-th root of unity, max_order={max_order}")
         if q == 1:
             val = SCALAR_ONE if e.numerator % 2 == 0 else sc(-1)
         else:
@@ -148,7 +143,7 @@ def check_serre_cone(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar],
     s = [sc(x) for x in s_values]
     sd = dual_s_values(s)
     Fd = dual_bundle(F)
-    depth = max(c.dim for c in t.components) + 1
+    depth = t.dim + 1
     L, D = _log_delta_and_delta(t, F, s, zmax, zmax + depth)
     Ld, Dd = _log_delta_and_delta(t, Fd, sd, zmax, zmax + depth)
     log_resid = _differing_blocks(L, Ld, min(L.zmin, Ld.zmin), zmax)

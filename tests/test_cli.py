@@ -226,13 +226,23 @@ class TestBasicCommands:
         (("bundles", 0, "name"), ["O3"], "$.bundles[0].name: expected a string, got ['O3']"),
         (("name",), {"x": 1}, "$.name: expected a string, got {'x': 1}"),
         (("components", 0, "basis", 0, "name"), ["one"],
-         "$.components[0].basis[0].name: expected a string, got ['one']")])
+         "$.components[0].basis[0].name: expected a string, got ['one']"),
+        (("c1_tangent_pairing", 0), 3.0,
+         "$.c1_tangent_pairing: expected a rational 'p/q', got 3.0"),
+        (("components", 0, "age"), False,
+         "$.components[0].age: expected a rational 'p/q', got False"),
+        (("components", 0, "pairing", 0, 2), 1.0,
+         "$.components[0].pairing: expected a rational 'p/q', got 1.0"),
+        (("bundles", 0, "c1_pairing", 0), 3.5,
+         "$.bundles[0].c1_pairing: expected a rational 'p/q', got 3.5")])
     def test_config_names_and_line_classes_are_typed(self, capsys, tmp_path, keys, value,
                                                      message):
-        """A name that is not a string, and a line's c1 that is not an object, are
-        SchemaErrors naming the line by its index: a list c1 died with an
-        AttributeError, a list bundle name with a TypeError, and a target or basis
-        name of another JSON type validated.  A None value deletes the field."""
+        """A name that is not a string, a line's c1 that is not an object, and a
+        rational that is a float or a bool are SchemaErrors naming the field: a list
+        c1 died with an AttributeError, a list bundle name with a TypeError, and a
+        target or basis name of another JSON type validated, as did a float rational
+        (read inexactly: 0.1 is not 1/10) or a bool one.  A None value deletes the
+        field."""
         code, out, _ = run(capsys, "target", "show", "P2", "--bundle", "O3")
         obj = json.loads(out)
         holder = obj
@@ -794,6 +804,17 @@ class TestPipelines:
         ({"rows": [{"d": [0], "insertions": [], "value": "0"}, 7]}, "$.rows[1]"),
         ([], "$.rows"),
         ({"rows": {}}, "$.rows"),
+        # a basis index and a psibar power are JSON integers, a value a "p/q"
+        # string or a JSON integer: 0.5 read as 0, true and "1" as 1, 0.1 inexactly
+        *[({"rows": [{"d": [0], "insertions": [["0", 0, 0], ["0", 0, 0], ["0", idx, k]],
+                      "value": "0"}]}, "$.rows[0].insertions[2]")
+          for idx, k in ((0, 0.5), (0, True), (0, "1"), (0, 1.0), (0.0, 0), (True, 0),
+                         ("0", 0))],
+        *[({"rows": [{"d": [0], "insertions": [["0", 0, 0], ["0", 0, 0], ["0", 0, 0]],
+                      "value": value}]}, "$.rows[0].value")
+          for value in (0.1, 1.0, True, None)],
+        ({"rows": [{"d": [0], "insertions": [["0", 0, 0], ["0", 0, 0], ["0", 0, 0]]}]},
+         "$.rows[0].value"),
     ])
     def test_check_universal_malformed_table(self, capsys, tmp_path, doc, path):
         table = tmp_path / "table.json"
@@ -804,6 +825,21 @@ class TestPipelines:
         err = json.loads(out)["error"]
         assert err["code"] == "SchemaError"
         assert err["message"].startswith(path + ":")
+
+    def test_a_table_value_may_be_a_json_integer(self, capsys, tmp_path):
+        """The same table with "2"/"1" values and with the JSON integers 2/1."""
+        reports = []
+        for two, one in (("2", "1"), (2, 1)):
+            rows = [{"d": [0], "insertions": [["0", 0, 1], ["0", 0, 0], ["0", 0, 0],
+                                              ["0", 0, 0]], "value": two},
+                    {"d": [0], "insertions": [["0", 0, 0], ["0", 0, 0], ["0", 0, 0]],
+                     "value": one}]
+            (tmp_path / "table.json").write_text(json.dumps({"rows": rows}))
+            code, out, _ = run(capsys, "check", "universal", "--kind", "string",
+                               "--table", str(tmp_path / "table.json"))
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1] and reports[0]["violations"][0]["residual"] == "1"
 
     def test_check_universal_unreadable_table(self, capsys, tmp_path):
         missing = str(tmp_path / "no-such-table.json")
@@ -1081,6 +1117,27 @@ class TestCharacter:
         code, out, _ = run(capsys, "delta", "--target", "Bmu3", "--bundle", f"char:{j}",
                            "--euler", "--zmax", "2")
         assert code == 0 and json.loads(out)["bundle"] == f"char{j}"
+
+
+class TestTrivialBundle:
+    @pytest.mark.parametrize("spec, name", [("trivial", "trivial"), ("trivial:1", "trivial"),
+                                            ("trivial:2", "trivial:2"),
+                                            ("Trivial:3", "trivial:3")])
+    def test_a_rank_other_than_1_is_in_the_name(self, capsys, tmp_path, spec, name):
+        """Rank 1 keeps the name ``trivial``; another rank prints as trivial:<r>."""
+        code, out, _ = run(capsys, "--cache-dir", str(tmp_path / "cache"), "delta",
+                           "--target", "point", "--bundle", spec, "--euler", "--zmax", "1")
+        assert code == 0 and json.loads(out)["bundle"] == name
+
+    @pytest.mark.parametrize("spec", ["trivialfoo", "trivial2", "trivial:", "trivial:x"])
+    def test_only_trivial_and_trivial_r_are_accepted(self, capsys, tmp_path, spec):
+        cache = str(tmp_path / "cache")
+        code, out, err = run(capsys, "--cache-dir", cache, "delta", "--target", "point",
+                             "--bundle", spec, "--euler", "--zmax", "1")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError" and repr(spec) in error["message"]
+        assert not os.path.exists(cache) or not os.listdir(cache)
 
 
 class TestCache:

@@ -16,7 +16,7 @@ from orbiqrr.errors import (
     PositivityViolated,
     SchemaError,
 )
-from orbiqrr.exactalg import SCALAR_ONE, Scalar, TruncSeries, sc
+from orbiqrr.exactalg import SCALAR_ONE, Scalar, TruncSeries, sc, series_invert
 from orbiqrr.genus0 import (
     CorrelatorTable,
     build_point_table,
@@ -268,6 +268,8 @@ class TestLoadJ:
         ("d", [True]),         # a JSON boolean is not an integer
         ("zpow", -2.7),        # not an integer (was truncated to -2)
         ("zpow", "1"),
+        ("coeff", True),       # a JSON boolean is not a rational (was read as 1)
+        ("coeff", 1.0),        # a float is not exact
     ])
     def test_malformed_row_names_its_field(self, field, value):
         rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": 0,
@@ -415,6 +417,25 @@ class TestSmallExpansionAndMirror:
         assert j_tw.coefficient((0,), 1) == t.unit()
         assert j_tw.coefficient((1,), 1).is_zero
         assert j_tw.coefficient((1,), 0).coeff("0", 1) == sc(770)
+
+    @pytest.mark.parametrize("n, degrees, point", [(4, (5,), None), (5, (3, 3), None),
+                                                   (4, (5,), Frac(3, 2))])
+    def test_tau_is_g_over_f_without_its_head(self, n, degrees, point):
+        """tau^k, read off the z^0 layer of J = I/F, is the series quotient
+        G^k/F minus its Q^0 head, slot by slot; ``point`` puts point * p in the
+        (d=0, z^0) layer of J, a nonzero head that tau must drop."""
+        j = j_closed_form_Pn(n, 4)
+        t = j.target
+        if point is not None:
+            j.series.add_to(0, (0,), t.basis_class("0", "p").scale(sc(point)))
+        f, g, tau, _j_tw = lefschetz_chain(t, _bundle(t, degrees), j)
+        inv_f = series_invert(f)
+        assert sorted(tau) == sorted(g) and not tau[("0", 1)].is_zero
+        for slot, series in g.items():
+            ratio = series * inv_f
+            head = ratio.get(0, (0,))
+            assert head == (sc(point) if point is not None and slot == ("0", 1) else sc(0))
+            assert tau[slot] == ratio - TruncSeries.from_scalar(head, 1, 0, 0, ratio.dmax)
 
     def test_quintic_pipeline_expands_once(self, monkeypatch):
         from orbiqrr.genus0 import lefschetz

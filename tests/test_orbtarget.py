@@ -413,6 +413,24 @@ class TestConfig:
         with pytest.raises(InvariantViolation, match="age reciprocity"):
             load_target(json.dumps(obj))
 
+    def test_negative_age_rejected(self):
+        """P1 plus a self-dual sector t of age -1/2 satisfies age reciprocity
+        (-1/2 - 1/2 = dim X - dim X_t = 1 - 2), yet t is larger than X itself;
+        the same sector at age 0 and dimension 1 (basis degrees 0, 2) is valid."""
+        obj = target_to_obj(projective_space(1), [])
+        sector = {"id": "t", "r": 2, "age": "-1/2", "involution": "t",
+                  "basis": [{"name": "1", "degree": 0}, {"name": "h", "degree": 2},
+                            {"name": "h^2", "degree": 4}],
+                  "pairing": [["0", "0", "1/2"], ["0", "1/2", "0"], ["1/2", "0", "0"]],
+                  "mult": [[1, 1, 2, "1"]]}
+        obj["components"].append(sector)
+        with pytest.raises(InvariantViolation, match=r"^nonnegative age: age\(t\) = -1/2 < 0$"):
+            load_target(json.dumps(obj))
+        sector.update(age="0", basis=sector["basis"][:2], pairing=[["0", "1/2"], ["1/2", "0"]],
+                      mult=[])
+        t, _ = load_target(json.dumps(obj))
+        assert (t.dim, t.by_id["t"].dim) == (1, 1)
+
     def test_ungraded_product_rejected(self):
         """p * p -> p breaks deg(a b) = deg a + deg b; the error names the
         component and the entry."""

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from orbiqrr.errors import CyclotomicOrderTooSmall
 from orbiqrr.exactalg import SCALAR_ONE, Scalar, TruncSeries, root_of_unity, sc
 from orbiqrr.givental import GiventalElement
 from orbiqrr.loopops import euler_s_values
@@ -132,12 +131,6 @@ class TestMOperatorAndTwist:
         assert M.coeff("1", 0) == root_of_unity(12, 1)   # (-1)^(1/6)
         # sector u^2: exponent 1/2 - 2/3 = -1/6, so zeta_12^{-1}
         assert M.coeff("2", 0) == root_of_unity(12, 11)
-
-    def test_order_cap(self):
-        t = bmu(3)
-        F = bmu_character(t, 1)
-        with pytest.raises(CyclotomicOrderTooSmall):
-            serre_M_operator(t, F, max_order=6)
 
     def test_novikov_sign_twist(self):
         t = projective_space(4)
