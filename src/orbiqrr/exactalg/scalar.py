@@ -645,11 +645,25 @@ def root_of_unity(n: int, k: int) -> Scalar:
 
 # -- parsing -----------------------------------------------------------------
 
+def _json_list(obj: dict, key: str) -> list:
+    if not isinstance(obj[key], list):
+        raise ValueError(f"{key!r} must be a JSON list, got {obj[key]!r}")
+    return obj[key]
+
+
+def _json_index(obj: dict, key: str) -> int:
+    """obj[key], 1 when absent, as a JSON integer >= 1 (no float, bool or string)."""
+    x = obj.get(key, 1)
+    if type(x) is not int or x < 1:
+        raise ValueError(f"{key!r} must be an integer >= 1, got {x!r}")
+    return x
+
+
 def _parse_cyc(obj) -> Cyc:
     if isinstance(obj, str):
         return Cyc.from_fraction(Frac(obj))
     if isinstance(obj, dict) and "zeta" in obj:
-        return Cyc(int(obj["zeta"]), [Frac(x) for x in obj["c"]])
+        return Cyc(_json_index(obj, "zeta"), [Frac(x) for x in _json_list(obj, "c")])
     raise ValueError(f"bad cyclotomic literal: {obj!r}")
 
 
@@ -662,12 +676,18 @@ def _parse_rf(obj) -> RatFunc:
             return RatFunc(num, den)
         return RatFunc.const(Cyc.from_fraction(Frac(obj)))
     if isinstance(obj, dict):
-        return RatFunc([_parse_cyc(c) for c in obj["num"]], [_parse_cyc(c) for c in obj["den"]])
+        return RatFunc([_parse_cyc(c) for c in _json_list(obj, "num")],
+                       [_parse_cyc(c) for c in _json_list(obj, "den")])
     raise ValueError(f"bad rational-function literal: {obj!r}")
 
 
 def parse_scalar(obj) -> Scalar:
-    """Parse 'p/q', 'n0,n1,...|d0,d1,...' (lambda polys, lowest first), or the to_obj() form."""
+    """Parse 'p/q', 'n0,n1,...|d0,d1,...' (lambda polys, lowest first), or the to_obj() form.
+
+    In the dict form ``num``, ``den``, ``ell`` and a zeta's ``c`` are JSON
+    lists, and ``lam_den`` and ``zeta`` are JSON integers >= 1; anything else
+    is a ValueError.
+    """
     if isinstance(obj, Scalar):
         return obj
     if type(obj) is int:                # not a bool
@@ -676,6 +696,7 @@ def parse_scalar(obj) -> Scalar:
         return Scalar((_parse_rf(obj),), 1)
     if isinstance(obj, dict):
         if "ell" in obj:
-            return Scalar([_parse_rf(rf) for rf in obj["ell"]], int(obj.get("lam_den", 1)))
-        return Scalar((_parse_rf(obj),), int(obj.get("lam_den", 1)))
+            return Scalar([_parse_rf(rf) for rf in _json_list(obj, "ell")],
+                          _json_index(obj, "lam_den"))
+        return Scalar((_parse_rf(obj),), _json_index(obj, "lam_den"))
     raise ValueError(f"cannot parse scalar: {obj!r}")

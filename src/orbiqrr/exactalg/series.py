@@ -244,11 +244,20 @@ class TruncSeries(WindowedSeries):
 
 
 def series_invert(a: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse at the declared truncation.
+    """Multiplicative inverse at the declared truncation, on the window (0, zmax, dmax).
 
-    Requires the (d=0, z=0) coefficient invertible and no content below z^0
-    (the inverse of a series with a genuine z-pole is not a truncated power
-    series in this ring).
+    Requires the (d=0, z=0) coefficient c0 invertible and no content below
+    z^0 (the inverse of a series with a genuine z-pole is not a truncated
+    power series in this ring).  b = 1/a solves sum_j a_j b_(k-j) = [k = 0]
+    key by key, b_0 = 1/c0 and
+
+        b_k = -(1/c0) sum_{j != 0} a_j b_(k-j),
+
+    over the keys k = (n, d) of the window in order of weight n + |d|: each
+    j != 0 has weight >= 1 (no z-power below 0, Novikov degrees >= 0), so
+    every b_(k-j) is known when b_k is solved.  For K keys that is at most
+    K^2 scalar products, where the geometric series sum_i (1 - a/c0)^i
+    takes dmax + zmax series products and as many sums.
     """
     d0 = zero_deg(a.rank)
     c0 = a.get(0, d0)
@@ -257,16 +266,19 @@ def series_invert(a: TruncSeries) -> TruncSeries:
     if any(n < 0 for (n, _d) in a.data):
         raise NonUnitConstantTerm("cannot invert a series with negative z-powers")
     inv0 = c0.inverse()
-    # r = 1 - a/c0 has no (0,0) term and (Novikov + z)-valuation >= 1.  z^0 is
-    # inside a's window (c0 != 0), and on [0, a.zmax] every product power * r
-    # keeps that window.
-    r = a.copy_window(0, a.zmax, a.dmax).scale(inv0)
-    r.set(0, d0, SCALAR_ZERO)
-    r = -r
-    out = power = TruncSeries.one(a.rank, 0, a.zmax, a.dmax)
-    for _ in range(a.dmax + a.zmax):
-        power = power * r
-        if power.is_zero:
-            break
-        out = out + power
-    return out.scale(inv0)
+    minus_inv0 = -inv0
+    rest = [(n, d, c) for (n, d), c in a.data.items() if (n, d) != (0, d0)]
+    out = TruncSeries(a.rank, 0, a.zmax, a.dmax, {(0, d0): inv0})
+    b = out.data
+    keys = sorted(((n, d) for n in range(a.zmax + 1)
+                   for d in product(range(a.dmax + 1), repeat=a.rank) if sum(d) <= a.dmax),
+                  key=lambda k: k[0] + sum(k[1]))
+    for n, d in keys[1:]:
+        acc = None
+        for jn, jd, c in rest:
+            bk = b.get((n - jn, tuple(x - y for x, y in zip(d, jd))))
+            if bk is not None:
+                acc = c * bk if acc is None else acc + c * bk
+        if acc is not None and not acc.is_zero:
+            b[(n, d)] = acc * minus_inv0
+    return out

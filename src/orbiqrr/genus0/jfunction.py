@@ -52,14 +52,18 @@ class JFunction:
 def j_closed_form_Pn(n: int, dmax: int) -> JFunction:
     """J for P^n at t = 0: z sum_d Q^d / prod_{k<=d} (p+kz)^{n+1}.
 
-    Slice d is ``_apply_factor_product`` (e = -(n+1), s = d, rho = p) on z.
+    Slice d is the factor kernel (e = -(n+1), s = d, rho = p) on z; the row
+    1, p, ..., p^n of z is built once (n class products, p^(n+1) = 0) and
+    only ``_weigh_rows`` runs per degree.
     """
     from ..orbtarget import projective_space
     t = projective_space(n)
     e = GiventalElement(t, 1 - (n + 1) * dmax - n - 2, 1, dmax)
-    head, p = {1: t.unit()}, t.basis_class("0", "p")
+    row, p = [t.unit()], t.basis_class("0", "p")
+    for _ in range(n):
+        row.append(row[-1].mul(p))
     for d in range(dmax + 1):
-        for zpow, c in _apply_factor_product(head, p, d, -(n + 1), False).items():
+        for zpow, c in _weigh_rows({1: row}, d, -(n + 1), False).items():
             e.add_to(zpow, (d,), c)
     return JFunction(t, e)
 
@@ -86,26 +90,13 @@ def _factor_coefficients(e: int, s: int, top: int) -> Tuple[Frac, ...]:
     return tuple(coeffs)
 
 
-def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: int, e: int,
-                          equivariant: bool, zmin: float = -inf) -> Dict[int, CohClass]:
-    """prod_{k=1..s} (lambda + rho + kz)^e times sum_n c_n z^n, with lambda = 0
-    unless ``equivariant``; e is a nonzero integer.  The result is the full
-    one cut to z^m, m >= zmin, and is read only there; the default -inf cuts
-    nothing.
-
-    With x = lambda + rho this is sum_i c_i x^i z^(e s - i)
-    (``_factor_coefficients``), and x^i = sum_j C(i, j) lambda^(i-j) rho^j, so
-    a slice c becomes sum_i sum_j c_i C(i, j) lambda^(i-j) z^(e s - i)
-    (rho^j c).  This is exact because the cup product is commutative and rho,
-    a degree-2 class on each component, is nilpotent: the powers rho^j c
-    stop at the first zero, so a slice costs at most dim + 1 class products
-    and each coefficient is a rational times one power of lambda.  For e < 0
-    the series in x is infinite, so x must be nilpotent too: lambda = 0, and
-    ``equivariant`` must be false.  The cut skips the terms with x^i at
-    m = n + e s - i < zmin, so it needs rho^j c, j <= i, for j <= n + e s - zmin.
-    """
-    lam_top = e * s if equivariant else 0    # the highest power of lambda that occurs
-    powers: Dict[int, List[CohClass]] = {}
+def _power_rows(slice_terms: Dict[int, CohClass], rho: CohClass, s: int, e: int,
+                zmin: float = -inf) -> Dict[int, List[CohClass]]:
+    """Stage one of the factor kernel: the row rho^j c of each term c z^n of a
+    slice, up to the first zero (rho is nilpotent) and to the last j that
+    stage two (``_weigh_rows``) reads at z >= zmin, j = n + e s - zmin, and
+    at most e s for e > 0."""
+    rows: Dict[int, List[CohClass]] = {}
     for n, c in slice_terms.items():
         jmax = min(e * s if e > 0 else inf, n + e * s - zmin)
         if jmax < 0:                     # every term lands below the cut
@@ -116,13 +107,36 @@ def _apply_factor_product(slice_terms: Dict[int, CohClass], rho: CohClass, s: in
             if nxt.is_zero:
                 break
             row.append(nxt)
-        powers[n] = row
-    top = max((len(row) for row in powers.values()), default=1) - 1
+        rows[n] = row
+    return rows
+
+
+def _weigh_rows(rows: Dict[int, List[CohClass]], s: int, e: int, equivariant: bool,
+                zmin: float = -inf) -> Dict[int, CohClass]:
+    """Stage two: prod_{k=1..s} (lambda + rho + kz)^e times sum_n c_n z^n from
+    the rows rho^j c_n of stage one, with lambda = 0 unless ``equivariant``;
+    e is a nonzero integer.  The result is the full one cut to z^m, m >=
+    zmin; the default -inf cuts nothing.
+
+    With x = lambda + rho the product is sum_i c_i x^i z^(e s - i)
+    (``_factor_coefficients``), and x^i = sum_j C(i, j) lambda^(i-j) rho^j, so
+    a slice c becomes sum_i sum_j c_i C(i, j) lambda^(i-j) z^(e s - i)
+    (rho^j c).  This is exact because the cup product is commutative and rho,
+    a degree-2 class on each component, is nilpotent.  For e < 0 the series
+    in x is infinite, so x must be nilpotent too: lambda = 0, and
+    ``equivariant`` must be false.  The rows depend on neither lambda nor,
+    for e < 0 and no cut, on s, so the J-function of P^n builds its row
+    once.  At s = 0 the product is empty: the row heads at z >= zmin.
+    """
+    if s == 0:
+        return {n: row[0] for n, row in rows.items() if n >= zmin}
+    lam_top = e * s if equivariant else 0    # the highest power of lambda that occurs
+    top = max((len(row) for row in rows.values()), default=1) - 1
     weights = {(i, j): Scalar.lam(i - j).scaled(a * comb(i, j))
                for i, a in enumerate(_factor_coefficients(e, s, top + lam_top))
                for j in range(max(0, i - lam_top), min(i, top) + 1)}
     out: Dict[int, CohClass] = {}
-    for n, row in powers.items():
+    for n, row in rows.items():
         for (i, j), w in weights.items():
             m = n + e * s - i
             if j < len(row) and m >= zmin:

@@ -4,21 +4,25 @@ extraction.
 
 The modification multiplies each degree slice J_d by the finite products
 prod_j prod_{k=1..s_j} (lambda + rho_j + k z), s_j = <rho_j, d>, each through
-the hypergeometric factor kernel ``jfunction._apply_factor_product`` with
-e = 1, the kernel that also builds the J-function of P^n.  The
-nonequivariant pipelines (mirror map, invariants, the nonequivariant
-I-function) take the limit first: they set lambda = 0 in J and in every
-factor, (rho_j + k z), and never build the lambda-polynomials that the
-limit would discard.  This is exact: evaluation at lambda = 0 is a ring map
-on coefficients regular at 0, and an untwisted J carries no lambda, because
-lambda is the weight of the fibre action on F.  They build only the
-z-layers they read, z >= zmin: the full result cut by ``copy_window``, each
-line's cut lowered by the steps of the lines after it (the default zmin =
--inf cuts nothing).  The small-space expansion reads I = z F + sum_k G^k
-gamma_k + O(1/z), with F and each G^k a Novikov series.  The mirror map
+the two-stage hypergeometric factor kernel of ``jfunction`` (rows rho^i c,
+then their weights) with e = 1, the kernel that also builds the J-function
+of P^n.  The nonequivariant pipelines (mirror map, invariants, the
+nonequivariant I-function) take the limit first: they set lambda = 0 in J
+and in every factor, (rho_j + k z), and never build the lambda-polynomials
+that the limit would discard.  This is exact: evaluation at lambda = 0 is a
+ring map on coefficients regular at 0, and an untwisted J carries no
+lambda, because lambda is the weight of the fibre action on F; a J with
+only rational coefficients is its own limit and is not copied.  They build
+only the z-layers they read, z >= zmin: the full result cut by
+``copy_window``, each line's cut lowered by the steps of the lines after it
+(the default zmin = -inf cuts nothing).  The small-space expansion reads
+I = z F + sum_k G^k gamma_k + O(1/z), with F and each G^k a Novikov
+series.  The mirror map
 divides by F once: J = I/F, re-validated against the normal form, and
-tau = G/F is read off J's z^0 layer; ``lefschetz_chain`` runs these steps
-on the target, bundle and J it is given, for every pipeline.  Invariant
+tau = G/F is read off J's z^0 layer.  Only the layers z <= 0 are divided:
+the small-space expansion has already shown that I's z^1 layer is F 1, so
+J's is the unit at Q^0.  ``lefschetz_chain`` runs these steps on the
+target, bundle and J it is given, for every pipeline.  Invariant
 extraction strips e^{tau p / z}, unwinds the divisor flow e^{d tau} and
 reads the one-point z^{-1} layer, for the pairs ``check_extractable`` alone
 admits.  Both exponentials are the one
@@ -53,7 +57,7 @@ from ..exactalg import (
 )
 from ..givental import GiventalElement
 from ..orbtarget import BundleModel, CohClass, TargetModel, graded_exp, wps_pullback_line
-from .jfunction import JFunction, _apply_factor_product
+from .jfunction import JFunction, _power_rows, _weigh_rows
 
 Frac = Fraction
 Slot = Tuple[str, int]
@@ -64,11 +68,13 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
                                 zmin: float = -math.inf) -> JFunction:
     """I_F: multiply J_d by prod_j prod_{k=1..s_j} (lambda + rho_j + kz), s_j = <rho_j, d>.
 
-    Each line's product is one call of the factor kernel
-    ``jfunction._apply_factor_product`` with e = 1 and x = lambda + rho.
+    Each line's product is one pass of the two-stage factor kernel
+    (``jfunction._power_rows``, then ``jfunction._weigh_rows``) with e = 1
+    and x = lambda + rho.
 
     With ``nonequivariant`` the result is the lambda -> 0 limit of I_F, taken
-    first: J goes through ``nonequivariant_limit`` and the kernel runs with
+    first: J goes through ``nonequivariant_limit`` (J itself when it carries
+    no lambda, as a closed-form J never does) and the kernel runs with
     lambda = 0, so only the lambda^0 terms remain.  This equals
     ``nonequivariant_limit`` of the equivariant result, window included,
     because evaluation at lambda = 0 is a ring map on coefficients regular
@@ -114,8 +120,9 @@ def hypergeometric_modification(t: TargetModel, F: BundleModel, J: JFunction,
                     f"<rho, d> = {s} < 0 at d = {d}: outside the convexity assumption")
             steps.append(int(s))
         for j, (s, rho) in enumerate(zip(steps, spreads)):
-            slice_terms = _apply_factor_product(slice_terms, rho, s, 1, not nonequivariant,
-                                                zmin - sum(steps[j + 1:]))
+            cut = zmin - sum(steps[j + 1:])
+            slice_terms = _weigh_rows(_power_rows(slice_terms, rho, s, 1, cut),
+                                      s, 1, not nonequivariant, cut)
         for n, c in slice_terms.items():
             if not c.is_zero and n >= lo:
                 all_terms[(n, d)] = c
@@ -168,17 +175,21 @@ def mirror_map(I: JFunction, f, g):
 
     ``(f, g)`` is ``small_expansion(I)``.  I is divided by F once: F has no
     z-content, so G^k/F is the gamma_k coefficient of the z^0 layer of J.
+    Only the layers z <= 0 are divided.  ``small_expansion`` has shown that
+    the z^1 layer of I is F 1 (the unit class at every degree, nothing
+    else), so J's z^1 layer is the unit at Q^0 and is set, not computed.
     Returns (tau, J_twisted) with tau a dict slot of g -> Novikov series,
     each without its Q^0 term (that is the parameter point, which must be
     rational).  J_twisted is re-validated against the J normal form.
     """
-    out = JFunction(I.target, novikov_scale(I.series, series_invert(f)))
-    d0 = zero_deg(f.rank)
+    t, d0 = I.target, zero_deg(f.rank)
+    below = GiventalElement(t, I.series.zmin, I.series.zmax, I.dmax)
+    below.data = {k: c for k, c in I.series.data.items() if k[0] <= 0}
+    series = novikov_scale(below, series_invert(f))
+    series.set(1, d0, t.unit())
+    out = JFunction(t, series)
     tau = {slot: TruncSeries(f.rank, 0, 0, out.dmax) for slot in g}
     for (n, d), cls in out.series.data.items():
-        # normal form after division: z-head exactly 1 at d=0 and nothing above
-        if n == 1 and d != d0 and not cls.is_zero:
-            raise PositivityViolated("z^1 layer of J is not exactly z after division")
         # the constant part belongs to the parameter point, not the Q-series
         if n == 0 and d == d0 and not all(c.is_rational() for c in cls.terms.values()):
             raise PositivityViolated("mirror map head must be rational")
@@ -209,7 +220,11 @@ def novikov_scale(e: GiventalElement, s: TruncSeries) -> GiventalElement:
 
 
 def nonequivariant_limit(j: JFunction) -> JFunction:
-    """lambda -> 0, with the offending index reported on poles and ln(lambda) terms."""
+    """lambda -> 0, with the offending index reported on poles and ln(lambda) terms.
+
+    A J whose every coefficient is a plain rational is its own limit and is
+    returned as it is; a J that carries lambda anywhere is mapped row by row.
+    """
     def limit(n, d, cls):
         try:
             return cls.nonequiv_limit()
@@ -218,6 +233,8 @@ def nonequivariant_limit(j: JFunction) -> JFunction:
         except LogObstruction:
             raise LogObstruction(f"ln(lambda) survives at lambda=0 in coefficient (d={d}, z^{n})")
 
+    if all(c.is_rational() for cls in j.series.data.values() for c in cls.terms.values()):
+        return j
     return JFunction(j.target, j.series.map(limit))
 
 

@@ -11,7 +11,9 @@ sums, the mirror map Q = q exp(G/F), and the Yukawa coupling
 
 kappa = prod a_i, mu = prod a_i^a_i, from which the n_d are extracted
 triangularly; quintic_instanton_numbers is its P4[5] case (kappa = 5,
-mu = 5^5).  None of the package machinery is used here.
+mu = 5^5).  ci_mirror_map is its first step, (F, G/F), on its own: it holds
+for every P^n[a_1, ..., a_k] with sum a_i = n + 1, P^n/O(n+1) included.
+None of the package machinery is used here.
 
 pn_j_degree_series gives the degree-d slice of the J-function of P^n from
 the same Fraction series helpers.
@@ -95,27 +97,37 @@ def quintic_instanton_numbers(dmax: int) -> Tuple[Dict[int, Frac], Dict[int, Fra
     return ci_instanton_numbers(4, (5,), dmax)
 
 
+def ci_mirror_map(n_amb: int, degrees: Tuple[int, ...],
+                  dmax: int) -> Tuple[List[Frac], List[Frac]]:
+    """(F, G/F) to q^dmax of the complete intersection P^n[a_1, ..., a_k] with
+    sum a_i = n + 1 (c1 = 0), as dense lists: F_d = prod_i (a_i d)! / (d!)^(n+1)
+    and G_d = F_d sum_i a_i (H(a_i d) - H(d)).  For P^n/O(n+1) that is
+    F_d = ((n+1) d)! / (d!)^(n+1) and G_d = (n+1) F_d (H((n+1) d) - H(d)).
+    G/F has no q^0 term; its q^d coefficients, d >= 1, are the mirror map tau."""
+    assert sum(degrees) == n_amb + 1
+    F = []
+    for d in range(dmax + 1):
+        num = 1
+        for a in degrees:
+            num *= factorial(a * d)
+        F.append(Frac(num, factorial(d) ** (n_amb + 1)))
+    G = [F[d] * sum((a * (harmonic(a * d) - harmonic(d)) for a in degrees), Frac(0))
+         for d in range(dmax + 1)]
+    return F, s_mul(G, s_inv(F, dmax), dmax)
+
+
 def ci_instanton_numbers(n_amb: int, degrees: Tuple[int, ...],
                          dmax: int) -> Tuple[Dict[int, Frac], Dict[int, Frac]]:
     """Returns (n, N) of the Calabi-Yau threefold complete intersection
-    P^n[a_1, ..., a_k] (sum a_i = n + 1, n - k = 3), with
-    F = sum prod_i (a_i d)! / (d!)^(n+1) q^d, G = F sum_i a_i (H(a_i d) - H(d))
-    and the Yukawa coupling kappa / ((1 - mu q) F^2 (q dT/dq)^3),
+    P^n[a_1, ..., a_k] (sum a_i = n + 1, n - k = 3), with F and G/F of
+    ``ci_mirror_map`` and the Yukawa coupling kappa / ((1 - mu q) F^2 (q dT/dq)^3),
     kappa = prod a_i, mu = prod a_i^a_i."""
     assert sum(degrees) == n_amb + 1 and n_amb - len(degrees) == 3
     nmax = dmax
     kappa, mu = 1, 1
     for a in degrees:
         kappa, mu = kappa * a, mu * a ** a
-    F = []
-    for d in range(nmax + 1):
-        num = 1
-        for a in degrees:
-            num *= factorial(a * d)
-        F.append(Frac(num, factorial(d) ** (n_amb + 1)))
-    G = [F[d] * sum((a * (harmonic(a * d) - harmonic(d)) for a in degrees), Frac(0))
-         for d in range(nmax + 1)]
-    g_over_f = s_mul(G, s_inv(F, nmax), nmax)
+    F, g_over_f = ci_mirror_map(n_amb, degrees, nmax)
     # mirror map: Q = q e^{G/F}; invert to q = q(Q) by fixed-point iteration
     exp_gf = s_exp(g_over_f, nmax)
     bigq_of_q = s_mul([Frac(0), Frac(1)] + [Frac(0)] * (nmax - 1), exp_gf, nmax)

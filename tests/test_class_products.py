@@ -7,6 +7,7 @@ The functions below are the old code written out: a second walk of the
 product table, the n^2 loop of twisted pairings of basis classes, and the
 spread as it stood in the Lefschetz module.  Entries must agree in
 ``to_obj``, so equal values must also have one canonical form.
+``CohClass.__eq__`` is checked against the difference it replaced.
 """
 
 import random
@@ -19,9 +20,17 @@ from orbiqrr.errors import AssumptionViolated
 from orbiqrr.exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar, root_of_unity, sc
 from orbiqrr.linalg import multiplication_matrix
 from orbiqrr.loopops import twisted_gram
-from orbiqrr.orbtarget import CohClass, bmu, point, projective_space, weighted_projective
+from orbiqrr.orbtarget import (
+    CohClass,
+    bmu,
+    dump_target,
+    load_target,
+    point,
+    projective_space,
+    weighted_projective,
+)
 
-from helpers import rand_frac, random_bundle
+from helpers import rand_frac, random_bundle, random_class
 
 
 def old_multiplication_matrix(t, cls):
@@ -133,3 +142,43 @@ def test_twisted_gram(t, seed, log):
     F = random_bundle(t, rng)
     s = [Scalar.log_lambda() if log else sc(0)] + [sc(rand_frac(rng)) for _ in range(3)]
     assert as_obj(twisted_gram(t, F, s)) == as_obj(old_twisted_gram(t, F, s))
+
+
+_P2 = projective_space(2)
+_P2_COPY = load_target(dump_target(_P2, []))[0]
+EQ_TARGETS = ([point()] + [bmu(r) for r in range(2, 6)]
+              + [weighted_projective(w) for w in ([1, 1, 2], [1, 2, 3], [1, 2, 2])] + [_P2])
+
+
+def _eq_pairs(t, rng: random.Random):
+    """Pairs of classes on t (the second on a config copy when t is P2) that
+    are equal, equal after a round trip through arithmetic, or unequal by one
+    value, one missing term or everything."""
+    other = _P2_COPY if t is _P2 else t
+    a = random_class(t, rng) if rng.random() < 0.5 else rand_class(t, rng)
+    b = rand_class(t, rng)
+    pairs = [(a, CohClass(other, dict(a.terms))), (a, (a + b) - b), (a, b),
+             (a.scale(Scalar.lam(1)), a.scale(Scalar.lam(2) * Scalar.lam(-1))),
+             (a.scale(root_of_unity(6, 1)), a.scale(root_of_unity(3, 1) + SCALAR_ONE))]
+    if a.terms:
+        slot = rng.choice(sorted(a.terms))
+        bumped = dict(a.terms)
+        bumped[slot] = bumped[slot] + sc(rng.choice([-1, 1]) * rand_frac(rng, 1, 6))
+        pairs.append((a, CohClass(other, bumped)))
+        pairs.append((a, CohClass(other, {k: v for k, v in a.terms.items() if k != slot})))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.sampled_from(EQ_TARGETS), seed=st.integers(0, 2 ** 32 - 1))
+def test_class_equality_is_the_zero_difference(t, seed):
+    """``CohClass.__eq__`` compares term dicts on one target object; it must
+    agree with (a - b).is_zero, the test it replaced, both ways round, also
+    against a class on a config copy of P2."""
+    for a, b in _eq_pairs(t, random.Random(seed)):
+        assert (a == b) == (a - b).is_zero
+        assert (b == a) == (b - a).is_zero
+    a = rand_class(t, random.Random(seed))
+    assert a == CohClass(t, dict(a.terms)) and a == a.scale(SCALAR_ONE)
+    if a.terms:
+        assert a != a.scale(sc(2)) and a != t.zero_class()

@@ -14,6 +14,7 @@ from orbiqrr.cli import main
 from orbiqrr.orbtarget import dump_target, projective_space, target_to_obj, weighted_projective
 
 from helpers import split_bundle
+from oracles import ci_mirror_map
 
 
 # strings that JSON must escape, and text beyond ASCII
@@ -431,6 +432,22 @@ class TestBasicCommands:
 
 
 class TestPipelines:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_mirror_map_matches_the_fraction_oracle(self, capsys, n):
+        """F and tau of P^n/O(n+1) through degree 6 are the hypergeometric series
+        F_d = ((n+1)d)!/(d!)^(n+1) and G/F, G_d = (n+1) F_d (H_((n+1)d) - H_d)."""
+        code, out, _ = run(capsys, "mirror-map", "--target", f"P{n}", "--bundle", f"O{n + 1}",
+                           "--max-degree", "6")
+        assert code == 0
+        f, g_over_f = ci_mirror_map(n, (n + 1,), 6)
+        want = {**{("F", d): c for d, c in enumerate(f)},
+                **{("tau[0/1]", d): c for d, c in enumerate(g_over_f) if d}}
+        assert {(r["series"], r["d"][0]): Fraction(r["coeff"])
+                for r in json.loads(out)["rows"]} == want
+        if n == 1:
+            assert f[:6] == [1, 2, 6, 20, 70, 252]
+            assert g_over_f[1:6] == [2, 3, Fraction(20, 3), Fraction(35, 2), Fraction(252, 5)]
+
     def test_invariants_quintic(self, capsys):
         code, out, _ = run(capsys, "invariants", "--target", "P4", "--bundle", "O5",
                            "--max-degree", "2")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -232,6 +233,67 @@ def test_random_unit_series_invert(coeffs):
     assert prod.get(0, (0,)) == sc(1)
     for d in range(1, 5):
         assert prod.get(0, (d,)).is_zero
+
+
+def _geometric_invert(a: TruncSeries) -> TruncSeries:
+    """1/a as the geometric series sum_i (1 - a/c0)^i / c0 on the window
+    (0, zmax, dmax), by series products: the path the recurrence of
+    ``series_invert`` replaced."""
+    d0 = (0,) * a.rank
+    inv0 = a.get(0, d0).inverse()
+    r = -a.copy_window(0, a.zmax, a.dmax).scale(inv0)
+    r.set(0, d0, sc(0))
+    out = power = TruncSeries.one(a.rank, 0, a.zmax, a.dmax)
+    for _ in range(a.dmax + a.zmax):
+        power = power * r
+        if power.is_zero:
+            break
+        out = out + power
+    return out.scale(inv0)
+
+
+def _invert_coeff(kind):
+    """One coefficient of the kind: a rational, an element of Q[lambda, 1/lambda],
+    or a rational multiple of a root of unity plus a rational."""
+    if kind == "rational":
+        return rationals.map(sc)
+    if kind == "laurent":
+        return st.tuples(rationals, st.integers(-2, 2), rationals).map(
+            lambda x: Scalar.lam(x[1]).scaled(x[0]) + sc(x[2]))
+    return st.tuples(rationals, st.sampled_from((3, 4, 5, 12)), st.integers(1, 11),
+                     rationals).map(lambda x: root_of_unity(x[1], x[2]).scaled(x[0]) + sc(x[3]))
+
+
+@st.composite
+def _invertible_series(draw):
+    kind = draw(st.sampled_from(("rational", "laurent", "zeta")))
+    rank = draw(st.integers(1, 2))
+    zmax, dmax = draw(st.integers(0, 2)), draw(st.integers(0, 3 if rank == 1 else 2))
+    data = {}
+    for n in range(zmax + 1):
+        for d in product(range(dmax + 1), repeat=rank):
+            if sum(d) <= dmax and draw(st.booleans()):
+                data[(n, d)] = draw(_invert_coeff(kind))
+    head = draw(_invert_coeff(kind).filter(lambda c: not c.is_zero and c.is_invertible))
+    data[(0, (0,) * rank)] = head
+    return kind, TruncSeries(rank, draw(st.integers(-1, 0)), zmax, dmax, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invertible_series())
+def test_series_invert_recurrence_equals_the_geometric_series(kind_a):
+    """The recurrence against the geometric series: the same values on the same
+    window, and the same serialised coefficients when every value is rational."""
+    kind, a = kind_a
+    fast, slow = series_invert(a), _geometric_invert(a)
+    assert (fast.rank, fast.zmin, fast.zmax, fast.dmax) == (slow.rank, slow.zmin, slow.zmax,
+                                                              slow.dmax)
+    assert fast == slow
+    if kind == "rational":
+        assert ({k: v.to_obj() for k, v in fast.items()}
+                == {k: v.to_obj() for k, v in slow.items()})
+    one, d0 = a * fast, (0,) * a.rank
+    assert one.data == ({(0, d0): sc(1)} if one.inside(0, d0) else {})
 
 
 # -- fast paths against the general ones ----------------------------------------

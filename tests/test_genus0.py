@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbiqrr.errors import (
@@ -27,11 +28,12 @@ from orbiqrr.genus0 import (
     load_j_function,
     mirror_map,
     nonequivariant_limit,
+    novikov_scale,
     point_correlators,
     quintic_pipeline,
     small_expansion,
 )
-from orbiqrr.genus0.jfunction import JFunction, _factor_coefficients
+from orbiqrr.genus0.jfunction import JFunction, _factor_coefficients, _power_rows, _weigh_rows
 from orbiqrr.genus0.lefschetz import lefschetz_chain
 from orbiqrr.givental import GiventalElement
 from orbiqrr.orbtarget import (
@@ -275,6 +277,27 @@ class TestLoadJ:
         rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": 0,
                               "coeff": "0", field: value}]
         with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.{field}: "):
+            load_j_function(projective_space(2), {"rows": rows})
+
+    @pytest.mark.parametrize("coeff", [
+        {"num": ["0", "1"], "den": ["1"], "lam_den": 2.5},   # was read as lam_den 2
+        {"num": ["0", "1"], "den": ["1"], "lam_den": True},  # was read as 1
+        {"num": ["0", "1"], "den": ["1"], "lam_den": "2"},
+        {"num": ["0", "1"], "den": ["1"], "lam_den": 0},     # a root index is >= 1
+        {"num": ["0", "1"], "den": ["1"], "lam_den": -2},
+        {"ell": [{"num": ["1"], "den": ["1"]}], "lam_den": 2.0},
+        {"num": "12", "den": ["1"]},                         # was read as ["1", "2"]
+        {"num": ["1"], "den": "1"},
+        {"ell": "1"},
+        {"num": [{"zeta": 3, "c": "01"}], "den": ["1"]},
+        {"num": [{"zeta": 3.0, "c": ["0", "1"]}], "den": ["1"]},
+    ])
+    def test_malformed_coeff_dict_is_a_schema_error(self, coeff):
+        """In the dict form of a coeff, lam_den (and a zeta order) is a JSON
+        integer >= 1 and num, den, ell (and a zeta's c) are JSON lists."""
+        rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": 1,
+                              "coeff": coeff}]
+        with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.coeff: "):
             load_j_function(projective_space(2), {"rows": rows})
 
     @pytest.mark.parametrize("row, message", [
@@ -620,6 +643,25 @@ def test_closed_form_j_matches_the_fraction_oracle(n):
         assert got == want
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_closed_form_j_shares_one_row_across_degrees(n):
+    """j_closed_form_Pn weights the one row 1, p, ..., p^n of its head for every
+    degree: the same coefficients, to the serialised byte, as a call of both
+    kernel stages per degree, which rebuilds the row each time."""
+    for dmax in range(5):
+        j = j_closed_form_Pn(n, dmax)
+        t, e = j.target, -(n + 1)
+        p = t.basis_class("0", "p")
+        want = {}
+        for d in range(dmax + 1):
+            rows = _power_rows({1: t.unit()}, p, d, e)
+            assert [len(row) for row in rows.values()] == [n + 1]
+            for zpow, c in _weigh_rows(rows, d, e, False).items():
+                want[(zpow, (d,))] = {k: v.to_obj() for k, v in c.terms.items()}
+        assert {k: {s: v.to_obj() for s, v in c.terms.items()}
+                for k, c in j.series.data.items()} == want
+
+
 class TestLimitFirst:
     """hypergeometric_modification(..., nonequivariant=True) against the limit
     taken after the equivariant modification."""
@@ -662,6 +704,41 @@ class TestLimitFirst:
         with pytest.raises(LogObstruction, match=r"d=\(1,\), z\^-3\)"):
             hypergeometric_modification(t, wps_pullback_line(t, 3), j, nonequivariant=True)
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_a_rational_j_is_its_own_limit(self, n):
+        """No lambda in J, nothing to map: the limit is J itself, not a copy."""
+        j = j_closed_form_Pn(n, 3)
+        assert nonequivariant_limit(j) is j
+        loaded = self._loaded_p2("-7/3", 1, -4)
+        assert nonequivariant_limit(loaded) is loaded
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=1), st.integers(min_value=-6, max_value=-2),
+           st.fractions(min_value=-5, max_value=5),
+           st.fractions(min_value=-5, max_value=5).filter(bool),
+           st.fractions(min_value=-5, max_value=5).filter(bool), st.booleans())
+    def test_a_j_with_lambda_is_mapped_row_by_row(self, d, zpow, a, b, c, polynomial):
+        """(a + b lambda^2) or (a + lambda) / (c + lambda), regular at 0 and not
+        constant: the limit maps every row, as the map of the whole series did."""
+        assume(polynomial or a != c)
+        coeff = f"{a},0,{b}|1" if polynomial else f"{a},1|{c},1"
+        j = self._loaded_p2(coeff, d, zpow)
+        lim = nonequivariant_limit(j)
+        want = j.series.map(lambda n, dd, cls: cls.nonequiv_limit())
+        assert lim is not j
+        assert lim.series.data == want.data
+        assert (lim.series.zmin, lim.series.zmax, lim.series.dmax) == (
+            want.zmin, want.zmax, want.dmax)
+
+    @pytest.mark.parametrize("coeff", ["1|0,1", "2,1|0,0,1", {"ell": ["0", "1"]}])
+    def test_a_pole_or_a_log_still_raises_in_the_limit(self, coeff):
+        """A lambda^-1 pole is a Laurent value: the rational shortcut must not let
+        it through."""
+        j = self._loaded_p2(coeff, 1, -3)
+        error = LogObstruction if isinstance(coeff, dict) else PoleAtZero
+        with pytest.raises(error, match=r"d=\(1,\), z\^-3\)"):
+            nonequivariant_limit(j)
+
 
 # single lines O1..O(n+1) on P1..P5, and split bundles with one line per summand
 _CUT_CASES = [(n, (m,)) for n in range(1, 6) for m in range(1, n + 2)] \
@@ -693,6 +770,26 @@ class TestZCut:
             want = full.copy_window(max(k, full.zmin), full.zmax, full.dmax)
             assert cut.data == want.data, k
             assert (cut.zmin, cut.zmax, cut.dmax) == (want.zmin, want.zmax, want.dmax), k
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(_CUT_CASES), st.integers(min_value=0, max_value=4),
+           st.sampled_from((0, -1, -math.inf)))
+    @example((6, (2, 2, 3)), 3, -1)
+    def test_mirror_map_sets_the_head_and_divides_the_rest(self, case, dmax, zmin):
+        """J = I/F with the z^1 layer set to the unit at Q^0 equals the division
+        of all of I, window and serialised values included."""
+        n, degrees = case
+        j = j_closed_form_Pn(n, dmax)
+        t = j.target
+        i = hypergeometric_modification(t, _bundle(t, degrees), j, nonequivariant=True,
+                                        zmin=zmin)
+        f, g = small_expansion(i)
+        _tau, j_tw = mirror_map(i, f, g)
+        want = novikov_scale(i.series, series_invert(f))
+        got = j_tw.series
+        assert {k: {s: v.to_obj() for s, v in c.terms.items()} for k, c in got.data.items()} \
+            == {k: {s: v.to_obj() for s, v in c.terms.items()} for k, c in want.data.items()}
+        assert (got.zmin, got.zmax, got.dmax) == (want.zmin, want.zmax, want.dmax)
 
     def test_a_bundle_without_lines_is_cut_too(self):
         """A rank-0 bundle has no line whose kernel call would cut J, so the
