@@ -659,11 +659,18 @@ def _json_index(obj: dict, key: str) -> int:
     return x
 
 
+def _json_frac(x) -> Frac:
+    """A 'p/q' string or a JSON integer (no float, which is inexact, or bool)."""
+    if isinstance(x, str) or type(x) is int:
+        return Frac(x)
+    raise ValueError(f"expected a rational 'p/q', got {x!r}")
+
+
 def _parse_cyc(obj) -> Cyc:
     if isinstance(obj, str):
         return Cyc.from_fraction(Frac(obj))
     if isinstance(obj, dict) and "zeta" in obj:
-        return Cyc(_json_index(obj, "zeta"), [Frac(x) for x in _json_list(obj, "c")])
+        return Cyc(_json_index(obj, "zeta"), [_json_frac(x) for x in _json_list(obj, "c")])
     raise ValueError(f"bad cyclotomic literal: {obj!r}")
 
 
@@ -685,8 +692,9 @@ def parse_scalar(obj) -> Scalar:
     """Parse 'p/q', 'n0,n1,...|d0,d1,...' (lambda polys, lowest first), or the to_obj() form.
 
     In the dict form ``num``, ``den``, ``ell`` and a zeta's ``c`` are JSON
-    lists, and ``lam_den`` and ``zeta`` are JSON integers >= 1; anything else
-    is a ValueError.
+    lists, each entry of ``c`` is a 'p/q' string or a JSON integer, and
+    ``lam_den`` and ``zeta`` are JSON integers >= 1; anything else is a
+    ValueError.
     """
     if isinstance(obj, Scalar):
         return obj

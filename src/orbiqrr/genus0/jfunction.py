@@ -53,17 +53,16 @@ def j_closed_form_Pn(n: int, dmax: int) -> JFunction:
     """J for P^n at t = 0: z sum_d Q^d / prod_{k<=d} (p+kz)^{n+1}.
 
     Slice d is the factor kernel (e = -(n+1), s = d, rho = p) on z; the row
-    1, p, ..., p^n of z is built once (n class products, p^(n+1) = 0) and
-    only ``_weigh_rows`` runs per degree.
+    1, p, ..., p^n of z (``_power_rows``, which depends on neither s nor
+    e < 0 when nothing is cut) is built once and only ``_weigh_rows`` runs
+    per degree.
     """
     from ..orbtarget import projective_space
     t = projective_space(n)
     e = GiventalElement(t, 1 - (n + 1) * dmax - n - 2, 1, dmax)
-    row, p = [t.unit()], t.basis_class("0", "p")
-    for _ in range(n):
-        row.append(row[-1].mul(p))
+    rows = _power_rows({1: t.unit()}, t.basis_class("0", "p"), 0, -(n + 1))
     for d in range(dmax + 1):
-        for zpow, c in _weigh_rows({1: row}, d, -(n + 1), False).items():
+        for zpow, c in _weigh_rows(rows, d, -(n + 1), False).items():
             e.add_to(zpow, (d,), c)
     return JFunction(t, e)
 
@@ -126,10 +125,8 @@ def _weigh_rows(rows: Dict[int, List[CohClass]], s: int, e: int, equivariant: bo
     in x is infinite, so x must be nilpotent too: lambda = 0, and
     ``equivariant`` must be false.  The rows depend on neither lambda nor,
     for e < 0 and no cut, on s, so the J-function of P^n builds its row
-    once.  At s = 0 the product is empty: the row heads at z >= zmin.
+    once.
     """
-    if s == 0:
-        return {n: row[0] for n, row in rows.items() if n >= zmin}
     lam_top = e * s if equivariant else 0    # the highest power of lambda that occurs
     top = max((len(row) for row in rows.values()), default=1) - 1
     weights = {(i, j): Scalar.lam(i - j).scaled(a * comb(i, j))

@@ -405,16 +405,12 @@ class CohClass:
         return CohClass._valid(self.target, {k: v.nonequiv_limit() for k, v in self.terms.items()})
 
     def __eq__(self, o) -> bool:
-        """Equal values.  On one target object the term dicts are compared:
-        every constructor drops zero terms and ``Scalar.__eq__`` is exact, so
-        the dicts are equal exactly when self - o has no term.  A class on
-        another target object (a config copy) goes through the difference,
-        which checks o's slots against self's target."""
+        """Equal values: every constructor drops zero terms and
+        ``Scalar.__eq__`` is exact, so the term dicts are equal exactly when
+        self - o has no term."""
         if not isinstance(o, CohClass):
             return NotImplemented
-        if o.target is self.target:
-            return self.terms == o.terms
-        return (self - o).is_zero
+        return self.terms == o.terms
 
     def __repr__(self):
         body = ", ".join(

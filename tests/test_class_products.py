@@ -172,9 +172,9 @@ def _eq_pairs(t, rng: random.Random):
 @settings(max_examples=60, deadline=None)
 @given(t=st.sampled_from(EQ_TARGETS), seed=st.integers(0, 2 ** 32 - 1))
 def test_class_equality_is_the_zero_difference(t, seed):
-    """``CohClass.__eq__`` compares term dicts on one target object; it must
-    agree with (a - b).is_zero, the test it replaced, both ways round, also
-    against a class on a config copy of P2."""
+    """``CohClass.__eq__`` compares term dicts; it must agree with
+    (a - b).is_zero, the test it replaced, both ways round, also against a
+    class on a config copy of P2."""
     for a, b in _eq_pairs(t, random.Random(seed)):
         assert (a == b) == (a - b).is_zero
         assert (b == a) == (b - a).is_zero

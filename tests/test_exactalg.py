@@ -283,13 +283,16 @@ def _invertible_series(draw):
 @given(_invertible_series())
 def test_series_invert_recurrence_equals_the_geometric_series(kind_a):
     """The recurrence against the geometric series: the same values on the same
-    window, and the same serialised coefficients when every value is rational."""
+    window, and the same serialised coefficients unless a value has a root of
+    unity.  A cyclotomic value has no canonical form (-4 zeta_6 is stored at
+    order 6, the same -4 - 4 zeta_3 at order 3), so the two summation orders
+    may serialise a zeta-valued coefficient differently."""
     kind, a = kind_a
     fast, slow = series_invert(a), _geometric_invert(a)
     assert (fast.rank, fast.zmin, fast.zmax, fast.dmax) == (slow.rank, slow.zmin, slow.zmax,
                                                               slow.dmax)
     assert fast == slow
-    if kind == "rational":
+    if kind != "zeta":
         assert ({k: v.to_obj() for k, v in fast.items()}
                 == {k: v.to_obj() for k, v in slow.items()})
     one, d0 = a * fast, (0,) * a.rank

@@ -291,10 +291,13 @@ class TestLoadJ:
         {"ell": "1"},
         {"num": [{"zeta": 3, "c": "01"}], "den": ["1"]},
         {"num": [{"zeta": 3.0, "c": ["0", "1"]}], "den": ["1"]},
+        {"num": [{"zeta": 3, "c": ["0", 0.1]}], "den": ["1"]},   # a float is not exact
+        {"num": [{"zeta": 3, "c": ["0", True]}], "den": ["1"]},  # was read as 1
     ])
     def test_malformed_coeff_dict_is_a_schema_error(self, coeff):
         """In the dict form of a coeff, lam_den (and a zeta order) is a JSON
-        integer >= 1 and num, den, ell (and a zeta's c) are JSON lists."""
+        integer >= 1, num, den, ell (and a zeta's c) are JSON lists, and an
+        entry of c is a 'p/q' string or a JSON integer."""
         rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": 1,
                               "coeff": coeff}]
         with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.coeff: "):
