@@ -45,6 +45,7 @@ from .genus0 import (
 )
 from .genus0.correlators import CorrelatorTable
 from .genus0.lefschetz import check_extractable, extract_invariants, lefschetz_chain
+from .jsonread import array, decode_json, integer, rational, required, rows_of, string
 from .loopops import (
     check_delta_symplectomorphism,
     class_Am,
@@ -64,7 +65,6 @@ from .orbtarget import (
     weighted_projective,
     wps_pullback_line,
 )
-from .orbtarget.config import _frac, _int, _req, decode_json
 from .serre import check_serre_cone
 
 Frac = Fraction
@@ -418,28 +418,21 @@ def cmd_check_string(args, cache) -> dict:
 
 def _table_from_obj(t, text: str) -> CorrelatorTable:
     """A table of t from {"rows": [{"d", "insertions": [[cid, idx, k], ...], "value"}]},
-    idx and k JSON integers and each value a "p/q" string or a JSON integer."""
-    doc = decode_json(text)
-    rows = doc.get("rows") if isinstance(doc, dict) else None
-    if not isinstance(rows, list):
-        raise SchemaError("$.rows: expected a list")
+    cid a string, idx and k JSON integers and each value a "p/q" string or a JSON integer."""
     table = CorrelatorTable(t)
-    for i, row in enumerate(rows):
-        path = f"$.rows[{i}]"
-        if not isinstance(row, dict) or not isinstance(row.get("insertions"), list):
-            raise SchemaError(f"{path}: expected an object with an insertions list")
+    for path, row in rows_of(decode_json(text)):
         d = (deg_from_json(row["d"], t.curve_rank, f"{path}.d", t.name) if "d" in row
              else zero_deg(t.curve_rank))
         insertions = []
-        for j, ins in enumerate(row["insertions"]):
+        for j, ins in enumerate(required(row, "insertions", path, array)):
             ipath = f"{path}.insertions[{j}]"
             if not (isinstance(ins, list) and len(ins) == 3):
                 raise SchemaError(f"{ipath}: expected [component, basis index, psibar power]")
-            slot = (str(ins[0]), _int(ins[1], ipath))
+            slot = (string(ins[0], ipath), integer(ins[1], ipath))
             if slot not in t.flat_index:
                 raise SchemaError(f"{ipath}: no slot {slot} in {t.name}")
-            insertions.append((slot, _int(ins[2], ipath)))
-        table.set(d, insertions, sc(_frac(_req(row, "value", path), f"{path}.value")))
+            insertions.append((slot, integer(ins[2], ipath)))
+        table.set(d, insertions, sc(required(row, "value", path, rational)))
     return table
 
 

@@ -64,7 +64,8 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ExpObstruction, LogObstruction, NonInvertible, PoleAtZero
+from ..errors import ExpObstruction, LogObstruction, NonInvertible, PoleAtZero, SchemaError
+from ..jsonread import array, integer, mapping, only, rational, required
 from . import poly
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
 
@@ -645,66 +646,53 @@ def root_of_unity(n: int, k: int) -> Scalar:
 
 # -- parsing -----------------------------------------------------------------
 
-def _json_list(obj: dict, key: str) -> list:
-    if not isinstance(obj[key], list):
-        raise ValueError(f"{key!r} must be a JSON list, got {obj[key]!r}")
-    return obj[key]
+def _parse_cyc(obj, path: str) -> Cyc:
+    if not isinstance(obj, dict):
+        return Cyc.from_fraction(rational(obj, path))
+    only(obj, ("zeta", "c"), path)
+    return Cyc(integer(required(obj, "zeta", path), f"{path}.zeta", 1),
+               [rational(x, f"{path}.c[{i}]")
+                for i, x in enumerate(array(required(obj, "c", path), f"{path}.c"))])
 
 
-def _json_index(obj: dict, key: str) -> int:
-    """obj[key], 1 when absent, as a JSON integer >= 1 (no float, bool or string)."""
-    x = obj.get(key, 1)
-    if type(x) is not int or x < 1:
-        raise ValueError(f"{key!r} must be an integer >= 1, got {x!r}")
-    return x
-
-
-def _json_frac(x) -> Frac:
-    """A 'p/q' string or a JSON integer (no float, which is inexact, or bool)."""
-    if isinstance(x, str) or type(x) is int:
-        return Frac(x)
-    raise ValueError(f"expected a rational 'p/q', got {x!r}")
-
-
-def _parse_cyc(obj) -> Cyc:
+def _parse_rf(obj, path: str, extra=()) -> RatFunc:
+    if isinstance(obj, str) and "|" not in obj:
+        return RatFunc.const(Cyc.from_fraction(rational(obj, path)))
     if isinstance(obj, str):
-        return Cyc.from_fraction(Frac(obj))
-    if isinstance(obj, dict) and "zeta" in obj:
-        return Cyc(_json_index(obj, "zeta"), [_json_frac(x) for x in _json_list(obj, "c")])
-    raise ValueError(f"bad cyclotomic literal: {obj!r}")
+        num, den = ([Cyc.from_fraction(rational(t, path)) for t in part.split(",") if t.strip()]
+                    for part in obj.split("|", 1))
+    else:
+        only(mapping(obj, path), ("num", "den") + extra, path)
+        num, den = ([_parse_cyc(c, f"{path}.{key}[{i}]")
+                     for i, c in enumerate(array(required(obj, key, path), f"{path}.{key}"))]
+                    for key in ("num", "den"))
+    if all(c.is_zero for c in den):
+        raise SchemaError(f"{path}: the denominator is zero")
+    return RatFunc(num, den)
 
 
-def _parse_rf(obj) -> RatFunc:
-    if isinstance(obj, str):
-        if "|" in obj:
-            num_s, den_s = obj.split("|", 1)
-            num = [Cyc.from_fraction(Frac(t)) for t in num_s.split(",") if t.strip()]
-            den = [Cyc.from_fraction(Frac(t)) for t in den_s.split(",") if t.strip()]
-            return RatFunc(num, den)
-        return RatFunc.const(Cyc.from_fraction(Frac(obj)))
-    if isinstance(obj, dict):
-        return RatFunc([_parse_cyc(c) for c in _json_list(obj, "num")],
-                       [_parse_cyc(c) for c in _json_list(obj, "den")])
-    raise ValueError(f"bad rational-function literal: {obj!r}")
+def parse_scalar(obj, path: str = "$") -> Scalar:
+    """Parse 'p/q', 'n0,n1,...|d0,d1,...' (lambda polys, lowest first), a JSON
+    integer or the to_obj() form; anything else is a SchemaError naming
+    ``path`` or the field below it that fails.
 
-
-def parse_scalar(obj) -> Scalar:
-    """Parse 'p/q', 'n0,n1,...|d0,d1,...' (lambda polys, lowest first), or the to_obj() form.
-
-    In the dict form ``num``, ``den``, ``ell`` and a zeta's ``c`` are JSON
+    The dict form is {"num", "den", "lam_den"?} or {"ell", "lam_den"?} and
+    has no other key.  ``num``, ``den``, ``ell`` and a zeta's ``c`` are JSON
     lists, each entry of ``c`` is a 'p/q' string or a JSON integer, and
-    ``lam_den`` and ``zeta`` are JSON integers >= 1; anything else is a
-    ValueError.
+    ``lam_den`` (1 when absent) and ``zeta`` are JSON integers >= 1.
     """
     if isinstance(obj, Scalar):
         return obj
     if type(obj) is int:                # not a bool
         return Scalar.from_fraction(obj)
     if isinstance(obj, str):
-        return Scalar((_parse_rf(obj),), 1)
-    if isinstance(obj, dict):
-        if "ell" in obj:
-            return Scalar([_parse_rf(rf) for rf in _json_list(obj, "ell")],
-                          _json_index(obj, "lam_den"))
-        return Scalar((_parse_rf(obj),), _json_index(obj, "lam_den"))
-    raise ValueError(f"cannot parse scalar: {obj!r}")
+        return Scalar((_parse_rf(obj, path),), 1)
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected a scalar ('p/q', 'n0,...|d0,...', an integer "
+                          f"or an object), got {obj!r}")
+    lam_den = integer(obj.get("lam_den", 1), f"{path}.lam_den", 1)
+    if "ell" in obj:
+        only(obj, ("ell", "lam_den"), path)
+        return Scalar([_parse_rf(rf, f"{path}.ell[{i}]")
+                       for i, rf in enumerate(array(obj["ell"], f"{path}.ell"))], lam_den)
+    return Scalar((_parse_rf(obj, path, ("lam_den",)),), lam_den)

@@ -18,8 +18,8 @@ from typing import Dict, List, Tuple
 from ..errors import NormalFormViolation, SchemaError
 from ..exactalg import Scalar, deg_from_json, deg_pairing, parse_scalar, poly, zero_deg
 from ..givental import GiventalElement
+from ..jsonread import decode_json, integer, required, rows_of, string
 from ..orbtarget import CohClass, TargetModel
-from ..orbtarget.config import decode_json
 
 Frac = Fraction
 
@@ -152,40 +152,27 @@ def load_j_function(t: TargetModel, data) -> JFunction:
     """Rows {d, zpow, component, basis, coeff}; a coeff is a "p/q" string, a
     lambda rational string or a JSON integer (a float or a bool is refused).
 
-    d is a list of curve_rank nonnegative integers and zpow an integer; a
-    malformed row is a SchemaError naming $.rows[i] and the field.  The
-    table must contain the z head at d = 0, a rational parameter point (its
-    (d=0, z^0) rows) and satisfy the dimension filter z <= 1 - <c1(TX), d>
-    in positive degrees.
+    d is a list of curve_rank nonnegative integers, zpow an integer,
+    component a string and basis an index or a class name; a malformed row
+    is a SchemaError naming $.rows[i] and the field.  The table must contain
+    the z head at d = 0, a rational parameter point (its (d=0, z^0) rows) and
+    satisfy the dimension filter z <= 1 - <c1(TX), d> in positive degrees.
     """
     if isinstance(data, str):
         data = decode_json(data)
-    rows = data.get("rows") if isinstance(data, dict) else data
-    if not isinstance(rows, list):
-        raise SchemaError("$.rows: expected a list")
     dmax = 0
     zmin, zmax = 0, 1
     parsed = []
-    for i, row in enumerate(rows):
-        path = f"$.rows[{i}]"
-        if not isinstance(row, dict):
-            raise SchemaError(f"{path}: expected an object")
-        for key in ("d", "zpow", "component", "basis", "coeff"):
-            if key not in row:
-                raise SchemaError(f"{path}.{key}: missing required field")
-        d, zpow = deg_from_json(row["d"], t.curve_rank, f"{path}.d", t.name), row["zpow"]
-        if type(zpow) is not int:
-            raise SchemaError(f"{path}.zpow: expected an integer, got {zpow!r}")
-        cid = str(row["component"])
+    for path, row in rows_of({"rows": data} if isinstance(data, list) else data):
+        d = deg_from_json(required(row, "d", path), t.curve_rank, f"{path}.d", t.name)
+        zpow = integer(required(row, "zpow", path), f"{path}.zpow", None)
+        cid = required(row, "component", path, string)
         if cid not in t.by_id:
             raise SchemaError(f"{path}.component: unknown component {cid!r}")
-        try:
-            coeff = parse_scalar(row["coeff"])
-        except (KeyError, TypeError, ValueError, ArithmeticError) as e:
-            raise SchemaError(f"{path}.coeff: {e}")
-        basis = row["basis"]
-        idx = basis if type(basis) is int else t.by_id[cid].basis_index(str(basis))
-        parsed.append((d, zpow, cid, idx, coeff))
+        basis = required(row, "basis", path)
+        idx = (basis if type(basis) is int
+               else t.by_id[cid].basis_index(string(basis, f"{path}.basis")))
+        parsed.append((d, zpow, cid, idx, required(row, "coeff", path, parse_scalar)))
         dmax = max(dmax, sum(d))
         zmin, zmax = min(zmin, zpow), max(zmax, zpow)
     e = GiventalElement(t, zmin, zmax, dmax)

@@ -1,8 +1,10 @@
 """Target/bundle config documents: JSON with bit-exact rational round-trips.
 
-Schema (rationals are "p/q" strings or JSON integers, never floats or bools;
-ints nonnegative JSON integers, lists JSON lists, and every pairing vector has
-curve_rank entries, one per curve class):
+Schema, read through ``jsonread`` (rationals are "p/q" strings or JSON
+integers, never floats or bools; ints nonnegative JSON integers; str fields,
+ids and component names included, JSON strings, never numbers; bool a JSON
+true or false; lists JSON lists; and every pairing vector has curve_rank
+entries, one per curve class):
 
     {
       "name": str, "dim": int, "curve_rank": int,
@@ -32,55 +34,13 @@ eigen data, ...) before a model is returned.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from ..errors import InvariantViolation, SchemaError
 from ..exactalg import sc
+from ..jsonread import (array, boolean, decode_json, integer, mapping, matrix, optional,
+                        rational, rationals, required, string)
 from .model import BasisClass, BundleModel, CohClass, Component, TargetModel
-
-Frac = Fraction
-
-
-def decode_json(text: str):
-    """The value of a JSON document, or a SchemaError at $."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"$: invalid JSON ({e})") from None
-
-
-def _frac(s, path: str) -> Frac:
-    if isinstance(s, str) or type(s) is int:     # no float (inexact) or bool
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SchemaError(f"{path}: expected a rational 'p/q', got {s!r}")
-
-
-def _int(x, path: str) -> int:
-    if type(x) is not int or x < 0:     # no bool, float or string
-        raise SchemaError(f"{path}: expected a nonnegative integer, got {x!r}")
-    return x
-
-
-def _list(x, path: str) -> list:
-    if not isinstance(x, list):
-        raise SchemaError(f"{path}: expected a list, got {x!r}")
-    return x
-
-
-def _str(x, path: str) -> str:
-    if not isinstance(x, str):
-        raise SchemaError(f"{path}: expected a string, got {x!r}")
-    return x
-
-
-def _req(obj, key, path: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{path}.{key}: missing required field")
-    return obj[key]
 
 
 def target_to_obj(t: TargetModel, bundles: List[BundleModel]) -> dict:
@@ -159,98 +119,76 @@ def str_scalar(x) -> str:
 
 
 def target_from_obj(obj: dict) -> Tuple[TargetModel, Dict[str, BundleModel]]:
-    name = _str(_req(obj, "name", "$"), "$.name")
-    dim = _int(_req(obj, "dim", "$"), "$.dim")
-    curve_rank = _int(_req(obj, "curve_rank", "$"), "$.curve_rank")
+    name = required(obj, "name", "$", string)
+    dim = required(obj, "dim", "$", integer)
+    curve_rank = required(obj, "curve_rank", "$", integer)
     comps = []
-    comp_objs = _req(obj, "components", "$")
-    if not isinstance(comp_objs, list) or not comp_objs:
+    comp_objs = required(obj, "components", "$", array)
+    if not comp_objs:
         raise SchemaError("$.components: expected a nonempty list")
     for ci, cobj in enumerate(comp_objs):
         path = f"$.components[{ci}]"
         basis = []
-        for bi, bobj in enumerate(_list(_req(cobj, "basis", path), f"{path}.basis")):
+        for bi, bobj in enumerate(required(cobj, "basis", path, array)):
             bpath = f"{path}.basis[{bi}]"
-            degree = _int(_req(bobj, "degree", bpath), f"{bpath}.degree")
+            degree = required(bobj, "degree", bpath, integer)
             if degree % 2:
                 raise SchemaError(f"{bpath}.degree: odd-degree classes are not supported")
-            cp = tuple(_frac(x, f"{bpath}.curve_pairing")
-                       for x in _list(bobj.get("curve_pairing", []), f"{bpath}.curve_pairing"))
-            basis.append(BasisClass(_str(_req(bobj, "name", bpath), f"{bpath}.name"), degree, cp))
-        pairing = [[_frac(x, f"{path}.pairing") for x in _list(row, f"{path}.pairing")]
-                   for row in _list(_req(cobj, "pairing", path), f"{path}.pairing")]
+            cp = tuple(optional(bobj, "curve_pairing", bpath, rationals, []))
+            basis.append(BasisClass(required(bobj, "name", bpath, string), degree, cp))
         mult = {}
-        for row in _list(cobj.get("mult", []), f"{path}.mult"):
-            if len(_list(row, f"{path}.mult")) != 4:
+        for row in optional(cobj, "mult", path, array, []):
+            if len(array(row, f"{path}.mult")) != 4:
                 raise SchemaError(f"{path}.mult: rows are [a, b, g, 'p/q']")
-            a, b, g = (_int(x, f"{path}.mult") for x in row[:3])
-            mult.setdefault((a, b), {})[g] = _frac(row[3], f"{path}.mult")
-        restriction = None
-        if "untwisted_restriction" in cobj:
-            rpath = f"{path}.untwisted_restriction"
-            restriction = [[_frac(x, rpath) for x in _list(row, rpath)]
-                           for row in _list(cobj["untwisted_restriction"], rpath)]
+            a, b, g = (integer(x, f"{path}.mult") for x in row[:3])
+            mult.setdefault((a, b), {})[g] = rational(row[3], f"{path}.mult")
         comps.append(Component(
-            cid=str(_req(cobj, "id", path)),
-            r=_int(_req(cobj, "r", path), f"{path}.r"),
-            age=_frac(_req(cobj, "age", path), f"{path}.age"),
-            involution=str(_req(cobj, "involution", path)),
-            basis=basis, pairing=pairing, mult=mult,
-            untwisted_restriction=restriction,
+            cid=required(cobj, "id", path, string), r=required(cobj, "r", path, integer),
+            age=required(cobj, "age", path, rational),
+            involution=required(cobj, "involution", path, string),
+            basis=basis, pairing=required(cobj, "pairing", path, matrix), mult=mult,
+            untwisted_restriction=optional(cobj, "untwisted_restriction", path, matrix, None),
         ))
-    c1t = tuple(_frac(x, "$.c1_tangent_pairing")
-                for x in _list(obj.get("c1_tangent_pairing", []), "$.c1_tangent_pairing"))
-    target = TargetModel(name, dim, curve_rank, comps,
-                         c1_tangent_pairing=c1t,
-                         jfunction_file=obj.get("jfunction_file"))
+    c1t = tuple(optional(obj, "c1_tangent_pairing", "$", rationals, []))
+    target = TargetModel(name, dim, curve_rank, comps, c1_tangent_pairing=c1t,
+                         jfunction_file=optional(obj, "jfunction_file", "$", string, None))
     bundles = {}
-    for fi, fobj in enumerate(_list(obj.get("bundles", []), "$.bundles")):
+    for fi, fobj in enumerate(optional(obj, "bundles", "$", array, [])):
         path = f"$.bundles[{fi}]"
         eigen = {}
-        for ei, eobj in enumerate(_list(_req(fobj, "eigen", path), f"{path}.eigen")):
+        for ei, eobj in enumerate(required(fobj, "eigen", path, array)):
             epath = f"{path}.eigen[{ei}]"
-            cid = str(_req(eobj, "component", epath))
+            cid = required(eobj, "component", epath, string)
             if cid not in target.by_id:
                 raise SchemaError(f"{epath}.component: unknown component {cid!r}")
             comp = target.by_id[cid]
-            ch = _list(_req(eobj, "ch", epath), f"{epath}.ch")
+            ch = required(eobj, "ch", epath, array)
             if len(ch) != len(comp.basis):
                 raise SchemaError(f"{epath}.ch: expected {len(comp.basis)} coefficients")
             cls = CohClass(target, {
-                (cid, i): sc(_frac(x, f"{epath}.ch[{i}]")) for i, x in enumerate(ch)
+                (cid, i): sc(rational(x, f"{epath}.ch[{i}]")) for i, x in enumerate(ch)
             })
-            rank = _frac(_req(eobj, "rank", epath), f"{epath}.rank")
-            head = cls.coeff(cid, 0)
-            if (head.is_zero and rank != 0) or (not head.is_zero and head.as_fraction() != rank):
+            if cls.coeff(cid, 0) != sc(required(eobj, "rank", epath, rational)):
                 raise InvariantViolation("eigen rank consistency",
                                          f"{epath}: ch_0 != rank")
-            eigen[(cid, _int(_req(eobj, "l", epath), f"{epath}.l"))] = cls
+            eigen[(cid, required(eobj, "l", epath, integer))] = cls
         lines = None
         if "lines" in fobj:
             lines = []
-            for li, lobj in enumerate(_list(fobj["lines"], f"{path}.lines")):
+            for li, lobj in enumerate(array(fobj["lines"], f"{path}.lines")):
                 lpath = f"{path}.lines[{li}]"
-                pair = tuple(_frac(x, f"{lpath}.c1_pairing") for x in
-                             _list(_req(lobj, "c1_pairing", lpath), f"{lpath}.c1_pairing"))
-                c1 = _req(lobj, "c1", lpath)
-                if not isinstance(c1, dict):
-                    raise SchemaError(f"{lpath}.c1: expected an object, got {c1!r}")
-                terms = {}
-                for cid, coeffs in c1.items():
-                    for i, x in enumerate(_list(coeffs, f"{lpath}.c1[{cid}]")):
-                        v = _frac(x, f"{lpath}.c1[{cid}]")
-                        if v:
-                            terms[(cid, i)] = sc(v)
+                pair = tuple(required(lobj, "c1_pairing", lpath, rationals))
+                terms = {(cid, i): sc(v)
+                         for cid, coeffs in required(lobj, "c1", lpath, mapping).items()
+                         for i, v in enumerate(rationals(coeffs, f"{lpath}.c1[{cid}]")) if v}
                 lines.append((pair, CohClass(target, terms)))
         F = BundleModel(
-            _str(_req(fobj, "name", path), f"{path}.name"), target, eigen,
-            pulled_back=bool(fobj.get("pulled_back", False)),
-            c1_pairing=tuple(_frac(x, f"{path}.c1_pairing")
-                             for x in _list(fobj.get("c1_pairing", []), f"{path}.c1_pairing")),
+            required(fobj, "name", path, string), target, eigen,
+            pulled_back=optional(fobj, "pulled_back", path, boolean, False),
+            c1_pairing=tuple(optional(fobj, "c1_pairing", path, rationals, [])),
             lines=lines,
         )
-        declared = _frac(_req(fobj, "rank", path), f"{path}.rank")
-        if F.rank != declared:
+        if F.rank != required(fobj, "rank", path, rational):
             raise InvariantViolation("rank sum", f"{path}: declared rank != eigen rank sum")
         bundles[F.name] = F
     return target, bundles

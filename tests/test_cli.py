@@ -235,15 +235,30 @@ class TestBasicCommands:
         (("components", 0, "pairing", 0, 2), 1.0,
          "$.components[0].pairing: expected a rational 'p/q', got 1.0"),
         (("bundles", 0, "c1_pairing", 0), 3.5,
-         "$.bundles[0].c1_pairing: expected a rational 'p/q', got 3.5")])
+         "$.bundles[0].c1_pairing: expected a rational 'p/q', got 3.5"),
+        (("bundles", 0, "pulled_back"), "no",
+         "$.bundles[0].pulled_back: expected a boolean, got 'no'"),
+        (("components", 0, "id"), 0, "$.components[0].id: expected a string, got 0"),
+        (("components", 0, "id"), ["0"], "$.components[0].id: expected a string, got ['0']"),
+        (("components", 0, "involution"), 0,
+         "$.components[0].involution: expected a string, got 0"),
+        (("bundles", 0, "eigen", 0, "component"), 0,
+         "$.bundles[0].eigen[0].component: expected a string, got 0"),
+        (("bundles", 0, "eigen", 0, "component"), ["0"],
+         "$.bundles[0].eigen[0].component: expected a string, got ['0']"),
+        (("jfunction_file",), 5, "$.jfunction_file: expected a string, got 5")])
     def test_config_names_and_line_classes_are_typed(self, capsys, tmp_path, keys, value,
                                                      message):
         """A name that is not a string, a line's c1 that is not an object, and a
         rational that is a float or a bool are SchemaErrors naming the field: a list
         c1 died with an AttributeError, a list bundle name with a TypeError, and a
         target or basis name of another JSON type validated, as did a float rational
-        (read inexactly: 0.1 is not 1/10) or a bool one.  A None value deletes the
-        field."""
+        (read inexactly: 0.1 is not 1/10) or a bool one.  So are an id, an
+        involution or an eigen component that is not a string (0 was read as "0",
+        and ["0"] as "['0']", reported as a missing component), a pulled_back that
+        is not a bool ("no" was read as true) and a jfunction_file that is not a
+        string (5 validated, and show died in os.path.join).  A None value deletes
+        the field."""
         code, out, _ = run(capsys, "target", "show", "P2", "--bundle", "O3")
         obj = json.loads(out)
         holder = obj
@@ -417,6 +432,19 @@ class TestBasicCommands:
         error = json.loads(out)["error"]
         assert error["code"] == "SchemaError"
         assert error["message"].startswith("$.jfunction_file: cannot read ")
+
+    def test_jfunction_file_of_another_type_is_a_structured_error(self, capsys, tmp_path):
+        """A jfunction_file that is not a string is a SchemaError with exit 1: 5 died
+        with a TypeError traceback in os.path.join."""
+        code, out, _ = run(capsys, "target", "show", "P2", "--bundle", "O3")
+        obj = json.loads(out)
+        obj["jfunction_file"] = 5
+        (tmp_path / "t.json").write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "ifunction", "--target", str(tmp_path / "t.json"),
+                           "--bundle", "O3", "--max-degree", "1")
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "SchemaError", "message": "$.jfunction_file: expected a string, got 5"}
 
     def test_jfunction_file_without_rows_is_a_structured_error(self, capsys, tmp_path):
         from orbiqrr.orbtarget import projective_space, target_to_obj
@@ -832,6 +860,10 @@ class TestPipelines:
           for value in (0.1, 1.0, True, None)],
         ({"rows": [{"d": [0], "insertions": [["0", 0, 0], ["0", 0, 0], ["0", 0, 0]]}]},
          "$.rows[0].value"),
+        # a component is a string: 0 was read as "0"
+        ({"rows": [{"d": [0], "insertions": [[0, 0, 0], ["0", 0, 0], ["0", 0, 0]],
+                    "value": "0"}]}, "$.rows[0].insertions[0]"),
+        ({"rows": [{"d": [0], "value": "0"}]}, "$.rows[0].insertions"),
     ])
     def test_check_universal_malformed_table(self, capsys, tmp_path, doc, path):
         table = tmp_path / "table.json"

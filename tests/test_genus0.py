@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -272,6 +273,12 @@ class TestLoadJ:
         ("zpow", "1"),
         ("coeff", True),       # a JSON boolean is not a rational (was read as 1)
         ("coeff", 1.0),        # a float is not exact
+        ("coeff", "1|0"),      # a zero denominator
+        ("coeff", {"num": ["1"], "den": ["0"]}),
+        ("component", 0),      # a string (was read as "0")
+        ("component", ["0"]),
+        ("basis", 1.0),        # an index or a name (was read as the name "1.0")
+        ("basis", True),
     ])
     def test_malformed_row_names_its_field(self, field, value):
         rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": 0,
@@ -279,28 +286,35 @@ class TestLoadJ:
         with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.{field}: "):
             load_j_function(projective_space(2), {"rows": rows})
 
-    @pytest.mark.parametrize("coeff", [
-        {"num": ["0", "1"], "den": ["1"], "lam_den": 2.5},   # was read as lam_den 2
-        {"num": ["0", "1"], "den": ["1"], "lam_den": True},  # was read as 1
-        {"num": ["0", "1"], "den": ["1"], "lam_den": "2"},
-        {"num": ["0", "1"], "den": ["1"], "lam_den": 0},     # a root index is >= 1
-        {"num": ["0", "1"], "den": ["1"], "lam_den": -2},
-        {"ell": [{"num": ["1"], "den": ["1"]}], "lam_den": 2.0},
-        {"num": "12", "den": ["1"]},                         # was read as ["1", "2"]
-        {"num": ["1"], "den": "1"},
-        {"ell": "1"},
-        {"num": [{"zeta": 3, "c": "01"}], "den": ["1"]},
-        {"num": [{"zeta": 3.0, "c": ["0", "1"]}], "den": ["1"]},
-        {"num": [{"zeta": 3, "c": ["0", 0.1]}], "den": ["1"]},   # a float is not exact
-        {"num": [{"zeta": 3, "c": ["0", True]}], "den": ["1"]},  # was read as 1
-    ])
-    def test_malformed_coeff_dict_is_a_schema_error(self, coeff):
+    MALFORMED_COEFFS = [
+        ({"num": ["0", "1"], "den": ["1"], "lam_den": 2.5}, ".lam_den"),   # was read as 2
+        ({"num": ["0", "1"], "den": ["1"], "lam_den": True}, ".lam_den"),  # was read as 1
+        ({"num": ["0", "1"], "den": ["1"], "lam_den": "2"}, ".lam_den"),
+        ({"num": ["0", "1"], "den": ["1"], "lam_den": 0}, ".lam_den"),     # a root index is >= 1
+        ({"num": ["0", "1"], "den": ["1"], "lam_den": -2}, ".lam_den"),
+        ({"ell": [{"num": ["1"], "den": ["1"]}], "lam_den": 2.0}, ".lam_den"),
+        ({"num": "12", "den": ["1"]}, ".num"),                             # was read as ["1", "2"]
+        ({"num": ["1"], "den": "1"}, ".den"),
+        ({"ell": "1"}, ".ell"),
+        ({"num": [{"zeta": 3, "c": "01"}], "den": ["1"]}, ".num[0].c"),
+        ({"num": [{"zeta": 3.0, "c": ["0", "1"]}], "den": ["1"]}, ".num[0].zeta"),
+        ({"num": [{"zeta": 3, "c": ["0", 0.1]}], "den": ["1"]}, ".num[0].c[1]"),  # inexact
+        ({"num": [{"zeta": 3, "c": ["0", True]}], "den": ["1"]}, ".num[0].c[1]"),  # was 1
+        ({"num": ["0", "1"], "den": ["1"], "lamden": 2}, ".lamden"),  # was read as lambda
+        ({"ell": [{"num": ["3"], "den": ["1"]}], "num": ["5"], "den": ["1"]}, ".num"),  # dropped
+    ]
+
+    @pytest.mark.parametrize("coeff, field", MALFORMED_COEFFS,
+                             ids=[f"coeff{i}" for i in range(len(MALFORMED_COEFFS))])
+    def test_malformed_coeff_dict_is_a_schema_error(self, coeff, field):
         """In the dict form of a coeff, lam_den (and a zeta order) is a JSON
-        integer >= 1, num, den, ell (and a zeta's c) are JSON lists, and an
-        entry of c is a 'p/q' string or a JSON integer."""
+        integer >= 1, num, den, ell (and a zeta's c) are JSON lists, an entry
+        of c is a 'p/q' string or a JSON integer, and no other key occurs; the
+        error names the failing field below $.rows[i].coeff."""
         rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": 1,
                               "coeff": coeff}]
-        with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.coeff: "):
+        with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.coeff"
+                                              rf"{re.escape(field)}: "):
             load_j_function(projective_space(2), {"rows": rows})
 
     @pytest.mark.parametrize("row, message", [
