@@ -646,16 +646,19 @@ def root_of_unity(n: int, k: int) -> Scalar:
 
 # -- parsing -----------------------------------------------------------------
 
-def _parse_cyc(obj, path: str) -> Cyc:
+def _parse_cyc(obj, path: str, zeta_period) -> Cyc:
     if not isinstance(obj, dict):
         return Cyc.from_fraction(rational(obj, path))
     only(obj, ("zeta", "c"), path)
-    return Cyc(integer(required(obj, "zeta", path), f"{path}.zeta", 1),
-               [rational(x, f"{path}.c[{i}]")
-                for i, x in enumerate(array(required(obj, "c", path), f"{path}.c"))])
+    order = integer(required(obj, "zeta", path), f"{path}.zeta", 1)
+    coeffs = [rational(x, f"{path}.c[{i}]")
+              for i, x in enumerate(array(required(obj, "c", path), f"{path}.c"))]
+    if zeta_period is not None and zeta_period % order:
+        raise SchemaError(f"{path}.zeta: expected an order dividing {zeta_period}, got {order}")
+    return Cyc(order, coeffs)
 
 
-def _parse_rf(obj, path: str, extra=()) -> RatFunc:
+def _parse_rf(obj, path: str, zeta_period, extra=()) -> RatFunc:
     if isinstance(obj, str) and "|" not in obj:
         return RatFunc.const(Cyc.from_fraction(rational(obj, path)))
     if isinstance(obj, str):
@@ -663,7 +666,7 @@ def _parse_rf(obj, path: str, extra=()) -> RatFunc:
                     for part in obj.split("|", 1))
     else:
         only(mapping(obj, path), ("num", "den") + extra, path)
-        num, den = ([_parse_cyc(c, f"{path}.{key}[{i}]")
+        num, den = ([_parse_cyc(c, f"{path}.{key}[{i}]", zeta_period)
                      for i, c in enumerate(array(required(obj, key, path), f"{path}.{key}"))]
                     for key in ("num", "den"))
     if all(c.is_zero for c in den):
@@ -671,7 +674,7 @@ def _parse_rf(obj, path: str, extra=()) -> RatFunc:
     return RatFunc(num, den)
 
 
-def parse_scalar(obj, path: str = "$") -> Scalar:
+def parse_scalar(obj, path: str = "$", zeta_period: Optional[int] = None) -> Scalar:
     """Parse 'p/q', 'n0,n1,...|d0,d1,...' (lambda polys, lowest first), a JSON
     integer or the to_obj() form; anything else is a SchemaError naming
     ``path`` or the field below it that fails.
@@ -679,20 +682,22 @@ def parse_scalar(obj, path: str = "$") -> Scalar:
     The dict form is {"num", "den", "lam_den"?} or {"ell", "lam_den"?} and
     has no other key.  ``num``, ``den``, ``ell`` and a zeta's ``c`` are JSON
     lists, each entry of ``c`` is a 'p/q' string or a JSON integer, and
-    ``lam_den`` (1 when absent) and ``zeta`` are JSON integers >= 1.
+    ``lam_den`` (1 when absent) and ``zeta`` are JSON integers >= 1.  With
+    ``zeta_period`` a zeta order must divide it, checked before the
+    cyclotomic polynomial of that order is built.
     """
     if isinstance(obj, Scalar):
         return obj
     if type(obj) is int:                # not a bool
         return Scalar.from_fraction(obj)
     if isinstance(obj, str):
-        return Scalar((_parse_rf(obj, path),), 1)
+        return Scalar((_parse_rf(obj, path, zeta_period),), 1)
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a scalar ('p/q', 'n0,...|d0,...', an integer "
                           f"or an object), got {obj!r}")
     lam_den = integer(obj.get("lam_den", 1), f"{path}.lam_den", 1)
     if "ell" in obj:
         only(obj, ("ell", "lam_den"), path)
-        return Scalar([_parse_rf(rf, f"{path}.ell[{i}]")
+        return Scalar([_parse_rf(rf, f"{path}.ell[{i}]", zeta_period)
                        for i, rf in enumerate(array(obj["ell"], f"{path}.ell"))], lam_den)
-    return Scalar((_parse_rf(obj, path, ("lam_den",)),), lam_den)
+    return Scalar((_parse_rf(obj, path, zeta_period, ("lam_den",)),), lam_den)

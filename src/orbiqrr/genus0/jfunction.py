@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf
+from math import comb, inf, lcm
 from typing import Dict, List, Tuple
 
 from ..errors import NormalFormViolation, SchemaError
@@ -54,23 +54,32 @@ def j_closed_form_Pn(n: int, dmax: int) -> JFunction:
 
     Slice d is the factor kernel (e = -(n+1), s = d, rho = p) on z; the row
     1, p, ..., p^n of z (``_power_rows``, which depends on neither s nor
-    e < 0 when nothing is cut) is built once and only ``_weigh_rows`` runs
-    per degree.
+    e < 0 when nothing is cut) is built once per target and only
+    ``_weigh_rows`` runs per degree.  Slice d depends on (n, d) alone, so it
+    is built once per process and kept on the shared target P^n
+    (``TargetModel.keep``); each call assembles a fresh series from the kept
+    slices, so a caller may change its J, but the classes in it are shared
+    and must be treated as immutable.
     """
     from ..orbtarget import projective_space
     t = projective_space(n)
     e = GiventalElement(t, 1 - (n + 1) * dmax - n - 2, 1, dmax)
-    rows = _power_rows({1: t.unit()}, t.basis_class("0", "p"), 0, -(n + 1))
     for d in range(dmax + 1):
-        for zpow, c in _weigh_rows(rows, d, -(n + 1), False).items():
+        for zpow, c in t.keep(("J slice", d), lambda: _pn_slice(t, d)):
             e.add_to(zpow, (d,), c)
     return JFunction(t, e)
+
+
+def _pn_slice(t: TargetModel, d: int) -> Tuple[Tuple[int, CohClass], ...]:
+    """Slice d of the J-function of t = P^n as (z-power, class) pairs."""
+    rows = t.keep(("J row",), lambda: _power_rows({1: t.unit()}, t.basis_class("0", "p"),
+                                                  0, -(t.dim + 1)))
+    return tuple(_weigh_rows(rows, d, -(t.dim + 1), False).items())
 
 
 # -- the hypergeometric factor kernel ----------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _factor_coefficients(e: int, s: int, top: int) -> Tuple[Frac, ...]:
     """c_0..c_m with prod_{k=1..s} (x + kz)^e = sum_i c_i x^i z^(e s - i) mod x^(top+1).
 
@@ -110,6 +119,18 @@ def _power_rows(slice_terms: Dict[int, CohClass], rho: CohClass, s: int, e: int,
     return rows
 
 
+@lru_cache(maxsize=256)
+def _weight_table(e: int, s: int, top: int, lam_top: int
+                  ) -> Tuple[Tuple[Tuple[int, Scalar], ...], ...]:
+    """Entry i: the pairs (j, lambda^(i-j) c_i C(i, j)) for j from
+    max(0, i - lam_top) up to min(i, top), the weights of ``_weigh_rows``
+    (c_i from ``_factor_coefficients(e, s, top + lam_top)``); built once per
+    process and key, and shared by every caller."""
+    return tuple(tuple((j, Scalar.lam(i - j).scaled(a * comb(i, j)))
+                       for j in range(max(0, i - lam_top), min(i, top) + 1))
+                 for i, a in enumerate(_factor_coefficients(e, s, top + lam_top)))
+
+
 def _weigh_rows(rows: Dict[int, List[CohClass]], s: int, e: int, equivariant: bool,
                 zmin: float = -inf) -> Dict[int, CohClass]:
     """Stage two: prod_{k=1..s} (lambda + rho + kz)^e times sum_n c_n z^n from
@@ -127,22 +148,42 @@ def _weigh_rows(rows: Dict[int, List[CohClass]], s: int, e: int, equivariant: bo
     for e < 0 and no cut, on s, so the J-function of P^n builds its row
     once.  At s = 0 the product is empty: the row heads at z >= zmin, with
     no scalar product (a measured 2 % of quintic throughput).
+
+    The weights depend on (e, s, top, lambda-top) alone, top the longest
+    row's last j, and are built once per process (``_weight_table``).  For
+    row n the i-loop stops at the cut, i <= n + e s - zmin, and where no j
+    of the row is left, i < len(row) + lambda-top; the j-loop stops at
+    len(row).  Each product rho^j c_n times its weight is summed straight
+    into the term dict of its z-power, one class per z-power at the end.
+    Every slot sums in the order rows (insertion order), then i, then j
+    ascending, left-associated, with a sum that cancels dropped at once:
+    the order of a sum of (row, weight) classes, so ζ-valued values, which
+    have no canonical form, print the same bytes too.
     """
     if s == 0:
         return {n: row[0] for n, row in rows.items() if n >= zmin}
+    if not rows:
+        return {}
     lam_top = e * s if equivariant else 0    # the highest power of lambda that occurs
-    top = max((len(row) for row in rows.values()), default=1) - 1
-    weights = {(i, j): Scalar.lam(i - j).scaled(a * comb(i, j))
-               for i, a in enumerate(_factor_coefficients(e, s, top + lam_top))
-               for j in range(max(0, i - lam_top), min(i, top) + 1)}
-    out: Dict[int, CohClass] = {}
+    table = _weight_table(e, s, max(len(row) for row in rows.values()) - 1, lam_top)
+    sums: Dict[int, Dict[Tuple[str, int], Scalar]] = {}
     for n, row in rows.items():
-        for (i, j), w in weights.items():
-            m = n + e * s - i
-            if j < len(row) and m >= zmin:
-                term = row[j].scale(w)
-                out[m] = out[m] + term if m in out else term
-    return out
+        m0 = n + e * s
+        for i in range(min(len(table), len(row) + lam_top, m0 - zmin + 1)):
+            acc = sums.setdefault(m0 - i, {})
+            for j, w in table[i]:
+                if j >= len(row):
+                    break
+                for k, v in row[j].terms.items():
+                    x = v * w
+                    if k in acc:
+                        x = acc[k] + x
+                    if x.is_zero:
+                        acc.pop(k, None)
+                    else:
+                        acc[k] = x
+    t = next(iter(rows.values()))[0].target
+    return {m: CohClass._valid(t, acc) for m, acc in sums.items()}
 
 
 # -- ingestion ------------------------------------------------------------------
@@ -157,9 +198,16 @@ def load_j_function(t: TargetModel, data) -> JFunction:
     is a SchemaError naming $.rows[i] and the field.  The table must contain
     the z head at d = 0, a rational parameter point (its (d=0, z^0) rows) and
     satisfy the dimension filter z <= 1 - <c1(TX), d> in positive degrees.
+    A zeta order in a coeff must divide 4 lcm(r_i) of the target's
+    components (the orders its twisted values reach), else a SchemaError
+    names its .zeta before the cyclotomic polynomial of that order is built.
     """
     if isinstance(data, str):
         data = decode_json(data)
+    period = 4 * lcm(*(c.r for c in t.components))
+
+    def coeff(obj, path):
+        return parse_scalar(obj, path, period)
     dmax = 0
     zmin, zmax = 0, 1
     parsed = []
@@ -172,7 +220,7 @@ def load_j_function(t: TargetModel, data) -> JFunction:
         basis = required(row, "basis", path)
         idx = (basis if type(basis) is int
                else t.by_id[cid].basis_index(string(basis, f"{path}.basis")))
-        parsed.append((d, zpow, cid, idx, required(row, "coeff", path, parse_scalar)))
+        parsed.append((d, zpow, cid, idx, required(row, "coeff", path, coeff)))
         dmax = max(dmax, sum(d))
         zmin, zmax = min(zmin, zpow), max(zmax, zpow)
     e = GiventalElement(t, zmin, zmax, dmax)

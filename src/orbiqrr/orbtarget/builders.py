@@ -10,12 +10,17 @@ Conventions:
 
 The four target builders are memoised: a process builds and validates each
 built-in target once (up to 64 of each kind), and every later call with the
-same parameters returns that same object.  A built-in target is therefore
-shared by every caller in the process and must be treated as immutable; its
-only mutable state is the memo of its own Gram matrix (``gram``,
-``gram_inverse``), which depends on nothing but the target.  Invalid
-parameters raise on every call (a raised exception is not memoised).
-Targets loaded from a config file are built fresh each time.
+same parameters returns that same object.  The three bundle builders keep
+what they build on the target object (``TargetModel.keep``): a second call
+with the same target and integer returns the bundle of the first, so a
+built-in target shares its bundles with every caller in the process, and a
+config target's bundles die with it (a config copy named P4 never gets the
+built-in P4's O5).  Built-in targets and their bundles are therefore shared
+and must be treated as immutable; a target's only mutable state is its
+memos (``gram``, ``gram_inverse``, ``keep``), which depend on nothing but
+the target and their keys.  Invalid parameters raise on every call (a
+raised exception is not memoised).  Targets loaded from a config file are
+built fresh each time.
 """
 
 from __future__ import annotations
@@ -125,9 +130,11 @@ def _weighted_projective(weights: Tuple[int, ...]) -> TargetModel:
 def trivial_bundle(t: TargetModel, rank: int = 1) -> BundleModel:
     """Rank-r trivial bundle: invariant on every sector, ch = rank; named
     ``trivial``, or ``trivial:<r>`` for r != 1."""
-    eigen = {(c.cid, 0): CohClass(t, {(c.cid, 0): sc(rank)}) for c in t.components}
-    return BundleModel("trivial" if rank == 1 else f"trivial:{rank}", t, eigen, pulled_back=True,
-                       c1_pairing=(Frac(0),) * t.curve_rank)
+    def build():
+        eigen = {(c.cid, 0): CohClass(t, {(c.cid, 0): sc(rank)}) for c in t.components}
+        return BundleModel("trivial" if rank == 1 else f"trivial:{rank}", t, eigen,
+                           pulled_back=True, c1_pairing=(Frac(0),) * t.curve_rank)
+    return t.keep(("trivial", rank), build)
 
 
 def bmu_character(t: TargetModel, j: int) -> BundleModel:
@@ -140,14 +147,17 @@ def bmu_character(t: TargetModel, j: int) -> BundleModel:
     r = len(t.components)
     if t != bmu(r):
         raise InvalidParams(f"the character chi_{j} needs a B(mu_r) target, not {t.name}")
-    eigen: Dict[Tuple[str, int], CohClass] = {}
-    for k in range(r):
-        cid = str(k)
-        g = gcd(r, k) if k else r
-        l = ((j * k) % r) // g
-        eigen[(cid, l)] = CohClass(t, {(cid, 0): SCALAR_ONE})
-    return BundleModel(f"char{j}", t, eigen, pulled_back=(j % r == 0),
-                       c1_pairing=(Frac(0),))
+
+    def build():
+        eigen: Dict[Tuple[str, int], CohClass] = {}
+        for k in range(r):
+            cid = str(k)
+            g = gcd(r, k) if k else r
+            l = ((j * k) % r) // g
+            eigen[(cid, l)] = CohClass(t, {(cid, 0): SCALAR_ONE})
+        return BundleModel(f"char{j}", t, eigen, pulled_back=(j % r == 0),
+                           c1_pairing=(Frac(0),))
+    return t.keep(("char", j), build)
 
 
 def wps_pullback_line(t: TargetModel, m: int) -> BundleModel:
@@ -156,19 +166,21 @@ def wps_pullback_line(t: TargetModel, m: int) -> BundleModel:
     Invariant on every sector; the Chern character restricts through the
     stored untwisted restriction maps (so it truncates on small sectors).
     """
-    eigen = {}
-    c1_class = None
-    for comp in t.components:
-        d = comp.dim
-        terms = {}
-        fact = 1
-        for k in range(d + 1):
-            if k:
-                fact *= k
-            terms[(comp.cid, k)] = sc(Frac(m ** k, fact))
-        eigen[(comp.cid, 0)] = CohClass(t, terms)
-        if comp.cid == "0" and d >= 1:
-            c1_class = CohClass(t, {("0", 1): sc(m)})
-    return BundleModel(f"O{m}", t, eigen, pulled_back=True,
-                       c1_pairing=(Frac(m),),
-                       lines=[((Frac(m),), c1_class or t.zero_class())])
+    def build():
+        eigen = {}
+        c1_class = None
+        for comp in t.components:
+            d = comp.dim
+            terms = {}
+            fact = 1
+            for k in range(d + 1):
+                if k:
+                    fact *= k
+                terms[(comp.cid, k)] = sc(Frac(m ** k, fact))
+            eigen[(comp.cid, 0)] = CohClass(t, terms)
+            if comp.cid == "0" and d >= 1:
+                c1_class = CohClass(t, {("0", 1): sc(m)})
+        return BundleModel(f"O{m}", t, eigen, pulled_back=True,
+                           c1_pairing=(Frac(m),),
+                           lines=[((Frac(m),), c1_class or t.zero_class())])
+    return t.keep(("O", m), build)

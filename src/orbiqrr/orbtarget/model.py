@@ -104,6 +104,7 @@ class TargetModel:
         self._gram: Optional[Tuple[Tuple[Scalar, ...], ...]] = None
         self._gram_inv: Optional[Tuple[Tuple[Scalar, ...], ...]] = None
         self._pairing_inv: Dict[str, List[List[Scalar]]] = {}   # cid -> inverse block
+        self._kept: Dict[tuple, object] = {}                      # see ``keep``
         self.validate()
 
     # -- validation ---------------------------------------------------------
@@ -211,6 +212,19 @@ class TargetModel:
             return self.by_id[cid]
         except KeyError:
             raise BasisMismatch(f"no component {cid!r} in target {self.name}")
+
+    def keep(self, key: tuple, build):
+        """``build()``, built once per target and key: what a builder derives
+        from this target and a few integers (a bundle, a slice of J) lives as
+        long as the target, and every caller shares it, so it must be treated
+        as immutable.  A build that raises keeps nothing; past 256 keys a
+        build is returned without being kept."""
+        out = self._kept.get(key)
+        if out is None:
+            out = build()
+            if len(self._kept) < 256:
+                self._kept[key] = out
+        return out
 
     # -- pairings -------------------------------------------------------------
 

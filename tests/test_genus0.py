@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -316,6 +317,34 @@ class TestLoadJ:
         with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.coeff"
                                               rf"{re.escape(field)}: "):
             load_j_function(projective_space(2), {"rows": rows})
+
+    @pytest.mark.parametrize("order", [3, 100003, 10 ** 9])
+    def test_a_zeta_order_outside_the_target_is_refused_unbuilt(self, order):
+        """On P^2 (every r_i = 1) a zeta order divides 4; a huge one is refused
+        before its cyclotomic polynomial is built (100003 took 0.69 s)."""
+        rows = _p2_rows() + [{"d": [1], "zpow": -3, "component": "0", "basis": 1,
+                              "coeff": {"num": [{"zeta": order, "c": ["0", "1"]}], "den": ["1"]}}]
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match=rf"^\$\.rows\[{len(rows) - 1}\]\.coeff\.num\[0\]"
+                                              rf"\.zeta: expected an order dividing 4, got {order}$"):
+            load_j_function(projective_space(2), {"rows": rows})
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("r, orders", [(5, (20,)), (7, (28,)), (9, (12, 36)), (11, (44,)),
+                                           (12, (6, 8, 12, 24))])
+    def test_the_zeta_orders_of_the_twisted_outputs_load(self, r, orders):
+        """The orders that the Bmu_r outputs carry divide 4 lcm(r_i) = 4 r;
+        twice that is refused."""
+        head = {"d": [0], "zpow": 1, "component": "0", "basis": 0, "coeff": "1"}
+        for order in orders + (8 * r,):
+            row = {"d": [1], "zpow": -1, "component": "1", "basis": 0,
+                   "coeff": {"ell": [{"num": [{"zeta": order, "c": ["0", "1"]}], "den": ["1"]}]}}
+            if order == 8 * r:
+                with pytest.raises(SchemaError, match=r"\.coeff\.ell\[0\]\.num\[0\]\.zeta: "):
+                    load_j_function(bmu(r), {"rows": [head, row]})
+            else:
+                j = load_j_function(bmu(r), {"rows": [head, row]})
+                assert j.coefficient((1,), -1).coeff("1", 0).ell[0].num[0].order == order
 
     @pytest.mark.parametrize("row, message", [
         (7, r"^\$\.rows\[0\]: expected an object$"),
