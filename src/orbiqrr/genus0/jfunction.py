@@ -154,11 +154,11 @@ def _weigh_rows(rows: Dict[int, List[CohClass]], s: int, e: int, equivariant: bo
     row n the i-loop stops at the cut, i <= n + e s - zmin, and where no j
     of the row is left, i < len(row) + lambda-top; the j-loop stops at
     len(row).  Each product rho^j c_n times its weight is summed straight
-    into the term dict of its z-power, one class per z-power at the end.
-    Every slot sums in the order rows (insertion order), then i, then j
-    ascending, left-associated, with a sum that cancels dropped at once:
-    the order of a sum of (row, weight) classes, so ζ-valued values, which
-    have no canonical form, print the same bytes too.
+    into the term dict of its z-power, and one class is built per z-power.
+    Every slot sums rows in insertion order, then i, then j ascending,
+    left-associated, and drops a sum that cancels at once, as adding one
+    class per (row, weight) pair would: a zeta-valued value has no
+    canonical form, and this order keeps its printed bytes.
     """
     if s == 0:
         return {n: row[0] for n, row in rows.items() if n >= zmin}
