@@ -6,7 +6,10 @@ are lifted into Q(zeta_lcm) via zeta_N = zeta_M^(M/N).  Elements whose
 residue is constant are demoted back to order 1, so plain rationals stay
 plain through round trips.  The residue arithmetic (sums, products,
 reduction mod Phi_N, lifting and the stride demotion) runs on the dense
-polynomial kernel in ``poly``.
+polynomial kernel in ``poly``.  At order 1 (every coefficient of an
+untwisted or zeta-free value) ``+ * inverse`` skip it: each is one call of
+the rational kernel in ``rational``, as is ``neg`` per coefficient at
+every order.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import List, Sequence, Tuple
 
 from ..errors import NonInvertible
 from . import poly
+from .rational import q_add, q_div, q_mul, q_neg
 
 Frac = Fraction
 
@@ -142,7 +146,7 @@ class Cyc:
 
     def __add__(self, other: "Cyc") -> "Cyc":
         if self.order == 1 and other.order == 1:
-            return Cyc(1, [self.coeffs[0] + other.coeffs[0]], _reduced=True)
+            return Cyc(1, (q_add(self.coeffs[0], other.coeffs[0]),), _reduced=True)
         order, a, b = Cyc._common(self, other)
         return Cyc(order, poly.add(a, b, _ZERO))
 
@@ -150,11 +154,11 @@ class Cyc:
         return self + (-other)
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.order, tuple(-c for c in self.coeffs), _reduced=True)
+        return Cyc(self.order, tuple(q_neg(c) for c in self.coeffs), _reduced=True)
 
     def __mul__(self, other: "Cyc") -> "Cyc":
         if self.order == 1 and other.order == 1:
-            return Cyc(1, [self.coeffs[0] * other.coeffs[0]], _reduced=True)
+            return Cyc(1, (q_mul(self.coeffs[0], other.coeffs[0]),), _reduced=True)
         order, a, b = Cyc._common(self, other)
         return Cyc(order, poly.mul(a, b, _ZERO))
 
@@ -162,7 +166,7 @@ class Cyc:
         if self.is_zero:
             raise NonInvertible("division by zero in Q(zeta)")
         if self.order == 1:
-            return Cyc(1, [1 / self.coeffs[0]], _reduced=True)
+            return Cyc(1, (q_div(_ONE, self.coeffs[0]),), _reduced=True)
         g, u, _ = _ext_gcd(list(self.coeffs), list(cyclotomic_poly(self.order)))
         assert len(g) == 1, "residue poly must be coprime to Phi_N"
         scale = 1 / g[0]

@@ -29,9 +29,13 @@ arithmetic builds no RatFunc or Cyc at all.
 
 Rational lane: a Scalar whose value is a plain rational (zero included)
 holds that value as a Fraction.  When both operands hold one,
-``+ - * / neg inverse ==`` take a single Fraction operation, with no kernel
-call and no RatFunc or Cyc arithmetic, and serialise as 'p/q'.  This
-covers every value of the untwisted theory.
+``+ - * / neg inverse`` and ``scaled`` take a single call of the rational
+kernel in ``rational`` (the Fraction's integer parts, reduced by gcds,
+with no second normalisation), ``==`` a single Fraction comparison; no
+polynomial kernel call and no RatFunc or Cyc arithmetic.  The zero and one
+tests of ``_from_q`` and ``is_zero`` read the Fraction's integer parts.
+Results serialise as 'p/q'.  This covers every value of the untwisted
+theory.
 
 Laurent lane: a Scalar in Q[lambda, 1/lambda] (one l-part, root index 1,
 a monic monomial denominator u^b and only rational Cyc coefficients; the
@@ -39,8 +43,13 @@ Euler twist's s_k ~ lambda^-k make most twisted values so) holds
 (shift, coefficients): the value sum_i c_i lambda^(shift + i) with
 Fraction c_i and c_0 != 0, (0, ()) for zero.  Rationals hold (0, (q,)).
 When both operands hold one, ``+ - * neg ==`` run on the Fraction lists
-(align the shifts, add or convolve with the kernel, trim zeros at both
-ends), and so do ``inverse`` of a monomial and ``/`` by one.
+(align the shifts, add or convolve with the polynomial kernel, trim zeros
+at both ends), and so do ``inverse`` of a monomial and ``/`` by one.  Two
+monomials (one coefficient each, most Laurent values of the twisted
+theory) skip the lists: a product or an inverse is one rational-kernel
+call, a sum one call at equal shifts and none at different ones.  A
+product with a plain rational, ``scaled`` and ``neg`` take one
+rational-kernel call per coefficient.
 
 Two products with a value off both lanes (ln(lambda), zeta or a root index
 present) skip the kernel too.  A plain rational q scales each numerator Cyc
@@ -68,6 +77,7 @@ from ..errors import ExpObstruction, LogObstruction, NonInvertible, PoleAtZero, 
 from ..jsonread import array, integer, mapping, only, rational, required
 from . import poly
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
+from .rational import q_add, q_div, q_mul, q_neg, q_sub
 
 Frac = Fraction
 
@@ -291,7 +301,7 @@ class Scalar:
     @property
     def is_zero(self) -> bool:
         q = self._q          # zero is always on the rational lane
-        return q is not None and not q
+        return q is not None and not q._numerator
 
     @property
     def is_invertible(self) -> bool:
@@ -334,11 +344,11 @@ class Scalar:
     def __add__(self, o: "Scalar") -> "Scalar":
         p = self._q
         if p is not None:
-            if not p:
+            if not p._numerator:
                 return o         # zero plus anything is that thing, a non-Scalar too
             q = o._q
             if q is not None:
-                return _from_q(p + q) if q else self
+                return _from_q(q_add(p, q)) if q._numerator else self
         x, y = self._lau, o._lau
         if x is not None and y is not None:
             return _from_lau(*_lau_add(x, y)) if y[1] else self
@@ -349,16 +359,16 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         if self._q is not None:
-            return _from_q(-self._q)
+            return _from_q(q_neg(self._q))
         if self._lau is not None:
             shift, coeffs = self._lau
-            return _from_lau(shift, tuple(-c for c in coeffs))
+            return _from_lau(shift, tuple(q_neg(c) for c in coeffs))
         return Scalar(tuple(-rf for rf in self.ell), self.lam_den, _norm=True)
 
     def __sub__(self, o: "Scalar") -> "Scalar":
         p, q = self._q, o._q
         if p is not None and q is not None:
-            return _from_q(p - q)
+            return _from_q(q_sub(p, q))
         return self + (-o)
 
     def __mul__(self, o: "Scalar") -> "Scalar":
@@ -368,17 +378,20 @@ class Scalar:
             return self
         p, q = self._q, o._q
         if p is not None and q is not None:
-            return _from_q(p * q)
+            return _from_q(q_mul(p, q))
         if self.is_zero or o.is_zero:
             return SCALAR_ZERO
-        x, y = self._lau, o._lau
-        if x is not None and y is not None:
-            # the end coefficients are nonzero, so are their products: nothing to trim
-            return _from_lau(x[0] + y[0], tuple(poly.mul(x[1], y[1], _ZERO)))
         if p is not None:
             return o._scaled(p)
         if q is not None:
             return self._scaled(q)
+        x, y = self._lau, o._lau
+        if x is not None and y is not None:
+            # the end coefficients are nonzero, so are their products: nothing to trim
+            a, b = x[1], y[1]
+            if len(a) == 1 and len(b) == 1:
+                return _from_lau(x[0] + y[0], (q_mul(a[0], b[0]),))
+            return _from_lau(x[0] + y[0], tuple(poly.mul(a, b, _ZERO)))
         out = _lau_times_monomial(x, o) if x is not None else _lau_times_monomial(y, self)
         if out is not None:
             return out
@@ -386,32 +399,35 @@ class Scalar:
         return Scalar(poly.mul(a.ell, b.ell, RF_ZERO), a.lam_den)
 
     def scaled(self, q) -> "Scalar":
-        """self * q for an int or Fraction q, without building a Scalar for q:
-        one Fraction operation on the rational lane, one per coefficient on
-        the Laurent lane, ``_scaled`` off both lanes."""
-        if q == 1 or self.is_zero:
+        """self * q for an int or Fraction q, without building a Scalar for q."""
+        if type(q) is not Frac:
+            q = Frac(q)
+        n = q._numerator
+        if (n == 1 and q._denominator == 1) or self.is_zero:
             return self
-        if not q:
+        if not n:
             return SCALAR_ZERO
-        if self._q is not None:
-            return _from_q(self._q * q)
-        if self._lau is not None:
-            shift, coeffs = self._lau
-            return _from_lau(shift, tuple(c * q for c in coeffs))
-        return self._scaled(Frac(q))
+        return self._scaled(q)
 
     def _scaled(self, q: Frac) -> "Scalar":
-        """self * q for a nonzero rational q, self off both lanes.
+        """self * q for a nonzero self and a nonzero rational q: one kernel
+        product on the rational lane, one per coefficient on the Laurent lane.
 
-        Every numerator coefficient is scaled: a reduced residue times a
-        nonzero rational is reduced, with the same nonzero positions (so
-        the same cyclotomic order), and num/den stay coprime.  The
-        result keeps ``den``, ``lam_den`` and the l-length, and stays off
-        both lanes (its zeta, root index or l-terms are those of self).
+        Off both lanes every numerator coefficient is scaled: a reduced
+        residue times a nonzero rational is reduced, with the same nonzero
+        positions (so the same cyclotomic order), and num/den stay coprime.
+        The result keeps ``den``, ``lam_den`` and the l-length, and stays
+        off both lanes (its zeta, root index or l-terms are those of self).
         """
+        p = self._q
+        if p is not None:
+            return _from_q(q_mul(p, q))
+        x = self._lau
+        if x is not None:
+            return _from_lau(x[0], tuple(q_mul(c, q) for c in x[1]))
         out = object.__new__(Scalar)
         out._ell = tuple(
-            RatFunc(tuple(Cyc(c.order, tuple(x * q for x in c.coeffs), _reduced=True)
+            RatFunc(tuple(Cyc(c.order, tuple(q_mul(x, q) for x in c.coeffs), _reduced=True)
                           for c in rf.num), rf.den, _reduced=True)
             for rf in self.ell)
         out.lam_den = self.lam_den
@@ -422,18 +438,19 @@ class Scalar:
         if self.is_zero:
             raise NonInvertible("division by zero scalar")
         if self._q is not None:
-            return _from_q(1 / self._q)
+            return _from_q(q_div(_ONE, self._q))
         x = self._lau
         if x is not None and len(x[1]) == 1:
-            return _from_lau(-x[0], (1 / x[1][0],))
+            return _from_lau(-x[0], (q_div(_ONE, x[1][0]),))
         if len(self.ell) != 1:
             raise NonInvertible("scalar with log-lambda terms is not invertible")
         return Scalar((self.ell[0].inverse(),), self.lam_den)
 
     def __truediv__(self, o: "Scalar") -> "Scalar":
         p, q = self._q, o._q
-        if p is not None and q:      # a zero divisor goes on to inverse, which raises
-            return _from_q(p / q)
+        # a zero divisor goes on to inverse, which raises
+        if p is not None and q is not None and q._numerator:
+            return _from_q(q_div(p, q))
         return self * o.inverse()
 
     def __pow__(self, n: int) -> "Scalar":
@@ -521,7 +538,7 @@ class Scalar:
         return f"Scalar({self.to_obj()!r})"
 
 
-_ZERO = Frac(0)
+_ZERO, _ONE = Frac(0), Frac(1)
 Laurent = Tuple[int, Tuple[Frac, ...]]
 _LAU_ZERO: Laurent = (0, ())
 
@@ -549,8 +566,16 @@ def _lanes(ell: Tuple[RatFunc, ...], lam_den: int) -> Tuple[Optional[Frac], Opti
 
 def _lau_add(x: Laurent, y: Laurent) -> Laurent:
     """x + y over the lower shift, zeros dropped at both ends (the kernel's
-    sum drops the high ones)."""
+    sum drops the high ones).  Two monomials take one kernel sum at equal
+    shifts and none at different ones."""
     (s, a), (t, b) = x, y
+    if len(a) == 1 and len(b) == 1:
+        if s == t:
+            c = q_add(a[0], b[0])
+            return (s, (c,)) if c._numerator else _LAU_ZERO
+        if s > t:
+            (s, a), (t, b) = y, x
+        return s, a + (_ZERO,) * (t - s - 1) + b
     low = s if s < t else t
     out = poly.add([_ZERO] * (s - low) + list(a), [_ZERO] * (t - low) + list(b), _ZERO)
     k = 0
@@ -567,9 +592,10 @@ def _from_q(q: Frac) -> "Scalar":
 
     0 and 1 return the singletons.
     """
-    if not q:
+    n = q._numerator
+    if not n:
         return SCALAR_ZERO
-    if q == 1:
+    if n == 1 and q._denominator == 1:
         return SCALAR_ONE
     out = object.__new__(Scalar)
     out._ell = None
@@ -622,7 +648,7 @@ def _lau_times_monomial(lau: Optional[Laurent], mono: "Scalar") -> Optional["Sca
     (shift, coeffs), c, m = lau, num[-1].coeffs[0], mono.lam_den
     lo = len(num) - len(den) + m * shift
     out = [CYC_ZERO] * (m * (len(coeffs) - 1) + 1)
-    out[::m] = [Cyc(1, (c * a,), _reduced=True) for a in coeffs]
+    out[::m] = [Cyc(1, (q_mul(c, a),), _reduced=True) for a in coeffs]
     if lo < 0:
         return Scalar((RatFunc(out, (CYC_ZERO,) * -lo + _DEN_ONE, _reduced=True),), m, _norm=True)
     return Scalar((RatFunc([CYC_ZERO] * lo + out, _DEN_ONE, _reduced=True),), m, _norm=True)

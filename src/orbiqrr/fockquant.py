@@ -253,39 +253,42 @@ def quantize_monomial(t: TargetModel, B, m: int, K: int,
     if check and not is_infinitesimally_symplectic(t, Bm, m):
         raise NotInfinitesimallySymplectic(
             f"B z^{m} is not infinitesimally symplectic (need B* = (-1)^{m + 1} B)")
-    lower = mat_mul(gram_matrix(t), Bm)     # B_{ab} = g_{ac} B^c_b
-    upper = mat_mul(Bm, gram_inverse(t))   # B^{ab} = B^a_c g^{cb}
     n = len(t.flat_basis)
     op = FockOperator(t, K)
     if m < 0:
+        lower = mat_mul(gram_matrix(t), Bm)     # B_{ab} = g_{ac} B^c_b
+        halves = _halves(lower, n)
         for k in range(0, -m):
-            sign = sc((-1) ** ((k + m) % 2)) * sc(Frac(1, 2))
             k2 = -1 - k - m
             if k > K or k2 > K:
                 continue
-            for a in range(n):
-                for b in range(n):
-                    c = lower[a][b]
-                    if not c.is_zero:
-                        op.add_qq((k, b), (k2, a), sign * c)
+            odd = (k + m) % 2
+            for a, b, c in halves:
+                op.add_qq((k, b), (k2, a), c[odd])
+    negated = [(a, b, -Bm[a][b]) for a in range(n) for b in range(n) if not Bm[a][b].is_zero]
     for k in range(max(0, -m), K - max(0, m) + 1):
-        for a in range(n):
-            for b in range(n):
-                c = Bm[a][b]
-                if not c.is_zero:
-                    op.add_qd((k, b), (k + m, a), -c)
+        for a, b, c in negated:
+            op.add_qd((k, b), (k + m, a), c)
     if m > 0:
+        upper = mat_mul(Bm, gram_inverse(t))   # B^{ab} = B^a_c g^{cb}
+        halves = _halves(upper, n)
         for k in range(0, m):
             k2 = m - 1 - k
             if k > K or k2 > K:
                 continue
-            sign = sc((-1) ** (k % 2)) * sc(Frac(1, 2))
-            for a in range(n):
-                for b in range(n):
-                    c = upper[a][b]
-                    if not c.is_zero:
-                        op.add_dd((k, b), (k2, a), sign * c)
+            odd = k % 2
+            for a, b, c in halves:
+                op.add_dd((k, b), (k2, a), c[odd])
     return op
+
+
+_HALF = Frac(1, 2)
+
+
+def _halves(M: Matrix, n: int) -> List[Tuple[int, int, Tuple[Scalar, Scalar]]]:
+    """(a, b, (M_ab / 2, -M_ab / 2)) for each nonzero entry M_ab, a, b < n, rows first."""
+    return [(a, b, (M[a][b].scaled(_HALF), M[a][b].scaled(-_HALF)))
+            for a in range(n) for b in range(n) if not M[a][b].is_zero]
 
 
 def string_operator(t: TargetModel, K: int) -> FockOperator:

@@ -96,10 +96,7 @@ def point_correlators(n: int, kpowers: Sequence[int]) -> Frac:
         raise DimensionMismatch("point correlators need n >= 3 insertions")
     if sum(kpowers) != n - 3:
         raise DimensionMismatch(f"sum of psibar powers must be n-3={n - 3}")
-    out = Frac(factorial(n - 3))
-    for k in kpowers:
-        out /= factorial(k)
-    return out
+    return Frac(factorial(n - 3), prod(factorial(k) for k in kpowers))
 
 
 def build_point_table(t: TargetModel, nmax: int) -> CorrelatorTable:
