@@ -34,14 +34,19 @@ BINARY = {"add": (q_add, Fraction.__add__), "sub": (q_sub, Fraction.__sub__),
           "mul": (q_mul, Fraction.__mul__), "div": (q_div, Fraction.__truediv__)}
 
 
+def assert_lowest(x):
+    """x is a Fraction in lowest terms with a positive denominator."""
+    assert type(x) is Fraction
+    assert x.denominator > 0
+    assert gcd(x.numerator, x.denominator) == 1
+
+
 def assert_normal(got, want):
     """got is the Fraction ``fractions`` builds for want, in lowest terms."""
-    assert type(got) is Fraction
+    assert_lowest(got)
     assert got == want
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert str(got) == str(want) and hash(got) == hash(want)
-    assert got.denominator > 0
-    assert gcd(got.numerator, got.denominator) == 1
 
 
 @settings(max_examples=400, deadline=None)
@@ -170,7 +175,7 @@ def test_laurent_monomials_equal_the_fraction_terms(x, y):
         want = laurent_of(terms)
         assert got._lau == want
         for c in got._lau[1]:
-            assert_normal(c, c)
+            assert_lowest(c)
         if want == (0, ()):
             assert got is SCALAR_ZERO
         elif want == (0, (Fraction(1),)):
