@@ -267,12 +267,19 @@ def cmd_delta(args, cache):
         when the symplectic check needs it (a bad --bundle never stores a hit)."""
         return resolve_bundle(t, bundles, args.bundle)
 
+    checked = None
+    if args.check_symplectic:    # one Delta: the check's, which a miss also prints
+        checked = check_delta_symplectomorphism(t, bundle(), s, args.zmax, with_operators=True)
+
     def compute():
         F = bundle()
         vals = s
         if vals is None:
             vals = euler_s_values(args.zmax + 2 * t.dim + 2, include_log=not args.no_log)
-        if args.log:
+        if checked is not None:     # the check's log Delta and Delta, cut to zmax
+            built = checked[1] if args.log else checked[2]
+            op = built.copy_window(built.zmin, args.zmax, 0)
+        elif args.log:
             op = log_delta(t, F, vals, args.zmax)
         else:
             op = delta_operator(t, F, vals, args.zmax)
@@ -282,9 +289,9 @@ def cmd_delta(args, cache):
         return out
 
     payload = _cached(cache, request, compute)
-    if args.check_symplectic:    # a changed document: a hit's stored text no longer prints
+    if checked is not None:      # a changed document: a hit's stored text no longer prints
         payload = payload.doc if isinstance(payload, Hit) else payload
-        payload["symplectic_check"] = check_delta_symplectomorphism(t, bundle(), s, args.zmax)
+        payload["symplectic_check"] = checked[0]
     return payload
 
 

@@ -9,7 +9,10 @@ reduction mod Phi_N, lifting and the stride demotion) runs on the dense
 polynomial kernel in ``poly``.  At order 1 (every coefficient of an
 untwisted or zeta-free value) ``+ * inverse`` skip it: each is one call of
 the rational kernel in ``rational``, as is ``neg`` per coefficient at
-every order.
+every order.  A product with an order-1 factor (``scaled``) skips it too:
+a reduced residue times a nonzero rational stays reduced in the same
+positions, so the other residue is scaled with one rational-kernel product
+per nonzero entry, and no lift, product, reduction or demotion runs.
 """
 
 from __future__ import annotations
@@ -59,7 +62,11 @@ def _ext_gcd(a: List[Frac], b: List[Frac]) -> Tuple[List[Frac], List[Frac], List
 
 
 class Cyc:
-    """An element of Q(zeta_order) as a residue polynomial mod Phi_order."""
+    """An element of Q(zeta_order) as a residue polynomial mod Phi_order.
+
+    A product with an order-1 factor is ``scaled``: the other residue times
+    the rational, entry by entry, with no lift, kernel product or reduction.
+    """
 
     __slots__ = ("order", "coeffs")
 
@@ -157,10 +164,23 @@ class Cyc:
         return Cyc(self.order, tuple(q_neg(c) for c in self.coeffs), _reduced=True)
 
     def __mul__(self, other: "Cyc") -> "Cyc":
-        if self.order == 1 and other.order == 1:
-            return Cyc(1, (q_mul(self.coeffs[0], other.coeffs[0]),), _reduced=True)
+        if self.order == 1:
+            if other.order == 1:
+                return Cyc(1, (q_mul(self.coeffs[0], other.coeffs[0]),), _reduced=True)
+            return other.scaled(self.coeffs[0])
+        if other.order == 1:
+            return self.scaled(other.coeffs[0])
         order, a, b = Cyc._common(self, other)
         return Cyc(order, poly.mul(a, b, _ZERO))
+
+    def scaled(self, q: Frac) -> "Cyc":
+        """self * q for a Fraction q: one rational-kernel product per nonzero
+        residue entry.  A reduced residue times a nonzero rational is reduced
+        in the same positions, so the order stays; q = 0 gives the order-1 zero."""
+        if not q._numerator:
+            return CYC_ZERO
+        return Cyc(self.order, tuple(q_mul(x, q) if x._numerator else x for x in self.coeffs),
+                   _reduced=True)
 
     def inverse(self) -> "Cyc":
         if self.is_zero:

@@ -19,11 +19,12 @@ form.
 
 Two lanes short-cut the general path, and on them the lane holds the value.
 Each operator tries the rational lane first, then the Laurent lane, then
-the general path.  A value the general path builds has its canonical form
-and fills in its lanes from it.  A lane result holds only its lanes: its
-canonical form is built from the Laurent lane the first time something
-reads ``ell`` (a hash, the general path, serialisation off the rational
-lane, ``exp``), and kept.  The zero test, invertibility, the lambda -> 0
+(a product) the monomial rule below, then the general path.  A value the
+general path or the monomial rule builds has its canonical form and fills
+in its lanes from it.  A lane result holds only its lanes: its canonical
+form is built from the Laurent lane the first time something reads ``ell``
+(a hash, the general path, serialisation off the rational lane, ``exp``),
+and kept.  The zero test, invertibility, the lambda -> 0
 limit and every lane operator read the lanes only, so a chain of lane
 arithmetic builds no RatFunc or Cyc at all.
 
@@ -51,14 +52,21 @@ call, a sum one call at equal shifts and none at different ones.  A
 product with a plain rational, ``scaled`` and ``neg`` take one
 rational-kernel call per coefficient.
 
-Two products with a value off both lanes (ln(lambda), zeta or a root index
-present) skip the kernel too.  A plain rational q scales each numerator Cyc
-by q; denominators, root index and l-length stay.  A Laurent-lane value
-sum_i a_i lambda^(shift + i) times a monomial c u^e, u = lambda^(1/m) with
-c rational and m > 1 (so gcd(e, m) = 1), is sum_i c a_i u^(e + m (shift +
-i)): one numerator, over u^-lo when lo = e + m shift < 0, root index m
-(minimal, as gcd(lo, m) = 1).  That is the exponential lambda^a of a Delta
-head times a block.  Everything else takes the general path.
+A product with a value off both lanes (ln(lambda), zeta or a root index
+present) has one rule beside the general path, the monomial rule.  One
+operand is a monomial c u^e, u = lambda^(1/m), c in Q(zeta): one l-part
+with one nonzero numerator entry over a monic u^b.  Rationals and
+Laurent-lane monomials count; so do the exponential lambda^a of a Delta
+head and the zeta phases of the Serre operator M.  Every l-part of the
+other operand has a monic monomial denominator u^k; a Laurent-lane operand
+is read from its lane.  Then each term a u^j of the other becomes the one
+Cyc product a c at the exponent j + e, both lifted to the lcm root index.
+A nonzero a c needs no strip, and over a monomial denominator the reduced
+form is read off the lowest exponent lo: the numerator over u^-lo when
+lo < 0, else over 1.  The minimal root index divides the lcm by the gcd of
+the lcm and every exponent.  So the canonical form and its lanes are built
+directly, with no kernel product, gcd or index scan, and they are those of
+the general path.  Every other product takes the general path.
 
 One singleton for 1: ``sc(1)``, ``from_fraction(1)``, ``from_cyc`` of a
 rational 1 and every lane result equal to 1 are ``SCALAR_ONE``, and a
@@ -392,11 +400,12 @@ class Scalar:
             if len(a) == 1 and len(b) == 1:
                 return _from_lau(x[0] + y[0], (q_mul(a[0], b[0]),))
             return _from_lau(x[0] + y[0], tuple(poly.mul(a, b, _ZERO)))
-        out = _lau_times_monomial(x, o) if x is not None else _lau_times_monomial(y, self)
-        if out is not None:
-            return out
-        a, b = Scalar._common(self, o)
-        return Scalar(poly.mul(a.ell, b.ell, RF_ZERO), a.lam_den)
+        mono = _monomial(o)
+        out = None if mono is None else _times_monomial(self, mono)
+        if out is None:
+            mono = _monomial(self)
+            out = None if mono is None else _times_monomial(o, mono)
+        return _mul_general(self, o) if out is None else out
 
     def scaled(self, q) -> "Scalar":
         """self * q for an int or Fraction q, without building a Scalar for q."""
@@ -411,28 +420,17 @@ class Scalar:
 
     def _scaled(self, q: Frac) -> "Scalar":
         """self * q for a nonzero self and a nonzero rational q: one kernel
-        product on the rational lane, one per coefficient on the Laurent lane.
-
-        Off both lanes every numerator coefficient is scaled: a reduced
-        residue times a nonzero rational is reduced, with the same nonzero
-        positions (so the same cyclotomic order), and num/den stay coprime.
-        The result keeps ``den``, ``lam_den`` and the l-length, and stays
-        off both lanes (its zeta, root index or l-terms are those of self).
-        """
+        product on the rational lane, one per coefficient on the Laurent
+        lane; off both lanes the monomial rule with c = q, else the general
+        path."""
         p = self._q
         if p is not None:
             return _from_q(q_mul(p, q))
         x = self._lau
         if x is not None:
             return _from_lau(x[0], tuple(q_mul(c, q) for c in x[1]))
-        out = object.__new__(Scalar)
-        out._ell = tuple(
-            RatFunc(tuple(Cyc(c.order, tuple(q_mul(x, q) for x in c.coeffs), _reduced=True)
-                          for c in rf.num), rf.den, _reduced=True)
-            for rf in self.ell)
-        out.lam_den = self.lam_den
-        out._q = out._lau = None
-        return out
+        out = _times_monomial(self, (q, 0, 1))
+        return _mul_general(self, _from_q(q)) if out is None else out
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
@@ -636,22 +634,66 @@ def _lau_ell(lau: Laurent) -> Tuple[RatFunc, ...]:
     return (RatFunc(num, (CYC_ZERO,) * -shift + _DEN_ONE, _reduced=True),)
 
 
-def _lau_times_monomial(lau: Optional[Laurent], mono: "Scalar") -> Optional["Scalar"]:
-    """lau times mono, off both lanes, when mono is a monomial c u^e with c
-    rational (see the module docstring); None when it is not or lau is None."""
-    ell = mono._ell
-    if lau is None or len(ell) != 1:
+Monomial = Tuple[object, int, int]
+
+
+def _monomial(s: "Scalar") -> Optional[Monomial]:
+    """(c, e, m) when the nonzero s is c u^e, u = lambda^(1/m): one l-part
+    with one nonzero numerator entry over a monic u^b (a Laurent-lane value
+    with one coefficient, a rational included, reads its lane and gives a
+    Fraction c at m = 1; else c is the Cyc); None when it is not."""
+    x = s._lau
+    if x is not None:
+        return (x[1][0], x[0], 1) if len(x[1]) == 1 else None
+    ell = s._ell
+    if len(ell) != 1:
         return None
-    num, den = ell[0].num, ell[0].den     # den is monic and coprime to num
-    if any(den[:-1]) or any(num[:-1]) or num[-1].order != 1:
+    num, den = ell[0].num, ell[0].den
+    if any(num[:-1]) or any(den[:-1]):
         return None
-    (shift, coeffs), c, m = lau, num[-1].coeffs[0], mono.lam_den
-    lo = len(num) - len(den) + m * shift
-    out = [CYC_ZERO] * (m * (len(coeffs) - 1) + 1)
-    out[::m] = [Cyc(1, (q_mul(c, a),), _reduced=True) for a in coeffs]
-    if lo < 0:
-        return Scalar((RatFunc(out, (CYC_ZERO,) * -lo + _DEN_ONE, _reduced=True),), m, _norm=True)
-    return Scalar((RatFunc([CYC_ZERO] * lo + out, _DEN_ONE, _reduced=True),), m, _norm=True)
+    return num[-1], len(num) - len(den), s.lam_den
+
+
+def _times_monomial(s: "Scalar", mono: Monomial) -> Optional["Scalar"]:
+    """s times the monomial c u^e of ``_monomial`` when every l-part of s has
+    a monic monomial denominator (see the module docstring); None when one
+    does not.  A Laurent-lane s is read from its lane; a Fraction c means s
+    is off the lanes."""
+    c, e, mc = mono
+    x = s._lau
+    ms = 1 if x is not None else s.lam_den
+    if x is None and any(any(rf.den[:-1]) for rf in s._ell):
+        return None
+    lcm = ms * mc // gcd(ms, mc)
+    k, shift = lcm // ms, e * (lcm // mc)
+    # per l-part, (exponent of u = lambda^(1/lcm), coefficient) of each term
+    if x is not None:
+        rows = [[((x[0] + i) * k + shift, c.scaled(a)) for i, a in enumerate(x[1]) if a]]
+    else:
+        rows = [[((i + 1 - len(rf.den)) * k + shift, a.scaled(c) if type(c) is Frac else a * c)
+                 for i, a in enumerate(rf.num) if a] for rf in s._ell]
+    g = lcm          # the minimal root index is lcm / gcd(lcm, every exponent)
+    for row in rows:
+        for p, _ in row:
+            g = gcd(g, p)
+    parts = []
+    for row in rows:
+        if not row:
+            parts.append(RF_ZERO)
+            continue
+        lo, hi = row[0][0] // g, row[-1][0] // g
+        base = lo if lo < 0 else 0
+        num = [CYC_ZERO] * (hi - base + 1)
+        for p, v in row:
+            num[p // g - base] = v
+        parts.append(RatFunc(num, (CYC_ZERO,) * -base + _DEN_ONE, _reduced=True))
+    return Scalar(tuple(parts), lcm // g, _norm=True)
+
+
+def _mul_general(a: "Scalar", b: "Scalar") -> "Scalar":
+    """a * b over the canonical forms at the common root index."""
+    a, b = Scalar._common(a, b)
+    return Scalar(poly.mul(a.ell, b.ell, RF_ZERO), a.lam_den)
 
 
 SCALAR_ZERO = Scalar((), 1, _norm=True)

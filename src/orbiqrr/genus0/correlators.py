@@ -100,14 +100,19 @@ def point_correlators(n: int, kpowers: Sequence[int]) -> Frac:
 
 
 def build_point_table(t: TargetModel, nmax: int) -> CorrelatorTable:
-    """All point entries with n <= nmax, from the closed form."""
-    table = CorrelatorTable(t)
-    slot = ("0", 0)
-    for n in range(3, nmax + 1):
-        for kp in _compositions(n - 3, n):
-            table.set((0,), [(slot, k) for k in kp],
-                      sc(point_correlators(n, kp)))
-    return table
+    """All point entries with n <= nmax, from the closed form; built once per
+    target and nmax (``TargetModel.keep``), so every caller shares the table
+    and must not change it."""
+    def build():
+        table = CorrelatorTable(t)
+        slot = ("0", 0)
+        for n in range(3, nmax + 1):
+            for kp in _compositions(n - 3, n):
+                table.set((0,), [(slot, k) for k in kp],
+                          sc(point_correlators(n, kp)))
+        return table
+
+    return t.keep(("point_table", nmax), build)
 
 
 def _compositions(total: int, slots: int):

@@ -152,7 +152,8 @@ def check_symplectomorphism(t: TargetModel, M: LoopOperator) -> dict:
 
 
 def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
-                                  s_values: Sequence[Scalar], zmax: int) -> dict:
+                                  s_values: Sequence[Scalar], zmax: int,
+                                  with_operators: bool = False):
     """Verify Delta*(-z) Delta(z) = 1 through z-degree zmax by direct product.
 
     Delta is built on the window [-depth, zmax + depth], depth = dim X + 1,
@@ -163,6 +164,10 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
     the infinitesimal identity log Delta*(-z) + log Delta(z) = 0 held on the
     built window (it implies the product identity to all orders, since the
     multiplication blocks commute).
+
+    With ``with_operators`` it returns (report, log Delta, Delta) on the
+    built windows: cut to zmax, they are ``log_delta`` and ``delta_operator``
+    at zmax, whose blocks are exact in both windows.
     """
     depth = t.dim + 1
     L, d = _log_delta_and_delta(t, F, s_values, zmax + depth, zmax + depth)
@@ -172,7 +177,7 @@ def check_delta_symplectomorphism(t: TargetModel, F: BundleModel,
         raise TruncationTooNarrow(f"product reliable only to z^{top}, needed z^{zmax}")
     resid = adjoint(t, L).flip_z() + L
     report["log_residual_zero"] = resid.is_zero
-    return report
+    return (report, L, d) if with_operators else report
 
 
 def is_infinitesimally_symplectic(t: TargetModel, B: Matrix, m: int) -> bool:

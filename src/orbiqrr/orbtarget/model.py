@@ -560,8 +560,10 @@ class BundleModel:
         return self.eigen.get((cid, l), self.target.zero_class())
 
     def eigen_rank(self, cid: str, l: int) -> Frac:
-        c0 = self.eigen_class(cid, l).degree_part(0).coeff(cid, 0)
-        if c0.is_zero:
+        """The rank of F_i^(l): the coefficient of the stored class at the
+        degree-0 basis entry 0 (``TargetModel.validate`` puts it first)."""
+        c0 = self.eigen_class(cid, l).terms.get((cid, 0))
+        if c0 is None:
             return Frac(0)
         return c0.as_fraction()
 
@@ -584,10 +586,6 @@ class BundleModel:
     def age_on(self, cid: str) -> Frac:
         comp = self.target.component(cid)
         return sum((Frac(l, comp.r) * self.eigen_rank(cid, l) for l in range(1, comp.r)), Frac(0))
-
-    def moving_rank(self, cid: str) -> Frac:
-        comp = self.target.component(cid)
-        return sum((self.eigen_rank(cid, l) for l in range(1, comp.r)), Frac(0))
 
     def twist_class(self, s_values: Sequence[Scalar]) -> CohClass:
         """c((q^*F)^inv) = exp(sum_k s_k ch_k(F^(0))) as a class on IX."""

@@ -80,11 +80,20 @@ def dual_variable_map(t: TargetModel, F: BundleModel, s_values: Sequence[Scalar]
 def serre_M_operator(t: TargetModel, F: BundleModel) -> CohClass:
     """The multiplier (-1)^(rank F_i^mov / 2 - age(F_i)) per component.
 
-    Fractional exponents p/q become zeta_{2q}^p.
+    Fractional exponents p/q become zeta_{2q}^p.  The moving rank
+    sum_{l>0} rank F_i^(l) and the age sum_{l>0} (l/r_i) rank F_i^(l) of
+    every component are summed in one pass over the nonzero eigenbundles.
     """
+    moving = {comp.cid: Frac(0) for comp in t.components}
+    age = dict(moving)
+    for cid, l in F.eigen:
+        if l:
+            rank = F.eigen_rank(cid, l)
+            moving[cid] += rank
+            age[cid] += Frac(l, t.by_id[cid].r) * rank
     terms = {}
     for comp in t.components:
-        e = F.moving_rank(comp.cid) / 2 - F.age_on(comp.cid)
+        e = moving[comp.cid] / 2 - age[comp.cid]
         q = e.denominator
         if q == 1:
             val = SCALAR_ONE if e.numerator % 2 == 0 else sc(-1)

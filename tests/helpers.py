@@ -12,12 +12,13 @@ from itertools import combinations_with_replacement
 from orbiqrr.errors import TruncationTooNarrow
 from orbiqrr.exactalg import SCALAR_ONE, sc
 from orbiqrr.fockquant import FockPolynomial, quantize_monomial
-from orbiqrr.genus0 import CorrelatorTable
+from orbiqrr.genus0 import CorrelatorTable, build_point_table
 from orbiqrr.linalg import mat_is_zero, mat_mul, multiplication_matrix
 from orbiqrr.orbtarget import (
     BundleModel,
     CohClass,
     TargetModel,
+    point,
     projective_space,
     wps_pullback_line,
 )
@@ -122,6 +123,15 @@ def p1_table():
     table.set((1,), [(one, 1), (p, 0), (p, 0)], sc(0))
     table.set((1,), [(one, 1), (p, 0), (p, 0), (p, 0)], sc(1))
     return t, table
+
+
+def own_point_table(nmax: int) -> CorrelatorTable:
+    """A copy of the point table to change: ``build_point_table`` returns the
+    table the point keeps for every caller."""
+    shared = build_point_table(point(), nmax)
+    table = CorrelatorTable(shared.target)
+    table.entries = dict(shared.entries)
+    return table
 
 
 def random_table(t, nmax: int, dmax: int, fill: float, rng: random.Random) -> CorrelatorTable:

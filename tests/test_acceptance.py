@@ -61,7 +61,7 @@ from orbiqrr.serre import (
     serre_M_operator,
 )
 
-from helpers import p1_table, random_bundle
+from helpers import own_point_table, p1_table, random_bundle
 from oracles import quintic_instanton_numbers, string_recursion_point_correlator
 from test_fockquant import anti_self_adjoint, random_symplectic_monomial
 from test_loopops import log_gamma_blocks, _assert_same_blocks
@@ -269,8 +269,7 @@ def test_criterion_9_negative_controls():
         with pytest.raises(PositivityViolated, match=r"z\^2 survives"):
             small_expansion(i)
         # corrupted correlator entry pinpointed by the string checker
-        tp = point()
-        table = build_point_table(tp, 6)
+        table = own_point_table(6)
         slot = ("0", 0)
         table.set((0,), [(slot, 1), (slot, 0), (slot, 0), (slot, 0)], sc(2))
         report = check_universal_equation("string", table)

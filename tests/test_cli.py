@@ -574,6 +574,21 @@ class TestPipelines:
         assert doc["symplectic_check"]["symplectic"]
         assert doc["operator"]["kind"] == "multiplication"
 
+    @pytest.mark.parametrize("target, bundle, s", [
+        ("Bmu3", "char:1", "--s=2L,1/2,-1/3,1/7"),
+        ("WPS:1,1,2", "O1", "--s=0,L,-1/2,2L"),
+    ])
+    @pytest.mark.parametrize("log", [(), ("--log",)])
+    def test_delta_with_check_prints_the_operator_without_it(self, capsys, target, bundle,
+                                                             s, log):
+        """The check's log Delta and Delta, built on the wider window and cut
+        to zmax, print as the operators built at zmax."""
+        argv = ["delta", "--target", target, "--bundle", bundle, s, "--zmax", "3", *log]
+        docs = [json.loads(run(capsys, *argv, *extra)[1])
+                for extra in ((), ("--check-symplectic",))]
+        assert docs[1].pop("symplectic_check")["symplectic"] is True
+        assert docs[0] == docs[1]
+
     def test_delta_no_log_needs_euler(self, capsys, tmp_path):
         """Nothing reads --no-log without --euler: it would only add a cache key."""
         cache = str(tmp_path / "cache")

@@ -20,6 +20,7 @@ from orbiqrr.errors import (
     SchemaError,
 )
 from orbiqrr.exactalg import SCALAR_ONE, Scalar, TruncSeries, sc, series_invert
+from orbiqrr.fockquant import build_point_potential
 from orbiqrr.genus0 import (
     CorrelatorTable,
     build_point_table,
@@ -50,7 +51,7 @@ from orbiqrr.orbtarget import (
     wps_pullback_line,
 )
 
-from helpers import p1_table, split_bundle
+from helpers import own_point_table, p1_table, split_bundle
 from oracles import (
     ci_instanton_numbers,
     pn_j_degree_series,
@@ -96,9 +97,24 @@ class TestUniversalEquations:
         report = check_universal_equation("divisor", table)
         assert report["ok"] and report["instances"] == 0
 
-    def test_corrupted_entry_pinpointed(self):
+    def test_point_table_is_kept_per_nmax_and_left_unchanged(self):
+        """``build_point_table`` keeps one table per target and nmax, and the
+        readers that share it (the checkers, the point potential) leave its
+        entries as they were: the same keys, holding the same objects."""
         t = point()
-        table = build_point_table(t, 6)
+        table = build_point_table(t, 7)
+        assert build_point_table(t, 7) is table
+        assert build_point_table(t, 6) is not table
+        before = dict(table.entries)
+        for kind in ("string", "dilaton", "trr", "divisor"):
+            assert check_universal_equation(kind, table)["ok"]
+        build_point_potential(t, 7)
+        assert build_point_table(t, 7) is table
+        assert table.entries.keys() == before.keys()
+        assert all(table.entries[k] is v for k, v in before.items())
+
+    def test_corrupted_entry_pinpointed(self):
+        table = own_point_table(6)
         slot = ("0", 0)
         table.set((0,), [(slot, 1), (slot, 0), (slot, 0), (slot, 0)], sc(2))
         report = check_universal_equation("string", table)
@@ -120,7 +136,7 @@ class TestUniversalEquations:
     def test_trr_names_a_missing_entry(self, n):
         """The n-point entry of the point table feeds TRR on both sides of the
         (n + 1)-point instances; without it, TRR raises and names that key."""
-        table = build_point_table(point(), 6)
+        table = own_point_table(6)
         slot = ("0", 0)
         key = (n, (0,), tuple(sorted([(slot, 0)] * 3 + [(slot, 1)] * (n - 3))))
         del table.entries[key]

@@ -23,7 +23,7 @@ from orbiqrr.genus0.correlators import _report, _value
 from orbiqrr.linalg import mat_inv
 from orbiqrr.orbtarget import bmu, point, projective_space, weighted_projective
 
-from helpers import p1_table, random_table
+from helpers import own_point_table, p1_table, random_table
 
 Frac = Fraction
 
@@ -109,7 +109,7 @@ def test_p1_table():
 
 # -- one corrupted or one deleted entry -----------------------------------------
 
-TABLES = {"point7": lambda: build_point_table(point(), 7), "P1": lambda: p1_table()[1]}
+TABLES = {"point7": lambda: own_point_table(7), "P1": lambda: p1_table()[1]}
 
 
 def _keys(name):
