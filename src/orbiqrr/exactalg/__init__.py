@@ -1,8 +1,8 @@
 """Exact scalar and truncated-series arithmetic.
 
-Scalars live in Q(zeta_N)(lambda^(1/m))[l] with l = ln(lambda) formal; series
-are z-Laurent polynomials over a truncated Novikov ring with Scalar
-coefficients.  Everything is immutable after construction and pure.
+Scalars are Laurent polynomials in lambda^(1/m) over Q(zeta_N) with powers
+of l = ln(lambda), a formal symbol; series are z-Laurent polynomials over a
+truncated Novikov ring with Scalar coefficients.  Everything is immutable after construction and pure.
 """
 
 from .cyclotomic import Cyc, cyclotomic_poly

@@ -1,11 +1,11 @@
 """Dense univariate polynomials, lowest degree first, over any coefficient ring.
 
-One kernel serves every polynomial level of the scalar tower: Fraction
-residues in ``Cyc``, ``Cyc`` coefficients in ``RatFunc`` and ``RatFunc``
-coefficients in ``Scalar.ell``.  A coefficient needs ``+``, ``-``, ``*``
-and a truth value that is false exactly for zero.  Callers pass the ring's
-zero, its one, or the inverse of a leading coefficient, so nothing here
-depends on the coefficient type.
+One kernel serves the Fraction residues of ``Cyc`` and the gcd by which
+``RatFunc`` reduces outside JSON; ``Scalar`` lifts its root index
+(``stretch``), scans it (``exponent_gcd``) and takes powers here.  A
+coefficient needs ``+``, ``-``, ``*`` and a truth value that is false
+exactly for zero.  Callers pass the ring's zero, its one, or the inverse
+of a leading coefficient, so nothing here depends on the coefficient type.
 
 Sums and products keep one evaluation order: a sum adds the right operand
 onto a copy of the left one (zero + c is c itself in every ring here), a

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbiqrr.errors import LogObstruction, NonUnitConstantTerm, PoleAtZero
+from orbiqrr.errors import (LogObstruction, NonInvertible, NonUnitConstantTerm, PoleAtZero,
+                            SchemaError)
 from orbiqrr.exactalg import (
     SCALAR_ONE,
     Cyc,
@@ -83,13 +84,24 @@ class TestScalar:
         assert sc(0).exp() == SCALAR_ONE
 
     def test_division(self):
-        a = (Scalar.lam(2) + sc(1)) / (Scalar.lam(1) + sc(1))
-        assert a * (Scalar.lam(1) + sc(1)) == Scalar.lam(2) + sc(1)
+        # only a monomial c lambda^(a/m) is invertible: 1 + lambda has no
+        # inverse among Laurent polynomials in lambda^(1/m)
+        num, den = Scalar.lam(2) + sc(1), Scalar.lam(1).scaled(2)
+        a = num / den
+        assert a == Scalar.lam(1).scaled(Fraction(1, 2)) + Scalar.lam(-1).scaled(Fraction(1, 2))
+        assert a * den == num
+        z = root_of_unity(6, 1) * Scalar.lam(Fraction(-1, 3))
+        assert (num / z) * z == num
+        with pytest.raises(NonInvertible, match="monomial"):
+            num / (Scalar.lam(1) + sc(1))
 
     def test_invertibility_flags(self):
         assert not sc(0).is_invertible
         assert sc(3).is_invertible
         assert not (Scalar.log_lambda() + sc(1)).is_invertible
+        assert not Scalar.log_lambda().is_invertible
+        assert not (Scalar.lam(1) + sc(1)).is_invertible
+        assert (root_of_unity(5, 2) * Scalar.lam(Fraction(-1, 3))).is_invertible
 
     def test_exp_obstruction_paths(self):
         from orbiqrr.errors import ExpObstruction
@@ -252,11 +264,15 @@ def _geometric_invert(a: TruncSeries) -> TruncSeries:
     return out.scale(inv0)
 
 
-def _invert_coeff(kind):
-    """One coefficient of the kind: a rational, an element of Q[lambda, 1/lambda],
-    or a rational multiple of a root of unity plus a rational."""
+def _invert_coeff(kind, head=False):
+    """One coefficient of the kind: a rational, an element of Q[lambda, 1/lambda]
+    (for a head a monomial c lambda^e, the only invertible ones), or a rational
+    multiple of a root of unity plus a rational."""
     if kind == "rational":
         return rationals.map(sc)
+    if kind == "laurent" and head:
+        return st.tuples(rationals, st.integers(-2, 2)).map(
+            lambda x: Scalar.lam(x[1]).scaled(x[0]))
     if kind == "laurent":
         return st.tuples(rationals, st.integers(-2, 2), rationals).map(
             lambda x: Scalar.lam(x[1]).scaled(x[0]) + sc(x[2]))
@@ -274,7 +290,8 @@ def _invertible_series(draw):
         for d in product(range(dmax + 1), repeat=rank):
             if sum(d) <= dmax and draw(st.booleans()):
                 data[(n, d)] = draw(_invert_coeff(kind))
-    head = draw(_invert_coeff(kind).filter(lambda c: not c.is_zero and c.is_invertible))
+    head = draw(_invert_coeff(kind, head=True).filter(lambda c: not c.is_zero))
+    assert head.is_invertible
     data[(0, (0,) * rank)] = head
     return kind, TruncSeries(rank, draw(st.integers(-1, 0)), zmax, dmax, data)
 
@@ -336,21 +353,50 @@ def test_cyc_is_zero_on_cancelling_sums():
     assert not z3.is_zero and not (z3 + Cyc.from_fraction(1)).is_zero
 
 
+def _coeff_obj(c):
+    return str(c.coeffs[0]) if c.order == 1 else {"zeta": c.order, "c": [str(x) for x in c.coeffs]}
+
+
+def _read(num, den):
+    """num/den (Cyc lists in lambda) read at the JSON boundary."""
+    return parse_scalar({"num": [_coeff_obj(c) for c in num], "den": [_coeff_obj(c) for c in den]})
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(cyc_elements(), max_size=4), st.lists(cyc_elements(), max_size=4))
 def test_ratfunc_polynomial_fast_path(p, q):
-    # RatFunc(num, den) is the general constructor: it always normalises by the gcd
-    one = (CYC_ONE,)
-    a, b = RatFunc(p, one), RatFunc(q, one)
-    for fast, slow in (
-        (a + b, RatFunc(add(mul(a.num, b.den, CYC_ZERO), mul(b.num, a.den, CYC_ZERO), CYC_ZERO),
-                        mul(a.den, b.den, CYC_ZERO))),
-        (a + (-a), RatFunc(add(a.num, (-a).num, CYC_ZERO), one)),
-        (a * b, RatFunc(mul(a.num, b.num, CYC_ZERO), mul(a.den, b.den, CYC_ZERO))),
-    ):
-        assert fast.num == slow.num and fast.den == slow.den
-        assert hash(fast) == hash(slow)
-        assert Scalar((fast,), 1).to_obj() == Scalar((slow,), 1).to_obj()
+    """Sums and products of two polynomials in lambda over Q(zeta) equal the
+    kernel's sum and product of their coefficient lists, reduced by the RatFunc
+    constructor at the JSON boundary: the same Cyc entries in the same order."""
+    one = [CYC_ONE]
+    a, b = _read(p, one), _read(q, one)
+    for got, want in ((a + b, add(p, q, CYC_ZERO)), (a + (-a), []),
+                      (a * b, mul(p, q, CYC_ZERO))):
+        want = _read(want, one)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.to_obj() == want.to_obj()
+
+
+@pytest.mark.parametrize("obj, path", [
+    ("1|1,1", r"\$"),
+    ({"num": ["1"], "den": ["1", "1"]}, r"\$"),
+    ({"num": [{"zeta": 3, "c": ["0", "1"]}], "den": ["2", "0", "1"], "lam_den": 2}, r"\$"),
+    ({"ell": ["0", "1|0,1,1"]}, r"\$\.ell\[1\]"),
+])
+def test_a_non_monomial_denominator_is_refused(obj, path):
+    """Every value is a Laurent polynomial in lambda^(1/m): a denominator that
+    is not c u^b after its gcd with the numerator is cancelled is refused."""
+    with pytest.raises(SchemaError, match=rf"^{path}: the reduced denominator is not a monomial"):
+        parse_scalar(obj)
+
+
+def test_a_denominator_that_reduces_to_a_monomial_is_read():
+    assert parse_scalar("1,1|1,1") == 1
+    assert parse_scalar("0,1,1|0,2,2") == Fraction(1, 2)
+    assert parse_scalar({"num": ["1", "1"], "den": ["0", "1", "1"]}) == Scalar.lam(-1)
+    assert parse_scalar({"num": ["0", "2"], "den": ["4"], "lam_den": 2}) == \
+        Scalar.lam(Fraction(1, 2)).scaled(Fraction(1, 2))
 
 
 def _euclidean_ratfunc(num, den):
@@ -376,9 +422,10 @@ def test_ratfunc_monomial_denominator_fast_path(v, b, head, tail, lead, pad):
     den = [CYC_ZERO] * b + [lead] + [CYC_ZERO] * pad
     fast, slow = RatFunc(num, den), _euclidean_ratfunc(num, den)
     assert fast.num == slow.num and fast.den == slow.den
-    assert hash(fast) == hash(slow)
-    assert Scalar((fast,), 1).to_obj() == Scalar((slow,), 1).to_obj()
     assert len(fast.den) - 1 == b - min(b, v)
+    # the boundary reads that fraction, and the Scalar's view gives it back
+    (view,) = _read(num, den).ell
+    assert (view.num, view.den) == (fast.num, fast.den)
 
 
 def test_ratfunc_monomial_denominator_skips_the_gcd(monkeypatch):

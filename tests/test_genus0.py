@@ -780,11 +780,17 @@ class TestLimitFirst:
            st.fractions(min_value=-5, max_value=5).filter(bool),
            st.fractions(min_value=-5, max_value=5).filter(bool), st.booleans())
     def test_a_j_with_lambda_is_mapped_row_by_row(self, d, zpow, a, b, c, polynomial):
-        """(a + b lambda^2) or (a + lambda) / (c + lambda), regular at 0 and not
-        constant: the limit maps every row, as the map of the whole series did."""
+        """a + b lambda^2, regular at 0 and not constant: the limit maps every
+        row, as the map of the whole series did.  (a + lambda) / (c + lambda)
+        is no Laurent polynomial in lambda: the J-file row is refused, naming
+        its coeff."""
         assume(polynomial or a != c)
-        coeff = f"{a},0,{b}|1" if polynomial else f"{a},1|{c},1"
-        j = self._loaded_p2(coeff, d, zpow)
+        if not polynomial:
+            with pytest.raises(SchemaError, match=r"^\$\.rows\[\d+\]\.coeff: the reduced "
+                                                  r"denominator is not a monomial"):
+                self._loaded_p2(f"{a},1|{c},1", d, zpow)
+            return
+        j = self._loaded_p2(f"{a},0,{b}|1", d, zpow)
         lim = nonequivariant_limit(j)
         want = j.series.map(lambda n, dd, cls: cls.nonequiv_limit())
         assert lim is not j

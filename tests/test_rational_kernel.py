@@ -5,9 +5,9 @@ nothing else normalises them: each result must already be the Fraction that
 ``fractions`` builds, in lowest terms with a positive denominator, with the
 same ``str`` and hash.  The draws reach 0, 1 and -1, integers, negative
 values, 200-bit numerators and denominators, and the same object as both
-operands.  On top of the kernel, chains of Scalar lane operations (the
-rational lane, Laurent monomials, order-1 Cyc) must equal the same chains
-computed in Fraction.
+operands.  On top of the kernel, chains of Scalar operations on rationals,
+Laurent monomials and order-1 Cyc must equal the same chains computed in
+Fraction.
 """
 
 from fractions import Fraction
@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 from orbiqrr.errors import NonInvertible
 from orbiqrr.exactalg import SCALAR_ONE, SCALAR_ZERO, Cyc, Scalar, sc
-from orbiqrr.exactalg.cyclotomic import CYC_ONE, CYC_ZERO
 from orbiqrr.exactalg.rational import q_add, q_div, q_mul, q_neg, q_sub
-from orbiqrr.exactalg.scalar import RatFunc
+from scalar_oracle import assert_value
 
 BIG = 2 ** 200
 
@@ -80,26 +79,16 @@ def test_same_object_as_both_operands_and_negation(a):
         assert_normal(q_div(Fraction(1), a), 1 / a)
 
 
-# -- Scalar and Cyc lanes on the kernel ----------------------------------------
-
-
-def general_form(shift: int, coeffs) -> Scalar:
-    """sum_i coeffs[i] lambda^(shift + i) through the general constructors."""
-    num = [Cyc(1, [c]) for c in coeffs]
-    if shift >= 0:
-        rf = RatFunc([CYC_ZERO] * shift + num, [CYC_ONE])
-    else:
-        rf = RatFunc(num, [CYC_ZERO] * -shift + [CYC_ONE])
-    return Scalar([rf], 1)
+# -- Scalar and Cyc on the kernel ----------------------------------------
 
 
 def assert_scalar(x, want: Fraction):
-    """x is the rational-lane Scalar of want, singletons included."""
+    """x is the rational Scalar of want, singletons included, and hashes as want."""
     got = x.as_fraction()
     assert_normal(got, want)
     assert x.to_obj() == str(want)
-    general = general_form(0, [want])
-    assert x == general and hash(x) == hash(general)
+    assert x.parts == (((0, (want,)),) if want else ())
+    assert x == want and hash(x) == hash(want)
     if want == 0:
         assert x is SCALAR_ZERO
     if want == 1:
@@ -152,7 +141,7 @@ monomials = st.tuples(st.integers(-4, 4), fractions.filter(bool))
 
 
 def laurent_of(terms: dict) -> tuple:
-    """The Laurent lane (shift, coefficients) of {exponent: coefficient}."""
+    """The part (shift, coefficients) of {exponent: coefficient}."""
     terms = {e: c for e, c in terms.items() if c}
     if not terms:
         return (0, ())
@@ -173,17 +162,15 @@ def test_laurent_monomials_equal_the_fraction_terms(x, y):
               (mx.inverse(), {-e: 1 / a}), (mx.scaled(b), {e: a * b})]
     for got, terms in checks:
         want = laurent_of(terms)
-        assert got._lau == want
-        for c in got._lau[1]:
+        assert got.parts == ((want,) if want[1] else ())
+        for c in want[1]:
             assert_lowest(c)
         if want == (0, ()):
             assert got is SCALAR_ZERO
         elif want == (0, (Fraction(1),)):
             assert got is SCALAR_ONE
-        # the canonical form built from the lane is the general path's
-        general = general_form(*want)
-        assert got.ell == general.ell and hash(got) == hash(general)
-        assert got.to_obj() == general.to_obj()
+        # the oracle's terms, JSON form and hash
+        assert_value(got, {(0, Fraction(e)): Cyc.from_fraction(c) for e, c in terms.items() if c})
 
 
 @settings(max_examples=200, deadline=None)
