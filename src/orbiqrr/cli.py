@@ -368,7 +368,10 @@ def cmd_quantize(args, cache) -> dict:
         if not args.bundle:
             raise UsageError("--B am:M needs --bundle")
         F = resolve_bundle(t, bundles, args.bundle)
-        B = class_Am(t, F, _number(int, args.B.split(":", 1)[1], args.B))
+        m = _number(int, args.B.split(":", 1)[1], args.B)
+        if m < 0:
+            raise UsageError(f"--B {args.B!r}: A_M needs M >= 0")
+        B = class_Am(t, F, m)
         bname = args.B
     else:
         raise UsageError(f"unknown operator spec {args.B!r} (use identity or am:M)")
@@ -570,7 +573,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        cache = ArtifactCache(args.cache_dir or os.environ.get("ORBIQRR_CACHE"))
+        directory = args.cache_dir or os.environ.get("ORBIQRR_CACHE")
+        try:
+            cache = ArtifactCache(directory)
+        except OSError as e:
+            source = "--cache-dir" if args.cache_dir else "$ORBIQRR_CACHE"
+            raise UsageError(f"{source}: cannot create the cache directory "
+                             f"{directory!r} ({e.strerror})") from None
         print(emit(args.func(args, cache), args.format))
         return 0
     except SystemExit as e:      # --help and --version: a parse error raises UsageError

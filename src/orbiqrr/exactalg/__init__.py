@@ -1,7 +1,7 @@
 """Exact scalar and truncated-series arithmetic.
 
-Scalars are Laurent polynomials in lambda^(1/m) over Q(zeta_N) with powers
-of l = ln(lambda), a formal symbol; series are z-Laurent polynomials over a
+Scalars are finite sums of monomials c l^i lambda^e over Q(zeta_N), with
+e rational and l = ln(lambda) a formal symbol; series are z-Laurent polynomials over a
 truncated Novikov ring with Scalar coefficients.  Everything is immutable after construction and pure.
 """
 

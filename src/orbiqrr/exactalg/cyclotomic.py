@@ -116,8 +116,9 @@ class Cyc:
     # -- structure
 
     # The constructor demotes every element with c[1:] all zero to order 1.
-    # is_zero repeats the test instead of calling __bool__: on the hot path a
-    # property costs much less than a second call through the bool slot.
+    # Scalar tests its coefficients by truth value (__bool__); is_zero is
+    # read off the hot path: by inverse, by RatFunc at the JSON boundary and
+    # by the tests' scalar oracle.
 
     def __bool__(self) -> bool:
         return self.order != 1 or bool(self.coeffs[0])

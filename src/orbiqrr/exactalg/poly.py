@@ -1,8 +1,10 @@
 """Dense univariate polynomials, lowest degree first, over any coefficient ring.
 
-One kernel serves the Fraction residues of ``Cyc`` and the gcd by which
-``RatFunc`` reduces outside JSON; ``Scalar`` lifts its root index
-(``stretch``), scans it (``exponent_gcd``) and takes powers here.  A
+One kernel serves the Fraction residues of ``Cyc``, which lift a residue to
+a common order (``stretch``) and find the least order of one
+(``exponent_gcd``), and the gcd by which ``RatFunc`` reduces outside JSON;
+``Scalar`` holds monomials, not dense polynomials, and takes only its
+powers here.  A
 coefficient needs ``+``, ``-``, ``*`` and a truth value that is false
 exactly for zero.  Callers pass the ring's zero, its one, or the inverse
 of a leading coefficient, so nothing here depends on the coefficient type.

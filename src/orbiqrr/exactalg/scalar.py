@@ -1,39 +1,40 @@
-"""Scalars: Laurent polynomials in lambda^(1/m) over Q(zeta_N), with powers of
-l = ln(lambda), a formal symbol.
+"""Scalars: finite sums of monomials c l^i lambda^e over Q(zeta_N), with
+l = ln(lambda) a formal symbol, i >= 0 and e rational.
 
 Every scalar of the twisted theory has this form: s_0 = l and
 s_k ~ lambda^-k, the factors prod(lambda + rho + kz) are polynomial in
 lambda, and e_lambda(F)^-1 = lambda^-1 sum_j (-rho/lambda)^j is finite
 because rho is nilpotent.
 
-A Scalar holds its root index m (``lam_den``) and ``parts``: per power
-l^0, l^1, ... one Laurent polynomial in u = lambda^(1/m), stored as
-(shift, coefficients), the value sum_i c_i u^(shift + i).  A coefficient is
-a Fraction exactly when it is rational and a ``Cyc`` of order > 1
-otherwise.  The end coefficients of a part are nonzero, a zero part is
-(0, ()), and the top part is not zero.  m is minimal, gcd(m, every exponent
-present) = 1: fractional lambda powers (square roots of Euler twists,
-exp(l * (l_i/r_i - 1/2)) factors) lift m, and a result that is a Laurent
-polynomial in lambda drops back to m = 1.
+A Scalar holds ``terms``, the dict {(i, e): c} of its nonzero monomials:
+c is the coefficient of l^i lambda^e, a Fraction exactly when it is
+rational and a ``Cyc`` of order > 1 otherwise, and e is an int when it is
+integral, else a Fraction.  The root index m (``lam_den``), the lcm of the
+exponents' denominators, is read off the keys and never stored, so
+fractional powers (square roots of Euler twists, exp(l * (l_i/r_i - 1/2))
+factors) come and go with no index to lift or reduce.
 
 That form is canonical up to its ``Cyc`` coefficients, which have no
 canonical form across conductors: ``==`` compares it, and ``to_obj`` and
-the hash are read off it.  A plain rational is the part (0, (q,)) at m = 1,
-and it also keeps its Fraction in ``_q`` (None on every other value), so
-two rationals combine in one call of the rational kernel in ``rational``,
-compare as Fractions and hash as their Fraction.  Coefficients combine
-with that kernel when both are rational, and with ``Cyc`` arithmetic
-otherwise (a rational factor scales the residue, ``Cyc.scaled``).  Sums
-align two parts at the lower shift; products convolve them, the left index
-outermost, and add the product of the l^i and l^j parts into l^(i+j).
-Only a monomial c u^e (one part, one coefficient) is invertible.
+the hash are read off it.  A plain rational q is the map {(0, 0): q}, zero
+the empty map, and a rational also keeps its Fraction in ``_q`` (None on
+every other value), so two rationals combine in one call of the rational
+kernel in ``rational``, compare as Fractions and hash as their Fraction.
+Coefficients combine with that kernel when both are rational, and with
+``Cyc`` arithmetic otherwise (a rational factor scales the residue,
+``Cyc.scaled``).  A sum merges the two maps, the right coefficient added
+onto the left one; a product adds c d into the key (i + j, e + f) for each
+pair of terms, the left terms outermost, and drops what cancels.  Only a
+monomial c lambda^e (one term, no l) is invertible.
 
-``to_obj`` prints a part as {"num", "den"} over the monic denominator u^b:
-a part with shift s >= 0 is u^s times its coefficients over 1, one with
-s < 0 is its coefficients over u^-s.  ``parse_scalar`` reads outside JSON
-through ``RatFunc``, the reduced fraction of Cyc-polynomials in u, and
-refuses a reduced denominator that is not c u^b; ``Scalar.ell`` is the
-read-only view of a value as one such fraction per power of l.
+``to_obj`` prints each power of l, from l^0 to the highest, in
+u = lambda^(1/m): its coefficients from its lowest exponent s to its
+highest, zeros filled in, as {"num", "den"} over the monic denominator
+u^b, u^s times them over 1 when s >= 0 and them over u^-s when s < 0.
+``parse_scalar`` reads outside JSON through ``RatFunc``, the reduced
+fraction of Cyc-polynomials in u, and refuses a reduced denominator that
+is not c u^b; ``Scalar.ell`` is the read-only view of a value as one such
+fraction per power of l.
 
 One singleton for 1 and one for 0: every result equal to 1 is
 ``SCALAR_ONE``, and a product with it returns the other operand.
@@ -42,9 +43,8 @@ One singleton for 1 and one for 0: every result equal to 1 is
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExpObstruction, LogObstruction, NonInvertible, PoleAtZero, SchemaError
 from ..jsonread import array, integer, mapping, only, rational, required
@@ -54,9 +54,9 @@ from .rational import q_add, q_div, q_mul, q_neg, q_sub
 
 Frac = Fraction
 _ZERO, _ONE = Frac(0), Frac(1)
+_KEY0 = (0, 0)                    # the key of l^0 lambda^0
 
-Part = Tuple[int, tuple]          # (shift, coefficients): sum_i c_i u^(shift + i)
-_PZERO: Part = (0, ())
+Part = Tuple[int, tuple]          # (shift, coefficients): sum_k c_k u^(shift + k)
 
 
 def _cgcd(a: Sequence[Cyc], b: Sequence[Cyc]) -> List[Cyc]:
@@ -114,11 +114,11 @@ class RatFunc:
 
 
 class Scalar:
-    """Root index ``lam_den`` and one Laurent part per power of l (see the
-    module docstring); ``_q`` is the Fraction of a plain rational, else None.
-    Build values with the constructors below, never with the class."""
+    """The map ``terms`` {(i, e): c} of a value's monomials c l^i lambda^e (see
+    the module docstring); ``_q`` is the Fraction of a plain rational, else
+    None.  Build values with the constructors below, never with the class."""
 
-    __slots__ = ("lam_den", "parts", "_q")
+    __slots__ = ("terms", "_q")
 
     # -- constructors
 
@@ -130,7 +130,7 @@ class Scalar:
     def from_cyc(c: Cyc) -> "Scalar":
         if c.order == 1:
             return _from_q(c.coeffs[0])
-        return _new(1, ((0, (c,)),))
+        return _new({_KEY0: c})
 
     @staticmethod
     def lam(power=1) -> "Scalar":
@@ -138,12 +138,12 @@ class Scalar:
         power = Frac(power)
         if power == 0:
             return SCALAR_ONE
-        return _new(power.denominator, ((power.numerator, (_ONE,)),))
+        return _new({(0, _exponent(power)): _ONE})
 
     @staticmethod
     def log_lambda() -> "Scalar":
         """The formal symbol l = ln(lambda)."""
-        return _new(1, (_PZERO, (0, (_ONE,))))
+        return _new({(1, 0): _ONE})
 
     # -- structure
 
@@ -154,21 +154,12 @@ class Scalar:
 
     @property
     def is_invertible(self) -> bool:
-        """True exactly for a monomial c u^e: one part with one coefficient."""
-        parts = self.parts
-        return len(parts) == 1 and len(parts[0][1]) == 1
+        """True exactly for a monomial c lambda^e: one term, without l."""
+        terms = self.terms
+        return len(terms) == 1 and not next(iter(terms))[0]
 
     def is_rational(self) -> bool:
         return self._q is not None
-
-    @property
-    def is_laurent(self) -> bool:
-        """True when the value lies in Q[lambda, 1/lambda] (rationals and zero included)."""
-        if self._q is not None:
-            return True
-        parts = self.parts
-        return (len(parts) == 1 and self.lam_den == 1
-                and all(type(c) is Frac for c in parts[0][1]))
 
     def as_fraction(self) -> Frac:
         if self._q is None:
@@ -176,10 +167,19 @@ class Scalar:
         return self._q
 
     @property
+    def lam_den(self) -> int:
+        """The root index m: the lcm of the denominators of the exponents (a view)."""
+        m = 1
+        for _, e in self.terms:
+            if type(e) is not int:
+                m = lcm(m, e._denominator)
+        return m
+
+    @property
     def ell(self) -> Tuple[RatFunc, ...]:
         """The value as one RatFunc over the monic u^b per power of l (a view)."""
         return tuple(RatFunc(*[[_cyc(c) for c in side] for side in _num_den(p)], _reduced=True)
-                     for p in self.parts)
+                     for p in _parts(self.terms, self.lam_den))
 
     # -- arithmetic
 
@@ -193,14 +193,20 @@ class Scalar:
                 return _from_q(q_add(p, q)) if q._numerator else self
         elif o.is_zero:
             return self
-        m, x, y = _common(self, o)
-        return _build([_padd(a, b) for a, b in zip_longest(x, y, fillvalue=_PZERO)], m)
+        out = dict(self.terms)
+        for key, c in o.terms.items():
+            if key in out:
+                c = _cadd(out[key], c)
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return _make(out)
 
     def __neg__(self) -> "Scalar":
         if self._q is not None:
             return _from_q(q_neg(self._q))
-        return _new(self.lam_den, tuple((s, tuple(q_neg(c) if type(c) is Frac else -c
-                                                  for c in cs)) for s, cs in self.parts))
+        return _new({k: q_neg(c) if type(c) is Frac else -c for k, c in self.terms.items()})
 
     def __sub__(self, o: "Scalar") -> "Scalar":
         p, q = self._q, o._q
@@ -220,20 +226,12 @@ class Scalar:
             return o._scaled(p) if p._numerator else SCALAR_ZERO
         if q is not None:
             return self._scaled(q) if q._numerator else SCALAR_ZERO
-        m, x, y = _common(self, o)
-        if len(x) == 1 and len(y) == 1:
-            return _build([_pmul(x[0], y[0])], m)
-        out: List[Part] = []
-        for i, a in enumerate(x):
-            if not a[1]:
-                continue
-            for j, b in enumerate(y):
-                if not b[1]:
-                    continue
-                k = i + j
-                out += [_PZERO] * (k + 1 - len(out))
-                out[k] = _padd(out[k], _pmul(a, b))
-        return _build(out, m)
+        out: Dict = {}
+        for (i, e), a in self.terms.items():
+            for (j, f), b in o.terms.items():
+                key, c = (i + j, _esum(e, f)), _cmul(a, b)
+                out[key] = _cadd(out[key], c) if key in out else c
+        return _make({k: c for k, c in out.items() if c})
 
     def scaled(self, q) -> "Scalar":
         """self * q for an int or Fraction q, without building a Scalar for q."""
@@ -252,22 +250,22 @@ class Scalar:
         p = self._q
         if p is not None:
             return _from_q(q_mul(p, q))
-        return _new(self.lam_den, tuple((s, tuple(q_mul(c, q) if type(c) is Frac else c.scaled(q)
-                                                  for c in cs)) for s, cs in self.parts))
+        return _new({k: q_mul(c, q) if type(c) is Frac else c.scaled(q)
+                     for k, c in self.terms.items()})
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise NonInvertible("division by zero scalar")
         if self._q is not None:
             return _from_q(q_div(_ONE, self._q))
-        if len(self.parts) != 1:
+        terms = self.terms
+        if any(i for i, _ in terms):
             raise NonInvertible("scalar with log-lambda terms is not invertible")
-        s, cs = self.parts[0]
-        if len(cs) != 1:
+        if len(terms) != 1:
             raise NonInvertible(f"only a monomial c*lambda^(a/m) is invertible, "
                                 f"not {self.to_obj()}")
-        c = cs[0]
-        return _new(self.lam_den, ((-s, (q_div(_ONE, c) if type(c) is Frac else c.inverse(),)),))
+        ((_, e), c), = terms.items()
+        return _new({(0, -e): q_div(_ONE, c) if type(c) is Frac else c.inverse()})
 
     def __truediv__(self, o: "Scalar") -> "Scalar":
         p, q = self._q, o._q
@@ -284,45 +282,45 @@ class Scalar:
             p = self._q
             if p is not None or o._q is not None:
                 return p == o._q
-            return self.lam_den == o.lam_den and self.parts == o.parts
+            return self.terms == o.terms
         if isinstance(o, (int, Fraction)):
             return self._q == o
         return NotImplemented
 
     def __hash__(self):
         q = self._q
-        return hash(q) if q is not None else hash((self.lam_den, self.parts))
+        return hash(q) if q is not None else hash(frozenset(self.terms.items()))
 
     # -- limits and special maps
 
     def nonequiv_limit(self) -> "Scalar":
-        """Substitute lambda = 0 exactly: sum_i c_i u^(s + i) with c_0 != 0 goes
-        to 0 for s > 0, to c_0 for s = 0, and has a pole for s < 0."""
+        """Substitute lambda = 0 exactly: the lambda^0 coefficient when every
+        exponent is >= 0, a pole when one is negative."""
         if self._q is not None:
             return self
-        if len(self.parts) > 1:
+        terms = self.terms
+        if any(i for i, _ in terms):
             raise LogObstruction("ln(lambda) survives at lambda = 0")
-        s, cs = self.parts[0]
-        if s > 0:
-            return SCALAR_ZERO
-        if s < 0:
+        if min(e for _, e in terms) < 0:
             raise PoleAtZero("pole at lambda = 0")
-        c = cs[0]
-        return _from_q(c) if type(c) is Frac else _new(1, ((0, (c,)),))
+        c = terms.get(_KEY0)
+        if c is None:
+            return SCALAR_ZERO
+        return _from_q(c) if type(c) is Frac else _new({_KEY0: c})
 
     def exp(self) -> "Scalar":
         """exp(self), defined for rational multiples of l = ln(lambda): exp(a*l) = lambda^a."""
         if self.is_zero:
             return SCALAR_ONE
-        parts = self.parts
-        if len(parts) > 2:
+        terms = self.terms
+        if any(i > 1 for i, _ in terms):
             raise ExpObstruction("exp only defined for a * ln(lambda)")
-        if parts[0][1]:
+        if any(not i for i, _ in terms):
             raise ExpObstruction("exp of a nonzero constant is transcendental")
-        s, cs = parts[1]
-        if s or len(cs) != 1 or type(cs[0]) is not Frac:
+        c = terms.get((1, 0))
+        if len(terms) != 1 or type(c) is not Frac:
             raise ExpObstruction("exp needs a rational multiple of ln(lambda)")
-        return Scalar.lam(cs[0])
+        return Scalar.lam(c)
 
     # -- serialization
 
@@ -330,12 +328,14 @@ class Scalar:
         """Canonical JSON-ready form; plain rationals collapse to 'p/q' strings."""
         if self._q is not None:
             return str(self._q)
-        if len(self.parts) == 1:
-            obj = _part_obj(self.parts[0])
+        m = self.lam_den
+        parts = _parts(self.terms, m)
+        if len(parts) == 1:
+            obj = _part_obj(parts[0])
         else:
-            obj = {"ell": [_part_obj(p) for p in self.parts]}
-        if self.lam_den != 1:
-            obj["lam_den"] = self.lam_den
+            obj = {"ell": [_part_obj(p) for p in parts]}
+        if m != 1:
+            obj["lam_den"] = m
         return obj
 
     def __repr__(self) -> str:
@@ -353,10 +353,7 @@ def _coeff(c: Cyc):
 
 
 def _cadd(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
+    """a + b for nonzero a and b; a zero sum is the Fraction 0."""
     if type(a) is Frac and type(b) is Frac:
         return q_add(a, b)
     return _coeff(_cyc(a) + _cyc(b))
@@ -371,62 +368,40 @@ def _cmul(a, b):
     return _coeff(a * b)
 
 
-# -- parts ---------------------------------------------------------------------
+# -- exponents: an int when integral, else a Fraction ---------------------------
 
-def _padd(x: Part, y: Part) -> Part:
-    """x + y over the lower shift, zeros dropped at both ends.  Two monomials
-    take one coefficient sum at equal shifts and none at different ones."""
-    (s, a), (t, b) = x, y
-    if not a:
-        return y
-    if not b:
-        return x
-    if s > t:
-        (s, a), (t, b) = y, x
-    if len(a) == 1 and len(b) == 1:
-        if s < t:
-            return s, a + (_ZERO,) * (t - s - 1) + b
-        c = _cadd(a[0], b[0])
-        return (s, (c,)) if c else _PZERO
-    out = list(a) + [_ZERO] * (t + len(b) - s - len(a))
-    for i, c in enumerate(b, t - s):
-        out[i] = _cadd(out[i], c)
-    lo, hi = 0, len(out)
-    while hi and not out[hi - 1]:
-        hi -= 1
-    while lo < hi and not out[lo]:
-        lo += 1
-    return (s + lo, tuple(out[lo:hi])) if lo < hi else _PZERO
+def _exponent(e: Frac):
+    return e._numerator if e._denominator == 1 else e
 
 
-def _pmul(x: Part, y: Part) -> Part:
-    """x * y for nonzero parts: the end coefficients are nonzero, so are their
-    products, and nothing is trimmed."""
-    (s, a), (t, b) = x, y
-    if len(a) == 1 and len(b) == 1:
-        return s + t, (_cmul(a[0], b[0]),)
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b, i):
-            if cb:
-                out[j] = _cadd(out[j], _cmul(ca, cb))
-    return s + t, tuple(out)
+def _esum(e, f):
+    if type(e) is int and type(f) is int:
+        return e + f
+    return _exponent(q_add(e, f) if type(e) is type(f) else e + f)
 
 
-def _common(a: Scalar, b: Scalar) -> Tuple[int, tuple, tuple]:
-    """The parts of a and b at the lcm of their root indices."""
-    m, n = a.lam_den, b.lam_den
-    if m == n:
-        return m, a.parts, b.parts
-    k = m * n // gcd(m, n)
-    return k, _lift(a.parts, k // m), _lift(b.parts, k // n)
+# -- the JSON form ----------------------------------------------------------------
 
-
-def _lift(parts: tuple, k: int) -> tuple:
-    """The parts at k times the root index: u -> u^k."""
-    return tuple((s * k, tuple(poly.stretch(cs, k, _ZERO))) for s, cs in parts)
+def _parts(terms: dict, m: int) -> List[Part]:
+    """Per power of l, from l^0 to the highest, the coefficients of u = lambda^(1/m)
+    from the lowest exponent s to the highest, zeros filled in, as (s, coefficients);
+    (0, ()) for a power of l without terms, and no part for zero."""
+    rows: List[dict] = []
+    for (i, e), c in terms.items():
+        while len(rows) <= i:
+            rows.append({})
+        rows[i][e * m if type(e) is int else e._numerator * (m // e._denominator)] = c
+    out = []
+    for row in rows:
+        if len(row) == 1:
+            for k, c in row.items():
+                out.append((k, (c,)))
+        elif row:
+            lo = min(row)
+            out.append((lo, tuple(row.get(k, _ZERO) for k in range(lo, max(row) + 1))))
+        else:
+            out.append((0, ()))
+    return out
 
 
 def _num_den(part: Part) -> Tuple[tuple, tuple]:
@@ -451,11 +426,10 @@ def _part_obj(part: Part) -> dict:
 
 # -- building values ------------------------------------------------------------
 
-def _new(m: int, parts: tuple) -> Scalar:
-    """The Scalar of canonical parts at a minimal root index, not a rational."""
+def _new(terms: dict) -> Scalar:
+    """The Scalar of a map of nonzero terms that is not a rational."""
     out = object.__new__(Scalar)
-    out.lam_den = m
-    out.parts = parts
+    out.terms = terms
     out._q = None
     return out
 
@@ -468,37 +442,25 @@ def _from_q(q: Frac) -> Scalar:
     if n == 1 and q._denominator == 1:
         return SCALAR_ONE
     out = object.__new__(Scalar)     # _new inlined: this is every rational result
-    out.lam_den = 1
-    out.parts = ((0, (q,)),)
+    out.terms = {_KEY0: q}
     out._q = q
     return out
 
 
-def _build(parts: List[Part], m: int) -> Scalar:
-    """The Scalar of parts with nonzero ends at root index m: zero parts
-    dropped from the top, m divided by the gcd of m and every exponent."""
-    while parts and not parts[-1][1]:
-        parts.pop()
-    if not parts:
-        return SCALAR_ZERO
-    if m > 1:
-        g = m
-        for s, cs in parts:
-            if cs:
-                g = poly.exponent_gcd(cs, gcd(g, s))
-        if g > 1:
-            parts = [(s // g, cs[::g]) for s, cs in parts]
-            m //= g
-    if len(parts) == 1:
-        s, cs = parts[0]
-        if not s and len(cs) == 1 and type(cs[0]) is Frac:
-            return _from_q(cs[0])
-    return _new(m, tuple(parts))
+def _make(terms: dict) -> Scalar:
+    """The Scalar of a map of nonzero terms: a rational through ``_from_q``."""
+    if len(terms) < 2:
+        if not terms:
+            return SCALAR_ZERO
+        c = terms.get(_KEY0)
+        if type(c) is Frac:
+            return _from_q(c)
+    return _new(terms)
 
 
-SCALAR_ZERO = _new(1, ())
+SCALAR_ZERO = _new({})
 SCALAR_ZERO._q = _ZERO
-SCALAR_ONE = _new(1, ((0, (_ONE,)),))
+SCALAR_ONE = _new({_KEY0: _ONE})
 SCALAR_ONE._q = _ONE
 
 
@@ -528,12 +490,13 @@ def _parse_cyc(obj, path: str, zeta_period) -> Cyc:
     return Cyc(order, coeffs)
 
 
-def _parse_part(obj, path: str, zeta_period, extra=()) -> Part:
-    """One l-part: a 'p/q' string, or num/den read through RatFunc, whose
-    reduced denominator must be a monomial c u^b."""
+def _parse_part(obj, path: str, zeta_period, extra=()) -> List[Tuple[int, object]]:
+    """One l-part as its nonzero terms (exponent of u, coefficient): a 'p/q'
+    string, or num/den read through RatFunc, whose reduced denominator must be
+    a monomial c u^b."""
     if isinstance(obj, str) and "|" not in obj:
         q = rational(obj, path)
-        return (0, (q,)) if q else _PZERO
+        return [(0, q)] if q else []
     if isinstance(obj, str):
         num, den = ([Cyc.from_fraction(rational(t, path)) for t in part.split(",") if t.strip()]
                     for part in obj.split("|", 1))
@@ -547,10 +510,15 @@ def _parse_part(obj, path: str, zeta_period, extra=()) -> Part:
     rf = RatFunc(num, den)
     if any(rf.den[:-1]):
         raise SchemaError(f"{path}: the reduced denominator is not a monomial c*lambda^(b/m)")
-    if not rf.num:
-        return _PZERO
-    low = next(i for i, c in enumerate(rf.num) if c)
-    return low + 1 - len(rf.den), tuple(_coeff(c) for c in rf.num[low:])
+    b = len(rf.den) - 1
+    return [(k - b, _coeff(c)) for k, c in enumerate(rf.num) if c]
+
+
+def _from_parts(parts, m: int) -> Scalar:
+    """The Scalar of l-parts, l^0 first, each a list of (exponent of u = lambda^(1/m),
+    coefficient)."""
+    return _make({(i, k if m == 1 else _exponent(Frac(k, m))): c
+                  for i, part in enumerate(parts) for k, c in part})
 
 
 def parse_scalar(obj, path: str = "$", zeta_period: Optional[int] = None) -> Scalar:
@@ -573,13 +541,13 @@ def parse_scalar(obj, path: str = "$", zeta_period: Optional[int] = None) -> Sca
     if type(obj) is int:                # not a bool
         return Scalar.from_fraction(obj)
     if isinstance(obj, str):
-        return _build([_parse_part(obj, path, zeta_period)], 1)
+        return _from_parts([_parse_part(obj, path, zeta_period)], 1)
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a scalar ('p/q', 'n0,...|d0,...', an integer "
                           f"or an object), got {obj!r}")
     lam_den = integer(obj.get("lam_den", 1), f"{path}.lam_den", 1)
     if "ell" in obj:
         only(obj, ("ell", "lam_den"), path)
-        return _build([_parse_part(p, f"{path}.ell[{i}]", zeta_period)
-                       for i, p in enumerate(array(obj["ell"], f"{path}.ell"))], lam_den)
-    return _build([_parse_part(obj, path, zeta_period, ("lam_den",))], lam_den)
+        return _from_parts([_parse_part(p, f"{path}.ell[{i}]", zeta_period)
+                            for i, p in enumerate(array(obj["ell"], f"{path}.ell"))], lam_den)
+    return _from_parts([_parse_part(obj, path, zeta_period, ("lam_den",))], lam_den)

@@ -458,12 +458,14 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
     with O(W^2) class products, where the power series sum_j L^j / j! takes
     O(W^3).  A block inside the window has weight at most
     zmax + 2 dim X_i + dmax, which is where the recurrence stops.
-    The pieces commute, so exp(A + B) = exp(A) exp(B), with A the pieces
-    valued in Q[lambda, 1/lambda] (``Scalar.is_laurent``) and B the rest
-    (ln(lambda) multiples, mixed values, root indices, zeta).  The
-    recurrence runs on A, again on B only when B has a piece (for the Euler
-    twist, the nilpotent z^(-1) block ln(lambda) c1(F)), and one window
-    product joins the two.  Products outside the window are dropped.  Past
+    The pieces commute, so exp(A + B) = exp(A) exp(B), with B the pieces
+    whose value has a term in ln(lambda) and A the rest.  The recurrence
+    runs on A, again on B only when B has a piece (for the Euler twist, the
+    nilpotent z^(-1) block ln(lambda) c1(F)), and one window product joins
+    the two.  Measured on Euler Delta, one recurrence on A + B takes 13-17 %
+    longer where ln(lambda) c1(F)/z is a piece (WPS(1,1,2)/O1 at zmax 6,
+    WPS(1,2,3)/O2 at 5, P2/O3 at 4) and the same time on point and B(mu_r),
+    with the same blocks.  Products outside the window are dropped.  Past
     dmax that is exact, since Novikov degrees only add up, and callers put
     zmin below every block a product can reach.  A product dropped above
     zmax, in a factor or in the join, comes back down only through blocks
@@ -504,7 +506,7 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
     for comp in t.components:
         cid = comp.cid
         head = SCALAR_ZERO
-        lane, rest = {}, {}      # w -> (n, d) -> terms of w L_w, for A and for B
+        plain, logs = {}, {}     # w -> (n, d) -> terms of w L_w, for A and for B
         for (n, d), cls in blocks.items():
             if not inside(n, d):
                 continue
@@ -519,11 +521,11 @@ def graded_exp(t: TargetModel, blocks: Dict[Key, CohClass],
                     raise TruncationTooNarrow(
                         f"block at z^{n} Q^{list(d)} has a piece of weight {w} on "
                         f"component {cid}; the graded exponential needs weight >= 1")
-                pieces = lane if v.is_laurent else rest
+                pieces = logs if any(i for i, _ in v.terms) else plain
                 pieces.setdefault(w, {}).setdefault((n, d), {})[(cid, idx)] = v.scaled(w)
-        acc = exp_of(comp, lane)
-        if rest:
-            acc = window_product(acc, exp_of(comp, rest), lambda a, b: a.mul(b), inside)
+        acc = exp_of(comp, plain)
+        if logs:
+            acc = window_product(acc, exp_of(comp, logs), lambda a, b: a.mul(b), inside)
         try:
             scalar_factor = head.exp()
         except ExpObstruction as e:

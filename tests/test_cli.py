@@ -671,6 +671,14 @@ class TestPipelines:
                            "--m", "-1", "--K", "0")
         assert code == 0
 
+    def test_quantize_refuses_a_negative_am_index(self, capsys):
+        """A_M is defined for M >= 0: am:-1 is a usage error naming the spec."""
+        code, out, err = run(capsys, "quantize", "--target", "Bmu3", "--bundle", "char:1",
+                             "--B", "am:-1", "--m", "1", "--K", "3")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError" and "am:-1" in error["message"]
+
     def test_quantize_rejects_nonsymplectic(self, capsys):
         code, out, _ = run(capsys, "quantize", "--target", "point", "--B", "identity",
                            "--m", "0", "--K", "4")
@@ -1574,3 +1582,21 @@ class TestCache:
         code, out, _ = run(capsys, "bernoulli", "--m", "3", "--x", "1/3")
         assert code == 0
         assert json.loads(out)["value"] == "1/27"
+
+    @pytest.mark.parametrize("source", ["--cache-dir", "$ORBIQRR_CACHE"])
+    def test_an_uncreatable_cache_directory_is_a_usage_error(self, capsys, tmp_path,
+                                                             monkeypatch, source):
+        """A cache directory that cannot be made (here a regular file) is named in
+        a structured error, with nothing on stdout."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["delta", "--target", "point", "--bundle", "trivial", "--euler", "--zmax", "1"]
+        if source == "--cache-dir":
+            argv = ["--cache-dir", str(blocker)] + argv
+        else:
+            monkeypatch.setenv("ORBIQRR_CACHE", str(blocker))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "UsageError"
+        assert source in error["message"] and str(blocker) in error["message"]

@@ -108,7 +108,7 @@ def power_series_exp(t, blocks, zmin, zmax, dmax=0):
 
 def random_coeff(rng, zeta=False):
     """A rational, sometimes times a power of 1/lambda (as in the Euler s-values);
-    or off the Laurent lane: q ln(lambda), q + q' ln(lambda), and with zeta a
+    or with ln(lambda): q ln(lambda), q + q' ln(lambda), and with zeta a
     value q + q' zeta_n^k."""
     x = sc(rand_frac(rng))
     x = x * Scalar.lam(-rng.randint(1, 3)) if rng.random() < 0.3 else x

@@ -9,6 +9,7 @@ coefficients and powers of ln(lambda), each read through ``parse_scalar``.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +58,40 @@ def test_binary_ops_match_the_general_path(a, b, op):
     x, y = scalar_of(a), scalar_of(b)
     assert_value(x, a)
     assert_outcome(outcome(fast, x, y), outcome(ref, a, b))
+
+
+def assert_term_map(x):
+    """The invariants of a Scalar's term map: no zero coefficient, a coefficient
+    is a Fraction or a Cyc of order > 1, an exponent is an int when integral,
+    a rational (the empty map or one Fraction at l^0 lambda^0) keeps its
+    Fraction in _q, and lam_den is the lcm of the exponents' denominators."""
+    for (i, e), c in x.terms.items():
+        assert type(i) is int and i >= 0
+        assert c, f"a zero coefficient at {(i, e)}"
+        assert type(c) is Fraction or (type(c) is Cyc and c.order > 1)
+        assert type(e) is int or (type(e) is Fraction and e.denominator > 1)
+    keys = list(x.terms)
+    rational_form = not keys or (keys == [(0, 0)] and type(x.terms[(0, 0)]) is Fraction)
+    assert x.is_rational() == rational_form
+    if rational_form:
+        assert x.as_fraction() == x.terms.get((0, 0), 0)
+    assert x.lam_den == lcm(1, *(Fraction(e).denominator for _, e in keys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands, operands, st.sampled_from(sorted(BINARY)))
+@example({(0, Fraction(0)): CYC_ONE, (0, Fraction(1)): CYC_ONE},
+         {(0, Fraction(0)): CYC_ONE, (0, Fraction(1)): -CYC_ONE}, "*")    # lambda cancels
+@example({(0, Fraction(1, 2)): CYC_ONE}, {(0, Fraction(1, 3)): CYC_ONE}, "*")  # m = 6
+def test_every_value_keeps_the_term_map_invariants(a, b, op):
+    x, y = scalar_of(a), scalar_of(b)
+    values = [x, y, -x, x - x, x + y, x.scaled(Fraction(-2, 3)), outcome(BINARY[op][0], x, y)]
+    for v in (x, y):
+        if v.is_invertible:
+            values.append(v.inverse())
+    for v in values:
+        if v is not NonInvertible:
+            assert_term_map(v)
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,7 +185,7 @@ def test_division_by_zero_raises():
 def test_laurent_ops_match_the_general_path(a, b, op):
     fast, ref = BINARY[op]
     x, y = scalar_of(a), scalar_of(b)
-    assert x.is_laurent
+    assert all(not i and type(e) is int for i, e in x.terms)
     assert_outcome(outcome(fast, x, y), outcome(ref, a, b))
     assert (x == y) == (a == b)
     assert_value(-x, o_neg(a))
@@ -171,23 +206,26 @@ def test_laurent_sums_that_cancel(a, c):
     assert x + (sc(1) - x) is SCALAR_ONE
 
 
-def test_laurent_lane_shapes():
+def test_laurent_shapes():
     lam = Scalar.lam
     x = lam(-2).scaled(2) + sc(5)                        # 2 lambda^-2 + 5
-    assert (x.lam_den, x.parts) == (1, ((-2, (2, 0, 5)),))
+    assert (x.lam_den, x.terms) == (1, {(0, -2): 2, (0, 0): 5})
     assert x.to_obj() == {"num": ["2", "0", "5"], "den": ["0", "0", "1"]}
     y = lam(2).scaled(Fraction(-1, 3))
-    assert y.parts == ((2, (Fraction(-1, 3),)),)
+    assert y.terms == {(0, 2): Fraction(-1, 3)}
     assert y.to_obj() == {"num": ["0", "0", "-1/3"], "den": ["1"]}
-    assert (y * x).parts == ((0, (Fraction(-2, 3), 0, Fraction(-5, 3))),)
-    assert (x - sc(5)).parts == ((-2, (2,)),)             # the high end cancels
-    assert (x - lam(-2).scaled(2)).parts == ((0, (5,)),)  # the low end cancels
+    assert (y * x).terms == {(0, 0): Fraction(-2, 3), (0, 2): Fraction(-5, 3)}
+    assert (x - sc(5)).terms == {(0, -2): 2}             # the high end cancels
+    assert (x - lam(-2).scaled(2)).terms == {(0, 0): 5}  # the low end cancels
     assert (x - lam(-2).scaled(2)).is_rational()
-    assert sc(Fraction(3, 7)).parts == ((0, (Fraction(3, 7),)),)
-    assert SCALAR_ZERO.parts == ()
-    assert all(v.is_laurent for v in (x, y, sc(3), SCALAR_ZERO))
-    for off in (root_of_unity(3, 1), Scalar.log_lambda(), lam(Fraction(1, 2))):
-        assert not off.is_laurent and not (off * x).is_laurent
+    assert sc(Fraction(3, 7)).terms == {(0, 0): Fraction(3, 7)}
+    assert SCALAR_ZERO.terms == {}
+    # exponents are ints when integral, whatever route reached them
+    half = lam(Fraction(1, 2))
+    assert (half * half).terms == {(0, 1): 1} and type(next(iter((half * half).terms))[1]) is int
+    assert (half * x).terms == {(0, Fraction(-3, 2)): 2, (0, Fraction(1, 2)): 5}
+    assert ((half * x).lam_den, (half * half).lam_den) == (2, 1)
+    assert (Scalar.log_lambda() * x).terms == {(1, -2): 2, (1, 0): 5}
 
 
 def test_laurent_and_scaled_products_skip_cyc_arithmetic(monkeypatch):
@@ -220,7 +258,7 @@ def test_products_with_a_rational_match_the_general_path(a, q):
                       (x / sc(q), o_div(a, rational(q)))):
         assert_value(got, want)
         assert got.lam_den == x.lam_den
-        assert [(k, len(cs)) for k, cs in got.parts] == [(k, len(cs)) for k, cs in x.parts]
+        assert got.terms.keys() == x.terms.keys()
 
 
 @settings(max_examples=300, deadline=None)
